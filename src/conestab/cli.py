@@ -250,26 +250,26 @@ def build_parser():
         description="Stability analysis of conic programs at KKT points")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_problem=True):
-        if needs_problem:
-            grp = p.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--builtin", help="built-in fixture name")
-            grp.add_argument("--problem", help="path to a problem JSON file")
+    def add_common(p):
+        grp = p.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--builtin", help="built-in fixture name")
+        grp.add_argument("--problem", help="path to a problem JSON file")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for every randomized multi-start")
-        p.add_argument("--out", help="output path (CSV or JSON)")
-        p.add_argument("--report", help="machine-readable report path")
 
     p = sub.add_parser("solve", help="find a KKT point")
     add_common(p)
+    p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("analyze", help="verify stability conditions")
     add_common(p)
+    p.add_argument("--report", help="machine-readable report path")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="perturbation sweep and rate fit")
     add_common(p)
+    p.add_argument("--out", help="CSV output path")
     p.add_argument("--observable",
                    choices=["x", "x2", "multiplier-drift", "full"],
                    help="drift observable for the exponent fit")
@@ -285,7 +285,6 @@ def build_parser():
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("list-builtins", help="list built-in fixtures")
-    add_common(p, needs_problem=False)
     p.set_defaults(func=cmd_list_builtins)
 
     return parser

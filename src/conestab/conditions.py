@@ -258,7 +258,7 @@ def check_rcq(prog, x, seed=0):
     g = prog.constraint(x)
     frame = prog.cone.frame(g)  # zero normal element: cc is the tangent cone
     return _decide_fullness(prog.constraint_jac(x), frame.cc_project,
-                            frame.polar_project, frame.polar_span(), seed,
+                            frame.polar_project, frame.normal_span(), seed,
                             "rcq")
 
 
@@ -268,7 +268,7 @@ def check_srcq(prog, x, y, seed=0):
     g = prog.constraint(x)
     frame = prog.cone.frame(g + np.asarray(y, float))
     return _decide_fullness(prog.constraint_jac(x), frame.cc_project,
-                            frame.polar_project, frame.polar_span(), seed,
+                            frame.polar_project, frame.normal_span(), seed,
                             "srcq")
 
 
@@ -278,7 +278,7 @@ def check_nondegeneracy(prog, x):
     g = prog.constraint(x)
     frame = prog.cone.frame(g)
     kerGt = linalg.nullspace(prog.constraint_jac(x).T, tol=1e-12)
-    perp = _orth(frame.lin_tangent_perp())
+    perp = _orth(frame.normal_span())
     V = _subspace_intersection(kerGt, perp)
     if V.shape[1] == 0:
         if kerGt.shape[1] == 0 or perp.shape[1] == 0:
@@ -552,7 +552,7 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     """
     _require_affine(prog)
     res = natural_residual(prog, x, y)
-    if res > 1e-8:
+    if not res <= 1e-8:
         raise ValueError("(x, y) is not a KKT pair (residual %.2e)" % res)
     rcq = check_rcq(prog, x, seed=seed)
     srcq = check_srcq(prog, x, y, seed=seed)

@@ -59,15 +59,13 @@ def smat(v):
     return M
 
 
-def _psd_project_mat(M, rank_tol=None):
+def _psd_project_mat(M):
     vals, vecs = linalg.sym_eig(M)
-    tol = linalg.rank_tol_for(vals, rank_tol)
-    pos = np.where(vals > tol, vals, np.where(vals > -tol, 0.0, 0.0))
     pos = np.maximum(vals, 0.0)
     return (vecs * pos) @ vecs.T
 
 
-def _psd_proj_jac_mat(M, rank_tol=None):
+def _psd_proj_jac_mat(M):
     """Generalized Jacobian of the PSD projection at M, as an operator.
 
     Frame operator H -> P (Omega o P'HP) P' with
@@ -228,13 +226,7 @@ class ZeroFrame:
     def normal_span(self):
         return np.eye(self.block.dim)
 
-    def lin_tangent_perp(self):
-        return np.eye(self.block.dim)
-
     def cc_equalities(self):
-        return np.eye(self.block.dim)
-
-    def polar_span(self):
         return np.eye(self.block.dim)
 
 
@@ -290,14 +282,8 @@ class OrthantFrame:
     def normal_span(self):
         return np.eye(self.block.dim)[:, self.state != 0]
 
-    def lin_tangent_perp(self):
-        return np.eye(self.block.dim)[:, self.state != 0]
-
     def cc_equalities(self):
         return np.eye(self.block.dim)[self.state == 2, :]
-
-    def polar_span(self):
-        return np.eye(self.block.dim)[:, self.state != 0]
 
 
 class SocFrame:
@@ -453,14 +439,6 @@ class SocFrame:
             return np.eye(m)
         return self.vhat.reshape(m, 1)
 
-    def lin_tangent_perp(self):
-        m = self.block.dim
-        if self.case == "int":
-            return np.zeros((m, 0))
-        if self.case in ("polar_int", "apex", "apex_ray"):
-            return np.eye(m)
-        return self.vhat.reshape(m, 1)
-
     def cc_equalities(self):
         m = self.block.dim
         if self.case == "polar_int":
@@ -470,14 +448,6 @@ class SocFrame:
         if self.case == "smooth":
             return self.vhat.reshape(1, m)
         return np.zeros((0, m))
-
-    def polar_span(self):
-        m = self.block.dim
-        if self.case == "int":
-            return np.zeros((m, 0))
-        if self.case in ("polar_int", "apex", "apex_ray"):
-            return np.eye(m)
-        return self.vhat.reshape(m, 1)
 
 
 class PsdFrame:
@@ -592,7 +562,7 @@ class PsdFrame:
         W = U0.T @ smat(y) @ U0
         return svec(U0 @ (-_psd_project_mat(-W)) @ U0.T)
 
-    def _kernel_pair_basis(self):
+    def normal_span(self):
         ker = np.concatenate([self.beta, self.gamma])
         cols = []
         for ii in range(len(ker)):
@@ -606,15 +576,6 @@ class PsdFrame:
         if not cols:
             return np.zeros((self.block.dim, 0))
         return np.array(cols).T
-
-    def normal_span(self):
-        return self._kernel_pair_basis()
-
-    def lin_tangent_perp(self):
-        return self._kernel_pair_basis()
-
-    def polar_span(self):
-        return self._kernel_pair_basis()
 
     def cc_equalities(self):
         b, g = self.beta, self.gamma
@@ -722,12 +683,6 @@ class ConeFrame:
     def polar_dist(self, s):
         return float(np.linalg.norm(np.asarray(s, dtype=float) - self.polar_project(s)))
 
-    def cc_member(self, h, tol=1e-9):
-        return self.cc_dist(h) <= tol * max(1.0, np.linalg.norm(h))
-
-    def polar_member(self, s, tol=1e-9):
-        return self.polar_dist(s) <= tol * max(1.0, np.linalg.norm(s))
-
     def dir_deriv_jac(self, h):
         parts = self.cone.split(h)
         J = np.zeros((self.cone.dim, self.cone.dim))
@@ -757,13 +712,14 @@ class ConeFrame:
         return np.array(cols).T
 
     def normal_span(self):
+        """Basis of span N_K(A), block by block.
+
+        For zero, orthant, SOC and PSD blocks this subspace is also
+        (lin T_K(A))^perp.  The critical cone is C = T_K(A) ∩ B^perp, so
+        C° = cl(N_K(A) + R B), and B ∈ N_K(A) gives span C° = span N_K(A).
+        One basis therefore serves RCQ, SRCQ and nondegeneracy.
+        """
         return self._stack_cols("normal_span")
-
-    def lin_tangent_perp(self):
-        return self._stack_cols("lin_tangent_perp")
-
-    def polar_span(self):
-        return self._stack_cols("polar_span")
 
     def cc_equalities(self):
         rows = []
@@ -779,34 +735,6 @@ class ConeFrame:
 
     def cc_sample(self, rng, scale=1.0):
         return self.cc_project(scale * rng.standard_normal(self.cone.dim))
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations (thin wrappers used by the rest of the package)
-
-
-def project(cone, z):
-    return cone.project(z)
-
-
-def spectral_frame(cone, c, rank_tol=None):
-    return cone.frame(c, rank_tol)
-
-
-def critical_cone(frame):
-    return frame
-
-
-def critical_polar(frame):
-    return frame
-
-
-def dir_deriv(frame, h):
-    return frame.dir_deriv(h)
-
-
-def upsilon(frame, d, check=True):
-    return frame.upsilon(d, check=check)
 
 
 def dir_deriv_conditions(frame, dA, dB, tol=1e-8):

@@ -215,6 +215,9 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         y = np.asarray(start.y, dtype=float).copy()
     F = natural_map(prog, x, y, pert)
     res = np.linalg.norm(F)
+    if not np.isfinite(res):
+        # non-finite data or start: no Newton step can repair it
+        return KKTPoint(x, y, res, iterations=0, converged=False)
     best = (x.copy(), y.copy(), res)
     lam = opts.lm_init
     it = 0
@@ -223,7 +226,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     # are not roots (the natural map is only piecewise smooth, so damped
     # steps can stall inside the wrong smooth piece)
     kick_rng = np.random.default_rng(zlib.crc32(prog.name.encode()) ^ 0x9e37)
-    while res > opts.residual_target and it < opts.max_iter:
+    while not res <= opts.residual_target and it < opts.max_iter:
         if rejects >= 8:
             bx, by, _ = best
             kick = kick_rng.standard_normal(n + m)
@@ -257,7 +260,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             lam *= 4.0
             rejects += 1
         it += 1
-    if res > opts.residual_target:
+    if not res <= opts.residual_target:
         x, y, res = best
         return KKTPoint(x, y, res, iterations=it, converged=False)
     return KKTPoint(x, y, res, iterations=it, converged=True)

@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra kernels (desk scale, n <= 64).
 
-Everything here is deterministic: the Jacobi eigensolver uses a fixed
-cyclic rotation order and a stable descending sort, so repeated calls on
-the same input produce bit-identical output.
+Determinism contract: bit-identical on the same build.  `sym_eig` is one
+LAPACK call (numpy's eigh) with its ascending output reversed, so
+repeated calls on the same input give the same bits under the same numpy
+and LAPACK; other builds may differ in round-off.
 """
 
 import numpy as np
@@ -12,72 +13,23 @@ import numpy as np
 # keeps the partitions consistent across modules.
 RANK_TOL_FACTOR = 1e-9
 
-_MAX_SWEEPS = 100
-
-
-class JacobiOverflowError(RuntimeError):
-    """Internal fault: the Jacobi sweep cap was exceeded."""
-
 
 def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy's eigh).
 
-    Returns (values, vectors): eigenvalues sorted descending (stable sort,
-    preserving Jacobi output order on ties) and orthonormal eigenvector
-    columns, so that vectors @ diag(values) @ vectors.T reconstructs S.
+    Returns (values, vectors): eigenvalues sorted descending and
+    orthonormal eigenvector columns, so that
+    vectors @ diag(values) @ vectors.T reconstructs the symmetric part of
+    S.  Raises ValueError on a non-square or non-finite input, since eigh
+    would return NaN eigenvectors without raising.
     """
     A = np.array(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("sym_eig expects a square matrix")
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0]]), np.eye(1)
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    scale = np.max(np.abs(A))
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n)
-    thresh = 1e-15 * scale
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                off = max(off, abs(apq))
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                _rotate(A, V, p, q, c, s)
-        if off <= thresh:
-            break
-    else:
-        raise JacobiOverflowError("Jacobi sweep cap exceeded")
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
-
-
-def _rotate(A, V, p, q, c, s):
-    n = A.shape[0]
-    app, aqq, apq = A[p, p], A[q, q], A[p, q]
-    A[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-    A[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-    A[p, q] = A[q, p] = 0.0
-    for k in range(n):
-        if k == p or k == q:
-            continue
-        akp, akq = A[k, p], A[k, q]
-        A[k, p] = A[p, k] = c * akp - s * akq
-        A[k, q] = A[q, k] = s * akp + c * akq
-    for k in range(n):
-        vkp, vkq = V[k, p], V[k, q]
-        V[k, p] = c * vkp - s * vkq
-        V[k, q] = s * vkp + c * vkq
+    if not np.all(np.isfinite(A)):
+        raise ValueError("sym_eig expects finite entries")
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    return vals[::-1], vecs[:, ::-1]
 
 
 def nullspace(M, tol=1e-10):

@@ -168,8 +168,10 @@ def problem_from_dict(data):
     _require(Ai.shape == (n, cone.dim),
              "Ai must be %d rows of length %d, got shape %s"
              % (n, cone.dim, Ai.shape))
-    return ConicProgram(n, Q, c, float(obj["c0"]), A0, Ai, cone,
-                        name=str(data["name"]))
+    c0 = float(obj["c0"])
+    for key, val in (("Q", Q), ("c", c), ("c0", c0), ("A0", A0), ("Ai", Ai)):
+        _require(np.all(np.isfinite(val)), "%s has a non-finite entry" % key)
+    return ConicProgram(n, Q, c, c0, A0, Ai, cone, name=str(data["name"]))
 
 
 def load_problem(text):

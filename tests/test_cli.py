@@ -7,7 +7,7 @@ import pytest
 
 from conestab import cli, model
 from conestab.cli import (EXIT_CONFLICT, EXIT_INCONCLUSIVE, EXIT_INPUT,
-                          EXIT_OK, EXIT_SOLVER, main)
+                          EXIT_OK, EXIT_SOLVER, build_parser, main)
 
 
 class TestSolve:
@@ -131,6 +131,17 @@ class TestCertify:
         assert "agree" in capsys.readouterr().out
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--builtin", "example1", "--report", "x"],
+        ["analyze", "--builtin", "example1", "--out", "x"],
+        ["list-builtins", "--seed", "1"],
+    ])
+    def test_option_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
 class TestListBuiltins:
     def test_lists_all_fixtures(self, capsys):
         assert main(["list-builtins"]) == EXIT_OK
@@ -164,3 +175,15 @@ class TestProblemFileFlow:
         path = tmp_path / "bad.json"
         path.write_text("{}")
         assert main(["analyze", "--problem", str(path)]) == EXIT_INPUT
+
+    def test_nonfinite_problem_file_is_input_error(self, tmp_path, capsys):
+        for bad in (float("nan"), float("inf")):
+            data = model.builtin("example4").to_dict()
+            data["objective"]["c"][0] = bad
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            for command in ("analyze", "solve", "sweep", "certify"):
+                assert main([command, "--problem", str(path)]) == EXIT_INPUT
+                captured = capsys.readouterr()
+                assert "non-finite" in captured.err
+                assert "HOLDS" not in captured.out

@@ -210,6 +210,13 @@ class TestAssembleReport:
         with pytest.raises(ValueError, match="KKT"):
             assemble_report(prog, np.ones(2), np.zeros(3))
 
+    def test_rejects_nan_residual(self):
+        prog, x, y = model.well_conditioned_instance("orthant", seed=0)
+        y = y.copy()
+        y[0] = np.nan
+        with pytest.raises(ValueError, match="KKT"):
+            assemble_report(prog, x, y)
+
     def test_rejects_nonaffine_fixture(self):
         prog = model.builtin("remark2")
         with pytest.raises(ValueError):

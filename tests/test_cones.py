@@ -188,6 +188,65 @@ class TestCriticalPolar:
                 assert d @ s <= 1e-9
 
 
+def _span_cases(rng):
+    """(cone, c) pairs covering every block kind, orthant corners, every
+    SOC case and PSD frames with a nonempty zero-eigenvalue index set."""
+    u = rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    soc = {"int": 2.0, "bdry": 1.0, "smooth": 0.3, "apex_ray": -1.0,
+           "polar_int": -2.0}
+    cases = [(Cone([("zero", 3)]), rng.standard_normal(3)),
+             (Cone([("soc", 4)]), np.zeros(4))]
+    cases += [(Cone([("soc", 4)]), np.concatenate(([t], u)))
+              for t in soc.values()]
+    for _ in range(10):
+        signs = rng.integers(-1, 2, size=5)
+        cases.append((Cone([("orthant", 5)]),
+                      signs * (1.0 + rng.random(5))))
+        n = int(rng.integers(2, 6))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.integers(-1, 2, size=n) * (1.0 + rng.random(n))
+        cases.append((Cone([("psd", n)]), svec((Q * lam) @ Q.T)))
+    mixed = Cone([("zero", 1), ("orthant", 2), ("soc", 3), ("psd", 2)])
+    cases.append((mixed, rng.standard_normal(mixed.dim)))
+    return cases
+
+
+def _in_range(U, v, tol=1e-9):
+    if U.shape[1] == 0:
+        return np.linalg.norm(v) <= tol
+    coef = np.linalg.lstsq(U, v, rcond=None)[0]
+    return np.linalg.norm(U @ coef - v) <= tol * max(1.0, np.linalg.norm(v))
+
+
+class TestNormalSpan:
+    def test_soc_cases_are_all_covered(self):
+        rng = np.random.default_rng(12)
+        seen = {f.case for cone, c in _span_cases(rng)
+                for f in cone.frame(c).frames if f.block.kind == "soc"}
+        assert seen == {"int", "bdry", "smooth", "apex_ray", "apex",
+                        "polar_int"}
+
+    def test_polar_lies_in_normal_span(self):
+        rng = np.random.default_rng(13)
+        for cone, c in _span_cases(rng):
+            f = cone.frame(c)
+            U = f.normal_span()
+            for _ in range(5):
+                s = f.polar_project(3.0 * rng.standard_normal(cone.dim))
+                assert _in_range(U, s)
+
+    def test_normal_cone_lies_in_normal_span(self):
+        # a frame built at a point of K has B = 0, as at y = 0
+        rng = np.random.default_rng(14)
+        for cone, c in _span_cases(rng):
+            f = cone.frame(cone.frame(c).a)
+            U = f.normal_span()
+            for _ in range(5):
+                y = f.normal_project(3.0 * rng.standard_normal(cone.dim))
+                assert _in_range(U, y)
+
+
 class TestDirDeriv:
     def test_psd_offdiagonal_direction(self):
         cone = Cone([("psd", 2)])

@@ -145,6 +145,16 @@ class TestSolveKkt:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
 
+    def test_nan_data_is_not_converged(self):
+        base = model.builtin("example4")
+        c = base.c.copy()
+        c[0] = np.nan
+        prog = model.ConicProgram(base.n, base.Q, c, base.c0, base.A0,
+                                  base.Ai, base.cone, name="nan-c")
+        pt = solve_kkt(prog)
+        assert not pt.converged
+        assert not solve_kkt_multistart(prog).converged
+
 
 class TestSemismoothness:
     def test_jacobian_linearizes_natural_map(self):
@@ -170,3 +180,4 @@ class TestErrorBound:
         kap = kkt.error_bound_kappa(prog, x, y, n_samples=200)
         assert np.isfinite(kap)
         assert kap > 0.0
+

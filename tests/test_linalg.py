@@ -26,18 +26,38 @@ class TestSymEig:
         assert np.allclose(vals, [2.0, 2.0])
         assert np.allclose(vecs.T @ vecs, np.eye(2))
 
+    @staticmethod
+    def _check_decomposition(S):
+        n = S.shape[0]
+        vals, vecs = linalg.sym_eig(S)
+        norm = max(np.linalg.norm(S), 1.0)
+        assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - S) \
+            <= 1e-10 * n * norm
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(n)) <= 1e-12 * n
+        assert np.all(np.diff(vals) <= 1e-14)
+        return vals
+
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            n = rng.integers(1, 9)
+            n = rng.integers(1, 33)
             S = rng.standard_normal((n, n))
-            S = S + S.T
-            vals, vecs = linalg.sym_eig(S)
-            norm = max(np.linalg.norm(S), 1.0)
-            assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - S) \
-                <= 1e-10 * n * norm
-            assert np.linalg.norm(vecs.T @ vecs - np.eye(n)) <= 1e-12 * n
-            assert np.all(np.diff(vals) <= 1e-14)
+            self._check_decomposition(S + S.T)
+
+    def test_reconstruction_repeated_eigenvalues(self):
+        rng = np.random.default_rng(5)
+        for n in (4, 12, 32):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.repeat([3.0, 0.0, -1.0], [n // 2, 1, n - n // 2 - 1])
+            vals = self._check_decomposition((Q * lam) @ Q.T)
+            assert np.allclose(vals, lam, atol=1e-12)
+
+    def test_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf):
+            S = np.eye(3)
+            S[0, 1] = S[1, 0] = bad
+            with pytest.raises(ValueError):
+                linalg.sym_eig(S)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

@@ -34,6 +34,21 @@ class TestFileFormat:
         with pytest.raises(ProblemFormatError, match="Ai"):
             model.problem_from_dict(data)
 
+    def test_nonfinite_data_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            for section, key in (("objective", "Q"), ("objective", "c"),
+                                 ("objective", "c0"), ("constraint", "A0"),
+                                 ("constraint", "Ai")):
+                data = builtin("example4").to_dict()
+                if key == "c0":
+                    data[section][key] = bad
+                elif key in ("Q", "Ai"):
+                    data[section][key][0][0] = bad
+                else:
+                    data[section][key][0] = bad
+                with pytest.raises(ProblemFormatError, match=key):
+                    model.problem_from_dict(data)
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(ProblemFormatError, match="line"):
             load_problem("{not json")
