@@ -25,6 +25,10 @@ class InputError(Exception):
     pass
 
 
+class SolverFailure(Exception):
+    pass
+
+
 def _sanitize(obj):
     """Make a structure JSON-serializable with finite numbers only."""
     if isinstance(obj, dict):
@@ -54,14 +58,16 @@ def _dump_json(data, path):
             fh.write(text + "\n")
 
 
-def _load_program(args):
+def _load_fixture(args):
+    """The builtin's fixture, or a bare fixture around a problem file (a
+    file's name never selects a builtin's data)."""
     if args.builtin is not None:
         try:
-            return model.builtin(args.builtin), args.builtin
+            return model.fixture(args.builtin)
         except KeyError as exc:
             raise InputError(str(exc))
     try:
-        return model.load_problem_file(args.problem), None
+        return model.Fixture(model.load_problem_file(args.problem))
     except FileNotFoundError:
         raise InputError("problem file not found: %s" % args.problem)
     except model.ProblemFormatError as exc:
@@ -87,22 +93,49 @@ def _parse_grid(spec):
     return [10.0 ** (-d) for d in ds]
 
 
-def _reference(prog, name, seed):
-    """KKT reference pair for a builtin or a freshly solved problem."""
-    if name is not None:
-        try:
-            x, y = model.reference_point(name)
-            return kkt.KKTPoint(x, y, kkt.natural_residual(prog, x, y))
-        except KeyError:
-            pass
-    pt = kkt.solve_kkt_multistart(prog)
+def _reference(fx):
+    """The fixture's KKT pair, or a multi-start solve when it has none."""
+    if fx.reference is not None:
+        x, y = fx.reference
+        return kkt.KKTPoint(x, y, kkt.natural_residual(fx.prog, x, y))
+    pt = kkt.solve_kkt_multistart(fx.prog)
     if not pt.converged:
-        return None
+        raise SolverFailure("solver failed to locate a KKT point")
     return pt
 
 
+def _analysis(args, fx):
+    """Reference pair, multiplier set and condition report of a fixture."""
+    if not fx.prog.is_affine:
+        raise InputError("analysis requires an affine constraint map; "
+                         "%r carries callbacks" % fx.prog.name)
+    ref = _reference(fx)
+    mset = kkt.recover_multipliers(fx.prog, ref.x, seed=args.seed)
+    report = conditions.assemble_report(fx.prog, ref.x, ref.y,
+                                        multiplier_set=mset, seed=args.seed)
+    return ref, mset, report
+
+
+def _sweep_fit(args, fx, ref):
+    """Sweep the fixture along its direction from ref and fit the drift
+    exponent.  Returns the result and why the fit failed, or None."""
+    result = sweep.run_sweep(fx.prog, fx.direction,
+                             grid=_parse_grid(args.grid), reference=ref,
+                             observable=args.observable or fx.observable,
+                             oracle=fx.oracle)
+    solved = sum(1 for r in result.records if r.solved)
+    if solved < 4:
+        return result, ("only %d/%d grid points solved; no fit"
+                        % (solved, len(result.records)))
+    try:
+        sweep.fit_exponent(result)
+    except ValueError as exc:
+        return result, "no exponent fit: %s" % exc
+    return result, None
+
+
 def cmd_solve(args):
-    prog, _ = _load_program(args)
+    prog = _load_fixture(args).prog
     pt = kkt.solve_kkt_multistart(prog)
     print("problem: %s" % prog.name)
     print("x = %s" % np.array2string(pt.x, precision=12))
@@ -122,23 +155,13 @@ def _status_mark(v):
 
 
 def cmd_analyze(args):
-    prog, name = _load_program(args)
-    if not prog.is_affine:
-        raise InputError("analysis requires an affine constraint map; "
-                         "%r carries callbacks" % prog.name)
-    ref = _reference(prog, name, args.seed)
-    if ref is None:
-        print("solver failed to locate a KKT point", file=sys.stderr)
-        return EXIT_SOLVER
-    mset = kkt.recover_multipliers(prog, ref.x, seed=args.seed)
-    report = conditions.assemble_report(prog, ref.x, ref.y,
-                                        multiplier_set=mset, seed=args.seed)
+    fx = _load_fixture(args)
+    _, mset, report = _analysis(args, fx)
     verdict = report.theorem_verdict
-    head = {"holds": "HOLDS", "fails": "FAILS",
-            "inconclusive": "INCONCLUSIVE"}[verdict]
-    print("problem: %s" % prog.name)
+    print("problem: %s" % fx.prog.name)
     print("ROBUST ISOLATED CALMNESS: %s (SRCQ %s, SOSC %s)"
-          % (head, _status_mark(report.srcq), _status_mark(report.sosc)))
+          % (verdict.upper(), _status_mark(report.srcq),
+             _status_mark(report.sosc)))
     print("rcq: %s (margin %.3e)" % (_status_mark(report.rcq),
                                      report.rcq.margin))
     print("nondegeneracy: %s" % _status_mark(report.nondegeneracy))
@@ -168,65 +191,38 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _run_sweep(args, prog, name):
-    grid = _parse_grid(args.grid)
-    observable = args.observable
-    if name is not None:
-        return sweep.builtin_sweep(name, grid=grid, observable=observable,
-                                   seed=args.seed)
-    ref = _reference(prog, None, args.seed)
-    if ref is None:
-        raise InputError("no reference KKT point for the sweep")
-    direction = model.default_perturbation(prog.name)
-    return sweep.run_sweep(prog, direction, grid=grid, reference=ref,
-                           observable=observable or "x")
-
-
 def cmd_sweep(args):
-    prog, name = _load_program(args)
-    result = _run_sweep(args, prog, name)
+    fx = _load_fixture(args)
+    result, failure = _sweep_fit(args, fx, _reference(fx))
     csv = result.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)
     else:
         print(csv, end="")
-    solved = sum(1 for r in result.records if r.solved)
-    if solved < 4:
-        print("only %d/%d grid points solved; no fit"
-              % (solved, len(result.records)), file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        slope, stderr = sweep.fit_exponent(result)
-    except ValueError as exc:
-        print("no exponent fit: %s" % exc, file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
         return EXIT_SOLVER
     print("fitted exponent %.4f +- %.4f over window [%.3e, %.3e]"
-          % (slope, stderr, result.window[0], result.window[1]))
+          % (result.fitted_exponent, result.fit_stderr, result.window[0],
+             result.window[1]))
     return EXIT_OK
 
 
 def cmd_certify(args):
     """Analyze and sweep, then check that theory and measurement agree:
     the verdict holds iff the measured drift exponent reaches ~1."""
-    prog, name = _load_program(args)
-    if not prog.is_affine:
-        raise InputError("certification requires an affine constraint map")
-    ref = _reference(prog, name, args.seed)
-    if ref is None:
-        return EXIT_SOLVER
-    mset = kkt.recover_multipliers(prog, ref.x, seed=args.seed)
-    report = conditions.assemble_report(prog, ref.x, ref.y,
-                                        multiplier_set=mset, seed=args.seed)
+    fx = _load_fixture(args)
+    ref, _, report = _analysis(args, fx)
     verdict = report.theorem_verdict
     if verdict == conditions.INCONCLUSIVE:
         print("verdict inconclusive; nothing to certify")
         return EXIT_INCONCLUSIVE
-    result = _run_sweep(args, prog, name)
-    solved = sum(1 for r in result.records if r.solved)
-    if solved < 4:
+    result, failure = _sweep_fit(args, fx, ref)
+    if failure is not None:
+        print(failure, file=sys.stderr)
         return EXIT_SOLVER
-    slope, stderr = sweep.fit_exponent(result)
+    slope = result.fitted_exponent
     lipschitz = slope >= SLOPE_CUTOFF
     print("verdict: %s; measured exponent %.4f (cutoff %.2f)"
           % (verdict, slope, SLOPE_CUTOFF))
@@ -250,15 +246,17 @@ def build_parser():
         description="Stability analysis of conic programs at KKT points")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True):
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--builtin", help="built-in fixture name")
         grp.add_argument("--problem", help="path to a problem JSON file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for every randomized multi-start")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for the checker searches and multiplier "
+                                "recovery (no effect on sweep)")
 
     p = sub.add_parser("solve", help="find a KKT point")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=cmd_solve)
 
@@ -298,6 +296,9 @@ def main(argv=None):
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except SolverFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

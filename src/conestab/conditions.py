@@ -13,7 +13,7 @@ guess.
 import numpy as np
 
 from . import linalg
-from .kkt import hess_lagrangian, natural_residual
+from .kkt import hess_lagrangian, kkt_matrix, natural_residual
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -472,16 +472,6 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
         r2 = Gmat @ dx - frame.dir_deriv(h)
         return float(r1 @ r1 + r2 @ r2)
 
-    def tmatrix(w):
-        dx, dy = w[:n], w[n:]
-        J = frame.dir_deriv_jac(Gmat @ dx + dy)
-        T = np.zeros((n + m, n + m))
-        T[:n, :n] = H
-        T[:n, n:] = Gmat.T
-        T[n:, :n] = (np.eye(m) - J) @ Gmat
-        T[n:, n:] = -J
-        return T
-
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, float) for s in extra_seeds]
     starts.extend(rng.standard_normal(n + m) for _ in range(n_starts))
@@ -492,7 +482,8 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
             continue
         w = w / nw
         for _ in range(50):
-            T = tmatrix(w)
+            T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
+                Gmat @ w[:n] + w[n:]))
             _, _, Vt = np.linalg.svd(T)
             wn = Vt[-1]
             if np.linalg.norm(wn - w) < 1e-14 or \

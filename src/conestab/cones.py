@@ -133,15 +133,15 @@ class Block:
         apply = _psd_proj_jac_mat(smat(z))
         return _mat_op_to_svec(apply, self.size)
 
-    def frame(self, c, rank_tol=None):
+    def frame(self, c):
         c = np.asarray(c, dtype=float)
         if self.kind == "zero":
             return ZeroFrame(self, c)
         if self.kind == "orthant":
-            return OrthantFrame(self, c, rank_tol)
+            return OrthantFrame(self, c)
         if self.kind == "soc":
-            return SocFrame(self, c, rank_tol)
-        return PsdFrame(self, c, rank_tol)
+            return SocFrame(self, c)
+        return PsdFrame(self, c)
 
 
 def _soc_project(z):
@@ -199,7 +199,6 @@ class ZeroFrame:
         self.c = c
         self.a = np.zeros_like(c)
         self.b = c.copy()
-        self.borderline = False
 
     def cc_project(self, h):
         return np.zeros_like(h)
@@ -233,14 +232,13 @@ class ZeroFrame:
 class OrthantFrame:
     # Per-coordinate states: 0 = inactive (a>0, d free), 1 = corner
     # (a=0, b=0, d>=0), 2 = strictly complementary active (a=0, b<0, d=0).
-    def __init__(self, block, c, rank_tol=None):
+    def __init__(self, block, c):
         self.block = block
         self.c = c
-        tol = linalg.rank_tol_for(c, rank_tol)
+        tol = linalg.rank_tol_for(c)
         self.a = np.where(c > tol, c, 0.0)
         self.b = c - self.a
         self.state = np.where(c > tol, 0, np.where(c < -tol, 2, 1))
-        self.borderline = bool(np.any(np.abs(c) <= tol) and np.any(c != 0))
 
     def cc_project(self, h):
         h = np.asarray(h, dtype=float)
@@ -294,18 +292,16 @@ class SocFrame:
     rank tolerance.  Ties are resolved toward the larger cone.
     """
 
-    def __init__(self, block, c, rank_tol=None):
+    def __init__(self, block, c):
         self.block = block
         self.c = np.asarray(c, dtype=float)
         m = block.dim
         t, u = self.c[0], self.c[1:]
         r = np.linalg.norm(u)
         sig1, sig2 = t - r, t + r
-        tol = linalg.rank_tol_for(np.array([sig1, sig2]), rank_tol)
+        tol = linalg.rank_tol_for(np.array([sig1, sig2]))
         self.sig1, self.sig2 = sig1, sig2
         self.uhat = u / r if r > tol else np.zeros(m - 1)
-        self.borderline = (abs(sig1) <= tol and sig1 != 0.0) or \
-                          (abs(sig2) <= tol and sig2 != 0.0)
         s1 = 0 if abs(sig1) <= tol else (1 if sig1 > 0 else -1)
         s2 = 0 if abs(sig2) <= tol else (1 if sig2 > 0 else -1)
         if s1 >= 0 and s2 >= 0 and (s1 > 0 or s2 > 0):
@@ -452,21 +448,19 @@ class SocFrame:
 
 class PsdFrame:
     """Eigen-frame of C = A + B for a PSD block, with index partition
-    alpha (positive), beta (zero within rank_tol), gamma (negative)."""
+    alpha (positive), beta (snapped to zero), gamma (negative)."""
 
-    def __init__(self, block, c, rank_tol=None):
+    def __init__(self, block, c):
         self.block = block
         self.c = np.asarray(c, dtype=float)
-        n = block.size
         C = smat(self.c)
         lam, P = linalg.sym_eig(C)
-        tol = linalg.rank_tol_for(lam, rank_tol)
+        tol = linalg.rank_tol_for(lam)
         lam = np.where(np.abs(lam) <= tol, 0.0, lam)
         self.lam, self.P = lam, P
         self.alpha = np.where(lam > 0)[0]
         self.beta = np.where(lam == 0)[0]
         self.gamma = np.where(lam < 0)[0]
-        self.borderline = bool(np.any((np.abs(lam) <= tol) & (lam != 0)))
         pos = np.maximum(lam, 0.0)
         self.A = (P * pos) @ P.T
         self.B = (P * np.minimum(lam, 0.0)) @ P.T
@@ -474,7 +468,6 @@ class PsdFrame:
         self.b = svec(self.B)
         inv = np.where(lam > 0, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
         self.Apinv = (P * inv) @ P.T
-        self._n = n
 
     def _to_frame(self, h):
         return self.P.T @ smat(h) @ self.P
@@ -523,7 +516,7 @@ class PsdFrame:
 
     def dir_deriv_jac(self, h):
         a, b, g = self.alpha, self.beta, self.gamma
-        n = self._n
+        n = self.block.size
         Ht = self._to_frame(h)
         bb_jac = _psd_proj_jac_mat(Ht[np.ix_(b, b)]) if len(b) else None
 
@@ -636,29 +629,34 @@ class Cone:
             J[s, s] = b.proj_jacobian(p)
         return J
 
-    def frame(self, c, rank_tol=None):
-        return ConeFrame(self, c, rank_tol)
+    def frame(self, c):
+        return ConeFrame(self, c)
 
     def to_spec(self):
         return [{"type": b.kind, "size": b.size} for b in self.blocks]
 
     @classmethod
     def from_spec(cls, spec):
-        return cls([(d["type"], int(d["size"])) for d in spec])
+        """Inverse of `to_spec`; a malformed spec raises ValueError."""
+        if not isinstance(spec, list) or not all(
+                isinstance(d, dict) and "type" in d
+                and isinstance(d.get("size"), int) for d in spec):
+            raise ValueError('must be a list of {"type": ..., "size": '
+                             'integer} blocks')
+        return cls([Block(d["type"], d["size"]) for d in spec])
 
 
 class ConeFrame:
     """Product frame at C: holds A = Pi_K(C), B = C - A and the per-block
     spectral/active-set data driving the projection calculus."""
 
-    def __init__(self, cone, c, rank_tol=None):
+    def __init__(self, cone, c):
         self.cone = cone
         self.c = np.asarray(c, dtype=float)
-        self.frames = [b.frame(p, rank_tol)
-                       for b, p in zip(cone.blocks, cone.split(self.c))]
+        self.frames = [b.frame(p) for b, p in zip(cone.blocks,
+                                                  cone.split(self.c))]
         self.a = np.concatenate([f.a for f in self.frames])
         self.b = np.concatenate([f.b for f in self.frames])
-        self.borderline = any(f.borderline for f in self.frames)
 
     def _map(self, method, v):
         parts = self.cone.split(v)

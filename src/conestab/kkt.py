@@ -172,16 +172,12 @@ class SolveOptions:
         self.lm_init = float(lm_init)
 
 
-def _jacobian(prog, x, y, pert):
-    b = pert.b if pert is not None else None
-    w = prog.constraint(x, b) + y
-    J = prog.cone.proj_jacobian(w)
-    Gp = prog.constraint_jac(x)
-    n, m = prog.n, prog.cone.dim
-    H = prog.Q
-    if not prog.is_affine:
-        H = hess_lagrangian(prog, x, y)
-    V = np.zeros((n + m, n + m))
+def kkt_matrix(H, Gp, J):
+    """[[H, Gp'], [(I - J) Gp, -J]]: the Jacobian of the natural map, or
+    of its directional-derivative system, for the Hessian H, constraint
+    Jacobian Gp and a Jacobian element J of the projection."""
+    m, n = Gp.shape
+    V = np.empty((n + m, n + m))
     V[:n, :n] = H
     V[:n, n:] = Gp.T
     V[n:, :n] = (np.eye(m) - J) @ Gp
@@ -190,12 +186,9 @@ def _jacobian(prog, x, y, pert):
 
 
 def hess_lagrangian(prog, x, y):
-    """Hessian of the Lagrangian in x; equals Q for affine G."""
-    H = prog.Q.copy()
-    hess_cb = getattr(prog, "g_hess_callback", None)
-    if hess_cb is not None:
-        H = H + hess_cb(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return H
+    """Hessian of the Lagrangian in x.  This is Q: the constraint map is
+    affine, and a callback program supplies no second derivative."""
+    return prog.Q.copy()
 
 
 def solve_kkt(prog, pert=None, start=None, opts=None):
@@ -207,6 +200,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     """
     opts = opts or SolveOptions()
     n, m = prog.n, prog.cone.dim
+    b = pert.b if pert is not None else None
     if start is None:
         x = np.zeros(n)
         y = np.zeros(m)
@@ -238,7 +232,8 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             rejects = 0
             it += 1
             continue
-        V = _jacobian(prog, x, y, pert)
+        J = prog.cone.proj_jacobian(prog.constraint(x, b) + y)
+        V = kkt_matrix(prog.Q, prog.constraint_jac(x), J)
         A = V.T @ V + lam * np.eye(n + m)
         try:
             d = np.linalg.solve(A, -V.T @ F)
@@ -266,7 +261,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     return KKTPoint(x, y, res, iterations=it, converged=True)
 
 
-def solve_kkt_multistart(prog, pert=None, opts=None, n_starts=32, scale=1.0):
+def solve_kkt_multistart(prog, pert=None, opts=None, n_starts=32):
     """Deterministic multi-start wrapper, seeded from the problem name."""
     rng = np.random.default_rng(zlib.crc32(prog.name.encode()))
     best = None
@@ -274,8 +269,8 @@ def solve_kkt_multistart(prog, pert=None, opts=None, n_starts=32, scale=1.0):
         if k == 0:
             start = None
         else:
-            start = KKTPoint(scale * rng.standard_normal(prog.n),
-                             scale * rng.standard_normal(prog.cone.dim), 0.0)
+            start = KKTPoint(rng.standard_normal(prog.n),
+                             rng.standard_normal(prog.cone.dim), 0.0)
         sol = solve_kkt(prog, pert, start, opts)
         if best is None or sol.residual < best.residual:
             best = sol

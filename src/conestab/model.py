@@ -11,9 +11,11 @@ objective, b shifts the constraint.  Matrix-valued data lives in ambient
 svec coordinates throughout (layout per the cones module).
 
 A handful of built-in fixtures exercise the boundary cases of the
-stability theory; one of them (``remark2``) has a genuinely nonlinear
-constraint map and is carried via callbacks, flagged so that checkers
-which assume affine G can refuse it.
+stability theory.  Each one is a `Fixture` holding everything
+known about its problem (reference KKT pair, perturbation direction,
+drift observable, closed-form oracle); one of them (``remark2``) has a
+genuinely nonlinear constraint map and is carried via callbacks, flagged
+so that checkers which assume affine G can refuse it.
 """
 
 import json
@@ -22,7 +24,8 @@ import zlib
 import numpy as np
 
 from . import linalg
-from .cones import Cone, svec, smat
+from .cones import Cone, svec
+from .kkt import KKTPoint
 
 SQRT2 = np.sqrt(2.0)
 
@@ -118,10 +121,6 @@ class Perturbation:
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
 
-    @classmethod
-    def zero(cls, prog):
-        return cls(np.zeros(prog.n), np.zeros(prog.cone.dim))
-
     def scaled(self, eps):
         return Perturbation(eps * self.a, eps * self.b)
 
@@ -145,33 +144,46 @@ def _require(cond, msg):
         raise ProblemFormatError(msg)
 
 
+def _floats(section, key):
+    try:
+        return np.asarray(section[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ProblemFormatError("%s must be numeric and rectangular" % key)
+
+
 def problem_from_dict(data):
     for key in ("name", "n", "objective", "constraint", "cone"):
         _require(key in data, "missing top-level key %r" % key)
     n = data["n"]
     _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    obj = data["objective"]
+    obj, con = data["objective"], data["constraint"]
+    _require(isinstance(obj, dict) and isinstance(con, dict),
+             "objective and constraint must be objects")
     for key in ("Q", "c", "c0"):
         _require(key in obj, "objective is missing %r" % key)
-    con = data["constraint"]
     for key in ("A0", "Ai"):
         _require(key in con, "constraint is missing %r" % key)
-    cone = Cone.from_spec(data["cone"])
-    Q = np.asarray(obj["Q"], dtype=float)
+    try:
+        cone = Cone.from_spec(data["cone"])
+    except ValueError as exc:
+        raise ProblemFormatError("cone: %s" % exc)
+    Q = _floats(obj, "Q")
     _require(Q.shape == (n, n), "Q must be %d x %d" % (n, n))
-    c = np.asarray(obj["c"], dtype=float)
+    c = _floats(obj, "c")
     _require(c.shape == (n,), "c must have length %d" % n)
-    A0 = np.asarray(con["A0"], dtype=float)
+    A0 = _floats(con, "A0")
     _require(A0.shape == (cone.dim,),
              "A0 has length %d, ambient dimension is %d" % (A0.size, cone.dim))
-    Ai = np.asarray(con["Ai"], dtype=float)
+    Ai = _floats(con, "Ai")
     _require(Ai.shape == (n, cone.dim),
              "Ai must be %d rows of length %d, got shape %s"
              % (n, cone.dim, Ai.shape))
-    c0 = float(obj["c0"])
+    c0 = _floats(obj, "c0")
+    _require(c0.shape == (), "c0 must be a number")
     for key, val in (("Q", Q), ("c", c), ("c0", c0), ("A0", A0), ("Ai", Ai)):
         _require(np.all(np.isfinite(val)), "%s has a non-finite entry" % key)
-    return ConicProgram(n, Q, c, c0, A0, Ai, cone, name=str(data["name"]))
+    return ConicProgram(n, Q, c, float(c0), A0, Ai, cone,
+                        name=str(data["name"]))
 
 
 def load_problem(text):
@@ -194,16 +206,39 @@ def save_problem(prog):
 
 
 # ---------------------------------------------------------------------------
-# Built-in fixtures
+# Fixtures
 #
 # Multiplier sign convention: y is the element of N_K(G(x) + b) appearing
 # in the stationarity equation grad f - a + G'(x)* y = 0, so inequality
 # multipliers are nonpositive.
 
 
-def _sqrtm_2x2(M):
-    vals, vecs = linalg.sym_eig(M)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+class Fixture:
+    """Everything known about one problem: the program, its unperturbed
+    KKT pair (x, y) where known, the direction it is perturbed along, the
+    drift observable its sweep fits, and an optional closed-form
+    eps -> KKTPoint oracle that replaces the solver in that sweep.
+
+    A problem without a studied direction gets `default_direction`.
+    """
+
+    def __init__(self, prog, reference=None, direction=None, observable="x",
+                 oracle=None):
+        self.prog = prog
+        self.reference = reference
+        self.direction = direction if direction is not None \
+            else default_direction(prog)
+        self.observable = observable
+        self.oracle = oracle
+
+
+def default_direction(prog):
+    """A unit direction (a, b) of prog's dimensions, seeded from its name."""
+    rng = np.random.default_rng(zlib.crc32(prog.name.encode()))
+    a = rng.standard_normal(prog.n)
+    b = rng.standard_normal(prog.cone.dim)
+    s = np.sqrt(a @ a + b @ b)
+    return Perturbation(a / s, b / s)
 
 
 def _example1():
@@ -212,13 +247,61 @@ def _example1():
     Q = np.diag([2.0, 2.0])
     c = np.array([1.0, 0.0])
     Ai = np.array([svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))])
-    return ConicProgram(2, Q, c, 0.0, np.zeros(3), Ai, cone, name="example1")
+    prog = ConicProgram(2, Q, c, 0.0, np.zeros(3), Ai, cone, name="example1")
+    offdiag = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return Fixture(prog,
+                   reference=(np.zeros(2), svec(np.diag([-1.0, 0.0]))),
+                   direction=Perturbation(np.zeros(2), svec(offdiag)),
+                   observable="x2", oracle=example1_oracle_point)
+
+
+def oracle_example1(eps):
+    """Perturbed solution of the offdiagonal-coupling fixture.
+
+    Feasibility is x1 >= 0, x2 >= 0, x1*x2 >= eps^2; at the optimum the
+    product constraint binds, reducing the problem to one variable whose
+    stationarity equation 1 + 2*x1 - 2*eps^4/x1^3 = 0 is solved by
+    bisection (the left side is increasing on (0, inf)).
+    """
+    if not 0.0 < eps <= 0.1:
+        raise ValueError("eps must lie in (0, 0.1]")
+    hi = 1.0
+
+    def phi(x1):
+        return 1.0 + 2.0 * x1 - 2.0 * eps ** 4 / x1 ** 3
+
+    # bring lo into the negative region without underflow trouble
+    lo = eps ** 2
+    while phi(lo) > 0:
+        lo *= 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    x1 = 0.5 * (lo + hi)
+    return x1, eps ** 2 / x1
+
+
+def example1_oracle_point(eps):
+    """Perturbed example1 KKT pair: `oracle_example1` with its rank-one
+    multiplier.  The active constraint matrix [[x1, eps], [eps, x2]] is
+    singular with kernel direction u = (eps, -x1); stationarity fixes the
+    diagonal of Y, which pins the scale of Y = -mu * u u'/|u|^2.
+    """
+    x1, x2 = oracle_example1(eps)
+    u = np.array([eps, -x1])
+    uu = np.outer(u, u) / float(u @ u)
+    mu = (1.0 + 2.0 * x1) / uu[0, 0]
+    return KKTPoint(np.array([x1, x2]), svec(-mu * uu), 0.0)
 
 
 def _example2():
     # Variables (x, t): min x^2/2 + x + t  s.t.  x*I + t*A in PSD(2), t >= 0,
     # with A = [[1,-2],[-2,1]].  The multiplier set at the optimum (0,0) is
-    # a nontrivial face, so uniqueness fails while the critical cone is {0}.
+    # a nontrivial face, so uniqueness fails while the critical cone is {0};
+    # the reference multiplier is a relative-interior element of it.
     cone = Cone([("orthant", 1), ("psd", 2)])
     A = np.array([[1.0, -2.0], [-2.0, 1.0]])
     Q = np.diag([1.0, 0.0])
@@ -227,13 +310,17 @@ def _example2():
         np.concatenate(([0.0], svec(np.eye(2)))),
         np.concatenate(([1.0], svec(A))),
     ])
-    return ConicProgram(2, Q, c, 0.0, np.zeros(4), Ai, cone, name="example2")
+    prog = ConicProgram(2, Q, c, 0.0, np.zeros(4), Ai, cone, name="example2")
+    Y = -np.array([[0.5, 0.25], [0.25, 0.5]])
+    return Fixture(prog,
+                   reference=(np.zeros(2), np.concatenate(([-1.0], svec(Y)))))
 
 
 def example3_data():
     """Shared constants: B, its square roots, and the offset b."""
     B = np.array([[1.5, -2.0], [-2.0, 3.0]])
-    Bh = _sqrtm_2x2(B)
+    vals, vecs = linalg.sym_eig(B)
+    Bh = (vecs * np.sqrt(vals)) @ vecs.T
     Bih = np.linalg.inv(Bh)
     b = Bih @ np.array([2.5, -1.0])
     return B, Bh, Bih, b
@@ -244,7 +331,7 @@ def _example3():
     #   min 1/2 ||x + b||^2 + t  s.t.  Diag(Bh x) + t*E + I in PSD(2), t >= 0,
     # perturbed in the PSD block by eps*diag(-1, 1).
     cone = Cone([("orthant", 1), ("psd", 2)])
-    _, Bh, _, b = example3_data()
+    _, Bh, Bih, b = example3_data()
     Q = np.diag([1.0, 1.0, 0.0])
     c = np.array([b[0], b[1], 1.0])
     c0 = 0.5 * float(b @ b)
@@ -255,7 +342,51 @@ def _example3():
         np.concatenate(([1.0], svec(E))),
     ])
     A0 = np.concatenate(([0.0], svec(np.eye(2))))
-    return ConicProgram(3, Q, c, c0, A0, Ai, cone, name="example3")
+    prog = ConicProgram(3, Q, c, c0, A0, Ai, cone, name="example3")
+    x = Bih @ np.array([-1.0, -1.0])
+    Ybar = np.array([[1.0, 0.0], [0.0, 0.0]])
+    delta = np.diag([-1.0, 1.0])
+    return Fixture(prog,
+                   reference=(np.array([x[0], x[1], 0.0]),
+                              np.concatenate(([0.0], svec(-Ybar)))),
+                   direction=Perturbation(
+                       np.zeros(3), np.concatenate(([0.0], svec(delta)))),
+                   observable="multiplier-drift",
+                   oracle=example3_max_drift_member)
+
+
+def example3_xi_range(eps):
+    """The stated family bound |xi| <= sqrt(eps + 2*eps^2)."""
+    return np.sqrt(eps + 2.0 * eps ** 2)
+
+
+def oracle_example3(eps, xi):
+    """Member of the perturbed solution family of the example3 fixture.
+
+    x(eps) = B^(-1/2)(-1+eps, -1-eps), t = 0, dual matrix
+    Y = [[1+2*eps, xi], [xi, eps]]; the scalar multiplier on t >= 0 is
+    3*eps + 2*xi.  xi is accepted in the stated band
+    |xi| <= sqrt(eps + 2*eps^2); note that the KKT sign condition on the
+    scalar multiplier additionally needs xi <= -3*eps/2, so only that
+    subrange yields a zero natural-map residual.
+    """
+    if not 0.0 <= eps <= 0.1:
+        raise ValueError("eps must lie in [0, 0.1]")
+    bound = example3_xi_range(eps)
+    if abs(xi) > bound * (1 + 1e-12):
+        raise ValueError("xi = %g outside the family range +-%g" % (xi, bound))
+    _, _, Bih, _ = example3_data()
+    x = Bih @ np.array([-1.0 + eps, -1.0 - eps])
+    Y = np.array([[1.0 + 2.0 * eps, xi], [xi, eps]])
+    s = 3.0 * eps + 2.0 * xi
+    y = np.concatenate(([s], svec(-Y)))
+    return KKTPoint(np.array([x[0], x[1], 0.0]), y, 0.0)
+
+
+def example3_max_drift_member(eps):
+    """The family member of maximal multiplier drift that satisfies the
+    KKT sign conditions (xi at the negative end of the band)."""
+    return oracle_example3(eps, -example3_xi_range(eps))
 
 
 def _example4():
@@ -275,7 +406,8 @@ def _example4():
         np.concatenate(([-1.0], [0.0, 0.0, 1.0])),
     ])
     A0 = np.concatenate(([1.0], np.zeros(3)))
-    return ConicProgram(3, Q, c, 0.5, A0, Ai, cone, name="example4")
+    prog = ConicProgram(3, Q, c, 0.5, A0, Ai, cone, name="example4")
+    return Fixture(prog, reference=(np.array([1.0, 0.0, 0.0]), np.zeros(4)))
 
 
 def _remark2():
@@ -297,9 +429,10 @@ def _remark2():
         return np.array([[6.0 * v ** 5 * np.sin(1.0 / v)
                           - v ** 4 * np.cos(1.0 / v)]])
 
-    return ConicProgram(1, np.array([[1.0]]), np.zeros(1), 0.0,
+    prog = ConicProgram(1, np.array([[1.0]]), np.zeros(1), 0.0,
                         np.zeros(1), np.zeros((1, 1)), cone,
                         name="remark2", g_callback=g, g_jac_callback=g_jac)
+    return Fixture(prog, reference=(np.zeros(1), np.zeros(1)))
 
 
 _BUILTINS = {
@@ -313,35 +446,15 @@ _BUILTINS = {
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
-def builtin(name):
+def fixture(name):
     if name not in _BUILTINS:
         raise KeyError("unknown builtin %r; known: %s"
                        % (name, ", ".join(BUILTIN_NAMES)))
     return _BUILTINS[name]()
 
 
-def reference_point(name):
-    """The unperturbed KKT pair (x, y) of a builtin, where known.
-
-    For example2 the multiplier set is a segment-like face; the returned
-    representative is a relative-interior element.
-    """
-    if name == "example1":
-        return np.zeros(2), svec(np.diag([-1.0, 0.0]))
-    if name == "example2":
-        Y = -np.array([[0.5, 0.25], [0.25, 0.5]])
-        return np.zeros(2), np.concatenate(([-1.0], svec(Y)))
-    if name == "example3":
-        _, _, Bih, _ = example3_data()
-        x = Bih @ np.array([-1.0, -1.0])
-        Ybar = np.array([[1.0, 0.0], [0.0, 0.0]])
-        y = np.concatenate(([0.0], svec(-Ybar)))
-        return np.array([x[0], x[1], 0.0]), y
-    if name == "example4":
-        return np.array([1.0, 0.0, 0.0]), np.zeros(4)
-    if name == "remark2":
-        return np.zeros(1), np.zeros(1)
-    raise KeyError("no reference point for %r" % name)
+def builtin(name):
+    return fixture(name).prog
 
 
 def well_conditioned_instance(kind, seed=0):
@@ -379,19 +492,3 @@ def well_conditioned_instance(kind, seed=0):
                             name="gen-psd-%d" % seed)
         return prog, xbar, ybar
     raise KeyError("unknown instance kind %r" % kind)
-
-
-def default_perturbation(name):
-    """The perturbation direction each fixture is studied under."""
-    prog = builtin(name)
-    if name == "example1":
-        offdiag = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return Perturbation(np.zeros(2), svec(offdiag))
-    if name == "example3":
-        delta = np.diag([-1.0, 1.0])
-        return Perturbation(np.zeros(3), np.concatenate(([0.0], svec(delta))))
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    a = rng.standard_normal(prog.n)
-    b = rng.standard_normal(prog.cone.dim)
-    s = np.sqrt(a @ a + b @ b)
-    return Perturbation(a / s, b / s)

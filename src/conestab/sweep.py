@@ -2,9 +2,9 @@
 
 A sweep solves the problem at perturbation eps * direction over a
 decreasing grid, records drift from the unperturbed reference pair, and
-fits a Hoelder exponent to log(drift) against log(eps).  Analytic
-oracles replace the generic solver on the fixtures where the perturbed
-solution is known in closed or one-dimensional form.
+fits a Hoelder exponent to log(drift) against log(eps).  A fixture's
+closed-form oracle (see `model.Fixture`) replaces the generic solver
+where the perturbed solution is known in closed or one-dimensional form.
 """
 
 import io
@@ -12,8 +12,7 @@ import io
 import numpy as np
 
 from . import model
-from .kkt import (KKTPoint, SolveOptions, natural_residual, solve_kkt,
-                  solve_kkt_multistart)
+from .kkt import KKTPoint, natural_residual, solve_kkt, solve_kkt_multistart
 
 CSV_COLUMNS = ("eps", "solved", "dist_x", "dist_y", "residual", "iterations")
 
@@ -58,8 +57,8 @@ class SweepResult:
         return buf.getvalue()
 
 
-def run_sweep(prog, direction, grid=None, solver_opts=None, reference=None,
-              observable="x", oracle=None, warm_start=True):
+def run_sweep(prog, direction, grid=None, reference=None, observable="x",
+              oracle=None):
     """Sweep eps over the grid (strictly decreasing) and measure drift.
 
     observable: "x" (primal distance), "x2" (second primal coordinate),
@@ -74,7 +73,6 @@ def run_sweep(prog, direction, grid=None, solver_opts=None, reference=None,
         raise ValueError("grid must be strictly decreasing")
     if reference is None:
         raise ValueError("a reference KKT point is required")
-    opts = solver_opts or SolveOptions()
     xb, yb = reference.x, reference.y
     records = []
     prev = reference
@@ -86,12 +84,11 @@ def run_sweep(prog, direction, grid=None, solver_opts=None, reference=None,
             pt = KKTPoint(pt.x, pt.y, res, iterations=pt.iterations,
                           converged=res <= SOLVED_RESIDUAL)
         else:
-            start = prev if warm_start else reference
-            pt = solve_kkt(prog, pert, start=start, opts=opts)
+            pt = solve_kkt(prog, pert, start=prev)
             if not pt.converged:
                 # warm starts can strand the damped Newton iteration in the
                 # wrong smooth piece of the natural map; retry cold
-                alt = solve_kkt_multistart(prog, pert, opts=opts)
+                alt = solve_kkt_multistart(prog, pert)
                 if alt.residual < pt.residual:
                     pt = alt
         solved = pt.converged and pt.residual <= SOLVED_RESIDUAL
@@ -146,110 +143,10 @@ def fit_exponent(result, column=None, drop_largest_decade=True):
     return slope, stderr
 
 
-# ---------------------------------------------------------------------------
-# Analytic oracles
-
-
-def oracle_example1(eps):
-    """Perturbed solution of the offdiagonal-coupling fixture.
-
-    Feasibility is x1 >= 0, x2 >= 0, x1*x2 >= eps^2; at the optimum the
-    product constraint binds, reducing the problem to one variable whose
-    stationarity equation 1 + 2*x1 - 2*eps^4/x1^3 = 0 is solved by
-    bisection (the left side is increasing on (0, inf)).
-    """
-    if not 0.0 < eps <= 0.1:
-        raise ValueError("eps must lie in (0, 0.1]")
-    lo, hi = 1e-300, 1.0
-
-    def phi(x1):
-        return 1.0 + 2.0 * x1 - 2.0 * eps ** 4 / x1 ** 3
-
-    # bring lo into the negative region without underflow trouble
-    lo = eps ** 2
-    while phi(lo) > 0:
-        lo *= 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    x1 = 0.5 * (lo + hi)
-    return x1, eps ** 2 / x1
-
-
-def example1_multiplier(eps, x1, x2):
-    """Rank-one multiplier at the perturbed example1 solution.
-
-    The active constraint matrix [[x1, eps], [eps, x2]] is singular with
-    kernel direction u = (eps, -x1); stationarity fixes the diagonal of
-    Y, which pins the scale of Y = -mu * u u'/|u|^2.
-    """
-    from .cones import svec
-    u = np.array([eps, -x1])
-    uu = np.outer(u, u) / float(u @ u)
-    mu = (1.0 + 2.0 * x1) / uu[0, 0]
-    return svec(-mu * uu)
-
-
-def example1_oracle_point(eps):
-    x1, x2 = oracle_example1(eps)
-    y = example1_multiplier(eps, x1, x2)
-    return KKTPoint(np.array([x1, x2]), y, 0.0)
-
-
-def example3_xi_range(eps):
-    """The stated family bound |xi| <= sqrt(eps + 2*eps^2)."""
-    return np.sqrt(eps + 2.0 * eps ** 2)
-
-
-def oracle_example3(eps, xi):
-    """Member of the perturbed solution family of the example3 fixture.
-
-    x(eps) = B^(-1/2)(-1+eps, -1-eps), t = 0, dual matrix
-    Y = [[1+2*eps, xi], [xi, eps]]; the scalar multiplier on t >= 0 is
-    3*eps + 2*xi.  xi is accepted in the stated band
-    |xi| <= sqrt(eps + 2*eps^2); note that the KKT sign condition on the
-    scalar multiplier additionally needs xi <= -3*eps/2, so only that
-    subrange yields a zero natural-map residual.
-    """
-    from .cones import svec
-    if not 0.0 <= eps <= 0.1:
-        raise ValueError("eps must lie in [0, 0.1]")
-    bound = example3_xi_range(eps)
-    if abs(xi) > bound * (1 + 1e-12):
-        raise ValueError("xi = %g outside the family range +-%g" % (xi, bound))
-    _, _, Bih, _ = model.example3_data()
-    x = Bih @ np.array([-1.0 + eps, -1.0 - eps])
-    Y = np.array([[1.0 + 2.0 * eps, xi], [xi, eps]])
-    s = 3.0 * eps + 2.0 * xi
-    y = np.concatenate(([s], svec(-Y)))
-    return KKTPoint(np.array([x[0], x[1], 0.0]), y, 0.0)
-
-
-def example3_max_drift_member(eps):
-    """The family member of maximal multiplier drift that satisfies the
-    KKT sign conditions (xi at the negative end of the band)."""
-    return oracle_example3(eps, -example3_xi_range(eps))
-
-
-def builtin_sweep(name, grid=None, observable=None, solver_opts=None,
-                  seed=0):
-    """Run the canonical sweep for a builtin with its studied direction."""
-    prog = model.builtin(name)
-    xb, yb = model.reference_point(name)
-    reference = KKTPoint(xb, yb, 0.0)
-    direction = model.default_perturbation(name)
-    if observable is None:
-        observable = {"example1": "x2", "example3": "multiplier-drift"}.get(
-            name, "x")
-    oracle = None
-    if name == "example1":
-        oracle = lambda eps: example1_oracle_point(eps)
-    elif name == "example3":
-        oracle = lambda eps: example3_max_drift_member(eps)
-    result = run_sweep(prog, direction, grid=grid, solver_opts=solver_opts,
-                       reference=reference, observable=observable,
-                       oracle=oracle)
-    return result
+def builtin_sweep(name, grid=None, observable=None):
+    """Run the canonical sweep of a builtin fixture from its reference
+    pair, along its direction, with its oracle where it has one."""
+    fx = model.fixture(name)
+    return run_sweep(fx.prog, fx.direction, grid=grid,
+                     reference=KKTPoint(*fx.reference, 0.0),
+                     observable=observable or fx.observable, oracle=fx.oracle)

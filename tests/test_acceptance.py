@@ -32,8 +32,8 @@ def test_criterion_1_cube_root_drift_rate(capsys):
     # the generic solver must agree with the bisection oracle wherever
     # it converges on the same grid
     prog = model.builtin("example1")
-    direction = model.default_perturbation("example1")
-    ref = kkt.KKTPoint(*model.reference_point("example1"), 0.0)
+    direction = model.fixture("example1").direction
+    ref = kkt.KKTPoint(*model.fixture("example1").reference, 0.0)
     generic = sweep.run_sweep(prog, direction, reference=ref,
                               observable="x2")
     worst = 0.0
@@ -41,7 +41,7 @@ def test_criterion_1_cube_root_drift_rate(capsys):
     for rec in generic.records:
         if not rec.solved:
             continue
-        x1, x2 = sweep.oracle_example1(rec.eps)
+        x1, x2 = model.oracle_example1(rec.eps)
         worst = max(worst, abs(rec.dist_x - x2))
         n_compared += 1
     elapsed = time.monotonic() - t0
@@ -57,17 +57,17 @@ def test_criterion_2_square_root_multiplier_drift(capsys):
     while SOSC holds and the strict constraint qualification fails."""
     t0 = time.monotonic()
     prog = model.builtin("example3")
-    direction = model.default_perturbation("example3")
+    direction = model.fixture("example3").direction
     worst_res = 0.0
     for eps in [10.0 ** (-k / 2.0) for k in range(2, 13)]:
-        bound = sweep.example3_xi_range(eps)
+        bound = model.example3_xi_range(eps)
         for xi in (-bound, -0.75 * bound):
-            pt = sweep.oracle_example3(eps, xi)
+            pt = model.oracle_example3(eps, xi)
             worst_res = max(worst_res, kkt.natural_residual(
                 prog, pt.x, pt.y, direction.scaled(eps)))
     result = sweep.builtin_sweep("example3")
     slope, stderr = sweep.fit_exponent(result)
-    x, y = model.reference_point("example3")
+    x, y = model.fixture("example3").reference
     sosc = conditions.check_sosc(prog, x, y)
     srcq = conditions.check_srcq(prog, x, y)
     seeds = []
@@ -92,7 +92,7 @@ def test_criterion_3_robustly_isolated_calm_fixture(capsys):
     witness, no kernel direction exists, and drift is Lipschitz."""
     t0 = time.monotonic()
     prog = model.builtin("example4")
-    x, y = model.reference_point("example4")
+    x, y = model.fixture("example4").reference
     nondeg = conditions.check_nondegeneracy(prog, x)
     srcq = conditions.check_srcq(prog, x, y)
     sosc = conditions.check_sosc(prog, x, y)
@@ -124,7 +124,7 @@ def test_criterion_4_nonunique_multipliers_with_stable_primal(capsys):
     cone: the primal still converges under perturbation."""
     t0 = time.monotonic()
     prog = model.builtin("example2")
-    x, y = model.reference_point("example2")
+    x, y = model.fixture("example2").reference
     rcq = conditions.check_rcq(prog, x)
     srcq = conditions.check_srcq(prog, x, y)
     mset = kkt.recover_multipliers(prog, x)
@@ -220,7 +220,7 @@ def test_criterion_7_verdict_battery_consistency(capsys):
     cases = []
     for name in ("example1", "example2", "example3", "example4"):
         prog = model.builtin(name)
-        x, y = model.reference_point(name)
+        x, y = model.fixture(name).reference
         cases.append((prog, x, y))
     cases.append(model.well_conditioned_instance("orthant", seed=0))
     cases.append(model.well_conditioned_instance("psd", seed=0))
@@ -240,7 +240,7 @@ def test_criterion_8_newton_robustness(capsys):
     """At least 95% of 100 seeded starts within radius 0.1 of the
     degenerate-quartic KKT point reach residual 1e-10 in 50 iterations."""
     prog = model.builtin("example4")
-    x, y = model.reference_point("example4")
+    x, y = model.fixture("example4").reference
     rng = np.random.default_rng(8)
     opts = kkt.SolveOptions(max_iter=50, residual_target=1e-10)
     n_ok = 0
@@ -259,7 +259,7 @@ def test_criterion_9_local_error_bound(capsys):
     """A single fitted constant bounds distance-to-solution by the
     residual norm over 1000 sampled points within 1e-2."""
     prog = model.builtin("example4")
-    x, y = model.reference_point("example4")
+    x, y = model.fixture("example4").reference
     rng = np.random.default_rng(9)
     ref = np.concatenate([x, y])
     samples = []

@@ -130,12 +130,18 @@ class TestCertify:
         assert main(["certify", "--builtin", "example3"]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
 
+    def test_short_grid_is_solver_failure(self, capsys):
+        assert main(["certify", "--builtin", "example4",
+                     "--grid", "1:4:1"]) == EXIT_SOLVER
+        assert "no exponent fit" in capsys.readouterr().err
+
 
 class TestOptions:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--builtin", "example1", "--report", "x"],
         ["analyze", "--builtin", "example1", "--out", "x"],
         ["list-builtins", "--seed", "1"],
+        ["solve", "--builtin", "example1", "--seed", "1"],
     ])
     def test_option_only_where_read(self, argv, capsys):
         with pytest.raises(SystemExit):
@@ -187,3 +193,34 @@ class TestProblemFileFlow:
                 captured = capsys.readouterr()
                 assert "non-finite" in captured.err
                 assert "HOLDS" not in captured.out
+
+    @pytest.mark.parametrize("key, corrupt", [
+        ("c0", lambda d: d["objective"].update(c0="abc")),
+        ("c ", lambda d: d["objective"].update(c=[1.0, [2.0, 3.0], 0.0])),
+        ("cube", lambda d: d["cone"][0].update(type="cube")),
+        ("size", lambda d: d["cone"][1].pop("size")),
+        ("cone", lambda d: d.update(cone=5)),
+    ], ids=["c0-string", "ragged-c", "unknown-cone-type", "block-no-size",
+            "cone-not-list"])
+    def test_wrong_typed_problem_file_is_input_error(self, key, corrupt,
+                                                      tmp_path, capsys):
+        data = model.builtin("example4").to_dict()
+        corrupt(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", "--problem", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad problem file:")
+        assert key in err
+
+    @pytest.mark.parametrize("name", ["mine", "example1"])
+    def test_sweep_and_certify_problem_file(self, name, tmp_path, capsys):
+        # a file's name never selects a builtin's reference or direction
+        data = model.builtin("example4").to_dict()
+        data["name"] = name
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["sweep", "--problem", str(path)]) == EXIT_OK
+        assert "fitted exponent 0.99" in capsys.readouterr().out
+        assert main(["certify", "--problem", str(path)]) == EXIT_OK
+        assert "agree" in capsys.readouterr().out

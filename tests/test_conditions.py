@@ -14,7 +14,7 @@ from conestab.conditions import (FAILS, HOLDS, affine_hull_probe,
 
 def fixture(name):
     prog = model.builtin(name)
-    x, y = model.reference_point(name)
+    x, y = model.fixture(name).reference
     return prog, x, y
 
 

@@ -15,7 +15,7 @@ class TestNaturalMap:
     def test_vanishes_at_reference_pairs(self):
         for name in ALL_REFERENCED:
             prog = model.builtin(name)
-            x, y = model.reference_point(name)
+            x, y = model.fixture(name).reference
             assert natural_residual(prog, x, y) <= 1e-12, name
 
     def test_vanishes_at_generated_instances(self):
@@ -50,13 +50,13 @@ class TestNormalMap:
         # z = G(x) + b + y turns a natural-map root into a normal-map root
         for name in ALL_REFERENCED:
             prog = model.builtin(name)
-            x, y = model.reference_point(name)
+            x, y = model.fixture(name).reference
             z = prog.constraint(x) + y
             assert np.linalg.norm(normal_map(prog, x, z)) <= 1e-12, name
 
     def test_consistency_for_solved_perturbed_pairs(self):
         prog = model.builtin("example4")
-        direction = model.default_perturbation("example4")
+        direction = model.fixture("example4").direction
         for eps in (1e-2, 1e-4):
             pert = direction.scaled(eps)
             pt = solve_kkt_multistart(prog, pert)
@@ -107,7 +107,7 @@ class TestRecoverMultipliers:
 class TestSolveKkt:
     def test_noisy_start_converges_on_nondegenerate_fixture(self):
         prog = model.builtin("example4")
-        x, y = model.reference_point("example4")
+        x, y = model.fixture("example4").reference
         rng = np.random.default_rng(3)
         start = KKTPoint(x + 1e-2 * rng.standard_normal(3),
                          y + 1e-2 * rng.standard_normal(4), 1.0)
@@ -118,7 +118,7 @@ class TestSolveKkt:
 
     def test_exact_start_needs_no_iterations(self):
         prog = model.builtin("example4")
-        x, y = model.reference_point("example4")
+        x, y = model.fixture("example4").reference
         pt = solve_kkt(prog, start=KKTPoint(x, y, 0.0))
         assert pt.iterations == 0
         assert pt.converged
@@ -162,10 +162,11 @@ class TestSemismoothness:
         # satisfies ||F(w + d) - F(w) - V d|| = o(||d||)
         rng = np.random.default_rng(4)
         prog = model.builtin("example4")
-        x, y = model.reference_point("example4")
+        x, y = model.fixture("example4").reference
         x = x + 0.05 * rng.standard_normal(3)
         y = y + 0.05 * rng.standard_normal(4)
-        V = kkt._jacobian(prog, x, y, None)
+        J = prog.cone.proj_jacobian(prog.constraint(x) + y)
+        V = kkt.kkt_matrix(prog.Q, prog.constraint_jac(x), J)
         F = natural_map(prog, x, y)
         d = rng.standard_normal(7)
         d *= 1e-6 / np.linalg.norm(d)

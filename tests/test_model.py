@@ -5,9 +5,9 @@ import pytest
 
 from conestab import model
 from conestab.cones import smat, svec
+from conestab.kkt import natural_residual
 from conestab.model import (ConicProgram, Perturbation, ProblemFormatError,
-                            builtin, evaluate, load_problem, reference_point,
-                            save_problem)
+                            builtin, evaluate, load_problem, save_problem)
 
 
 class TestFileFormat:
@@ -174,12 +174,32 @@ class TestBuiltins:
         assert builtin("example1").is_affine
 
     def test_reference_points_have_expected_values(self):
-        x, y = reference_point("example1")
+        x, y = model.fixture("example1").reference
         assert np.allclose(x, 0.0)
         assert np.allclose(smat(y), np.diag([-1.0, 0.0]))
-        x4, y4 = reference_point("example4")
+        x4, y4 = model.fixture("example4").reference
         assert np.allclose(smat(x4), np.diag([1.0, 0.0]))
         assert np.allclose(y4, 0.0)
+
+
+class TestFixtureTable:
+    def test_every_fixture_has_reference_and_direction(self):
+        for name in model.BUILTIN_NAMES:
+            fx = model.fixture(name)
+            x, y = fx.reference
+            assert natural_residual(fx.prog, x, y) <= 1e-8, name
+            assert fx.direction.a.shape == (fx.prog.n,), name
+            assert fx.direction.b.shape == (fx.prog.cone.dim,), name
+
+    def test_problem_without_fixture_data_gets_default_direction(self):
+        data = builtin("example4").to_dict()
+        data["name"] = "mine"
+        fx = model.Fixture(model.problem_from_dict(data))
+        assert fx.reference is None and fx.oracle is None
+        assert fx.observable == "x"
+        assert fx.direction.a.shape == (3,)
+        assert fx.direction.b.shape == (4,)
+        assert np.isclose(fx.direction.norm(), 1.0)
 
 
 class TestGeneratedInstances:
@@ -210,8 +230,8 @@ class TestPerturbation:
 
     def test_default_directions_are_deterministic_units(self):
         for name in ("example1", "example2", "example3", "example4"):
-            p = model.default_perturbation(name)
-            q = model.default_perturbation(name)
+            p = model.fixture(name).direction
+            q = model.fixture(name).direction
             assert np.array_equal(p.a, q.a)
             assert np.array_equal(p.b, q.b)
             assert np.isclose(p.norm(), 1.0) or name in ("example1",

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conestab import model, sweep
+from conestab import model
 from conestab.kkt import KKTPoint, natural_residual
+from conestab.model import oracle_example1, oracle_example3
 from conestab.sweep import (SweepRecord, SweepResult, builtin_sweep,
-                            default_grid, fit_exponent, oracle_example1,
-                            oracle_example3, run_sweep)
+                            default_grid, fit_exponent, run_sweep)
 
 
 def synthetic_result(exponent, grid=None):
@@ -51,8 +51,8 @@ class TestFitExponent:
 class TestRunSweep:
     def test_grid_validation(self):
         prog = model.builtin("example4")
-        d = model.default_perturbation("example4")
-        ref = KKTPoint(*model.reference_point("example4"), 0.0)
+        d = model.fixture("example4").direction
+        ref = KKTPoint(*model.fixture("example4").reference, 0.0)
         with pytest.raises(ValueError, match="decreasing"):
             run_sweep(prog, d, grid=[1e-3, 1e-2], reference=ref)
         with pytest.raises(ValueError, match="grid"):
@@ -60,7 +60,7 @@ class TestRunSweep:
 
     def test_reference_required(self):
         prog = model.builtin("example4")
-        d = model.default_perturbation("example4")
+        d = model.fixture("example4").direction
         with pytest.raises(ValueError, match="reference"):
             run_sweep(prog, d, grid=[1e-1, 1e-2])
 
@@ -101,9 +101,9 @@ class TestOracleCubeRootRate:
 
     def test_kkt_residual_of_oracle_point(self):
         prog = model.builtin("example1")
-        direction = model.default_perturbation("example1")
+        direction = model.fixture("example1").direction
         for eps in (1e-2, 1e-4):
-            pt = sweep.example1_oracle_point(eps)
+            pt = model.example1_oracle_point(eps)
             pert = direction.scaled(eps)
             assert natural_residual(prog, pt.x, pt.y, pert) <= 1e-10
 
@@ -117,23 +117,23 @@ class TestOracleCubeRootRate:
 class TestOracleSquareRootFamily:
     def test_unperturbed_member_is_reference(self):
         pt = oracle_example3(0.0, 0.0)
-        x, y = model.reference_point("example3")
+        x, y = model.fixture("example3").reference
         assert np.allclose(pt.x, x, atol=1e-12)
         assert np.allclose(pt.y, y, atol=1e-12)
 
     def test_family_members_solve_perturbed_system(self):
         prog = model.builtin("example3")
-        direction = model.default_perturbation("example3")
+        direction = model.fixture("example3").direction
         for eps in (1e-2, 1e-4, 1e-6):
             pert = direction.scaled(eps)
-            pt = sweep.example3_max_drift_member(eps)
+            pt = model.example3_max_drift_member(eps)
             assert natural_residual(prog, pt.x, pt.y, pert) <= 1e-9
 
     def test_multiplier_drift_scales_as_square_root(self):
-        _, y_ref = model.reference_point("example3")
+        _, y_ref = model.fixture("example3").reference
         drifts = []
         for eps in (1e-2, 1e-4):
-            pt = sweep.example3_max_drift_member(eps)
+            pt = model.example3_max_drift_member(eps)
             drifts.append(np.linalg.norm(pt.y - y_ref))
         assert np.isclose(drifts[0] / drifts[1], 10.0, rtol=0.3)
 
