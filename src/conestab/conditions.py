@@ -198,6 +198,23 @@ def _decide_fullness(Gmat, cc_project, polar_project, polar_span, seed,
 # Critical cone of the problem
 
 
+def dir_deriv_is_linear(frame):
+    """Whether the directional derivative of the projection is linear at
+    the frame, block by block: no orthant corner, every SOC block off the
+    boundary and apex cases, and an empty PSD beta.  Exactly then the
+    critical cone is a subspace and dir_deriv_jac does not depend on h.
+    """
+    for f in frame.frames:
+        kind = f.block.kind
+        if kind == "orthant" and np.any(f.state == 1):
+            return False
+        if kind == "soc" and f.case not in ("int", "polar_int", "smooth"):
+            return False
+        if kind == "psd" and len(f.beta):
+            return False
+    return True
+
+
 class ProblemCriticalCone:
     """C(x) = {d | G'(x)d in C_K(G(x), y)}, pulled back through G'."""
 
@@ -212,19 +229,7 @@ class ProblemCriticalCone:
             self.affine_basis = np.eye(prog.n)
         else:
             self.affine_basis = linalg.nullspace(E @ self.Gmat, tol=1e-10)
-        self.is_subspace = all(self._block_subspace(f)
-                               for f in self.frame.frames)
-
-    @staticmethod
-    def _block_subspace(f):
-        kind = f.block.kind
-        if kind == "zero":
-            return True
-        if kind == "orthant":
-            return not np.any(f.state == 1)
-        if kind == "soc":
-            return f.case in ("int", "polar_int", "smooth")
-        return len(f.beta) == 0
+        self.is_subspace = dir_deriv_is_linear(self.frame)
 
     @property
     def affine_dim(self):
@@ -455,7 +460,9 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
     G' dx = dir_deriv(frame; G' dx + dy).
 
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
-    family T, so each start is refined by iterating toward the smallest
+    family T.  When the directional derivative is linear at the frame, T
+    is constant and its smallest right singular vector decides exactly;
+    otherwise each start is refined by iterating toward the smallest
     right singular vector of T(w).
     """
     _require_affine(prog)
@@ -472,6 +479,10 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
         r2 = Gmat @ dx - frame.dir_deriv(h)
         return float(r1 @ r1 + r2 @ r2)
 
+    if dir_deriv_is_linear(frame):
+        T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(np.zeros(m)))
+        w = np.linalg.svd(T)[2][-1]
+        return {"min_residual": residual(w), "witness": w}
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, float) for s in extra_seeds]
     starts.extend(rng.standard_normal(n + m) for _ in range(n_starts))

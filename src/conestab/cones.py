@@ -11,6 +11,8 @@ cone at A.  The frame drives the critical cone, its polar, the
 directional derivative of the projection, and the curvature (sigma) term.
 """
 
+import functools
+
 import numpy as np
 
 from . import linalg
@@ -28,17 +30,20 @@ def svec_dim(n):
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_index(n):
+    """Rows and columns of the lower triangle of an order-n matrix in svec
+    order, with the svec scale of each entry (1 on the diagonal, sqrt(2)
+    off it)."""
+    cols, rows = np.triu_indices(n)
+    return rows, cols, np.where(rows == cols, 1.0, SQRT2)
+
+
 def svec(M):
     """Lower triangle, column-major, off-diagonals scaled by sqrt(2)."""
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    out = np.empty(svec_dim(n))
-    k = 0
-    for j in range(n):
-        for i in range(j, n):
-            out[k] = M[i, j] if i == j else SQRT2 * M[i, j]
-            k += 1
-    return out
+    rows, cols, scale = _svec_index(M.shape[0])
+    return scale * M[rows, cols]
 
 
 def smat(v):
@@ -47,15 +52,11 @@ def smat(v):
     n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
     if svec_dim(n) != m:
         raise ValueError("vector length is not a triangular number")
-    M = np.zeros((n, n))
-    k = 0
-    for j in range(n):
-        for i in range(j, n):
-            if i == j:
-                M[i, j] = v[k]
-            else:
-                M[i, j] = M[j, i] = v[k] / SQRT2
-            k += 1
+    rows, cols, scale = _svec_index(n)
+    w = v / scale
+    M = np.empty((n, n))
+    M[rows, cols] = w
+    M[cols, rows] = w
     return M
 
 
@@ -461,6 +462,12 @@ class PsdFrame:
         self.alpha = np.where(lam > 0)[0]
         self.beta = np.where(lam == 0)[0]
         self.gamma = np.where(lam < 0)[0]
+        # frame-coordinate blocks: ix["ag"] selects rows alpha, cols gamma
+        part = {"a": self.alpha, "b": self.beta, "g": self.gamma}
+        self._ix = {p + q: np.ix_(part[p], part[q]) for p in part for q in part}
+        la = lam[self.alpha][:, None]
+        lg = lam[self.gamma][None, :]
+        self._W = la / (la - lg)
         pos = np.maximum(lam, 0.0)
         self.A = (P * pos) @ P.T
         self.B = (P * np.minimum(lam, 0.0)) @ P.T
@@ -478,65 +485,59 @@ class PsdFrame:
     def cc_project(self, h):
         Ht = self._to_frame(h)
         out = Ht.copy()
-        b, g = self.beta, self.gamma
-        out[np.ix_(b, g)] = 0.0
-        out[np.ix_(g, b)] = 0.0
-        out[np.ix_(g, g)] = 0.0
-        if len(b):
-            out[np.ix_(b, b)] = _psd_project_mat(Ht[np.ix_(b, b)])
+        ix = self._ix
+        out[ix["bg"]] = 0.0
+        out[ix["gb"]] = 0.0
+        out[ix["gg"]] = 0.0
+        if len(self.beta):
+            out[ix["bb"]] = _psd_project_mat(Ht[ix["bb"]])
         return self._from_frame(out)
 
     def polar_project(self, s):
         St = self._to_frame(s)
         out = np.zeros_like(St)
-        b, g = self.beta, self.gamma
-        out[np.ix_(b, g)] = St[np.ix_(b, g)]
-        out[np.ix_(g, b)] = St[np.ix_(g, b)]
-        out[np.ix_(g, g)] = St[np.ix_(g, g)]
-        if len(b):
-            out[np.ix_(b, b)] = -_psd_project_mat(-St[np.ix_(b, b)])
+        ix = self._ix
+        out[ix["bg"]] = St[ix["bg"]]
+        out[ix["gb"]] = St[ix["gb"]]
+        out[ix["gg"]] = St[ix["gg"]]
+        if len(self.beta):
+            out[ix["bb"]] = -_psd_project_mat(-St[ix["bb"]])
         return self._from_frame(out)
+
+    def _linear_part(self, Hf):
+        """The directional derivative in frame coordinates, except for the
+        beta-beta block, which is left zero."""
+        ix = self._ix
+        out = np.zeros_like(Hf)
+        out[ix["aa"]] = Hf[ix["aa"]]
+        out[ix["ab"]] = Hf[ix["ab"]]
+        out[ix["ba"]] = Hf[ix["ba"]]
+        out[ix["ag"]] = self._W * Hf[ix["ag"]]
+        out[ix["ga"]] = out[ix["ag"]].T
+        return out
 
     def dir_deriv(self, h):
         Ht = self._to_frame(h)
-        a, b, g = self.alpha, self.beta, self.gamma
-        out = np.zeros_like(Ht)
-        out[np.ix_(a, a)] = Ht[np.ix_(a, a)]
-        out[np.ix_(a, b)] = Ht[np.ix_(a, b)]
-        out[np.ix_(b, a)] = Ht[np.ix_(b, a)]
-        if len(a) and len(g):
-            la = self.lam[a][:, None]
-            lg = self.lam[g][None, :]
-            W = la / (la - lg)
-            out[np.ix_(a, g)] = W * Ht[np.ix_(a, g)]
-            out[np.ix_(g, a)] = out[np.ix_(a, g)].T
-        if len(b):
-            out[np.ix_(b, b)] = _psd_project_mat(Ht[np.ix_(b, b)])
+        out = self._linear_part(Ht)
+        if len(self.beta):
+            bb = self._ix["bb"]
+            out[bb] = _psd_project_mat(Ht[bb])
         return self._from_frame(out)
 
     def dir_deriv_jac(self, h):
-        a, b, g = self.alpha, self.beta, self.gamma
-        n = self.block.size
-        Ht = self._to_frame(h)
-        bb_jac = _psd_proj_jac_mat(Ht[np.ix_(b, b)]) if len(b) else None
+        bb = self._ix["bb"]
+        bb_jac = None
+        if len(self.beta):
+            bb_jac = _psd_proj_jac_mat(self._to_frame(h)[bb])
 
         def apply(H):
             Hf = self.P.T @ H @ self.P
-            out = np.zeros_like(Hf)
-            out[np.ix_(a, a)] = Hf[np.ix_(a, a)]
-            out[np.ix_(a, b)] = Hf[np.ix_(a, b)]
-            out[np.ix_(b, a)] = Hf[np.ix_(b, a)]
-            if len(a) and len(g):
-                la = self.lam[a][:, None]
-                lg = self.lam[g][None, :]
-                W = la / (la - lg)
-                out[np.ix_(a, g)] = W * Hf[np.ix_(a, g)]
-                out[np.ix_(g, a)] = out[np.ix_(a, g)].T
-            if len(b):
-                out[np.ix_(b, b)] = bb_jac(Hf[np.ix_(b, b)])
+            out = self._linear_part(Hf)
+            if bb_jac is not None:
+                out[bb] = bb_jac(Hf[bb])
             return self.P @ out @ self.P.T
 
-        return _mat_op_to_svec(apply, n)
+        return _mat_op_to_svec(apply, self.block.size)
 
     def upsilon(self, d):
         D = smat(d)

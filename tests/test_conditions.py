@@ -204,6 +204,130 @@ class TestKernelProbe:
                 assert np.isclose(r(t * w), t ** 2 * r(w), rtol=1e-8)
 
 
+def _instance(blocks, s, y, G=None, seed=0):
+    """Program over Cone(blocks) with KKT pair (s, y): G(x) = G x, x = s,
+    Q positive definite and c closing the stationarity equation."""
+    from conestab.cones import Cone
+    from conestab.model import ConicProgram
+    cone = Cone(blocks)
+    n = cone.dim
+    G = np.eye(n) if G is None else G
+    R = np.random.default_rng(seed).standard_normal((n, n))
+    Q = R @ R.T + n * np.eye(n)
+    x = np.asarray(s, float)
+    c = -(Q @ x) - G.T @ y
+    prog = ConicProgram(n, Q, c, 0.0, x - G @ x, G.T, cone, name="probe")
+    assert kkt.natural_residual(prog, x, y) <= 1e-12
+    return prog, x, np.asarray(y, float)
+
+
+def _psd_pair(lam_s, lam_y, seed=0):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(lam_s), len(lam_s))))
+    return svec((q * lam_s) @ q.T), svec((q * lam_y) @ q.T), q
+
+
+def _strict_instance(nonunique=False):
+    """Orthant(3) x SOC(3) x PSD(3), strictly complementary, SOC smooth.
+    With nonunique=True, G = I - d d' for a unit d in the normal span, so
+    ker G'* meets it and the multipliers form a segment."""
+    ps, py, q = _psd_pair([1.0, 0.0, 0.0], [0.0, -1.0, -2.0], seed=3)
+    s = np.concatenate([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], ps])
+    y = np.concatenate([[0.0, -1.0, -2.0], [-1.0, 1.0, 0.0], py])
+    G = None
+    if nonunique:
+        d = np.zeros(12)
+        d[2] = 1.0
+        d[6:] = -svec(np.outer(q[:, 2], q[:, 2]))
+        d /= np.linalg.norm(d)
+        G = np.eye(12) - np.outer(d, d)
+    return _instance([("orthant", 3), ("soc", 3), ("psd", 3)], s, y, G)
+
+
+def _borderline_instances():
+    ps, py, _ = _psd_pair([1.0, 0.0], [0.0, 0.0])
+    return {
+        "psd-beta": _instance([("psd", 2)], ps, py),
+        "orthant-corner": _instance([("orthant", 3)], [1.0, 0.0, 0.0],
+                                    [0.0, 0.0, -2.0]),
+        "soc-bdry": _instance([("soc", 3)], [1.0, 1.0, 0.0], np.zeros(3)),
+    }
+
+
+def _count_tmatrix_builds(monkeypatch):
+    from conestab.cones import ConeFrame
+    calls = []
+    original = ConeFrame.dir_deriv_jac
+
+    def counted(self, h):
+        calls.append(np.array(h))
+        return original(self, h)
+
+    monkeypatch.setattr(ConeFrame, "dir_deriv_jac", counted)
+    return calls
+
+
+class TestKernelProbeFastPath:
+    def test_constant_t_is_one_svd(self, monkeypatch):
+        prog, x, y = _strict_instance()
+        frame = prog.cone.frame(prog.constraint(x) + y)
+        assert conditions.dir_deriv_is_linear(frame)
+        assert problem_critical_cone(prog, x, y).is_subspace
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = kernel_probe(prog, x, y)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        H = kkt.hess_lagrangian(prog, x, y)
+        T = kkt.kkt_matrix(H, prog.constraint_jac(x),
+                           frame.dir_deriv_jac(np.zeros(prog.cone.dim)))
+        v = np.linalg.svd(T)[2][-1]
+        assert np.array_equal(probe["witness"], v)
+        assert np.isclose(probe["min_residual"], float(np.sum((T @ v) ** 2)),
+                          rtol=1e-9, atol=0.0)
+        assert kernel_probe_verdict(probe).status == HOLDS
+
+    def test_fast_path_equals_the_search(self, monkeypatch):
+        # every start of the search lands on the same singular vector
+        prog, x, y = _strict_instance()
+        fast = kernel_probe(prog, x, y, seed=4)
+        monkeypatch.setattr(conditions, "dir_deriv_is_linear",
+                            lambda frame: False)
+        search = kernel_probe(prog, x, y, seed=4)
+        assert search["min_residual"] == fast["min_residual"]
+        assert np.array_equal(search["witness"], fast["witness"])
+
+    def test_constant_t_with_nonunique_multipliers_fails(self, monkeypatch):
+        prog, x, y = _strict_instance(nonunique=True)
+        frame = prog.cone.frame(prog.constraint(x) + y)
+        assert conditions.dir_deriv_is_linear(frame)
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = kernel_probe(prog, x, y)
+        assert len(calls) == 1
+        assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL
+        assert kernel_probe_verdict(probe).status == FAILS
+
+    @pytest.mark.parametrize("name", ["psd-beta", "orthant-corner",
+                                      "soc-bdry"])
+    def test_borderline_frame_takes_the_search(self, name, monkeypatch):
+        prog, x, y = _borderline_instances()[name]
+        frame = prog.cone.frame(prog.constraint(x) + y)
+        assert not conditions.dir_deriv_is_linear(frame)
+        assert not problem_critical_cone(prog, x, y).is_subspace
+        # no starts at all: the search finds nothing
+        none = kernel_probe(prog, x, y, n_starts=0)
+        assert none["min_residual"] == np.inf and none["witness"] is None
+        # a lone extra seed is the start the search refines
+        w0 = np.random.default_rng(1).standard_normal(prog.n + prog.cone.dim)
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = kernel_probe(prog, x, y, n_starts=0, extra_seeds=[w0])
+        G = prog.constraint_jac(x)
+        w0 = w0 / np.linalg.norm(w0)
+        assert np.array_equal(calls[0], G @ w0[:prog.n] + w0[prog.n:])
+        assert len(calls) >= 2
+        assert np.isfinite(probe["min_residual"])
+        assert probe["witness"] is not None
+
+
 class TestAssembleReport:
     def test_rejects_non_kkt_pairs(self):
         prog = model.builtin("example1")

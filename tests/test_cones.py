@@ -38,6 +38,46 @@ class TestSvec:
         assert cones.svec_dim(2) == 3
         assert cones.svec_dim(5) == 15
 
+    @staticmethod
+    def _loop_svec(M):
+        n = M.shape[0]
+        out = np.empty(cones.svec_dim(n))
+        k = 0
+        for j in range(n):
+            for i in range(j, n):
+                out[k] = M[i, j] if i == j else cones.SQRT2 * M[i, j]
+                k += 1
+        return out
+
+    @staticmethod
+    def _loop_smat(v, n):
+        M = np.zeros((n, n))
+        k = 0
+        for j in range(n):
+            for i in range(j, n):
+                if i == j:
+                    M[i, j] = v[k]
+                else:
+                    M[i, j] = M[j, i] = v[k] / cones.SQRT2
+                k += 1
+        return M
+
+    def test_matches_reference_loops_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 13):
+            S = rng.standard_normal((n, n))
+            S = S + S.T
+            v = rng.standard_normal(cones.svec_dim(n))
+            assert np.array_equal(svec(S), self._loop_svec(S))
+            assert np.array_equal(smat(v), self._loop_smat(v, n))
+            assert np.allclose(smat(svec(S)), S, rtol=1e-15, atol=0.0)
+            assert np.allclose(svec(smat(v)), v, rtol=1e-15, atol=0.0)
+
+    def test_rejects_non_triangular_length(self):
+        for m in (2, 4, 5, 7):
+            with pytest.raises(ValueError, match="triangular"):
+                smat(np.zeros(m))
+
 
 class TestProject:
     def test_orthant_clips_negatives(self):
