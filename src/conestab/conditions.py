@@ -463,7 +463,9 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
     family T.  When the directional derivative is linear at the frame, T
     is constant and its smallest right singular vector decides exactly;
     otherwise each start is refined by iterating toward the smallest
-    right singular vector of T(w).
+    right singular vector of T(w), for at most 50 steps.  That map
+    depends only on the bits of w, so a start whose iterate repeats
+    exactly stops there and takes the iterate step 50 would reach.
     """
     _require_affine(prog)
     n, m = prog.n, prog.cone.dim
@@ -492,7 +494,8 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
         if nw == 0:
             continue
         w = w / nw
-        for _ in range(50):
+        path, seen = [w], {w.tobytes(): 0}
+        for k in range(1, 51):
             T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
                 Gmat @ w[:n] + w[n:]))
             _, _, Vt = np.linalg.svd(T)
@@ -502,6 +505,14 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
                 w = wn
                 break
             w = wn
+            i = seen.setdefault(w.tobytes(), k)
+            if i < k:
+                # from step i on the iterates repeat with period k - i;
+                # the first lap ran every transition of the cycle, so the
+                # convergence test cannot fire before step 50
+                w = path[i + (50 - i) % (k - i)]
+                break
+            path.append(w)
         val = residual(w)
         if val < best_val:
             best_val, best_w = val, w
@@ -512,6 +523,8 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
 
 def kernel_probe_verdict(probe):
     r = probe["min_residual"]
+    if probe["witness"] is None:
+        return Verdict(INCONCLUSIVE, margin=r, note="no start was tried")
     if r <= KERNEL_FOUND_TOL:
         return Verdict(FAILS, margin=r, witness=probe["witness"],
                        note="nonzero kernel direction found")

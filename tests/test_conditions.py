@@ -5,7 +5,8 @@ import pytest
 
 from conestab import conditions, kkt, model
 from conestab.cones import smat, svec
-from conestab.conditions import (FAILS, HOLDS, affine_hull_probe,
+from conestab.conditions import (FAILS, HOLDS, INCONCLUSIVE,
+                                 affine_hull_probe,
                                  assemble_report, check_nondegeneracy,
                                  check_rcq, check_robinson_sosc, check_sosc,
                                  check_srcq, kernel_probe,
@@ -204,9 +205,10 @@ class TestKernelProbe:
                 assert np.isclose(r(t * w), t ** 2 * r(w), rtol=1e-8)
 
 
-def _instance(blocks, s, y, G=None, seed=0):
+def _instance(blocks, s, y, G=None, seed=0, null=None):
     """Program over Cone(blocks) with KKT pair (s, y): G(x) = G x, x = s,
-    Q positive definite and c closing the stationarity equation."""
+    Q positive definite (or with kernel spanned by the unit vector `null`)
+    and c closing the stationarity equation."""
     from conestab.cones import Cone
     from conestab.model import ConicProgram
     cone = Cone(blocks)
@@ -214,6 +216,9 @@ def _instance(blocks, s, y, G=None, seed=0):
     G = np.eye(n) if G is None else G
     R = np.random.default_rng(seed).standard_normal((n, n))
     Q = R @ R.T + n * np.eye(n)
+    if null is not None:
+        P = np.eye(n) - np.outer(null, null)
+        Q = P @ Q @ P
     x = np.asarray(s, float)
     c = -(Q @ x) - G.T @ y
     prog = ConicProgram(n, Q, c, 0.0, x - G @ x, G.T, cone, name="probe")
@@ -316,6 +321,9 @@ class TestKernelProbeFastPath:
         # no starts at all: the search finds nothing
         none = kernel_probe(prog, x, y, n_starts=0)
         assert none["min_residual"] == np.inf and none["witness"] is None
+        verdict = kernel_probe_verdict(none)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.note == "no start was tried"
         # a lone extra seed is the start the search refines
         w0 = np.random.default_rng(1).standard_normal(prog.n + prog.cone.dim)
         calls = _count_tmatrix_builds(monkeypatch)
@@ -326,6 +334,69 @@ class TestKernelProbeFastPath:
         assert len(calls) >= 2
         assert np.isfinite(probe["min_residual"])
         assert probe["witness"] is not None
+
+
+def _uncut_probe(prog, x, y, n_starts, seed):
+    """The multi-start search with every start run until it converges or
+    for its full 50 steps, as it was written before the repeat cut."""
+    n, m = prog.n, prog.cone.dim
+    frame = prog.cone.frame(prog.constraint(x) + y)
+    Gmat = prog.constraint_jac(x)
+    H = kkt.hess_lagrangian(prog, x, y)
+    rng = np.random.default_rng(seed)
+    best_val, best_w, cycled = np.inf, None, 0
+    for _ in range(n_starts):
+        w = rng.standard_normal(n + m)
+        w = w / np.linalg.norm(w)
+        seen = {w.tobytes()}
+        repeated = False
+        for _ in range(50):
+            T = kkt.kkt_matrix(H, Gmat, frame.dir_deriv_jac(
+                Gmat @ w[:n] + w[n:]))
+            wn = np.linalg.svd(T)[2][-1]
+            if np.linalg.norm(wn - w) < 1e-14 or \
+               np.linalg.norm(wn + w) < 1e-14:
+                w = wn
+                break
+            w = wn
+            repeated = repeated or w.tobytes() in seen
+            seen.add(w.tobytes())
+        cycled += repeated
+        dx, dy = w[:n], w[n:]
+        r1 = H @ dx + Gmat.T @ dy
+        r2 = Gmat @ dx - frame.dir_deriv(Gmat @ dx + dy)
+        val = float(r1 @ r1 + r2 @ r2)
+        if val < best_val:
+            best_val, best_w = val, w
+        if best_val <= conditions.KERNEL_FOUND_TOL:
+            break
+    return {"min_residual": best_val, "witness": best_w}, cycled
+
+
+def _corner_instance():
+    """Orthant(3) at s = 0 with corners at indices 0 and 1 and Q null
+    along e0: most search starts enter a cycle of period 2 at step 1."""
+    return _instance([("orthant", 3)], np.zeros(3), [0.0, 0.0, -1.0],
+                     seed=1, null=np.eye(3)[0])
+
+
+class TestKernelProbeRepeatCut:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_uncut_search(self, seed):
+        # one start per seed, so the witness is that start's last iterate
+        prog, x, y = _corner_instance()
+        probe = kernel_probe(prog, x, y, n_starts=1, seed=seed)
+        uncut, _ = _uncut_probe(prog, x, y, n_starts=1, seed=seed)
+        assert probe["min_residual"] == uncut["min_residual"]
+        assert np.array_equal(probe["witness"], uncut["witness"])
+
+    def test_cycling_starts_stop_early(self, monkeypatch):
+        prog, x, y = _corner_instance()
+        _, cycled = _uncut_probe(prog, x, y, n_starts=20, seed=1)
+        assert cycled >= 10  # 50 T builds each without the cut
+        calls = _count_tmatrix_builds(monkeypatch)
+        kernel_probe(prog, x, y, n_starts=20, seed=1)
+        assert len(calls) <= 5 * 20
 
 
 class TestAssembleReport:
