@@ -277,8 +277,10 @@ def build_parser():
     p = sub.add_parser("certify",
                        help="check verdict against measured exponent")
     add_common(p)
-    p.add_argument("--observable",
-                   choices=["x", "x2", "multiplier-drift", "full"])
+    p.add_argument("--observable", default="full",
+                   choices=["x", "x2", "multiplier-drift", "full"],
+                   help="drift observable (default full: the KKT map's "
+                        "(x, y) drift that the verdict is about)")
     p.add_argument("--grid", help="'a:b:step' in decades, eps = 10^-d")
     p.set_defaults(func=cmd_certify)
 

@@ -10,9 +10,12 @@ up.  Heuristic verdicts always degrade to "inconclusive" rather than
 guess.
 """
 
+import itertools
+
 import numpy as np
 
 from . import linalg
+from .cones import svec
 from .kkt import hess_lagrangian, kkt_matrix, natural_residual
 
 HOLDS = "holds"
@@ -27,6 +30,9 @@ SOSC_FAILS_TOL = 1e-9
 SOSC_HOLDS_TOL = 1e-6
 KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
+# SOSC enumerates the 2^k faces cut out by k borderline rows; above this
+# many rows only the affine hull is examined and no minimum is exact.
+MAX_FACE_ROWS = 12
 
 
 class Verdict:
@@ -198,21 +204,39 @@ def _decide_fullness(Gmat, cc_project, polar_project, polar_span, seed,
 # Critical cone of the problem
 
 
+def _borderline(frame):
+    """The rows a with a . h >= 0 that cut the critical cone out of its
+    affine hull, one per polyhedral borderline piece (an orthant corner
+    e_i, an SOC boundary vhat or apex ray rhat, svec(p p') for a PSD beta
+    {p} of size 1), and whether a block is curved there (an SOC apex, a
+    PSD beta of size >= 2)."""
+    rows, curved = [], False
+    for f, s in zip(frame.frames, frame.cone._slices):
+        kind = f.block.kind
+        local = []
+        if kind == "orthant":
+            local = np.eye(f.block.dim)[f.state == 1]
+        elif kind == "soc":
+            local = {"bdry": [f.vhat], "apex_ray": [f.rhat]}.get(f.case, [])
+            curved = curved or f.case == "apex"
+        elif kind == "psd" and len(f.beta):
+            p = f.P[:, f.beta[0]]
+            local = [svec(np.outer(p, p))] if len(f.beta) == 1 else []
+            curved = curved or len(f.beta) >= 2
+        for a in local:
+            r = np.zeros(frame.cone.dim)
+            r[s] = a
+            rows.append(r)
+    return np.array(rows).reshape(len(rows), frame.cone.dim), curved
+
+
 def dir_deriv_is_linear(frame):
     """Whether the directional derivative of the projection is linear at
-    the frame, block by block: no orthant corner, every SOC block off the
-    boundary and apex cases, and an empty PSD beta.  Exactly then the
+    the frame: no borderline row and no curved block.  Exactly then the
     critical cone is a subspace and dir_deriv_jac does not depend on h.
     """
-    for f in frame.frames:
-        kind = f.block.kind
-        if kind == "orthant" and np.any(f.state == 1):
-            return False
-        if kind == "soc" and f.case not in ("int", "polar_int", "smooth"):
-            return False
-        if kind == "psd" and len(f.beta):
-            return False
-    return True
+    rows, curved = _borderline(frame)
+    return not (len(rows) or curved)
 
 
 class ProblemCriticalCone:
@@ -229,7 +253,8 @@ class ProblemCriticalCone:
             self.affine_basis = np.eye(prog.n)
         else:
             self.affine_basis = linalg.nullspace(E @ self.Gmat, tol=1e-10)
-        self.is_subspace = dir_deriv_is_linear(self.frame)
+        self.rows, self.curved = _borderline(self.frame)
+        self.is_subspace = not (len(self.rows) or self.curved)
 
     @property
     def affine_dim(self):
@@ -238,15 +263,6 @@ class ProblemCriticalCone:
     def member(self, d, tol=1e-9):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
             tol * max(1.0, np.linalg.norm(d))
-
-    def member_dist(self, d):
-        return self.frame.cc_dist(self.Gmat @ np.asarray(d, float))
-
-    def basis(self):
-        """Basis of C(x) when it is a subspace (then C = its affine hull)."""
-        if not self.is_subspace:
-            raise ValueError("critical cone is not a subspace")
-        return self.affine_basis
 
 
 def problem_critical_cone(prog, x, y):
@@ -316,121 +332,97 @@ def _sosc_quadratic(prog, x, y, cc):
     return hess_lagrangian(prog, x, y) + cc.Gmat.T @ Ups @ cc.Gmat
 
 
-def _min_on_cone_sphere(qfun, cc, seed, n_starts=200, feas_tol=1e-9):
-    """Approximate minimum of qfun over {d in C : ||d|| = 1}.
-
-    Grid certification for affine dimension <= 3, multi-start penalized
-    descent above that (returned flag marks heuristic results).
-    """
-    Z = cc.affine_basis
-    dim = Z.shape[1]
-    if dim == 0:
-        return np.inf, None, False
-    rng = np.random.default_rng(seed)
-    heuristic = dim > 3
-    GZ = cc.Gmat @ Z
-    GZpinv = np.linalg.pinv(GZ)
-    best_val, best_d = np.inf, None
-
-    def consider(d):
-        nonlocal best_val, best_d
-        val = qfun(d)
-        if val < best_val:
-            best_val, best_d = val, d
-
-    # grid candidates are only membership-tested; the random starts below
-    # are additionally pulled toward feasibility
-    if dim <= 3:
-        for w in _sphere_grid(dim):
-            d = Z @ w
-            if cc.member_dist(d) <= feas_tol:
-                consider(d)
-    for w in rng.standard_normal((n_starts, dim)):
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            continue
-        d = Z @ (w / nw)
-        # pull toward feasibility: project the constraint image onto the
-        # critical cone and least-squares back through G'
-        for _ in range(60):
-            viol = cc.member_dist(d)
-            if viol <= feas_tol:
-                break
-            d = Z @ (GZpinv @ cc.frame.cc_project(cc.Gmat @ d))
-            nd = np.linalg.norm(d)
-            if nd < 1e-13:
-                break
-            d = d / nd
-        nd = np.linalg.norm(d)
-        if nd < 1e-13 or cc.member_dist(d) > feas_tol:
-            continue
-        consider(d / nd)
-    return best_val, best_d, heuristic
+def _face_eig(M, W):
+    """Least eigenvalue of M on range(W) (orthonormal columns), its unit
+    eigenvector and whether that eigenvalue is multiple."""
+    vals, vecs = linalg.sym_eig(W.T @ M @ W)
+    tie = 1e-8 * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
+    return float(vals[-1]), W @ vecs[:, -1], \
+        len(vals) > 1 and vals[-2] - vals[-1] <= tie
 
 
-def check_sosc(prog, x, y, seed=0):
-    """Positivity of <d, H_L d> + Upsilon(G'd) on C(x)\\{0} at multiplier y."""
-    _require_affine(prog)
-    cc = problem_critical_cone(prog, x, y)
+def _sosc_verdict(M, cc):
+    """Least value of d'Md on the unit sphere of C, by face enumeration.
+
+    In the hull coordinates d = Z w, C's polyhedral part is {A w >= 0}
+    with A the borderline rows pulled back through G'Z.  A minimiser with
+    active rows S minimises the Rayleigh quotient locally, hence globally,
+    on the face span Z null(A_S), so it is a least eigenvector there; a
+    face's least eigenvalue is a candidate when that eigenvector (of
+    either sign) lies in C.  The least candidate is exact when C is
+    polyhedral with at most MAX_FACE_ROWS rows and no lower multiple
+    eigenvalue was rejected; otherwise HOLDS needs a positive one on the
+    hull, which contains C."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf,
                        note="critical cone is {0}; condition is vacuous")
-    M = _sosc_quadratic(prog, x, y, cc)
-    if cc.is_subspace:
-        Z = cc.basis()
-        vals, vecs = linalg.sym_eig(Z.T @ M @ Z)
-        mn = float(vals[-1])
-        wit = Z @ vecs[:, -1]
-        if mn <= SOSC_FAILS_TOL:
-            return Verdict(FAILS, margin=mn, witness=wit,
-                           note="exact subspace eigenvalue")
-        if mn >= SOSC_HOLDS_TOL:
-            return Verdict(HOLDS, margin=mn, note="exact subspace eigenvalue")
-        return Verdict(INCONCLUSIVE, margin=mn, witness=wit,
-                       note="subspace eigenvalue in the tolerance gap")
-    qfun = lambda d: float(d @ M @ d)
-    mn, wit, heuristic = _min_on_cone_sphere(qfun, cc, seed)
-    note = "multi-start minimum (heuristic)" if heuristic else \
-        "grid + descent minimum"
+    Z = cc.affine_basis
+    A = cc.rows @ cc.Gmat @ Z
+    faces = [()]
+    if len(A) <= MAX_FACE_ROWS:
+        faces = itertools.chain.from_iterable(
+            itertools.combinations(range(len(A)), r)
+            for r in range(len(A) + 1))
+    mn, wit, hull, rejected = np.inf, None, None, np.inf
+    for S in faces:
+        W = Z @ linalg.nullspace(A[list(S)], tol=1e-10) if S else Z
+        if W.shape[1] == 0:
+            continue
+        val, d, tied = _face_eig(M, W)
+        if not S:
+            hull = val
+        inside = [e for e in (d, -d) if cc.member(e)]
+        if inside and val < mn:
+            mn, wit = val, inside[0]
+        elif tied and not inside:
+            rejected = min(rejected, val)
+    exact = not cc.curved and len(A) <= MAX_FACE_ROWS and rejected >= mn
     if mn <= SOSC_FAILS_TOL:
-        return Verdict(FAILS, margin=mn, witness=wit, note=note)
-    if mn >= SOSC_HOLDS_TOL and not heuristic:
-        return Verdict(HOLDS, margin=mn, note=note)
-    if mn >= SOSC_HOLDS_TOL:
-        return Verdict(HOLDS, margin=mn, note=note)
-    return Verdict(INCONCLUSIVE, margin=mn, witness=wit, note=note)
+        return Verdict(FAILS, margin=mn, witness=wit,
+                       note="face minimum: direction in C")
+    if exact and mn >= SOSC_HOLDS_TOL:
+        return Verdict(HOLDS, margin=mn, note="exact face minimum")
+    if hull >= SOSC_HOLDS_TOL:  # never when exact, since then mn >= hull
+        return Verdict(HOLDS, margin=hull, note="positive on the affine hull")
+    return Verdict(INCONCLUSIVE, margin=mn, witness=wit,
+                   note="exact face minimum in the tolerance gap" if exact
+                   else "curved critical cone: no certificate" if cc.curved
+                   else "face minimum not certified exact")
 
 
-def check_robinson_sosc(prog, x, multipliers, seed=0):
+def check_sosc(prog, x, y):
+    """Positivity of <d, H_L d> + Upsilon(G'd) on C(x)\\{0} at multiplier y."""
+    _require_affine(prog)
+    cc = problem_critical_cone(prog, x, y)
+    return _sosc_verdict(_sosc_quadratic(prog, x, y, cc), cc)
+
+
+def check_robinson_sosc(prog, x, multipliers):
     """Eq.-(25)-style condition over a supplied finite multiplier sample:
-    min over critical directions of the max over multipliers."""
+    min over critical directions of the max over multipliers.  The max is
+    at least the mean, so the SOSC test of the mean quadratic decides
+    HOLDS; FAILS needs its witness to fail at every multiplier."""
     _require_affine(prog)
     mults = [np.asarray(m, float) for m in multipliers]
     if not mults:
         raise ValueError("at least one multiplier is required")
     cc = problem_critical_cone(prog, x, mults[0])
-    if cc.affine_dim == 0:
-        return Verdict(HOLDS, margin=np.inf,
-                       note="critical cone is {0}; condition is vacuous "
-                            "(relative to supplied multipliers)")
     mats = []
     for m in mults:
         frame = prog.cone.frame(prog.constraint(x) + m)
         Ups = _upsilon_matrix(frame, prog.cone.dim)
         mats.append(hess_lagrangian(prog, x, m) + cc.Gmat.T @ Ups @ cc.Gmat)
-    qfun = lambda d: max(float(d @ M @ d) for M in mats)
-    mn, wit, heuristic = _min_on_cone_sphere(qfun, cc, seed)
-    note = "relative to %d supplied multipliers%s" % (
-        len(mults), "; heuristic" if heuristic else "")
-    if mn <= SOSC_FAILS_TOL:
-        return Verdict(FAILS, margin=mn, witness=wit, note=note)
-    if mn >= SOSC_HOLDS_TOL:
-        return Verdict(HOLDS, margin=mn, note=note)
-    return Verdict(INCONCLUSIVE, margin=mn, witness=wit, note=note)
+    v = _sosc_verdict(sum(mats) / len(mats), cc)
+    v.note += "; mean of %d supplied multipliers" % len(mults)
+    if v.fails:
+        v.margin = max(float(v.witness @ M @ v.witness) for M in mats)
+        v.status = FAILS if v.margin <= SOSC_FAILS_TOL else INCONCLUSIVE
+    return v
 
 
 def affine_hull_probe(prog, x, y):
-    """Positivity of the SOSC quadratic on the affine hull of C(x).
+    """Positivity of the SOSC quadratic on the affine hull of C(x), the
+    face of the SOSC enumeration with no borderline row active.
 
     This is the calculation that separates the robust-isolated-calmness
     regime from strong regularity on degenerate instances: the quadratic
@@ -440,11 +432,7 @@ def affine_hull_probe(prog, x, y):
     cc = problem_critical_cone(prog, x, y)
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf, note="affine hull is {0}")
-    M = _sosc_quadratic(prog, x, y, cc)
-    Z = cc.affine_basis
-    vals, vecs = linalg.sym_eig(Z.T @ M @ Z)
-    mn = float(vals[-1])
-    wit = Z @ vecs[:, -1]
+    mn, wit, _ = _face_eig(_sosc_quadratic(prog, x, y, cc), cc.affine_basis)
     if mn > SOSC_FAILS_TOL:
         return Verdict(HOLDS, margin=mn)
     return Verdict(FAILS, margin=mn, witness=wit,
@@ -463,9 +451,11 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
     family T.  When the directional derivative is linear at the frame, T
     is constant and its smallest right singular vector decides exactly;
     otherwise each start is refined by iterating toward the smallest
-    right singular vector of T(w), for at most 50 steps.  That map
-    depends only on the bits of w, so a start whose iterate repeats
-    exactly stops there and takes the iterate step 50 would reach.
+    right singular vector of T(w), for at most 50 steps; a start that is
+    already a kernel direction (an exact witness in extra_seeds) is kept
+    as it is.  That map depends only on the bits of w, so a start whose
+    iterate repeats exactly stops there and takes the iterate step 50
+    would reach.
     """
     _require_affine(prog)
     n, m = prog.n, prog.cone.dim
@@ -495,7 +485,7 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
             continue
         w = w / nw
         path, seen = [w], {w.tobytes(): 0}
-        for k in range(1, 51):
+        for k in range(1, 51 if residual(w) > KERNEL_FOUND_TOL else 1):
             T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
                 Gmat @ w[:n] + w[n:]))
             _, _, Vt = np.linalg.svd(T)
@@ -572,14 +562,21 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     rcq = check_rcq(prog, x, seed=seed)
     srcq = check_srcq(prog, x, y, seed=seed)
     nondeg = check_nondegeneracy(prog, x)
-    sosc = check_sosc(prog, x, y, seed=seed)
+    sosc = check_sosc(prog, x, y)
+    # exact witnesses of the two conditions seed the kernel probe: a polar
+    # direction dy of SRCQ, and a critical direction d of SOSC with the dy
+    # that best balances the stationarity row H d + G'* dy = 0
     probe_seeds = []
     if srcq.fails and srcq.witness is not None:
         probe_seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
+    if sosc.fails:
+        d = sosc.witness
+        dy = linalg.lstsq(prog.constraint_jac(x).T,
+                          -hess_lagrangian(prog, x, y) @ d)
+        probe_seeds.append(np.concatenate([d, dy]))
     probe = kernel_probe(prog, x, y, seed=seed, extra_seeds=probe_seeds)
     probe_v = kernel_probe_verdict(probe)
     hull = affine_hull_probe(prog, x, y)
-    mult_note = ""
     singleton = None
     if multiplier_set is not None:
         singleton = multiplier_set.is_singleton
@@ -618,5 +615,4 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
         "theorem_verdict": verdict,
         "consistency_flag": consistency,
         "inconsistencies": inconsistencies,
-        "note": mult_note,
     })

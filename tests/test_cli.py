@@ -130,6 +130,12 @@ class TestCertify:
         assert main(["certify", "--builtin", "example3"]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
 
+    def test_nonunique_multiplier_fixture_agrees_by_default(self, capsys):
+        # the default observable is the full (x, y) drift the verdict is
+        # about; on x alone example2's fails verdict would conflict
+        assert main(["certify", "--builtin", "example2"]) == EXIT_OK
+        assert "agree" in capsys.readouterr().out
+
     def test_short_grid_is_solver_failure(self, capsys):
         assert main(["certify", "--builtin", "example4",
                      "--grid", "1:4:1"]) == EXIT_SOLVER

@@ -399,6 +399,81 @@ class TestKernelProbeRepeatCut:
         assert len(calls) <= 5 * 20
 
 
+def _face_null_instances():
+    """Borderline KKT pairs with Q null along a direction d of the
+    critical cone: d'Md = 0, so SOSC fails, and (d, -Q d) lies in the
+    kernel of the directional-derivative system.  Hull dimensions 5-6."""
+    ps, py, q = _psd_pair([1.0, 1.0, 0.0], [0.0, 0.0, 0.0], seed=2)
+    ray = svec(np.outer(q[:, 2], q[:, 2]))
+    return {
+        # e0 is an orthant corner (s0 = y0 = 0)
+        "orthant-corner": _instance(
+            [("orthant", 6)], [0.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -1.0], null=np.eye(6)[0]),
+        # s on the SOC boundary with y = 0; the ray through s bounds C
+        "soc-bdry": _instance(
+            [("soc", 5)], [1.0, 1.0, 0.0, 0.0, 0.0], np.zeros(5),
+            null=np.array([1.0, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)),
+        # beta = {q2} of size 1; the ray svec(q2 q2') is critical
+        "psd-beta1": _instance([("psd", 3)], ps, py, null=ray),
+    }
+
+
+class TestExactSosc:
+    @pytest.mark.parametrize("name", ["orthant-corner", "soc-bdry",
+                                      "psd-beta1"])
+    def test_face_null_instance_fails_with_witness(self, name):
+        prog, x, y = _face_null_instances()[name]
+        cc = problem_critical_cone(prog, x, y)
+        assert not cc.is_subspace and cc.affine_dim >= 5
+        v = check_sosc(prog, x, y)
+        assert v.status == FAILS
+        w = v.witness
+        assert np.isclose(np.linalg.norm(w), 1.0)
+        assert cc.member(w)
+        M = conditions._sosc_quadratic(prog, x, y, cc)
+        assert float(w @ M @ w) <= conditions.SOSC_FAILS_TOL
+        assert check_robinson_sosc(prog, x, [y]).status == FAILS
+        report = assemble_report(prog, x, y)
+        assert report.theorem_verdict == FAILS
+        assert report.kernel_probe["status"] == FAILS
+        assert report.consistency_flag is True
+
+    @pytest.mark.parametrize("q", [(1.0, -0.5, -0.5), (1.0, -0.5, -0.25)])
+    def test_soc_apex_is_inconclusive(self, q):
+        # positive on the cone, but C is curved and the hull eigenvalue is
+        # negative: no certificate, so no holds from a sample
+        from conestab.cones import Cone
+        from conestab.model import ConicProgram
+        prog = ConicProgram(3, np.diag(q), np.zeros(3), 0.0, np.zeros(3),
+                            np.eye(3), Cone([("soc", 3)]), name="apex")
+        v = check_sosc(prog, np.zeros(3), np.zeros(3))
+        assert v.status == INCONCLUSIVE
+        assert "curved" in v.note
+
+    def test_example4_margin_is_the_cone_minimum(self):
+        # C = {D in S^2 : <E, D> <= 0, D22 >= 0} with E all ones (svec
+        # coordinates); a dense Fibonacci sample of its unit sphere bounds
+        # the minimum from above
+        prog, x, y = fixture("example4")
+        cc = problem_critical_cone(prog, x, y)
+        M = conditions._sosc_quadratic(prog, x, y, cc)
+        k = np.arange(200000) + 0.5
+        z = 1.0 - 2.0 * k / len(k)
+        t = np.pi * (1.0 + 5.0 ** 0.5) * k
+        r = np.sqrt(1.0 - z * z)
+        pts = np.column_stack([r * np.cos(t), r * np.sin(t), z])
+        inside = (pts @ svec(np.ones((2, 2))) <= 0.0) & \
+            (pts @ svec(np.diag([0.0, 1.0])) >= 0.0)
+        sample_min = float(np.min(np.einsum("ij,jk,ik->i", pts[inside], M,
+                                            pts[inside])))
+        v = check_sosc(prog, x, y)
+        assert v.status == HOLDS
+        assert v.margin <= sample_min
+        assert sample_min - v.margin <= 1e-2
+        assert abs(v.margin - 0.7192) <= 1e-4
+
+
 class TestAssembleReport:
     def test_rejects_non_kkt_pairs(self):
         prog = model.builtin("example1")
