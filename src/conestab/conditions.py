@@ -1,13 +1,15 @@
 """Constraint qualifications and second-order conditions at a KKT point.
 
-Every "cone + subspace = whole space" condition is decided through polar
-triviality: a convex cone whose closure is the whole space is the whole
-space, so G'X + C = Y holds iff ker(G'*) meets the polar of C only at
-zero.  That gives an exact linear-algebra fast path (the polar spans a
-known subspace), a witness search when the subspace is nontrivial, and a
-fullness certificate by alternating projections when no witness turns
-up.  Heuristic verdicts always degrade to "inconclusive" rather than
-guess.
+RCQ and SRCQ ask whether L + C = Y for L = range G' and a convex cone C
+(the tangent cone, or the critical cone at a multiplier).  That holds iff
+L + span C = Y and L meets the relative interior of C (Robinson, 1976).
+Each side is decided in linear algebra: a polar span that ker(G'*) misses
+gives holds at once, a unit vector of ker(G'*) ∩ (span C)^perp is a polar
+witness that fails, and a direction d with G'd in ri C, checked block by
+block, certifies holds.  Only where neither applies does a seeded search
+look for a polar witness; without one the verdict is inconclusive.
+SOSC is decided by enumerating the faces of the critical cone.
+Heuristic verdicts always degrade to "inconclusive" rather than guess.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .cones import svec
+from .cones import smat, svec
 from .kkt import hess_lagrangian, kkt_matrix, natural_residual
 
 HOLDS = "holds"
@@ -144,60 +146,83 @@ def _cone_element_in_subspace(basis, cone_project, rng, n_starts=50,
     return best
 
 
-def _sum_reaches(Gmat, cc_project, target, n_iter=500):
-    """Distance from target to cl(range(Gmat) + CC) by alternating
-    least-squares / cone-projection minimization."""
-    Gpinv = np.linalg.pinv(Gmat)
-    w = np.zeros_like(target)
-    u = np.zeros(Gmat.shape[1])
-    res = np.inf
-    for _ in range(n_iter):
-        u = Gpinv @ (target - w)
-        w = cc_project(target - Gmat @ u)
-        new_res = float(np.linalg.norm(Gmat @ u + w - target))
-        if new_res <= 1e-13 or res - new_res < 1e-15:
-            res = new_res
-            break
-        res = new_res
-    return res
+def _curved_value(f, h):
+    """A value of h that is positive exactly when h (in the span of a
+    curved block's critical cone) lies in its relative interior: t - ||u||
+    at an SOC apex, lambda_min(P_beta' smat(h) P_beta) on a PSD beta of
+    size >= 2."""
+    if f.block.kind == "soc":
+        return float(h[0] - np.linalg.norm(h[1:]))
+    Pb = f.P[:, f.beta]
+    return float(linalg.sym_eig(Pb.T @ smat(h) @ Pb)[0][-1])
 
 
-def _decide_fullness(Gmat, cc_project, polar_project, polar_span, seed,
-                     label):
-    """Verdict on G'X + C = Y via polar triviality.
+def _curved_centre(f):
+    """A point of a curved block's relative interior: (1, 0) at an SOC
+    apex, svec(P_beta P_beta') on a PSD beta of size >= 2."""
+    if f.block.kind == "soc":
+        return np.eye(f.block.dim)[0]
+    Pb = f.P[:, f.beta]
+    return svec(Pb @ Pb.T)
 
-    cc_project / polar_project are the projections onto C and C°;
-    polar_span spans the smallest subspace containing C°.
+
+def _interior_direction(Gmat, frame):
+    """A unit d with G'd in the relative interior of the frame's critical
+    cone C, and its margin: the least borderline row value and curved
+    block eigenvalue of G'd, relative to ||G'd||.  A margin above zero
+    certifies G'd in ri C; d is None when G'd is zero."""
+    E = frame.cc_equalities()
+    Z = linalg.nullspace(E @ Gmat, tol=1e-10)
+    rows, curved = _borderline(frame)
+    c = rows.sum(axis=0)
+    for s, f in curved:
+        c[s] += _curved_centre(f)
+    d = Z @ linalg.lstsq(Gmat @ Z, c)
+    h = Gmat @ d
+    nh = np.linalg.norm(h)
+    if nh == 0.0:
+        return None, 0.0
+    vals = list(rows @ h) + [_curved_value(f, h[s]) for s, f in curved]
+    return d / np.linalg.norm(d), min(vals) / nh
+
+
+def _decide_fullness(Gmat, frame, seed, label):
+    """Verdict on G'X + C = Y for the critical cone C of the frame.
+
+    With L = range G', L + C = Y iff L + span C = Y and L meets ri C.
+    The first fails exactly when ker(G'*) meets (span C)^perp, a subspace
+    of C°; the second is certified by an interior direction.  Where
+    neither decides, a search for a polar element in ker(G'*) may refute
+    the condition, and otherwise the verdict is inconclusive.
     """
-    m = Gmat.shape[0]
     kerGt = linalg.nullspace(Gmat.T, tol=1e-12)
-    span = _orth(polar_span)
-    V = _subspace_intersection(kerGt, span)
+    V = _subspace_intersection(kerGt, _orth(frame.normal_span()))
     if V.shape[1] == 0:
         return Verdict(HOLDS, margin=1.0,
                        note="%s: ker(G'*) meets the polar span trivially"
                        % label)
+    # span C = null E, so R spans (span C)^perp
+    R = linalg.nullspace(linalg.nullspace(frame.cc_equalities(),
+                                          tol=1e-10).T)
+    U = linalg.nullspace(Gmat.T @ R, tol=1e-12)
+    if U.shape[1]:
+        w = R @ U[:, 0]
+        # unit, largest entry positive: the sign the SVD picks is arbitrary
+        w *= np.sign(w[np.argmax(np.abs(w))]) / np.linalg.norm(w)
+        return Verdict(FAILS, margin=0.0, witness=w,
+                       note="%s: ker(G'*) meets (span C)^perp" % label)
+    d, margin = _interior_direction(Gmat, frame)
+    if margin > WITNESS_TOL:
+        return Verdict(HOLDS, margin=margin, witness=d,
+                       note="%s: interior direction: G'd in ri C" % label)
     rng = np.random.default_rng(seed)
-    cand, dist = _cone_element_in_subspace(V, polar_project, rng)
+    cand, dist = _cone_element_in_subspace(V, frame.polar_project, rng)
     if cand is not None and dist <= WITNESS_TOL:
         return Verdict(FAILS, margin=dist, witness=cand,
                        note="%s: nonzero polar element in ker(G'*)" % label)
-    if V.shape[1] > 3 and (cand is None or dist > WITNESS_TOL):
-        fallback_note = "%s: polar search dim %d exceeds grid limit" % (
-            label, V.shape[1])
-    else:
-        fallback_note = "%s: no polar witness found" % label
-    # certify fullness: every +-e_i reachable from range(G') + C
-    worst = 0.0
-    for i in range(m):
-        for s in (1.0, -1.0):
-            e = np.zeros(m)
-            e[i] = s
-            worst = max(worst, _sum_reaches(Gmat, cc_project, e))
-            if worst > 1e-7:
-                return Verdict(INCONCLUSIVE, margin=worst, note=fallback_note)
-    return Verdict(HOLDS, margin=worst,
-                   note=fallback_note + "; fullness certified")
+    return Verdict(INCONCLUSIVE, margin=dist,
+                   note="%s: no interior direction and no polar witness"
+                   % label)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +233,9 @@ def _borderline(frame):
     """The rows a with a . h >= 0 that cut the critical cone out of its
     affine hull, one per polyhedral borderline piece (an orthant corner
     e_i, an SOC boundary vhat or apex ray rhat, svec(p p') for a PSD beta
-    {p} of size 1), and whether a block is curved there (an SOC apex, a
-    PSD beta of size >= 2)."""
-    rows, curved = [], False
+    {p} of size 1), and the curved blocks as (slice, block frame) pairs
+    (an SOC apex, a PSD beta of size >= 2)."""
+    rows, curved = [], []
     for f, s in zip(frame.frames, frame.cone._slices):
         kind = f.block.kind
         local = []
@@ -218,11 +243,13 @@ def _borderline(frame):
             local = np.eye(f.block.dim)[f.state == 1]
         elif kind == "soc":
             local = {"bdry": [f.vhat], "apex_ray": [f.rhat]}.get(f.case, [])
-            curved = curved or f.case == "apex"
-        elif kind == "psd" and len(f.beta):
+            if f.case == "apex":
+                curved.append((s, f))
+        elif kind == "psd" and len(f.beta) == 1:
             p = f.P[:, f.beta[0]]
-            local = [svec(np.outer(p, p))] if len(f.beta) == 1 else []
-            curved = curved or len(f.beta) >= 2
+            local = [svec(np.outer(p, p))]
+        elif kind == "psd" and len(f.beta) >= 2:
+            curved.append((s, f))
         for a in local:
             r = np.zeros(frame.cone.dim)
             r[s] = a
@@ -253,7 +280,8 @@ class ProblemCriticalCone:
             self.affine_basis = np.eye(prog.n)
         else:
             self.affine_basis = linalg.nullspace(E @ self.Gmat, tol=1e-10)
-        self.rows, self.curved = _borderline(self.frame)
+        self.rows, curved = _borderline(self.frame)
+        self.curved = bool(curved)
         self.is_subspace = not (len(self.rows) or self.curved)
 
     @property
@@ -274,23 +302,24 @@ def problem_critical_cone(prog, x, y):
 
 
 def check_rcq(prog, x, seed=0):
-    """G'(x)X + T_K(G(x)) = Y, decided via ker(G'*) ∩ N_K(G(x)) = {0}."""
+    """Robinson's CQ, G'(x)X + T_K(G(x)) = Y, by `_decide_fullness`.
+
+    A holds verdict carries a unit d with G'd in ri T_K(G(x)), so that
+    G(x) + t G'd lies in ri K for small t > 0, unless ker(G'*) misses the
+    normal span; a fails verdict carries a unit y in ker(G'*) ∩ N_K(G(x)).
+    """
     _require_affine(prog)
-    g = prog.constraint(x)
-    frame = prog.cone.frame(g)  # zero normal element: cc is the tangent cone
-    return _decide_fullness(prog.constraint_jac(x), frame.cc_project,
-                            frame.polar_project, frame.normal_span(), seed,
-                            "rcq")
+    # zero normal element: the critical cone is the tangent cone
+    frame = prog.cone.frame(prog.constraint(x))
+    return _decide_fullness(prog.constraint_jac(x), frame, seed, "rcq")
 
 
 def check_srcq(prog, x, y, seed=0):
-    """G'(x)X + C_K(G(x), y) = Y via ker(G'*) ∩ [C_K]° = {0}."""
+    """Strict RCQ at the multiplier y, G'(x)X + C_K(G(x), y) = Y, decided
+    as `check_rcq` with the critical cone in place of the tangent cone."""
     _require_affine(prog)
-    g = prog.constraint(x)
-    frame = prog.cone.frame(g + np.asarray(y, float))
-    return _decide_fullness(prog.constraint_jac(x), frame.cc_project,
-                            frame.polar_project, frame.normal_span(), seed,
-                            "srcq")
+    frame = prog.cone.frame(prog.constraint(x) + np.asarray(y, float))
+    return _decide_fullness(prog.constraint_jac(x), frame, seed, "srcq")
 
 
 def check_nondegeneracy(prog, x):

@@ -474,6 +474,123 @@ class TestExactSosc:
         assert abs(v.margin - 0.7192) <= 1e-4
 
 
+def _nonunique_instances():
+    """G = I - d d' with d a unit normal-span direction orthogonal to s, as
+    in the benchmark's nonunique constructions: ker G'* meets the normal
+    span, so RCQ is not decided by the polar span alone."""
+    ps, py, q = _psd_pair([1.0, 0.0, 0.0, 0.0], [0.0, -1.0, -2.0, -1.5],
+                          seed=4)
+    specs = {
+        "psd4": ([("psd", 4)], ps, py,
+                 svec(np.outer(q[:, 1], q[:, 1])
+                      - np.outer(q[:, 2], q[:, 2]))),
+        "orthant8": ([("orthant", 8)], [1.0, 1.5, 0, 0, 0, 0, 0, 0],
+                     [0, 0, -1.0, -0.5, -2.0, -1.0, -1.5, -0.7],
+                     np.eye(8)[2] - np.eye(8)[3]),
+        # SOC(6) at its apex (s = 0) with y in -int K, orthant(4) with two
+        # corners of the tangent cone
+        "soc6+orthant4": ([("soc", 6), ("orthant", 4)],
+                          [0, 0, 0, 0, 0, 0, 1.0, 2.0, 0, 0],
+                          [-2.0, 0.5, 0.3, 0, 0, 0, 0, 0, -1.0, -1.0],
+                          np.eye(10)[1] - np.eye(10)[2]),
+    }
+    out = {}
+    for name, (blocks, s, y, d) in specs.items():
+        d = d / np.linalg.norm(d)
+        out[name] = _instance(blocks, s, y, np.eye(len(d)) - np.outer(d, d))
+    return out
+
+
+def _tangent_interior_values(prog, x, d):
+    """The values that must all be positive for G'd to lie in the relative
+    interior of T_K(G(x)), recomputed from G(x) block by block: G'd on the
+    orthant corners, t - ||u|| on an SOC block at its apex, and the least
+    eigenvalue of G'd on a PSD block's zero eigenspace."""
+    s, h = prog.constraint(x), prog.constraint_jac(x) @ d
+    vals = []
+    for blk, sl in zip(prog.cone.blocks, prog.cone._slices):
+        sb, hb = s[sl], h[sl]
+        assert blk.kind in ("orthant", "soc", "psd")
+        if blk.kind == "orthant":
+            vals.extend(hb[np.abs(sb) <= 1e-9])
+        elif blk.kind == "soc":
+            assert np.linalg.norm(sb) <= 1e-9 or sb[0] > np.linalg.norm(sb[1:])
+            if np.linalg.norm(sb) <= 1e-9:
+                vals.append(hb[0] - np.linalg.norm(hb[1:]))
+        else:
+            lam, P = np.linalg.eigh(smat(sb))
+            Pb = P[:, np.abs(lam) <= 1e-9]
+            if Pb.shape[1]:
+                vals.append(np.linalg.eigvalsh(Pb.T @ smat(hb) @ Pb)[0])
+    return vals
+
+
+class TestRobinsonCertificate:
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "psd4", "orthant8", "soc6+orthant4"])
+    def test_rcq_holds_with_an_interior_direction(self, name):
+        if name.startswith("example"):
+            prog, x, y = fixture(name)
+        else:
+            prog, x, y = _nonunique_instances()[name]
+        v = check_rcq(prog, x)
+        assert v.status == HOLDS
+        assert "interior direction" in v.note
+        assert v.margin > conditions.WITNESS_TOL
+        assert np.isclose(np.linalg.norm(v.witness), 1.0)
+        vals = _tangent_interior_values(prog, x, v.witness)
+        assert vals and min(vals) > 0.0
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_srcq_span_witness(self, name):
+        prog, x, y = fixture(name)
+        v = check_srcq(prog, x, y)
+        assert v.status == FAILS
+        assert "span C" in v.note
+        w = v.witness
+        assert np.isclose(np.linalg.norm(w), 1.0)
+        assert np.linalg.norm(prog.constraint_jac(x).T @ w) <= 1e-8
+        frame = prog.cone.frame(prog.constraint(x) + y)
+        assert frame.polar_dist(w) <= 1e-8
+
+    def test_zero_interior_margin_is_not_a_certificate(self):
+        # example3's critical cone has no interior direction in range G'
+        # (least-squares margin exactly zero); the polar search refutes it
+        prog, x, y = fixture("example3")
+        frame = prog.cone.frame(prog.constraint(x) + y)
+        _, margin = conditions._interior_direction(prog.constraint_jac(x),
+                                                   frame)
+        assert margin == 0.0
+        v = check_srcq(prog, x, y)
+        assert v.status == FAILS
+        assert "polar element" in v.note
+
+    def test_no_certificate_and_no_witness_is_inconclusive(self,
+                                                           monkeypatch):
+        prog, x, y = fixture("example3")
+        monkeypatch.setattr(conditions, "_cone_element_in_subspace",
+                            lambda *args, **kwargs: (None, np.inf))
+        v = check_srcq(prog, x, y)
+        assert v.status == INCONCLUSIVE
+        assert v.witness is None
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    def test_verdicts_do_not_depend_on_the_constraint_scale(self, scale):
+        # G scaled by s keeps (x, y / s) a KKT pair; the program is rebuilt
+        # because it keeps G' as a copy of Ai'
+        from conestab.model import ConicProgram
+        for name in ("example1", "example2", "example3", "example4"):
+            prog, x, y = fixture(name)
+            scaled = ConicProgram(prog.n, prog.Q, prog.c, prog.c0,
+                                  scale * prog.A0, scale * prog.Ai, prog.cone)
+            ys = y / scale
+            assert kkt.natural_residual(scaled, x, ys) <= 1e-12, name
+            assert check_rcq(scaled, x).status == \
+                check_rcq(prog, x).status, name
+            assert check_srcq(scaled, x, ys).status == \
+                check_srcq(prog, x, y).status, name
+
+
 class TestAssembleReport:
     def test_rejects_non_kkt_pairs(self):
         prog = model.builtin("example1")
