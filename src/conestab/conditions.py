@@ -70,30 +70,18 @@ def _require_affine(prog):
                          "%r carries callbacks" % prog.name)
 
 
-def _subspace_intersection(U, W):
-    """Orthonormal basis of range(U) ∩ range(W) (columns orthonormal)."""
-    n = U.shape[0]
-    if U.shape[1] == 0 or W.shape[1] == 0:
-        return np.zeros((n, 0))
-    stacked = np.vstack([np.eye(n) - U @ U.T, np.eye(n) - W @ W.T])
-    return linalg.nullspace(stacked, tol=1e-12)
+def _polar_kernel(Gmat, N):
+    """Orthonormal basis of ker(G'*) ∩ range(N), as N null(G'* N); the
+    columns of N (a `ConeFrame.normal_span`) are orthonormal."""
+    return N @ linalg.nullspace(Gmat.T @ N, tol=1e-12)
 
 
-def _orth(M):
-    """Orthonormal basis of range(M)."""
-    if M.size == 0 or M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0))
-    q, r = np.linalg.qr(M)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.max(np.abs(np.diag(r))))
-    return q[:, keep]
-
-
-def _sphere_grid(dim, per_angle=360):
+def _sphere_grid(dim):
     """Deterministic points on the unit sphere of R^dim (dim <= 3)."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
-        t = np.linspace(0.0, 2.0 * np.pi, per_angle, endpoint=False)
+        t = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
         return np.column_stack([np.cos(t), np.sin(t)])
     t = np.linspace(0.0, 2.0 * np.pi, 120, endpoint=False)
     p = np.linspace(0.0, np.pi, 60)
@@ -106,23 +94,23 @@ def _sphere_grid(dim, per_angle=360):
     return np.array(pts)
 
 
-def _cone_element_in_subspace(basis, cone_project, rng, n_starts=50,
-                              n_iter=300):
+def _cone_element_in_subspace(basis, cone_project, rng):
     """Search for a unit vector of range(basis) lying in the convex cone
-    described by cone_project.  Returns (vector, distance) for the best
-    candidate found."""
+    described by cone_project, from 50 random starts (and a sphere grid
+    in dimension <= 3), 300 alternating projections each.  Returns
+    (vector, distance) for the best candidate found."""
     dim = basis.shape[1]
     starts = []
     if dim <= 3:
         starts.extend(_sphere_grid(dim))
-    starts.extend(rng.standard_normal((n_starts, dim)))
+    starts.extend(rng.standard_normal((50, dim)))
     best = (None, np.inf)
     for w in starts:
         nw = np.linalg.norm(w)
         if nw == 0:
             continue
         z = basis @ (w / nw)
-        for _ in range(n_iter):
+        for _ in range(300):
             zp = cone_project(z)
             zp = basis @ (basis.T @ zp)
             nz = np.linalg.norm(zp)
@@ -166,28 +154,27 @@ def _curved_centre(f):
     return svec(Pb @ Pb.T)
 
 
-def _interior_direction(Gmat, frame):
-    """A unit d with G'd in the relative interior of the frame's critical
-    cone C, and its margin: the least borderline row value and curved
-    block eigenvalue of G'd, relative to ||G'd||.  A margin above zero
-    certifies G'd in ri C; d is None when G'd is zero."""
-    E = frame.cc_equalities()
-    Z = linalg.nullspace(E @ Gmat, tol=1e-10)
-    rows, curved = _borderline(frame)
-    c = rows.sum(axis=0)
-    for s, f in curved:
+def _interior_direction(cc):
+    """A unit d with G'd in the relative interior of the critical cone C
+    of cc (a `ProblemCriticalCone`), and its margin: the least borderline
+    row value and curved block eigenvalue of G'd, relative to ||G'd||.  A
+    margin above zero certifies G'd in ri C; d is None when G'd is zero."""
+    Z = cc.affine_basis
+    c = cc.rows.sum(axis=0)
+    for s, f in cc.curved:
         c[s] += _curved_centre(f)
-    d = Z @ linalg.lstsq(Gmat @ Z, c)
-    h = Gmat @ d
+    d = Z @ linalg.lstsq(cc.Gmat @ Z, c)
+    h = cc.Gmat @ d
     nh = np.linalg.norm(h)
     if nh == 0.0:
         return None, 0.0
-    vals = list(rows @ h) + [_curved_value(f, h[s]) for s, f in curved]
+    vals = list(cc.rows @ h) + [_curved_value(f, h[s])
+                                for s, f in cc.curved]
     return d / np.linalg.norm(d), min(vals) / nh
 
 
-def _decide_fullness(Gmat, frame, seed, label):
-    """Verdict on G'X + C = Y for the critical cone C of the frame.
+def _decide_fullness(cc, seed, label):
+    """Verdict on G'X + C = Y for the critical cone C of cc.
 
     With L = range G', L + C = Y iff L + span C = Y and L meets ri C.
     The first fails exactly when ker(G'*) meets (span C)^perp, a subspace
@@ -195,28 +182,26 @@ def _decide_fullness(Gmat, frame, seed, label):
     neither decides, a search for a polar element in ker(G'*) may refute
     the condition, and otherwise the verdict is inconclusive.
     """
-    kerGt = linalg.nullspace(Gmat.T, tol=1e-12)
-    V = _subspace_intersection(kerGt, _orth(frame.normal_span()))
+    V = _polar_kernel(cc.Gmat, cc.frame.normal_span())
     if V.shape[1] == 0:
         return Verdict(HOLDS, margin=1.0,
                        note="%s: ker(G'*) meets the polar span trivially"
                        % label)
     # span C = null E, so R spans (span C)^perp
-    R = linalg.nullspace(linalg.nullspace(frame.cc_equalities(),
-                                          tol=1e-10).T)
-    U = linalg.nullspace(Gmat.T @ R, tol=1e-12)
+    R = linalg.nullspace(linalg.nullspace(cc.E, tol=1e-10).T)
+    U = linalg.nullspace(cc.Gmat.T @ R, tol=1e-12)
     if U.shape[1]:
         w = R @ U[:, 0]
         # unit, largest entry positive: the sign the SVD picks is arbitrary
         w *= np.sign(w[np.argmax(np.abs(w))]) / np.linalg.norm(w)
         return Verdict(FAILS, margin=0.0, witness=w,
                        note="%s: ker(G'*) meets (span C)^perp" % label)
-    d, margin = _interior_direction(Gmat, frame)
+    d, margin = _interior_direction(cc)
     if margin > WITNESS_TOL:
         return Verdict(HOLDS, margin=margin, witness=d,
                        note="%s: interior direction: G'd in ri C" % label)
     rng = np.random.default_rng(seed)
-    cand, dist = _cone_element_in_subspace(V, frame.polar_project, rng)
+    cand, dist = _cone_element_in_subspace(V, cc.frame.polar_project, rng)
     if cand is not None and dist <= WITNESS_TOL:
         return Verdict(FAILS, margin=dist, witness=cand,
                        note="%s: nonzero polar element in ker(G'*)" % label)
@@ -250,11 +235,8 @@ def _borderline(frame):
             local = [svec(np.outer(p, p))]
         elif kind == "psd" and len(f.beta) >= 2:
             curved.append((s, f))
-        for a in local:
-            r = np.zeros(frame.cone.dim)
-            r[s] = a
-            rows.append(r)
-    return np.array(rows).reshape(len(rows), frame.cone.dim), curved
+        rows.append(local)
+    return frame.embed(rows), curved
 
 
 def dir_deriv_is_linear(frame):
@@ -267,7 +249,13 @@ def dir_deriv_is_linear(frame):
 
 
 class ProblemCriticalCone:
-    """C(x) = {d | G'(x)d in C_K(G(x), y)}, pulled back through G'."""
+    """C(x) = {d | G'(x)d in C_K(G(x), y)}, pulled back through G'.
+
+    Holds the frame at G(x) + y, the rows E with span C_K = null E, the
+    hull basis Z = null(E G') of C(x), and the borderline rows and curved
+    blocks of `_borderline`.  At y = 0 the critical cone is the tangent
+    cone T_K(G(x)).
+    """
 
     def __init__(self, prog, x, y):
         _require_affine(prog)
@@ -275,22 +263,18 @@ class ProblemCriticalCone:
         g = prog.constraint(x)
         self.frame = prog.cone.frame(g + np.asarray(y, float))
         self.Gmat = prog.constraint_jac(x)
-        E = self.frame.cc_equalities()
-        if E.shape[0] == 0:
-            self.affine_basis = np.eye(prog.n)
-        else:
-            self.affine_basis = linalg.nullspace(E @ self.Gmat, tol=1e-10)
-        self.rows, curved = _borderline(self.frame)
-        self.curved = bool(curved)
+        self.E = self.frame.cc_equalities()
+        self.affine_basis = linalg.nullspace(self.E @ self.Gmat, tol=1e-10)
+        self.rows, self.curved = _borderline(self.frame)
         self.is_subspace = not (len(self.rows) or self.curved)
 
     @property
     def affine_dim(self):
         return self.affine_basis.shape[1]
 
-    def member(self, d, tol=1e-9):
+    def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
-            tol * max(1.0, np.linalg.norm(d))
+            1e-9 * max(1.0, np.linalg.norm(d))
 
 
 def problem_critical_cone(prog, x, y):
@@ -308,34 +292,28 @@ def check_rcq(prog, x, seed=0):
     G(x) + t G'd lies in ri K for small t > 0, unless ker(G'*) misses the
     normal span; a fails verdict carries a unit y in ker(G'*) ∩ N_K(G(x)).
     """
-    _require_affine(prog)
     # zero normal element: the critical cone is the tangent cone
-    frame = prog.cone.frame(prog.constraint(x))
-    return _decide_fullness(prog.constraint_jac(x), frame, seed, "rcq")
+    cc = problem_critical_cone(prog, x, np.zeros(prog.cone.dim))
+    return _decide_fullness(cc, seed, "rcq")
 
 
 def check_srcq(prog, x, y, seed=0):
     """Strict RCQ at the multiplier y, G'(x)X + C_K(G(x), y) = Y, decided
     as `check_rcq` with the critical cone in place of the tangent cone."""
-    _require_affine(prog)
-    frame = prog.cone.frame(prog.constraint(x) + np.asarray(y, float))
-    return _decide_fullness(prog.constraint_jac(x), frame, seed, "srcq")
+    return _decide_fullness(problem_critical_cone(prog, x, y), seed, "srcq")
 
 
 def check_nondegeneracy(prog, x):
     """G'(x)X + lin T_K(G(x)) = Y: exact, ker(G'*) ∩ (lin T)^perp = {0}."""
     _require_affine(prog)
-    g = prog.constraint(x)
-    frame = prog.cone.frame(g)
-    kerGt = linalg.nullspace(prog.constraint_jac(x).T, tol=1e-12)
-    perp = _orth(frame.normal_span())
-    V = _subspace_intersection(kerGt, perp)
+    N = prog.cone.frame(prog.constraint(x)).normal_span()
+    Gmat = prog.constraint_jac(x)
+    V = _polar_kernel(Gmat, N)
     if V.shape[1] == 0:
-        if kerGt.shape[1] == 0 or perp.shape[1] == 0:
-            margin = 1.0
-        else:
-            s = np.linalg.svd(kerGt.T @ perp, compute_uv=False)
-            margin = 1.0 - float(s[0]) if s.size else 1.0
+        kerGt = linalg.nullspace(Gmat.T, tol=1e-12)
+        margin = 1.0
+        if kerGt.shape[1] and N.shape[1]:
+            margin -= float(np.linalg.svd(kerGt.T @ N, compute_uv=False)[0])
         return Verdict(HOLDS, margin=margin)
     return Verdict(FAILS, margin=0.0, witness=V[:, 0],
                    note="ker(G'*) meets (lin T_K)^perp nontrivially")
@@ -421,7 +399,6 @@ def _sosc_verdict(M, cc):
 
 def check_sosc(prog, x, y):
     """Positivity of <d, H_L d> + Upsilon(G'd) on C(x)\\{0} at multiplier y."""
-    _require_affine(prog)
     cc = problem_critical_cone(prog, x, y)
     return _sosc_verdict(_sosc_quadratic(prog, x, y, cc), cc)
 
@@ -435,13 +412,9 @@ def check_robinson_sosc(prog, x, multipliers):
     mults = [np.asarray(m, float) for m in multipliers]
     if not mults:
         raise ValueError("at least one multiplier is required")
-    cc = problem_critical_cone(prog, x, mults[0])
-    mats = []
-    for m in mults:
-        frame = prog.cone.frame(prog.constraint(x) + m)
-        Ups = _upsilon_matrix(frame, prog.cone.dim)
-        mats.append(hess_lagrangian(prog, x, m) + cc.Gmat.T @ Ups @ cc.Gmat)
-    v = _sosc_verdict(sum(mats) / len(mats), cc)
+    ccs = [problem_critical_cone(prog, x, m) for m in mults]
+    mats = [_sosc_quadratic(prog, x, m, cc) for m, cc in zip(mults, ccs)]
+    v = _sosc_verdict(sum(mats) / len(mats), ccs[0])
     v.note += "; mean of %d supplied multipliers" % len(mults)
     if v.fails:
         v.margin = max(float(v.witness @ M @ v.witness) for M in mats)
@@ -457,7 +430,6 @@ def affine_hull_probe(prog, x, y):
     regime from strong regularity on degenerate instances: the quadratic
     can be positive on the cone yet lose definiteness on its hull.
     """
-    _require_affine(prog)
     cc = problem_critical_cone(prog, x, y)
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf, note="affine hull is {0}")

@@ -12,6 +12,7 @@ directional derivative of the projection, and the curvature (sigma) term.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -204,18 +205,12 @@ class ZeroFrame:
     def cc_project(self, h):
         return np.zeros_like(h)
 
-    def polar_project(self, s):
-        return np.asarray(s, dtype=float).copy()
-
     def dir_deriv(self, h):
         return np.zeros_like(h)
 
     def dir_deriv_jac(self, h):
         d = self.block.dim
         return np.zeros((d, d))
-
-    def upsilon(self, d):
-        return 0.0
 
     def upsilon_grad(self, d):
         return np.zeros_like(d)
@@ -249,14 +244,6 @@ class OrthantFrame:
         out[self.state == 2] = 0.0
         return out
 
-    def polar_project(self, s):
-        s = np.asarray(s, dtype=float)
-        out = s.copy()
-        out[self.state == 0] = 0.0
-        corner = self.state == 1
-        out[corner] = np.minimum(s[corner], 0.0)
-        return out
-
     def dir_deriv(self, h):
         return self.cc_project(h)
 
@@ -265,9 +252,6 @@ class OrthantFrame:
         diag = np.where(self.state == 0, 1.0,
                         np.where(self.state == 2, 0.0, (h > 0).astype(float)))
         return np.diag(diag)
-
-    def upsilon(self, d):
-        return 0.0
 
     def upsilon_grad(self, d):
         return np.zeros_like(np.asarray(d, dtype=float))
@@ -343,23 +327,6 @@ class SocFrame:
             return h - lam * self.vhat
         return h - float(self.vhat @ h) * self.vhat  # smooth: hyperplane
 
-    def polar_project(self, s):
-        s = np.asarray(s, dtype=float)
-        case = self.case
-        if case == "int":
-            return np.zeros_like(s)
-        if case == "polar_int":
-            return s.copy()
-        if case == "apex":
-            return -_soc_project(-s)
-        if case == "apex_ray":
-            lam = max(float(self.rhat @ s), 0.0)
-            return s - lam * self.rhat
-        if case == "bdry":
-            lam = min(float(self.vhat @ s), 0.0)
-            return lam * self.vhat
-        return float(self.vhat @ s) * self.vhat  # smooth: normal line
-
     # --- directional derivative of the projection --------------------------
     def dir_deriv(self, h):
         h = np.asarray(h, dtype=float)
@@ -400,13 +367,6 @@ class SocFrame:
         return J
 
     # --- curvature term -----------------------------------------------------
-    def upsilon(self, d):
-        if self.case != "smooth":
-            return 0.0
-        d = np.asarray(d, dtype=float)
-        coef = self.sig1 / self.sig2
-        return coef * (d[0] ** 2 - float(d[1:] @ d[1:]))
-
     def upsilon_grad(self, d):
         d = np.asarray(d, dtype=float)
         if self.case != "smooth":
@@ -493,17 +453,6 @@ class PsdFrame:
             out[ix["bb"]] = _psd_project_mat(Ht[ix["bb"]])
         return self._from_frame(out)
 
-    def polar_project(self, s):
-        St = self._to_frame(s)
-        out = np.zeros_like(St)
-        ix = self._ix
-        out[ix["bg"]] = St[ix["bg"]]
-        out[ix["gb"]] = St[ix["gb"]]
-        out[ix["gg"]] = St[ix["gg"]]
-        if len(self.beta):
-            out[ix["bb"]] = -_psd_project_mat(-St[ix["bb"]])
-        return self._from_frame(out)
-
     def _linear_part(self, Hf):
         """The directional derivative in frame coordinates, except for the
         beta-beta block, which is left zero."""
@@ -539,10 +488,6 @@ class PsdFrame:
 
         return _mat_op_to_svec(apply, self.block.size)
 
-    def upsilon(self, d):
-        D = smat(d)
-        return -2.0 * float(np.sum(self.B * (D @ self.Apinv @ D)))
-
     def upsilon_grad(self, d):
         D = smat(d)
         G = -2.0 * (self.B @ D @ self.Apinv + self.Apinv @ D @ self.B)
@@ -556,36 +501,27 @@ class PsdFrame:
         W = U0.T @ smat(y) @ U0
         return svec(U0 @ (-_psd_project_mat(-W)) @ U0.T)
 
-    def normal_span(self):
-        ker = np.concatenate([self.beta, self.gamma])
-        cols = []
-        for ii in range(len(ker)):
-            for jj in range(ii, len(ker)):
-                u, v = self.P[:, ker[ii]], self.P[:, ker[jj]]
-                if ii == jj:
-                    M = np.outer(u, u)
-                else:
-                    M = (np.outer(u, v) + np.outer(v, u)) / SQRT2
-                cols.append(svec(M))
-        if not cols:
-            return np.zeros((self.block.dim, 0))
-        return np.array(cols).T
-
-    def cc_equalities(self):
-        b, g = self.beta, self.gamma
+    def _pair_rows(self, pairs):
+        """svec(u u') for a pair (i, i) and svec((u v' + v u')/sqrt2) for
+        i != j, with u, v the frame's eigenvectors i, j: orthonormal rows
+        for distinct pairs."""
         rows = []
-        pairs = [(i, j) for i in b for j in g]
-        pairs += [(g[ii], g[jj]) for ii in range(len(g)) for jj in range(ii, len(g))]
         for i, j in pairs:
             u, v = self.P[:, i], self.P[:, j]
-            if i == j:
-                M = np.outer(u, u)
-            else:
-                M = (np.outer(u, v) + np.outer(v, u)) / SQRT2
-            rows.append(svec(M))
-        if not rows:
-            return np.zeros((0, self.block.dim))
-        return np.array(rows)
+            rows.append(svec(np.outer(u, u) if i == j else
+                             (np.outer(u, v) + np.outer(v, u)) / SQRT2))
+        return np.reshape(rows, (len(rows), self.block.dim))
+
+    def normal_span(self):
+        ker = np.concatenate([self.beta, self.gamma])
+        return self._pair_rows(
+            itertools.combinations_with_replacement(ker, 2)).T
+
+    def cc_equalities(self):
+        g = self.gamma
+        return self._pair_rows(itertools.chain(
+            itertools.product(self.beta, g),
+            itertools.combinations_with_replacement(g, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +604,10 @@ class ConeFrame:
         return self._map("cc_project", h)
 
     def polar_project(self, s):
-        return self._map("polar_project", s)
+        """Projection onto the polar of the critical cone, by Moreau's
+        decomposition s = Pi_C(s) + Pi_C°(s) of a closed convex cone."""
+        s = np.asarray(s, dtype=float)
+        return s - self.cc_project(s)
 
     def dir_deriv(self, h):
         return self._map("dir_deriv", h)
@@ -689,26 +628,30 @@ class ConeFrame:
             J[s, s] = f.dir_deriv_jac(p)
         return J
 
-    def upsilon(self, d, check=True, tol=1e-7):
+    def upsilon(self, d, check=True):
+        """The sigma term at a critical direction d: the quadratic form
+        <d, upsilon_grad(d)> / 2, whose closed forms hold on the critical
+        cone; with check, a d outside it raises ValueError."""
         d = np.asarray(d, dtype=float)
-        if check and self.cc_dist(d) > tol * max(1.0, np.linalg.norm(d)):
+        if check and self.cc_dist(d) > 1e-7 * max(1.0, np.linalg.norm(d)):
             raise ValueError("direction is not in the critical cone")
-        return sum(f.upsilon(p) for f, p in zip(self.frames, self.cone.split(d)))
+        return 0.5 * float(d @ self.upsilon_grad(d))
 
     def upsilon_grad(self, d):
         return self._map("upsilon_grad", d)
 
-    def _stack_cols(self, method):
-        cols = []
-        for f, s in zip(self.frames, self.cone._slices):
-            basis = getattr(f, method)()
-            for k in range(basis.shape[1]):
-                v = np.zeros(self.cone.dim)
-                v[s] = basis[:, k]
-                cols.append(v)
-        if not cols:
-            return np.zeros((self.cone.dim, 0))
-        return np.array(cols).T
+    def embed(self, rows):
+        """Ambient rows from per-block rows: block k's rows (an array or a
+        list of vectors) placed in its slice, zero elsewhere, stacked in
+        block order."""
+        rows = [np.reshape(r, (-1, f.block.dim))
+                for r, f in zip(rows, self.frames)]
+        out = np.zeros((sum(len(r) for r in rows), self.cone.dim))
+        k = 0
+        for r, s in zip(rows, self.cone._slices):
+            out[k:k + len(r), s] = r
+            k += len(r)
+        return out
 
     def normal_span(self):
         """Basis of span N_K(A), block by block.
@@ -716,24 +659,18 @@ class ConeFrame:
         For zero, orthant, SOC and PSD blocks this subspace is also
         (lin T_K(A))^perp.  The critical cone is C = T_K(A) ∩ B^perp, so
         C° = cl(N_K(A) + R B), and B ∈ N_K(A) gives span C° = span N_K(A).
-        One basis therefore serves RCQ, SRCQ and nondegeneracy.
+        One basis therefore serves RCQ, SRCQ and nondegeneracy.  Its
+        columns are orthonormal: each block's are, and the blocks occupy
+        disjoint slices.
         """
-        return self._stack_cols("normal_span")
+        return self.embed([f.normal_span().T for f in self.frames]).T
 
     def cc_equalities(self):
-        rows = []
-        for f, s in zip(self.frames, self.cone._slices):
-            E = f.cc_equalities()
-            for k in range(E.shape[0]):
-                r = np.zeros(self.cone.dim)
-                r[s] = E[k]
-                rows.append(r)
-        if not rows:
-            return np.zeros((0, self.cone.dim))
-        return np.array(rows)
+        """Rows E with span C = null E for the critical cone C."""
+        return self.embed([f.cc_equalities() for f in self.frames])
 
-    def cc_sample(self, rng, scale=1.0):
-        return self.cc_project(scale * rng.standard_normal(self.cone.dim))
+    def cc_sample(self, rng):
+        return self.cc_project(rng.standard_normal(self.cone.dim))
 
 
 def dir_deriv_conditions(frame, dA, dB, tol=1e-8):

@@ -80,6 +80,8 @@ def normal_map(prog, x, z, pert=None):
 # Multiplier recovery
 
 _AP_ITERS = 800
+_MULT_STARTS = 8
+_MULT_TOL = 1e-8
 
 
 def _affine_project(y, basis, offset):
@@ -89,29 +91,31 @@ def _affine_project(y, basis, offset):
     return offset + basis @ (basis.T @ (y - offset))
 
 
-def recover_multipliers(prog, x, pert=None, tol=1e-8, n_starts=8, seed=0):
-    """Multipliers at x for the perturbed problem, or None when there are
-    none to tolerance.
+def recover_multipliers(prog, x, seed=0):
+    """Multipliers at x, or None when there are none to tolerance.
 
-    The stationarity equation G'(x)* y = a - grad f(x) is solved over the
-    span of the normal-cone parametrization at G(x) + b, then membership
-    in the normal cone itself is enforced by alternating projections.  A
+    The stationarity equation G'(x)* y = -grad f(x) is solved over the
+    span of the normal-cone parametrization at G(x), then membership in
+    the normal cone itself is enforced by alternating projections.  A
     relative-interior representative is approximated by averaging the
-    alternating-projection limits from several starts.
+    alternating-projection limits from several starts.  The affine
+    dimension counts the null directions along which the representative
+    stays in the normal cone for a step of either sign; step and
+    tolerance are relative to max(1, ||representative||), so that scaling
+    the data does not change the count.
     """
     x = np.asarray(x, dtype=float)
-    a = pert.a if pert is not None else None
-    b = pert.b if pert is not None else None
-    g = prog.constraint(x, b)
-    if prog.cone.dist(g) > tol:
+    g = prog.constraint(x)
+    if prog.cone.dist(g) > _MULT_TOL:
         return None
     frame = prog.cone.frame(g)
     span = frame.normal_span()
-    rhs = -prog.gradient(x, a)
+    rhs = -prog.gradient(x)
     Gt = prog.constraint_jac(x).T  # maps ambient -> X
     M = Gt @ span
     v0 = linalg.lstsq(M, rhs)
-    if np.linalg.norm(M @ v0 - rhs) > tol * max(1.0, np.linalg.norm(rhs)):
+    if np.linalg.norm(M @ v0 - rhs) > \
+            _MULT_TOL * max(1.0, np.linalg.norm(rhs)):
         return None
     # affine solution set inside the span: y = span(v0 + ker M . w)
     kerM = linalg.nullspace(M)
@@ -124,7 +128,7 @@ def recover_multipliers(prog, x, pert=None, tol=1e-8, n_starts=8, seed=0):
     rng = np.random.default_rng(seed)
     hits = []
     starts = [y0]
-    for _ in range(n_starts - 1):
+    for _ in range(_MULT_STARTS - 1):
         starts.append(y0 + ybasis @ rng.standard_normal(ybasis.shape[1])
                       if ybasis.shape[1] else y0)
     for y in starts:
@@ -135,24 +139,23 @@ def recover_multipliers(prog, x, pert=None, tol=1e-8, n_starts=8, seed=0):
                 y = yn
                 break
             y = yn
-        if np.linalg.norm(y - frame.normal_project(y)) <= tol:
+        if np.linalg.norm(y - frame.normal_project(y)) <= _MULT_TOL:
             hits.append(y)
     if not hits:
         return None
     rep = np.mean(hits, axis=0)
     rep = _affine_project(frame.normal_project(rep), ybasis, y0)
-    if np.linalg.norm(rep - frame.normal_project(rep)) > tol:
+    if np.linalg.norm(rep - frame.normal_project(rep)) > _MULT_TOL:
         rep = hits[0]
-    # affine dimension: nullspace directions along which the representative
-    # stays in the normal cone for both signs of a small step
-    h = 1e-6
+    scale = max(1.0, np.linalg.norm(rep))
+    h = 1e-6 * scale
     dirs = []
     for k in range(ybasis.shape[1]):
         d = ybasis[:, k]
         ok = True
         for s in (h, -h):
             yk = rep + s * d
-            if np.linalg.norm(yk - frame.normal_project(yk)) > 1e-13:
+            if np.linalg.norm(yk - frame.normal_project(yk)) > 1e-13 * scale:
                 ok = False
                 break
         if ok:
@@ -166,10 +169,13 @@ def recover_multipliers(prog, x, pert=None, tol=1e-8, n_starts=8, seed=0):
 
 
 class SolveOptions:
-    def __init__(self, max_iter=100, residual_target=1e-11, lm_init=1e-4):
+    def __init__(self, max_iter=100, residual_target=1e-11):
         self.max_iter = int(max_iter)
         self.residual_target = float(residual_target)
-        self.lm_init = float(lm_init)
+
+
+# initial Levenberg-Marquardt damping, and again after each kick
+_LM_INIT = 1e-4
 
 
 def kkt_matrix(H, Gp, J):
@@ -213,7 +219,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         # non-finite data or start: no Newton step can repair it
         return KKTPoint(x, y, res, iterations=0, converged=False)
     best = (x.copy(), y.copy(), res)
-    lam = opts.lm_init
+    lam = _LM_INIT
     it = 0
     rejects = 0
     # kick generator for escaping merit-function stationary points that
@@ -228,7 +234,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             x, y = bx + kick[:n], by + kick[n:]
             F = natural_map(prog, x, y, pert)
             res = np.linalg.norm(F)
-            lam = opts.lm_init
+            lam = _LM_INIT
             rejects = 0
             it += 1
             continue
@@ -261,17 +267,18 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     return KKTPoint(x, y, res, iterations=it, converged=True)
 
 
-def solve_kkt_multistart(prog, pert=None, opts=None, n_starts=32):
-    """Deterministic multi-start wrapper, seeded from the problem name."""
+def solve_kkt_multistart(prog, pert=None):
+    """Deterministic multi-start wrapper, seeded from the problem name: up
+    to 32 starts, stopping at the first that converges."""
     rng = np.random.default_rng(zlib.crc32(prog.name.encode()))
     best = None
-    for k in range(n_starts):
+    for k in range(32):
         if k == 0:
             start = None
         else:
             start = KKTPoint(rng.standard_normal(prog.n),
                              rng.standard_normal(prog.cone.dim), 0.0)
-        sol = solve_kkt(prog, pert, start, opts)
+        sol = solve_kkt(prog, pert, start)
         if best is None or sol.residual < best.residual:
             best = sol
         if best.converged:
@@ -279,10 +286,11 @@ def solve_kkt_multistart(prog, pert=None, opts=None, n_starts=32):
     return best
 
 
-def error_bound_kappa(prog, xbar, ybar, radius=1e-2, n_samples=1000, seed=0):
+def error_bound_kappa(prog, xbar, ybar, n_samples=1000):
     """Largest observed ratio ||(x,y) - (xbar,ybar)|| / ||F(x,y)|| over
-    random points within the given radius of the reference pair."""
-    rng = np.random.default_rng(seed)
+    seeded random points within radius 1e-2 of the reference pair."""
+    radius = 1e-2
+    rng = np.random.default_rng(0)
     xbar = np.asarray(xbar, dtype=float)
     ybar = np.asarray(ybar, dtype=float)
     n, m = prog.n, prog.cone.dim

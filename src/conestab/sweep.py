@@ -106,19 +106,18 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     return SweepResult(grid, records, observable=observable)
 
 
-def fit_exponent(result, column=None, drop_largest_decade=True):
+def fit_exponent(result):
     """Least-squares slope of log(drift) vs log(eps).
 
-    column defaults by observable: "dist_y" for multiplier-drift sweeps,
-    "dist_x" otherwise.  The fit window drops the largest decade of eps
-    to suppress pre-asymptotic bias.  Returns (slope, stderr) and stores
+    The drift column is "dist_y" for multiplier-drift sweeps and "dist_x"
+    otherwise.  The fit window drops the largest decade of eps to
+    suppress pre-asymptotic bias.  Returns (slope, stderr) and stores
     them on the result.
     """
-    if column is None:
-        column = "dist_y" if result.observable == "multiplier-drift" \
-            else "dist_x"
+    column = "dist_y" if result.observable == "multiplier-drift" \
+        else "dist_x"
     usable = result.usable()
-    if drop_largest_decade and usable:
+    if usable:
         top = max(r.eps for r in usable)
         window = [r for r in usable if r.eps <= top / 10.0 * (1 + 1e-12)]
     else:

@@ -557,9 +557,8 @@ class TestRobinsonCertificate:
         # example3's critical cone has no interior direction in range G'
         # (least-squares margin exactly zero); the polar search refutes it
         prog, x, y = fixture("example3")
-        frame = prog.cone.frame(prog.constraint(x) + y)
-        _, margin = conditions._interior_direction(prog.constraint_jac(x),
-                                                   frame)
+        _, margin = conditions._interior_direction(
+            problem_critical_cone(prog, x, y))
         assert margin == 0.0
         v = check_srcq(prog, x, y)
         assert v.status == FAILS

@@ -227,6 +227,70 @@ class TestCriticalPolar:
                 s = f.polar_project(rng.standard_normal(cone.dim))
                 assert d @ s <= 1e-9
 
+    def test_moreau_polar_matches_the_closed_forms(self):
+        rng = np.random.default_rng(15)
+        seen = set()
+        for cone, c in _span_cases(rng):
+            f = cone.frame(c)
+            for b in f.frames:
+                seen.add(b.case if b.block.kind == "soc" else b.block.kind)
+                if b.block.kind == "psd" and len(b.beta):
+                    seen.add("psd-beta")
+            for _ in range(5):
+                s = 3.0 * rng.standard_normal(cone.dim)
+                ref = np.concatenate([_closed_form_polar(b, p) for b, p
+                                      in zip(f.frames, cone.split(s))])
+                assert np.max(np.abs(f.polar_project(s) - ref)) <= 1e-12
+        assert seen >= {"int", "bdry", "smooth", "apex_ray", "apex",
+                        "polar_int", "psd-beta", "zero", "orthant"}
+
+
+def _closed_form_polar(f, s):
+    """Projection of s onto the polar of one block's critical cone, in
+    the closed form of each block case (the reference for the Moreau
+    complement s - cc_project(s))."""
+    kind = f.block.kind
+    if kind == "zero":
+        return s.copy()
+    if kind == "orthant":
+        out = s.copy()
+        out[f.state == 0] = 0.0
+        corner = f.state == 1
+        out[corner] = np.minimum(s[corner], 0.0)
+        return out
+    if kind == "soc":
+        if f.case == "int":
+            return np.zeros_like(s)
+        if f.case == "polar_int":
+            return s.copy()
+        if f.case == "apex":
+            return -cones._soc_project(-s)
+        if f.case == "apex_ray":
+            return s - max(float(f.rhat @ s), 0.0) * f.rhat
+        if f.case == "bdry":
+            return min(float(f.vhat @ s), 0.0) * f.vhat
+        return float(f.vhat @ s) * f.vhat  # smooth: normal line
+    St = f.P.T @ smat(s) @ f.P
+    out = np.zeros_like(St)
+    for rows, cols in ((f.beta, f.gamma), (f.gamma, f.beta),
+                       (f.gamma, f.gamma)):
+        out[np.ix_(rows, cols)] = St[np.ix_(rows, cols)]
+    if len(f.beta):
+        bb = np.ix_(f.beta, f.beta)
+        out[bb] = -cones._psd_project_mat(-St[bb])
+    return svec(f.P @ out @ f.P.T)
+
+
+def _closed_form_upsilon(f, d):
+    """The sigma term of one block at a critical direction d, in closed
+    form: nonzero only on a smooth SOC boundary and on PSD blocks."""
+    if f.block.kind == "soc" and f.case == "smooth":
+        return f.sig1 / f.sig2 * (d[0] ** 2 - float(d[1:] @ d[1:]))
+    if f.block.kind == "psd":
+        D = smat(d)
+        return -2.0 * float(np.sum(f.B * (D @ f.Apinv @ D)))
+    return 0.0
+
 
 def _span_cases(rng):
     """(cone, c) pairs covering every block kind, orthant corners, every
@@ -260,6 +324,14 @@ def _in_range(U, v, tol=1e-9):
 
 
 class TestNormalSpan:
+    def test_columns_are_orthonormal(self):
+        # lets ker(G'*) ∩ span N be computed as N null(G'* N)
+        rng = np.random.default_rng(16)
+        for cone, c in _span_cases(rng):
+            U = cone.frame(c).normal_span()
+            err = np.abs(U.T @ U - np.eye(U.shape[1]))
+            assert np.max(err, initial=0.0) <= 1e-12
+
     def test_soc_cases_are_all_covered(self):
         rng = np.random.default_rng(12)
         seen = {f.case for cone, c in _span_cases(rng)
@@ -387,6 +459,16 @@ class TestUpsilon:
             u = f.upsilon(d)
             assert u >= -1e-10 * max(1.0, d @ d)
             assert np.isclose(f.upsilon(3.0 * d), 9.0 * u, atol=1e-9)
+
+    def test_matches_the_closed_forms(self):
+        rng = np.random.default_rng(17)
+        for cone, c in _span_cases(rng):
+            f = cone.frame(c)
+            for _ in range(5):
+                d = f.cc_project(3.0 * rng.standard_normal(cone.dim))
+                ref = sum(_closed_form_upsilon(b, p) for b, p
+                          in zip(f.frames, cone.split(d)))
+                assert abs(f.upsilon(d) - ref) <= 1e-10 * max(1.0, d @ d)
 
     def test_gradient_pairing(self):
         # upsilon(d) = <d, grad upsilon(d)> / 2 for the quadratic form

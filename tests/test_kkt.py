@@ -1,6 +1,7 @@
 """Tests for the KKT residual maps, multiplier recovery, and the solver."""
 
 import numpy as np
+import pytest
 
 from conestab import kkt, model
 from conestab.cones import smat, svec
@@ -94,6 +95,23 @@ class TestRecoverMultipliers:
         for k in range(mset.directions.shape[1]):
             y = mset.representative + 1e-7 * mset.directions[:, k]
             assert natural_residual(prog, np.zeros(2), y) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    @pytest.mark.parametrize("part", ["objective", "constraint"])
+    def test_affine_dim_does_not_depend_on_the_data_scale(self, part,
+                                                          scale):
+        # scaling the objective by s scales the multipliers by s; scaling
+        # G by s scales them by 1/s; the multiplier set keeps its shape
+        from conestab.model import ConicProgram
+        for name, dim in zip(ALL_REFERENCED, (0, 2, 0, 0)):
+            p = model.builtin(name)
+            x, _ = model.fixture(name).reference
+            q = scale if part == "objective" else 1.0
+            g = scale if part == "constraint" else 1.0
+            scaled = ConicProgram(p.n, q * p.Q, q * p.c, q * p.c0,
+                                  g * p.A0, g * p.Ai, p.cone)
+            mset = recover_multipliers(scaled, x)
+            assert mset is not None and mset.affine_dim == dim, name
 
     def test_nonstationary_point_has_no_multiplier(self):
         prog = model.builtin("example1")
