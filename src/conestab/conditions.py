@@ -76,6 +76,12 @@ def _polar_kernel(Gmat, N):
     return N @ linalg.nullspace(Gmat.T @ N, tol=1e-12)
 
 
+def _span_witness(w):
+    """w scaled to unit norm with its largest-magnitude entry positive: a
+    null-space vector's sign is whatever the SVD picked."""
+    return w * (np.sign(w[np.argmax(np.abs(w))]) / np.linalg.norm(w))
+
+
 def _sphere_grid(dim):
     """Deterministic points on the unit sphere of R^dim (dim <= 3)."""
     if dim == 1:
@@ -191,10 +197,7 @@ def _decide_fullness(cc, seed, label):
     R = linalg.nullspace(linalg.nullspace(cc.E, tol=1e-10).T)
     U = linalg.nullspace(cc.Gmat.T @ R, tol=1e-12)
     if U.shape[1]:
-        w = R @ U[:, 0]
-        # unit, largest entry positive: the sign the SVD picks is arbitrary
-        w *= np.sign(w[np.argmax(np.abs(w))]) / np.linalg.norm(w)
-        return Verdict(FAILS, margin=0.0, witness=w,
+        return Verdict(FAILS, margin=0.0, witness=_span_witness(R @ U[:, 0]),
                        note="%s: ker(G'*) meets (span C)^perp" % label)
     d, margin = _interior_direction(cc)
     if margin > WITNESS_TOL:
@@ -315,7 +318,7 @@ def check_nondegeneracy(prog, x):
         if kerGt.shape[1] and N.shape[1]:
             margin -= float(np.linalg.svd(kerGt.T @ N, compute_uv=False)[0])
         return Verdict(HOLDS, margin=margin)
-    return Verdict(FAILS, margin=0.0, witness=V[:, 0],
+    return Verdict(FAILS, margin=0.0, witness=_span_witness(V[:, 0]),
                    note="ker(G'*) meets (lin T_K)^perp nontrivially")
 
 

@@ -9,10 +9,15 @@ Everything revolves around the spectral frame built at C = A + B, where
 A is the projection of C onto the cone and B = C - A lies in the normal
 cone at A.  The frame drives the critical cone, its polar, the
 directional derivative of the projection, and the curvature (sigma) term.
+
+Each frame states the Jacobian J(h) of the directional derivative on the
+piece that contains h, and the derivative itself is Pi'(C; h) = J(h) h.
+Every PSD derivative has one form, R' diag(Omega) R, with R the
+eigenvector pair basis and Omega the divided differences of the
+eigenvalues, [l_i + l_j > 0] on a tie.
 """
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -67,30 +72,41 @@ def _psd_project_mat(M):
     return (vecs * pos) @ vecs.T
 
 
-def _psd_proj_jac_mat(M):
-    """Generalized Jacobian of the PSD projection at M, as an operator.
+def _pair_basis(P):
+    """Rows svec(u u') for a pair (i, i) and svec((u v' + v u')/sqrt2)
+    for i > j, with u, v the columns i, j of the orthogonal P, one for
+    every pair in svec order: an orthogonal R with R svec(H) =
+    svec(P'HP)."""
+    rows, cols, scale = _svec_index(len(P))
+    Q = P.T
+    return 0.5 * np.outer(scale, scale) * (
+        Q[np.ix_(rows, rows)] * Q[np.ix_(cols, cols)]
+        + Q[np.ix_(cols, rows)] * Q[np.ix_(rows, cols)])
 
-    Frame operator H -> P (Omega o P'HP) P' with
-    Omega_ij = (l_i^+ - l_j^+)/(l_i - l_j), and Omega_ij = 1 if l_i > 0
-    else 0 on ties.
-    """
-    vals, vecs = linalg.sym_eig(M)
-    n = len(vals)
-    pos = np.maximum(vals, 0.0)
-    Omega = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            d = vals[i] - vals[j]
-            if abs(d) > 1e-14 * max(1.0, abs(vals[i]), abs(vals[j])):
-                Omega[i, j] = (pos[i] - pos[j]) / d
-            else:
-                Omega[i, j] = 1.0 if vals[i] > 0 else 0.0
 
-    def apply(H):
-        Ht = vecs.T @ H @ vecs
-        return vecs @ (Omega * Ht) @ vecs.T
+def _psd_weights(lam):
+    """Divided differences Omega_ij = (l_i^+ - l_j^+)/(l_i - l_j) of the
+    PSD projection at eigenvalues lam.  On a tie, |l_i - l_j| <=
+    1e-14 max(1, |l_i|, |l_j|), Omega_ij = [l_i + l_j > 0]: symmetric,
+    and [l_i > 0] whenever the two signs agree."""
+    li, lj = lam[:, None], lam[None, :]
+    d = li - lj
+    tie = np.abs(d) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(li),
+                                                          np.abs(lj)))
+    pos = np.maximum(lam, 0.0)
+    return np.where(tie, (li + lj > 0).astype(float),
+                    (pos[:, None] - pos[None, :]) / np.where(tie, 1.0, d))
 
-    return apply
+
+def _psd_jacobian(P, Omega):
+    """R' diag(Omega_ij) R with R = _pair_basis(P): the operator
+    H -> P (Omega o P'HP) P' in svec coordinates, which at the eigenframe
+    of M with Omega = _psd_weights is an element of the generalized
+    Jacobian of the PSD projection at M (Sun & Sun, Math. Oper. Res. 27
+    (2002))."""
+    rows, cols, _ = _svec_index(len(P))
+    R = _pair_basis(P)
+    return R.T @ (Omega[rows, cols][:, None] * R)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +148,8 @@ class Block:
             return np.diag((z > 0).astype(float))
         if self.kind == "soc":
             return _soc_proj_jacobian(z)
-        apply = _psd_proj_jac_mat(smat(z))
-        return _mat_op_to_svec(apply, self.size)
+        lam, P = linalg.sym_eig(smat(z))
+        return _psd_jacobian(P, _psd_weights(lam))
 
     def frame(self, c):
         c = np.asarray(c, dtype=float)
@@ -181,16 +197,6 @@ def _soc_proj_jacobian(z):
     return J
 
 
-def _mat_op_to_svec(apply, n):
-    m = svec_dim(n)
-    J = np.zeros((m, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        J[:, k] = svec(apply(smat(e)))
-    return J
-
-
 # ---------------------------------------------------------------------------
 # Block frames
 
@@ -203,9 +209,6 @@ class ZeroFrame:
         self.b = c.copy()
 
     def cc_project(self, h):
-        return np.zeros_like(h)
-
-    def dir_deriv(self, h):
         return np.zeros_like(h)
 
     def dir_deriv_jac(self, h):
@@ -243,9 +246,6 @@ class OrthantFrame:
         out[corner] = np.maximum(h[corner], 0.0)
         out[self.state == 2] = 0.0
         return out
-
-    def dir_deriv(self, h):
-        return self.cc_project(h)
 
     def dir_deriv_jac(self, h):
         h = np.asarray(h, dtype=float)
@@ -328,27 +328,9 @@ class SocFrame:
         return h - float(self.vhat @ h) * self.vhat  # smooth: hyperplane
 
     # --- directional derivative of the projection --------------------------
-    def dir_deriv(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.case != "smooth":
-            return self.cc_project(h)
-        ht, hu = h[0], h[1:]
-        p = float(self.uhat @ hu)
-        hperp = hu - p * self.uhat
-        dt = 0.5 * (ht + p)
-        scale = self.sig2 / (self.sig2 - self.sig1)
-        out = np.empty_like(h)
-        out[0] = dt
-        out[1:] = dt * self.uhat + scale * hperp
-        return out
-
     def dir_deriv_jac(self, h):
         m = self.block.dim
         case = self.case
-        if case == "int":
-            return np.eye(m)
-        if case == "polar_int":
-            return np.zeros((m, m))
         if case == "apex":
             return _soc_proj_jacobian(np.asarray(h, dtype=float))
         if case == "apex_ray":
@@ -360,11 +342,8 @@ class SocFrame:
             if inward:
                 J -= np.outer(self.vhat, self.vhat)
             return J
-        J = np.zeros((m, m))
-        basis = np.eye(m)
-        for k in range(m):
-            J[:, k] = self.dir_deriv(basis[k])
-        return J
+        # int, polar_int, smooth: the projection is differentiable at c
+        return _soc_proj_jacobian(self.c)
 
     # --- curvature term -----------------------------------------------------
     def upsilon_grad(self, d):
@@ -422,12 +401,6 @@ class PsdFrame:
         self.alpha = np.where(lam > 0)[0]
         self.beta = np.where(lam == 0)[0]
         self.gamma = np.where(lam < 0)[0]
-        # frame-coordinate blocks: ix["ag"] selects rows alpha, cols gamma
-        part = {"a": self.alpha, "b": self.beta, "g": self.gamma}
-        self._ix = {p + q: np.ix_(part[p], part[q]) for p in part for q in part}
-        la = lam[self.alpha][:, None]
-        lg = lam[self.gamma][None, :]
-        self._W = la / (la - lg)
         pos = np.maximum(lam, 0.0)
         self.A = (P * pos) @ P.T
         self.B = (P * np.minimum(lam, 0.0)) @ P.T
@@ -436,57 +409,28 @@ class PsdFrame:
         inv = np.where(lam > 0, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
         self.Apinv = (P * inv) @ P.T
 
-    def _to_frame(self, h):
-        return self.P.T @ smat(h) @ self.P
-
-    def _from_frame(self, Ht):
-        return svec(self.P @ Ht @ self.P.T)
-
     def cc_project(self, h):
-        Ht = self._to_frame(h)
-        out = Ht.copy()
-        ix = self._ix
-        out[ix["bg"]] = 0.0
-        out[ix["gb"]] = 0.0
-        out[ix["gg"]] = 0.0
-        if len(self.beta):
-            out[ix["bb"]] = _psd_project_mat(Ht[ix["bb"]])
-        return self._from_frame(out)
-
-    def _linear_part(self, Hf):
-        """The directional derivative in frame coordinates, except for the
-        beta-beta block, which is left zero."""
-        ix = self._ix
-        out = np.zeros_like(Hf)
-        out[ix["aa"]] = Hf[ix["aa"]]
-        out[ix["ab"]] = Hf[ix["ab"]]
-        out[ix["ba"]] = Hf[ix["ba"]]
-        out[ix["ag"]] = self._W * Hf[ix["ag"]]
-        out[ix["ga"]] = out[ix["ag"]].T
-        return out
-
-    def dir_deriv(self, h):
-        Ht = self._to_frame(h)
-        out = self._linear_part(Ht)
-        if len(self.beta):
-            bb = self._ix["bb"]
-            out[bb] = _psd_project_mat(Ht[bb])
-        return self._from_frame(out)
+        P, b, g = self.P, self.beta, self.gamma
+        H = P.T @ smat(h) @ P
+        H[np.ix_(np.concatenate([b, g]), g)] = 0.0
+        H[np.ix_(g, b)] = 0.0
+        if len(b):
+            bb = np.ix_(b, b)
+            H[bb] = _psd_project_mat(H[bb])
+        return svec(P @ H @ P.T)
 
     def dir_deriv_jac(self, h):
-        bb = self._ix["bb"]
-        bb_jac = None
-        if len(self.beta):
-            bb_jac = _psd_proj_jac_mat(self._to_frame(h)[bb])
-
-        def apply(H):
-            Hf = self.P.T @ H @ self.P
-            out = self._linear_part(Hf)
-            if bb_jac is not None:
-                out[bb] = bb_jac(Hf[bb])
-            return self.P @ out @ self.P.T
-
-        return _mat_op_to_svec(apply, self.block.size)
+        """The Jacobian of the projection on the piece of h: the weights
+        at lam, with the beta columns turned to the eigenvectors of
+        P_beta' smat(h) P_beta and the beta-beta block weighted by the
+        divided differences of those eigenvalues."""
+        P, Omega = self.P.copy(), _psd_weights(self.lam)
+        b = self.beta
+        if len(b):
+            mu, V = linalg.sym_eig(P[:, b].T @ smat(h) @ P[:, b])
+            P[:, b] = P[:, b] @ V
+            Omega[np.ix_(b, b)] = _psd_weights(mu)
+        return _psd_jacobian(P, Omega)
 
     def upsilon_grad(self, d):
         D = smat(d)
@@ -501,27 +445,21 @@ class PsdFrame:
         W = U0.T @ smat(y) @ U0
         return svec(U0 @ (-_psd_project_mat(-W)) @ U0.T)
 
-    def _pair_rows(self, pairs):
-        """svec(u u') for a pair (i, i) and svec((u v' + v u')/sqrt2) for
-        i != j, with u, v the frame's eigenvectors i, j: orthonormal rows
-        for distinct pairs."""
-        rows = []
-        for i, j in pairs:
-            u, v = self.P[:, i], self.P[:, j]
-            rows.append(svec(np.outer(u, u) if i == j else
-                             (np.outer(u, v) + np.outer(v, u)) / SQRT2))
-        return np.reshape(rows, (len(rows), self.block.dim))
+    def _pair_rows(self, first, second):
+        """The rows of `_pair_basis` for the eigenvector pairs (i, j),
+        i >= j, with i in first and j in second, in svec order."""
+        rows, cols, _ = _svec_index(self.block.size)
+        keep = np.isin(rows, first) & np.isin(cols, second)
+        return _pair_basis(self.P)[keep]
 
     def normal_span(self):
         ker = np.concatenate([self.beta, self.gamma])
-        return self._pair_rows(
-            itertools.combinations_with_replacement(ker, 2)).T
+        return self._pair_rows(ker, ker).T
 
     def cc_equalities(self):
-        g = self.gamma
-        return self._pair_rows(itertools.chain(
-            itertools.product(self.beta, g),
-            itertools.combinations_with_replacement(g, 2)))
+        # the (gamma, beta) and (gamma, gamma) pairs
+        return self._pair_rows(self.gamma,
+                               np.concatenate([self.beta, self.gamma]))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +548,11 @@ class ConeFrame:
         return s - self.cc_project(s)
 
     def dir_deriv(self, h):
-        return self._map("dir_deriv", h)
+        """Pi_K'(C; h) = J(h) h, block by block: exact, because the
+        directional derivative is linear on each piece and dir_deriv_jac
+        is its matrix on the piece of h."""
+        return np.concatenate([f.dir_deriv_jac(p) @ p for f, p in
+                               zip(self.frames, self.cone.split(h))])
 
     def normal_project(self, y):
         return self._map("normal_project", y)

@@ -553,6 +553,22 @@ class TestRobinsonCertificate:
         frame = prog.cone.frame(prog.constraint(x) + y)
         assert frame.polar_dist(w) <= 1e-8
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "psd4", "soc6+orthant4"])
+    def test_nondegeneracy_witness_is_signed(self, name):
+        # the span-witness rule of SRCQ: a unit vector of ker G'* whose
+        # largest-magnitude entry is positive, whatever sign the SVD gave
+        if name.startswith("example"):
+            prog, x, y = fixture(name)
+        else:
+            prog, x, y = _nonunique_instances()[name]
+        v = check_nondegeneracy(prog, x)
+        assert v.status == FAILS
+        w = v.witness
+        assert np.isclose(np.linalg.norm(w), 1.0)
+        assert w[np.argmax(np.abs(w))] > 0.0
+        assert np.linalg.norm(prog.constraint_jac(x).T @ w) <= 1e-8
+
     def test_zero_interior_margin_is_not_a_certificate(self):
         # example3's critical cone has no interior direction in range G'
         # (least-squares margin exactly zero); the polar search refutes it

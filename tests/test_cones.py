@@ -124,6 +124,31 @@ class TestProject:
             assert abs(p @ (z - p)) <= 1e-10
 
 
+class TestProjJacobian:
+    def test_psd_matches_central_differences(self):
+        rng = np.random.default_rng(20)
+        step = 1e-6
+        for n in range(2, 7):
+            cone = Cone([("psd", n)])
+            for _ in range(3):
+                Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                lam = rng.permutation(np.arange(n) - n // 2 + 0.25)
+                z = svec((Q * lam) @ Q.T)
+                J = cone.proj_jacobian(z)
+                E = np.eye(cone.dim)
+                fd = np.column_stack([(cone.project(z + step * e)
+                                       - cone.project(z - step * e))
+                                      / (2.0 * step) for e in E])
+                assert np.max(np.abs(J - fd)) <= 1e-7
+
+    def test_psd_is_symmetric_at_a_cross_sign_tie(self):
+        # eigenvalues +-1e-16 tie; the weight of the pair must not depend
+        # on which of the two is taken first
+        J = cones.Block("psd", 2).proj_jacobian(
+            svec([[0.0, 1e-16], [1e-16, 0.0]]))
+        assert np.max(np.abs(J - J.T)) <= 1e-12
+
+
 class TestSpectralFrame:
     def test_psd_indefinite_diagonal(self):
         cone = Cone([("psd", 2)])
@@ -281,6 +306,32 @@ def _closed_form_polar(f, s):
     return svec(f.P @ out @ f.P.T)
 
 
+def _closed_form_dir_deriv(f, h):
+    """The directional derivative of the projection on one block, in the
+    closed form of each block case: the critical-cone projection, except
+    on a smooth SOC boundary and on PSD blocks (the reference for
+    J(h) h)."""
+    if f.block.kind == "soc" and f.case == "smooth":
+        p = float(f.uhat @ h[1:])
+        dt = 0.5 * (h[0] + p)
+        scale = f.sig2 / (f.sig2 - f.sig1)
+        return np.concatenate(([dt], dt * f.uhat
+                               + scale * (h[1:] - p * f.uhat)))
+    if f.block.kind != "psd":
+        return f.cc_project(h)
+    Ht = f.P.T @ smat(h) @ f.P
+    out = np.zeros_like(Ht)
+    a, b, g = f.alpha, f.beta, f.gamma
+    for rows, cols in ((a, a), (a, b), (b, a)):
+        out[np.ix_(rows, cols)] = Ht[np.ix_(rows, cols)]
+    la, lg = f.lam[a][:, None], f.lam[g][None, :]
+    out[np.ix_(a, g)] = la / (la - lg) * Ht[np.ix_(a, g)]
+    out[np.ix_(g, a)] = out[np.ix_(a, g)].T
+    if len(b):
+        out[np.ix_(b, b)] = cones._psd_project_mat(Ht[np.ix_(b, b)])
+    return svec(f.P @ out @ f.P.T)
+
+
 def _closed_form_upsilon(f, d):
     """The sigma term of one block at a critical direction d, in closed
     form: nonzero only on a smooth SOC boundary and on PSD blocks."""
@@ -414,6 +465,44 @@ class TestDirDeriv:
                 w = f.cc_sample(rng)
                 trial = float((w - h) @ (w - h)) + f.upsilon(w)
                 assert val <= trial + 1e-8
+
+    def test_matches_finite_differences_on_borderline_frames(self):
+        # PSD frames with |beta| = 1, 2, 3 next to alpha and gamma, and
+        # every SOC case: the pieces the random frames above almost never
+        # reach
+        rng = np.random.default_rng(18)
+        t = 1e-7
+        cases = []
+        for lam in ([2.0, 0.0, -1.0], [1.5, 0.0, 0.0, -2.0],
+                    [0.0, 0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, -1.5],
+                    [1.0, 2.0, 0.0, 0.0, 0.0]):
+            n = len(lam)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            cases.append((Cone([("psd", n)]), svec((Q * lam) @ Q.T)))
+        cases += [(cone, c) for cone, c in _span_cases(rng)
+                  if cone.blocks[0].kind == "soc"]
+        for cone, c in cases:
+            f = cone.frame(c)
+            for _ in range(10):
+                h = rng.standard_normal(cone.dim)
+                fd = (cone.project(c + t * h) - cone.project(c)) / t
+                assert (np.linalg.norm(f.dir_deriv(h) - fd)
+                        <= 1e2 * t * max(1.0, h @ h))
+
+    def test_matches_the_closed_forms(self):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for cone, c in _span_cases(rng):
+            f = cone.frame(c)
+            for b in f.frames:
+                if b.block.kind == "psd":
+                    seen.add("psd-beta-%d" % min(len(b.beta), 2))
+            for _ in range(5):
+                h = 3.0 * rng.standard_normal(cone.dim)
+                ref = np.concatenate([_closed_form_dir_deriv(b, p) for b, p
+                                      in zip(f.frames, cone.split(h))])
+                assert np.max(np.abs(f.dir_deriv(h) - ref)) <= 1e-12
+        assert seen == {"psd-beta-0", "psd-beta-1", "psd-beta-2"}
 
     def test_euler_identity(self):
         # positively homogeneous piecewise linear maps satisfy J(h) h = D(h)
