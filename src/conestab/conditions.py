@@ -32,6 +32,8 @@ SOSC_FAILS_TOL = 1e-9
 SOSC_HOLDS_TOL = 1e-6
 KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
+# random starts of the kernel-probe search
+_KERNEL_STARTS = 200
 # SOSC enumerates the 2^k faces cut out by k borderline rows; above this
 # many rows only the affine hull is examined and no minimum is exact.
 MAX_FACE_ROWS = 12
@@ -288,6 +290,12 @@ def problem_critical_cone(prog, x, y):
 # Constraint qualifications
 
 
+def _tangent_cone(prog, x):
+    """The critical cone at the zero normal element: T_K(G(x)) pulled
+    back, whose frame sits at G(x)."""
+    return problem_critical_cone(prog, x, np.zeros(prog.cone.dim))
+
+
 def check_rcq(prog, x, seed=0):
     """Robinson's CQ, G'(x)X + T_K(G(x)) = Y, by `_decide_fullness`.
 
@@ -295,9 +303,7 @@ def check_rcq(prog, x, seed=0):
     G(x) + t G'd lies in ri K for small t > 0, unless ker(G'*) misses the
     normal span; a fails verdict carries a unit y in ker(G'*) ∩ N_K(G(x)).
     """
-    # zero normal element: the critical cone is the tangent cone
-    cc = problem_critical_cone(prog, x, np.zeros(prog.cone.dim))
-    return _decide_fullness(cc, seed, "rcq")
+    return _decide_fullness(_tangent_cone(prog, x), seed, "rcq")
 
 
 def check_srcq(prog, x, y, seed=0):
@@ -309,8 +315,13 @@ def check_srcq(prog, x, y, seed=0):
 def check_nondegeneracy(prog, x):
     """G'(x)X + lin T_K(G(x)) = Y: exact, ker(G'*) ∩ (lin T)^perp = {0}."""
     _require_affine(prog)
-    N = prog.cone.frame(prog.constraint(x)).normal_span()
-    Gmat = prog.constraint_jac(x)
+    return _nondegeneracy(prog.cone.frame(prog.constraint(x)),
+                          prog.constraint_jac(x))
+
+
+def _nondegeneracy(frame, Gmat):
+    """`check_nondegeneracy` at the frame of G(x) for G'(x) = Gmat."""
+    N = frame.normal_span()
     V = _polar_kernel(Gmat, N)
     if V.shape[1] == 0:
         kerGt = linalg.nullspace(Gmat.T, tol=1e-12)
@@ -434,9 +445,14 @@ def affine_hull_probe(prog, x, y):
     can be positive on the cone yet lose definiteness on its hull.
     """
     cc = problem_critical_cone(prog, x, y)
+    return _hull_verdict(_sosc_quadratic(prog, x, y, cc), cc)
+
+
+def _hull_verdict(M, cc):
+    """`affine_hull_probe` for the SOSC quadratic M on the hull of cc."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf, note="affine hull is {0}")
-    mn, wit, _ = _face_eig(_sosc_quadratic(prog, x, y, cc), cc.affine_basis)
+    mn, wit, _ = _face_eig(M, cc.affine_basis)
     if mn > SOSC_FAILS_TOL:
         return Verdict(HOLDS, margin=mn)
     return Verdict(FAILS, margin=mn, witness=wit,
@@ -447,7 +463,7 @@ def affine_hull_probe(prog, x, y):
 # Kernel probe (directional-derivative system of the natural map)
 
 
-def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
+def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     """Search for nonzero (dx, dy) with H_L dx + G'* dy = 0 and
     G' dx = dir_deriv(frame; G' dx + dy).
 
@@ -462,11 +478,15 @@ def kernel_probe(prog, x, y, n_starts=200, seed=0, extra_seeds=()):
     would reach.
     """
     _require_affine(prog)
-    n, m = prog.n, prog.cone.dim
-    g = prog.constraint(x)
-    frame = prog.cone.frame(g + np.asarray(y, float))
-    Gmat = prog.constraint_jac(x)
-    H = hess_lagrangian(prog, x, y)
+    frame = prog.cone.frame(prog.constraint(x) + np.asarray(y, float))
+    return _kernel_probe(frame, prog.constraint_jac(x),
+                         hess_lagrangian(prog, x, y), n_starts, seed,
+                         extra_seeds)
+
+
+def _kernel_probe(frame, Gmat, H, n_starts, seed, extra_seeds):
+    """`kernel_probe` at the frame for G'(x) = Gmat and H_L = H."""
+    m, n = Gmat.shape
 
     def residual(w):
         dx, dy = w[:n], w[n:]
@@ -563,10 +583,16 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     res = natural_residual(prog, x, y)
     if not res <= 1e-8:
         raise ValueError("(x, y) is not a KKT pair (residual %.2e)" % res)
-    rcq = check_rcq(prog, x, seed=seed)
-    srcq = check_srcq(prog, x, y, seed=seed)
-    nondeg = check_nondegeneracy(prog, x)
-    sosc = check_sosc(prog, x, y)
+    # one pulled-back cone at y = 0 for RCQ and nondegeneracy, one at y
+    # for the rest, and one SOSC quadratic for SOSC and the hull probe
+    tc = _tangent_cone(prog, x)
+    cc = problem_critical_cone(prog, x, y)
+    M = _sosc_quadratic(prog, x, y, cc)
+    H = hess_lagrangian(prog, x, y)
+    rcq = _decide_fullness(tc, seed, "rcq")
+    srcq = _decide_fullness(cc, seed, "srcq")
+    nondeg = _nondegeneracy(tc.frame, tc.Gmat)
+    sosc = _sosc_verdict(M, cc)
     # exact witnesses of the two conditions seed the kernel probe: a polar
     # direction dy of SRCQ, and a critical direction d of SOSC with the dy
     # that best balances the stationarity row H d + G'* dy = 0
@@ -575,12 +601,12 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
         probe_seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
     if sosc.fails:
         d = sosc.witness
-        dy = linalg.lstsq(prog.constraint_jac(x).T,
-                          -hess_lagrangian(prog, x, y) @ d)
+        dy = linalg.lstsq(cc.Gmat.T, -H @ d)
         probe_seeds.append(np.concatenate([d, dy]))
-    probe = kernel_probe(prog, x, y, seed=seed, extra_seeds=probe_seeds)
+    probe = _kernel_probe(cc.frame, cc.Gmat, H, _KERNEL_STARTS, seed,
+                          probe_seeds)
     probe_v = kernel_probe_verdict(probe)
-    hull = affine_hull_probe(prog, x, y)
+    hull = _hull_verdict(M, cc)
     singleton = None
     if multiplier_set is not None:
         singleton = multiplier_set.is_singleton
@@ -607,6 +633,7 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     return ConditionReport({
         "problem": prog.name,
         "kkt_residual": res,
+        "multiplier": np.asarray(y, float),
         "rcq": rcq,
         "srcq": srcq,
         "nondegeneracy": nondeg,

@@ -82,27 +82,169 @@ def normal_map(prog, x, z, pert=None):
 _AP_ITERS = 800
 _MULT_STARTS = 8
 _MULT_TOL = 1e-8
+# slack of the closed-form line test, relative to max(1, ||y0||): round-off
+# can put the one point where a line touches N just outside it
+_LINE_SLACK = 1e-12
 
 
 def _affine_project(y, basis, offset):
     """Project y onto the affine set offset + range(basis) (orthonormal)."""
-    if basis.shape[1] == 0:
-        return offset.copy()
     return offset + basis @ (basis.T @ (y - offset))
+
+
+def _in_normal_cone(frame, y):
+    return np.linalg.norm(y - frame.normal_project(y)) <= _MULT_TOL
+
+
+def _normal_cone_rows(frame):
+    """N_K(A) at the frame as Lorentz rows: a y of the normal span lies in
+    N_K(A) iff t >= ||u|| for (t, u) = L y[s], for every (s, L) listed.
+    A one-row L is a half-space: -e_i for an active orthant index, -vhat
+    for an SOC boundary ray, -svec(p p') for a PSD kernel {p}.  An SOC
+    block at its apex gives -I (y in -K), and a PSD kernel {p, q} gives
+    -W >= 0 for W = [p q]' smat(y) [p q] as t = -(W11 + W22)/2,
+    u = (-(W11 - W22)/2, -W12).  None when a PSD kernel has order >= 3,
+    where N has no such form."""
+    out = []
+    for f, s in zip(frame.frames, frame.cone._slices):
+        kind, dim = f.block.kind, f.block.dim
+        if kind == "orthant":
+            out.extend((s, -np.eye(dim)[[i]])
+                       for i in np.flatnonzero(f.state != 0))
+        elif kind == "soc" and f.case in ("bdry", "smooth"):
+            out.append((s, -f.vhat.reshape(1, dim)))
+        elif kind == "soc" and f.case != "int":
+            out.append((s, -np.eye(dim)))
+        elif kind == "psd":
+            ker = np.concatenate([f.beta, f.gamma])
+            R = f._pair_rows(ker, ker)
+            if len(ker) == 1:
+                out.append((s, -R))
+            elif len(ker) == 2:
+                out.append((s, -np.array([(R[0] + R[2]) / 2,
+                                          (R[0] - R[2]) / 2,
+                                          R[1] / np.sqrt(2.0)])))
+            elif len(ker) > 2:
+                return None
+    return out
+
+
+def _inner_point(lo, hi, width):
+    """A point inside the interval (lo, hi): its midpoint when bounded,
+    max(width, |end|) inside its one finite end, else 0."""
+    if np.isfinite(lo) and np.isfinite(hi):
+        return (lo + hi) / 2
+    if np.isfinite(lo):
+        return lo + max(width, abs(lo))
+    if np.isfinite(hi):
+        return hi - max(width, abs(hi))
+    return 0.0
+
+
+def _line_interval(t0, t1, u0, u1):
+    """{s | t0 + s t1 >= ||u0 + s u1||} as (lo, hi), or None when empty.
+
+    The set is convex, so it is one interval, and its ends are zeros of
+    t(s) or of t(s)^2 - ||u(s)||^2 = a s^2 + 2 b s + c.  Between two
+    consecutive zeros the condition has one value, tested at one point."""
+    a, b, c = t1 * t1 - u1 @ u1, t0 * t1 - u0 @ u1, t0 * t0 - u0 @ u0
+    cuts = [-t0 / t1] if t1 != 0 else []
+    if a != 0 and b * b >= a * c:
+        q = -(b + np.copysign(np.sqrt(b * b - a * c), b))
+        cuts += [q / a, c / q] if q != 0 else [0.0]
+    elif a == 0 and b != 0:
+        cuts.append(-c / (2.0 * b))
+    cuts = sorted(cuts)
+    pieces = [(p, p) for p in cuts] + list(zip([-np.inf] + cuts,
+                                               cuts + [np.inf]))
+    hit = []
+    for lo, hi in pieces:
+        s = _inner_point(lo, hi, 1.0)
+        if t0 + s * t1 >= np.linalg.norm(u0 + s * u1):
+            hit.append((lo, hi))
+    if not hit:
+        return None
+    return min(p[0] for p in hit), max(p[1] for p in hit)
+
+
+def _line_point(frame, y0, v):
+    """A relative-interior point of (y0 + R v) ∩ N_K(A) in closed form:
+    the intervals of `_normal_cone_rows`, each widened by a slack, meet in
+    (lo, hi), and `_inner_point` picks s in it with a width of
+    max(1, ||y0||).  None when there is no closed form, the intersection
+    is empty, or y0 + s v fails the membership test."""
+    rows = _normal_cone_rows(frame)
+    if rows is None:
+        return None
+    scale = max(1.0, np.linalg.norm(y0))
+    lo, hi = -np.inf, np.inf
+    for s, L in rows:
+        r0, r1 = L @ y0[s], L @ v[s]
+        iv = _line_interval(r0[0] + _LINE_SLACK * scale, r1[0], r0[1:],
+                            r1[1:])
+        if iv is None:
+            return None
+        lo, hi = max(lo, iv[0]), min(hi, iv[1])
+    if lo > hi:
+        return None
+    y = y0 + _inner_point(lo, hi, scale) * v
+    return y if _in_normal_cone(frame, y) else None
+
+
+def _projection_search(frame, y0, ybasis, seed):
+    """A point of (y0 + range ybasis) ∩ N_K(A) by alternating projections
+    from y0 and seeded random starts, or None when none converges into N:
+    the mean of the limits, which lies in the relative interior when the
+    starts spread over the set, else the first limit."""
+    rng = np.random.default_rng(seed)
+    starts = [y0] + [y0 + ybasis @ rng.standard_normal(ybasis.shape[1])
+                     for _ in range(_MULT_STARTS - 1)]
+    hits = []
+    for y in starts:
+        for _ in range(_AP_ITERS):
+            yn = frame.normal_project(y)
+            yn = _affine_project(yn, ybasis, y0)
+            if np.linalg.norm(yn - y) < 1e-15:
+                y = yn
+                break
+            y = yn
+        if _in_normal_cone(frame, y):
+            hits.append(y)
+    if not hits:
+        return None
+    rep = np.mean(hits, axis=0)
+    rep = _affine_project(frame.normal_project(rep), ybasis, y0)
+    return rep if _in_normal_cone(frame, rep) else hits[0]
+
+
+def _hull_directions(frame, rep, ybasis):
+    """The columns of ybasis along which rep stays in N_K(A) for a step of
+    either sign; step and tolerance are relative to max(1, ||rep||), so
+    that scaling the data does not change the count."""
+    scale = max(1.0, np.linalg.norm(rep))
+    h = 1e-6 * scale
+    dirs = []
+    for d in ybasis.T:
+        if all(np.linalg.norm(yk - frame.normal_project(yk)) <= 1e-13 * scale
+               for yk in (rep + h * d, rep - h * d)):
+            dirs.append(d)
+    return np.array(dirs).T if dirs else np.zeros((len(rep), 0))
 
 
 def recover_multipliers(prog, x, seed=0):
     """Multipliers at x, or None when there are none to tolerance.
 
     The stationarity equation G'(x)* y = -grad f(x) is solved over the
-    span of the normal-cone parametrization at G(x), then membership in
-    the normal cone itself is enforced by alternating projections.  A
-    relative-interior representative is approximated by averaging the
-    alternating-projection limits from several starts.  The affine
-    dimension counts the null directions along which the representative
-    stays in the normal cone for a step of either sign; step and
-    tolerance are relative to max(1, ||representative||), so that scaling
-    the data does not change the count.
+    span of the normal-cone parametrization at G(x), which leaves the
+    affine set y0 + range(ybasis); the multipliers are its points in the
+    normal cone.  That is decided exactly when ybasis has no column (y0
+    itself) or one (`_line_point`: each block meets the line in a closed
+    form interval).  Only with two or more columns, a PSD kernel of order
+    >= 3 on a line, or a line whose closed form misses, does a seeded
+    alternating-projection search (`_projection_search`) look for one;
+    `seed` is read only there.  The affine dimension counts the columns
+    of ybasis along which the representative stays in the normal cone
+    (`_hull_directions`).
     """
     x = np.asarray(x, dtype=float)
     g = prog.constraint(x)
@@ -117,51 +259,21 @@ def recover_multipliers(prog, x, seed=0):
     if np.linalg.norm(M @ v0 - rhs) > \
             _MULT_TOL * max(1.0, np.linalg.norm(rhs)):
         return None
-    # affine solution set inside the span: y = span(v0 + ker M . w)
-    kerM = linalg.nullspace(M)
+    # affine solution set inside the span: y = span(v0 + ker M . w); both
+    # factors have orthonormal columns, so ybasis does too
     y0 = span @ v0
-    ybasis = span @ kerM
-    if ybasis.shape[1]:
-        # re-orthonormalize in ambient coordinates
-        qb, _ = np.linalg.qr(ybasis)
-        ybasis = qb
-    rng = np.random.default_rng(seed)
-    hits = []
-    starts = [y0]
-    for _ in range(_MULT_STARTS - 1):
-        starts.append(y0 + ybasis @ rng.standard_normal(ybasis.shape[1])
-                      if ybasis.shape[1] else y0)
-    for y in starts:
-        for _ in range(_AP_ITERS):
-            yn = frame.normal_project(y)
-            yn = _affine_project(yn, ybasis, y0)
-            if np.linalg.norm(yn - y) < 1e-15:
-                y = yn
-                break
-            y = yn
-        if np.linalg.norm(y - frame.normal_project(y)) <= _MULT_TOL:
-            hits.append(y)
-    if not hits:
+    ybasis = span @ linalg.nullspace(M)
+    if ybasis.shape[1] == 0:
+        rep = y0 if _in_normal_cone(frame, y0) else None
+    else:
+        rep = _line_point(frame, y0, ybasis[:, 0]) \
+            if ybasis.shape[1] == 1 else None
+        if rep is None:
+            rep = _projection_search(frame, y0, ybasis, seed)
+    if rep is None:
         return None
-    rep = np.mean(hits, axis=0)
-    rep = _affine_project(frame.normal_project(rep), ybasis, y0)
-    if np.linalg.norm(rep - frame.normal_project(rep)) > _MULT_TOL:
-        rep = hits[0]
-    scale = max(1.0, np.linalg.norm(rep))
-    h = 1e-6 * scale
-    dirs = []
-    for k in range(ybasis.shape[1]):
-        d = ybasis[:, k]
-        ok = True
-        for s in (h, -h):
-            yk = rep + s * d
-            if np.linalg.norm(yk - frame.normal_project(yk)) > 1e-13 * scale:
-                ok = False
-                break
-        if ok:
-            dirs.append(d)
-    directions = np.array(dirs).T if dirs else np.zeros((prog.cone.dim, 0))
-    return MultiplierSet(rep, len(dirs), directions)
+    directions = _hull_directions(frame, rep, ybasis)
+    return MultiplierSet(rep, directions.shape[1], directions)
 
 
 # ---------------------------------------------------------------------------

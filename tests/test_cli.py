@@ -71,6 +71,9 @@ class TestAnalyze:
             assert key in data
         assert data["theorem_verdict"] == "holds"
         assert data["srcq"]["margin"] is not None
+        # the multiplier the verdicts were decided at
+        assert data["multiplier"] == \
+            model.fixture("example4").reference[1].tolist()
 
     def test_report_is_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -642,6 +642,45 @@ class TestAssembleReport:
             assert report.theorem_verdict == HOLDS
             assert report.consistency_flag is True
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "example4"])
+    def test_shared_cones_give_the_public_verdicts(self, name):
+        prog, x, y = fixture(name)
+        report = assemble_report(prog, x, y, seed=1)
+        for key, v in (("rcq", check_rcq(prog, x, seed=1)),
+                       ("srcq", check_srcq(prog, x, y, seed=1)),
+                       ("nondegeneracy", check_nondegeneracy(prog, x)),
+                       ("sosc", check_sosc(prog, x, y)),
+                       ("affine_hull_probe", affine_hull_probe(prog, x, y))):
+            assert getattr(report, key).to_dict() == v.to_dict(), key
+        if not (report.srcq.fails or report.sosc.fails):
+            # no witness seeds the report's probe
+            probe = kernel_probe(prog, x, y, seed=1)
+            assert report.kernel_probe["min_residual"] == \
+                probe["min_residual"]
+
+    def test_two_frames_per_report(self, monkeypatch):
+        # one at G(x) for RCQ and nondegeneracy, one at G(x) + y for SRCQ,
+        # SOSC, the hull probe and the kernel probe
+        from conestab.cones import Cone
+        calls = []
+        original = Cone.frame
+
+        def counted(self, c):
+            calls.append(1)
+            return original(self, c)
+
+        monkeypatch.setattr(Cone, "frame", counted)
+        for name in ("example1", "example2", "example3", "example4"):
+            calls.clear()
+            assemble_report(*fixture(name))
+            assert len(calls) == 2, name
+
+    def test_report_records_the_multiplier(self):
+        prog, x, y = fixture("example2")
+        data = assemble_report(prog, x, y).to_dict()
+        assert data["multiplier"] == y.tolist()
+
     def test_report_serializes(self):
         import json
         prog, x, y = fixture("example4")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conestab import kkt, model
+from conestab import kkt, linalg, model
 from conestab.cones import smat, svec
 from conestab.kkt import (KKTPoint, SolveOptions, natural_map,
                           natural_residual, normal_map, recover_multipliers,
@@ -120,6 +120,196 @@ class TestRecoverMultipliers:
     def test_infeasible_point_has_no_multiplier(self):
         prog = model.builtin("example4")
         assert recover_multipliers(prog, np.array([5.0, 0.0, -3.0])) is None
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _line_cases():
+    """(case, Cone, G(x), y0, unit v, expected affine dim or None for a
+    miss) for each closed form of the line test: a segment with interior
+    (dim 1), a point where the line touches N (dim 0) and a miss.  The
+    touching point sits at s = -0.5 on a polyhedral N and at s = 0, as on
+    example1 and example3, on a curved one, where the projections from a
+    farther y0 do not converge to it (see
+    `test_closed_form_finds_a_touching_point_away_from_y0`).  SOC
+    boundary rays and PSD kernels of order 1 have a one-dimensional
+    normal span, so an orthant corner is added to give the line room."""
+    from conestab.cones import Cone
+    E = np.eye(4)
+    ev = np.concatenate([_unit([1.0, -1.0, 0.0]), [0.0]])  # -vhat spans N
+    ek = E[2]  # svec(e2 e2') of PSD(2) at diag(1, 0)
+    off = svec(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.0, 1.0, 0.0]]) / np.sqrt(2.0))
+    polyhedral = {
+        "orthant-corner": (Cone([("orthant", 2)]), np.zeros(2),
+                           np.eye(2)[0], np.eye(2)[1]),
+        "soc-bdry": (Cone([("soc", 3), ("orthant", 1)]),
+                     np.array([1.0, 1.0, 0.0, 0.0]), ev, E[3]),
+        "psd-ker1": (Cone([("psd", 2), ("orthant", 1)]),
+                     np.concatenate([svec(np.diag([1.0, 0.0])), [0.0]]),
+                     ek, E[3]),
+    }
+    cases = []
+    for name, (cone, g, a, b) in polyhedral.items():
+        # N meets span{a, b} in the quadrant of -a and -b
+        v = _unit(a - b)
+        cases += [(name, cone, g, -a - b, v, 1),
+                  (name, cone, g, 0.5 * v, v, 0),
+                  (name, cone, g, a + b, v, None)]
+    soc = Cone([("soc", 3)])
+    cases += [("soc-apex", soc, np.zeros(3), np.array([-1.0, 0.0, 0.0]),
+               np.eye(3)[1], 1),
+              ("soc-apex", soc, np.zeros(3), np.array([-1.0, 1.0, 0.0]),
+               np.eye(3)[2], 0),
+              ("soc-apex", soc, np.zeros(3), np.array([1.0, 0.0, 0.0]),
+               np.eye(3)[1], None),
+              # along a boundary ray of N: a half-line
+              ("soc-apex", soc, np.zeros(3), np.array([-1.0, 1.0, 0.0]),
+               _unit([1.0, -1.0, 0.0]), 1)]
+    psd = Cone([("psd", 3)])
+    g = svec(np.diag([1.0, 0.0, 0.0]))
+    cases += [("psd-ker2", psd, g, -svec(np.diag([0.0, 1.0, 1.0])), off, 1),
+              ("psd-ker2", psd, g, -svec(np.diag([0.0, 1.0, 0.0])), off, 0),
+              ("psd-ker2", psd, g, svec(np.diag([0.0, 1.0, 1.0])), off,
+               None)]
+    return cases
+
+
+def _sampled_dim(frame, y0, v, grid):
+    """None, 0 or 1 as no, one or several grid points y0 + s v lie in N."""
+    hits = [s for s in grid
+            if np.linalg.norm((y0 + s * v) - frame.normal_project(y0 + s * v))
+            <= 1e-12]
+    return (None if not hits else 0 if len(hits) == 1 else 1), hits
+
+
+def _ladder_instance():
+    """Orthant(3) x SOC(3) x PSD(3) with G = I and a strictly complementary
+    pair, as the benchmark's ladder builds: the stationarity set is a
+    point."""
+    from conestab.cones import Cone
+    from conestab.model import ConicProgram
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    s = np.concatenate([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                        svec((q * [1.0, 0.0, 0.0]) @ q.T)])
+    y = np.concatenate([[0.0, -1.0, -2.0], [-1.0, 1.0, 0.0],
+                        svec((q * [0.0, -1.0, -2.0]) @ q.T)])
+    R = np.random.default_rng(0).standard_normal((12, 12))
+    Q = R @ R.T + 12 * np.eye(12)
+    prog = ConicProgram(12, Q, -(Q @ s) - y, 0.0, np.zeros(12),
+                        np.eye(12), Cone([("orthant", 3), ("soc", 3),
+                                          ("psd", 3)]), name="ladder")
+    return prog, s, y
+
+
+def _count_normal_projections(monkeypatch):
+    from conestab.cones import ConeFrame
+    count = [0]
+    original = ConeFrame.normal_project
+
+    def counted(self, y):
+        count[0] += 1
+        return original(self, y)
+
+    monkeypatch.setattr(ConeFrame, "normal_project", counted)
+    return count
+
+
+class TestExactMultiplierLine:
+    @pytest.mark.parametrize("k", range(len(_line_cases())))
+    def test_closed_form_agrees_with_search_and_sample(self, k):
+        name, cone, g, y0, v, dim = _line_cases()[k]
+        frame = cone.frame(g)
+        assert kkt._normal_cone_rows(frame) is not None, name
+        V = v.reshape(-1, 1)
+        grid = np.linspace(-4.0, 4.0, 8001)
+        sampled, hits = _sampled_dim(frame, y0, v, grid)
+        # the case table's interval, without slack, spans the sampled hits
+        lo, hi = -np.inf, np.inf
+        for s, L in kkt._normal_cone_rows(frame):
+            iv = kkt._line_interval(L[0] @ y0[s], L[0] @ v[s],
+                                    L[1:] @ y0[s], L[1:] @ v[s])
+            iv = iv or (np.inf, -np.inf)
+            lo, hi = max(lo, iv[0]), min(hi, iv[1])
+        if sampled is None:
+            assert lo > hi, name
+        else:
+            assert abs(max(lo, grid[0]) - hits[0]) <= 1e-3, name
+            assert abs(min(hi, grid[-1]) - hits[-1]) <= 1e-3, name
+        exact = kkt._line_point(frame, y0, v)
+        search = kkt._projection_search(frame, y0, V, seed=0)
+        found = []
+        for rep in (exact, search):
+            found.append(None if rep is None else
+                         kkt._hull_directions(frame, rep, V).shape[1])
+        assert found == [dim, dim] and sampled == dim, name
+
+    @pytest.mark.parametrize("name", ["soc-apex", "psd-ker2"])
+    def test_closed_form_finds_a_touching_point_away_from_y0(self, name):
+        # the curved touching case with y0 moved 0.5 along the line
+        _, cone, g, y0, v, _ = next(c for c in _line_cases()
+                                    if c[0] == name and c[5] == 0)
+        frame = cone.frame(g)
+        y0 = y0 - 0.5 * v
+        exact = kkt._line_point(frame, y0, v)
+        assert exact is not None, name
+        assert abs(float(v @ (exact - y0)) - 0.5) <= 1e-5, name
+        sampled, hits = _sampled_dim(frame, y0, v,
+                                     np.linspace(-4.0, 4.0, 8001))
+        assert sampled == 0 and abs(hits[0] - 0.5) <= 1e-12
+        assert kkt._hull_directions(frame, exact,
+                                    v.reshape(-1, 1)).shape[1] == 0
+
+    def test_each_closed_form_is_covered(self):
+        assert {c[0] for c in _line_cases()} == {
+            "orthant-corner", "soc-bdry", "soc-apex", "psd-ker1",
+            "psd-ker2"}
+
+    def test_psd_kernel_of_order_three_has_no_closed_form(self):
+        from conestab.cones import Cone
+        frame = Cone([("psd", 3)]).frame(np.zeros(6))
+        assert kkt._normal_cone_rows(frame) is None
+
+    def test_rounding_on_example3_stays_a_point(self, monkeypatch):
+        # example3's y0 lies 1.6e-15 outside N, on a line tangent to the
+        # PSD block's normal cone: without the slack the interval is empty
+        prog = model.builtin("example3")
+        x, _ = model.fixture("example3").reference
+        frame = prog.cone.frame(prog.constraint(x))
+        span = frame.normal_span()
+        M = prog.constraint_jac(x).T @ span
+        y0 = span @ linalg.lstsq(M, -prog.gradient(x))
+        v = (span @ linalg.nullspace(M))[:, 0]
+        assert kkt._line_point(frame, y0, v) is not None
+        monkeypatch.setattr(kkt, "_LINE_SLACK", 0.0)
+        assert kkt._line_point(frame, y0, v) is None
+        monkeypatch.undo()
+        mset = recover_multipliers(prog, x)
+        assert mset is not None and mset.affine_dim == 0
+
+    def test_no_search_where_a_closed_form_exists(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the projection search ran")
+
+        monkeypatch.setattr(kkt, "_projection_search", refuse)
+        cases = [(model.builtin(name), model.fixture(name).reference[0])
+                 for name in ("example1", "example3", "example4")]
+        prog, x, _ = _ladder_instance()
+        cases.append((prog, x))
+        for prog, x in cases:
+            mset = recover_multipliers(prog, x)
+            assert mset is not None and mset.is_singleton, prog.name
+
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_work_count(self, name, monkeypatch):
+        # the search made 5,612 and 4,077 projections here
+        count = _count_normal_projections(monkeypatch)
+        x, _ = model.fixture(name).reference
+        assert recover_multipliers(model.builtin(name), x) is not None
+        assert count[0] <= 4
 
 
 class TestSolveKkt:
