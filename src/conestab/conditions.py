@@ -6,8 +6,10 @@ L + span C = Y and L meets the relative interior of C (Robinson, 1976).
 Each side is decided in linear algebra: a polar span that ker(G'*) misses
 gives holds at once, a unit vector of ker(G'*) ∩ (span C)^perp is a polar
 witness that fails, and a direction d with G'd in ri C, checked block by
-block, certifies holds.  Only where neither applies does a seeded search
-look for a polar witness; without one the verdict is inconclusive.
+block, certifies holds.  Where neither applies, the condition fails
+exactly when ker(G'*) holds a nonzero element of the polar cone: decided
+exactly on a line, and otherwise by `kkt.affine_cone_point` on a slice,
+whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
 """
@@ -17,8 +19,8 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .cones import smat, svec
-from .kkt import hess_lagrangian, kkt_matrix, natural_residual
+from .kkt import (affine_cone_point, hess_lagrangian, kkt_matrix,
+                  natural_residual)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -84,101 +86,18 @@ def _span_witness(w):
     return w * (np.sign(w[np.argmax(np.abs(w))]) / np.linalg.norm(w))
 
 
-def _sphere_grid(dim):
-    """Deterministic points on the unit sphere of R^dim (dim <= 3)."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        t = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-        return np.column_stack([np.cos(t), np.sin(t)])
-    t = np.linspace(0.0, 2.0 * np.pi, 120, endpoint=False)
-    p = np.linspace(0.0, np.pi, 60)
-    pts = []
-    for phi in p:
-        for th in t:
-            pts.append([np.sin(phi) * np.cos(th),
-                        np.sin(phi) * np.sin(th),
-                        np.cos(phi)])
-    return np.array(pts)
-
-
-def _cone_element_in_subspace(basis, cone_project, rng):
-    """Search for a unit vector of range(basis) lying in the convex cone
-    described by cone_project, from 50 random starts (and a sphere grid
-    in dimension <= 3), 300 alternating projections each.  Returns
-    (vector, distance) for the best candidate found."""
-    dim = basis.shape[1]
-    starts = []
-    if dim <= 3:
-        starts.extend(_sphere_grid(dim))
-    starts.extend(rng.standard_normal((50, dim)))
-    best = (None, np.inf)
-    for w in starts:
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            continue
-        z = basis @ (w / nw)
-        for _ in range(300):
-            zp = cone_project(z)
-            zp = basis @ (basis.T @ zp)
-            nz = np.linalg.norm(zp)
-            if nz < 1e-13:
-                z = zp
-                break
-            zp = zp / nz
-            if np.linalg.norm(zp - z) < 1e-14:
-                z = zp
-                break
-            z = zp
-        nz = np.linalg.norm(z)
-        if nz < 1e-13:
-            continue
-        z = z / nz
-        d = np.linalg.norm(z - cone_project(z))
-        if d < best[1]:
-            best = (z, d)
-            if d <= WITNESS_TOL:
-                return best
-    return best
-
-
-def _curved_value(f, h):
-    """A value of h that is positive exactly when h (in the span of a
-    curved block's critical cone) lies in its relative interior: t - ||u||
-    at an SOC apex, lambda_min(P_beta' smat(h) P_beta) on a PSD beta of
-    size >= 2."""
-    if f.block.kind == "soc":
-        return float(h[0] - np.linalg.norm(h[1:]))
-    Pb = f.P[:, f.beta]
-    return float(linalg.sym_eig(Pb.T @ smat(h) @ Pb)[0][-1])
-
-
-def _curved_centre(f):
-    """A point of a curved block's relative interior: (1, 0) at an SOC
-    apex, svec(P_beta P_beta') on a PSD beta of size >= 2."""
-    if f.block.kind == "soc":
-        return np.eye(f.block.dim)[0]
-    Pb = f.P[:, f.beta]
-    return svec(Pb @ Pb.T)
-
-
 def _interior_direction(cc):
     """A unit d with G'd in the relative interior of the critical cone C
     of cc (a `ProblemCriticalCone`), and its margin: the least borderline
     row value and curved block eigenvalue of G'd, relative to ||G'd||.  A
     margin above zero certifies G'd in ri C; d is None when G'd is zero."""
     Z = cc.affine_basis
-    c = cc.rows.sum(axis=0)
-    for s, f in cc.curved:
-        c[s] += _curved_centre(f)
-    d = Z @ linalg.lstsq(cc.Gmat @ Z, c)
+    d = Z @ linalg.lstsq(cc.Gmat @ Z, cc.frame.relint_point())
     h = cc.Gmat @ d
     nh = np.linalg.norm(h)
     if nh == 0.0:
         return None, 0.0
-    vals = list(cc.rows @ h) + [_curved_value(f, h[s])
-                                for s, f in cc.curved]
-    return d / np.linalg.norm(d), min(vals) / nh
+    return d / np.linalg.norm(d), cc.frame.relint_margin(h) / nh
 
 
 def _decide_fullness(cc, seed, label):
@@ -186,9 +105,12 @@ def _decide_fullness(cc, seed, label):
 
     With L = range G', L + C = Y iff L + span C = Y and L meets ri C.
     The first fails exactly when ker(G'*) meets (span C)^perp, a subspace
-    of C°; the second is certified by an interior direction.  Where
-    neither decides, a search for a polar element in ker(G'*) may refute
-    the condition, and otherwise the verdict is inconclusive.
+    of C°; the second is certified by an interior direction.  Otherwise
+    it fails exactly when V = ker(G'*) ∩ span C° holds a nonzero element
+    of C°: v or -v on a line.  On a plane or larger each such element has
+    <v, c> < 0 for the point c of ri C, as range V misses (span C)^perp,
+    so `affine_cone_point` looks for one on the slice <v, c> = -1 (`seed`
+    is read only there); a miss is inconclusive.
     """
     V = _polar_kernel(cc.Gmat, cc.frame.normal_span())
     if V.shape[1] == 0:
@@ -205,12 +127,29 @@ def _decide_fullness(cc, seed, label):
     if margin > WITNESS_TOL:
         return Verdict(HOLDS, margin=margin, witness=d,
                        note="%s: interior direction: G'd in ri C" % label)
-    rng = np.random.default_rng(seed)
-    cand, dist = _cone_element_in_subspace(V, cc.frame.polar_project, rng)
-    if cand is not None and dist <= WITNESS_TOL:
-        return Verdict(FAILS, margin=dist, witness=cand,
-                       note="%s: nonzero polar element in ker(G'*)" % label)
-    return Verdict(INCONCLUSIVE, margin=dist,
+    if V.shape[1] == 1:
+        cands = [V[:, 0], -V[:, 0]]
+    else:
+        c = cc.frame.relint_point()
+        w = V.T @ c
+        nw = np.linalg.norm(w)
+        y = None
+        if nw > WITNESS_TOL * np.linalg.norm(c):
+            y = affine_cone_point(cc.frame.polar_project, cc.frame.polar_rows,
+                                  V @ (-w / nw ** 2),
+                                  V @ linalg.nullspace(w[None, :]), seed)
+        cands = [] if y is None else [y / np.linalg.norm(y)]
+    dists = [cc.frame.polar_dist(u) for u in cands]
+    for u, dist in zip(cands, dists):
+        if dist <= WITNESS_TOL:
+            return Verdict(FAILS, margin=dist, witness=u,
+                           note="%s: nonzero polar element in ker(G'*)"
+                           % label)
+    if V.shape[1] == 1:
+        return Verdict(HOLDS, margin=min(dists),
+                       note="%s: ker(G'*) meets the polar cone only at 0"
+                       % label)
+    return Verdict(INCONCLUSIVE, margin=min(dists, default=np.inf),
                    note="%s: no interior direction and no polar witness"
                    % label)
 
@@ -219,37 +158,12 @@ def _decide_fullness(cc, seed, label):
 # Critical cone of the problem
 
 
-def _borderline(frame):
-    """The rows a with a . h >= 0 that cut the critical cone out of its
-    affine hull, one per polyhedral borderline piece (an orthant corner
-    e_i, an SOC boundary vhat or apex ray rhat, svec(p p') for a PSD beta
-    {p} of size 1), and the curved blocks as (slice, block frame) pairs
-    (an SOC apex, a PSD beta of size >= 2)."""
-    rows, curved = [], []
-    for f, s in zip(frame.frames, frame.cone._slices):
-        kind = f.block.kind
-        local = []
-        if kind == "orthant":
-            local = np.eye(f.block.dim)[f.state == 1]
-        elif kind == "soc":
-            local = {"bdry": [f.vhat], "apex_ray": [f.rhat]}.get(f.case, [])
-            if f.case == "apex":
-                curved.append((s, f))
-        elif kind == "psd" and len(f.beta) == 1:
-            p = f.P[:, f.beta[0]]
-            local = [svec(np.outer(p, p))]
-        elif kind == "psd" and len(f.beta) >= 2:
-            curved.append((s, f))
-        rows.append(local)
-    return frame.embed(rows), curved
-
-
 def dir_deriv_is_linear(frame):
     """Whether the directional derivative of the projection is linear at
     the frame: no borderline row and no curved block.  Exactly then the
     critical cone is a subspace and dir_deriv_jac does not depend on h.
     """
-    rows, curved = _borderline(frame)
+    rows, curved = frame.borderline()
     return not (len(rows) or curved)
 
 
@@ -258,8 +172,8 @@ class ProblemCriticalCone:
 
     Holds the frame at G(x) + y, the rows E with span C_K = null E, the
     hull basis Z = null(E G') of C(x), and the borderline rows and curved
-    blocks of `_borderline`.  At y = 0 the critical cone is the tangent
-    cone T_K(G(x)).
+    blocks of `ConeFrame.borderline`.  At y = 0 the critical cone is the
+    tangent cone T_K(G(x)).
     """
 
     def __init__(self, prog, x, y):
@@ -270,7 +184,7 @@ class ProblemCriticalCone:
         self.Gmat = prog.constraint_jac(x)
         self.E = self.frame.cc_equalities()
         self.affine_basis = linalg.nullspace(self.E @ self.Gmat, tol=1e-10)
-        self.rows, self.curved = _borderline(self.frame)
+        self.rows, self.curved = self.frame.borderline()
         self.is_subspace = not (len(self.rows) or self.curved)
 
     @property
@@ -301,7 +215,8 @@ def check_rcq(prog, x, seed=0):
 
     A holds verdict carries a unit d with G'd in ri T_K(G(x)), so that
     G(x) + t G'd lies in ri K for small t > 0, unless ker(G'*) misses the
-    normal span; a fails verdict carries a unit y in ker(G'*) ∩ N_K(G(x)).
+    normal span or meets it in a line that misses N_K(G(x)); a fails
+    verdict carries a unit y in ker(G'*) ∩ N_K(G(x)).
     """
     return _decide_fullness(_tangent_cone(prog, x), seed, "rcq")
 

@@ -227,6 +227,8 @@ class ZeroFrame:
     def cc_equalities(self):
         return np.eye(self.block.dim)
 
+    normal_face_span = normal_span
+
 
 class OrthantFrame:
     # Per-coordinate states: 0 = inactive (a>0, d free), 1 = corner
@@ -267,6 +269,9 @@ class OrthantFrame:
 
     def cc_equalities(self):
         return np.eye(self.block.dim)[self.state == 2, :]
+
+    def normal_face_span(self):
+        return np.eye(self.block.dim)[:, self.state == 2]
 
 
 class SocFrame:
@@ -385,6 +390,14 @@ class SocFrame:
             return self.vhat.reshape(1, m)
         return np.zeros((0, m))
 
+    def normal_face_span(self):
+        m = self.block.dim
+        if self.case == "polar_int":
+            return np.eye(m)
+        if self.case in ("smooth", "apex_ray"):
+            return self.vhat.reshape(m, 1)
+        return np.zeros((m, 0))
+
 
 class PsdFrame:
     """Eigen-frame of C = A + B for a PSD block, with index partition
@@ -460,6 +473,9 @@ class PsdFrame:
         # the (gamma, beta) and (gamma, gamma) pairs
         return self._pair_rows(self.gamma,
                                np.concatenate([self.beta, self.gamma]))
+
+    def normal_face_span(self):
+        return self._pair_rows(self.gamma, self.gamma).T
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +627,84 @@ class ConeFrame:
         """Rows E with span C = null E for the critical cone C."""
         return self.embed([f.cc_equalities() for f in self.frames])
 
-    def cc_sample(self, rng):
-        return self.cc_project(rng.standard_normal(self.cone.dim))
+    def normal_face_span(self):
+        """Basis of the span of the face of N_K(A) holding B in its
+        relative interior: the orthant indices with b < 0, vhat on an SOC
+        ray of N, the whole of int N, a PSD block's (gamma, gamma) pairs."""
+        return self.embed([f.normal_face_span().T for f in self.frames]).T
+
+    def borderline(self):
+        """The rows a with a . h >= 0 that cut the critical cone out of its
+        affine hull, one per polyhedral borderline piece (an orthant corner
+        e_i, an SOC boundary vhat or apex ray rhat, svec(p p') for a PSD
+        beta {p} of size 1), and the curved blocks as (slice, block frame)
+        pairs (an SOC apex, a PSD beta of size >= 2)."""
+        rows, curved = [], []
+        for f, s in zip(self.frames, self.cone._slices):
+            kind = f.block.kind
+            local = []
+            if kind == "orthant":
+                local = np.eye(f.block.dim)[f.state == 1]
+            elif kind == "soc":
+                local = {"bdry": [f.vhat], "apex_ray": [f.rhat]}.get(f.case,
+                                                                     [])
+                if f.case == "apex":
+                    curved.append((s, f))
+            elif kind == "psd" and len(f.beta) == 1:
+                p = f.P[:, f.beta[0]]
+                local = [svec(np.outer(p, p))]
+            elif kind == "psd" and len(f.beta) >= 2:
+                curved.append((s, f))
+            rows.append(local)
+        return self.embed(rows), curved
+
+    def relint_point(self):
+        """A point of the critical cone's relative interior: the sum of
+        the borderline rows and, on each curved block, (1, 0) at an SOC
+        apex or svec(P_beta P_beta') on a PSD beta."""
+        rows, curved = self.borderline()
+        c = rows.sum(axis=0)
+        for s, f in curved:
+            c[s] += (np.eye(f.block.dim)[0] if f.block.kind == "soc" else
+                     svec(f.P[:, f.beta] @ f.P[:, f.beta].T))
+        return c
+
+    def relint_margin(self, h):
+        """The least value over the critical cone's pieces of an h in its
+        span, positive exactly when h lies in its relative interior: a . h
+        for a borderline row a, t - ||u|| at an SOC apex, and
+        lambda_min(P_beta' smat(h) P_beta) on a PSD beta of size >= 2."""
+        rows, curved = self.borderline()
+        vals = list(rows @ h)
+        for s, f in curved:
+            if f.block.kind == "soc":
+                vals.append(float(h[s][0] - np.linalg.norm(h[s][1:])))
+            else:
+                Pb = f.P[:, f.beta]
+                vals.append(float(linalg.sym_eig(
+                    Pb.T @ smat(h[s]) @ Pb)[0][-1]))
+        return min(vals)
+
+    def polar_rows(self):
+        """C° on span N_K(A) as Lorentz rows: a y of the normal span lies
+        in C° iff t >= ||u|| for (t, u) = L y[s], for every (s, L) listed.
+        A borderline row a gives the half-space row -a.  A curved block
+        gives -L: L = I at an SOC apex, and for a PSD beta {p, q} the rows
+        t = (W11 + W22)/2, u = ((W11 - W22)/2, W12) of W = [p q]' smat(y)
+        [p q].  None when a PSD beta has order >= 3, where C° has no such
+        form.  At a frame built at a point of K, C° is N_K(A)."""
+        rows, curved = self.borderline()
+        out = [(slice(None), -a[None, :]) for a in rows]
+        for s, f in curved:
+            if f.block.kind == "soc":
+                out.append((s, -np.eye(f.block.dim)))
+            elif len(f.beta) > 2:
+                return None
+            else:
+                R = f._pair_rows(f.beta, f.beta)
+                out.append((s, -np.array([(R[0] + R[2]) / 2,
+                                          (R[0] - R[2]) / 2, R[1] / SQRT2])))
+        return out
 
 
 def dir_deriv_conditions(frame, dA, dB, tol=1e-8):

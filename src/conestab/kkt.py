@@ -92,41 +92,8 @@ def _affine_project(y, basis, offset):
     return offset + basis @ (basis.T @ (y - offset))
 
 
-def _in_normal_cone(frame, y):
-    return np.linalg.norm(y - frame.normal_project(y)) <= _MULT_TOL
-
-
-def _normal_cone_rows(frame):
-    """N_K(A) at the frame as Lorentz rows: a y of the normal span lies in
-    N_K(A) iff t >= ||u|| for (t, u) = L y[s], for every (s, L) listed.
-    A one-row L is a half-space: -e_i for an active orthant index, -vhat
-    for an SOC boundary ray, -svec(p p') for a PSD kernel {p}.  An SOC
-    block at its apex gives -I (y in -K), and a PSD kernel {p, q} gives
-    -W >= 0 for W = [p q]' smat(y) [p q] as t = -(W11 + W22)/2,
-    u = (-(W11 - W22)/2, -W12).  None when a PSD kernel has order >= 3,
-    where N has no such form."""
-    out = []
-    for f, s in zip(frame.frames, frame.cone._slices):
-        kind, dim = f.block.kind, f.block.dim
-        if kind == "orthant":
-            out.extend((s, -np.eye(dim)[[i]])
-                       for i in np.flatnonzero(f.state != 0))
-        elif kind == "soc" and f.case in ("bdry", "smooth"):
-            out.append((s, -f.vhat.reshape(1, dim)))
-        elif kind == "soc" and f.case != "int":
-            out.append((s, -np.eye(dim)))
-        elif kind == "psd":
-            ker = np.concatenate([f.beta, f.gamma])
-            R = f._pair_rows(ker, ker)
-            if len(ker) == 1:
-                out.append((s, -R))
-            elif len(ker) == 2:
-                out.append((s, -np.array([(R[0] + R[2]) / 2,
-                                          (R[0] - R[2]) / 2,
-                                          R[1] / np.sqrt(2.0)])))
-            elif len(ker) > 2:
-                return None
-    return out
+def _in_cone(project, y):
+    return np.linalg.norm(y - project(y)) <= _MULT_TOL
 
 
 def _inner_point(lo, hi, width):
@@ -167,13 +134,12 @@ def _line_interval(t0, t1, u0, u1):
     return min(p[0] for p in hit), max(p[1] for p in hit)
 
 
-def _line_point(frame, y0, v):
-    """A relative-interior point of (y0 + R v) ∩ N_K(A) in closed form:
-    the intervals of `_normal_cone_rows`, each widened by a slack, meet in
-    (lo, hi), and `_inner_point` picks s in it with a width of
-    max(1, ||y0||).  None when there is no closed form, the intersection
-    is empty, or y0 + s v fails the membership test."""
-    rows = _normal_cone_rows(frame)
+def _line_point(project, rows, y0, v):
+    """A relative-interior point of (y0 + R v) ∩ K in closed form: the
+    intervals of K's Lorentz rows (as `ConeFrame.polar_rows`), each widened
+    by a slack, meet in (lo, hi), and `_inner_point` picks s in it with a
+    width of max(1, ||y0||).  None when rows is None, the intersection is
+    empty, or y0 + s v fails the membership test of `project`."""
     if rows is None:
         return None
     scale = max(1.0, np.linalg.norm(y0))
@@ -188,69 +154,76 @@ def _line_point(frame, y0, v):
     if lo > hi:
         return None
     y = y0 + _inner_point(lo, hi, scale) * v
-    return y if _in_normal_cone(frame, y) else None
+    return y if _in_cone(project, y) else None
 
 
-def _projection_search(frame, y0, ybasis, seed):
-    """A point of (y0 + range ybasis) ∩ N_K(A) by alternating projections
-    from y0 and seeded random starts, or None when none converges into N:
-    the mean of the limits, which lies in the relative interior when the
-    starts spread over the set, else the first limit."""
+def _projection_search(project, y0, basis, seed):
+    """A point of (y0 + range basis) ∩ K by alternating projections from y0
+    and seeded random starts, or None when none converges into K: the mean
+    of the limits, which lies in the relative interior when the starts
+    spread over the set, else the first limit."""
     rng = np.random.default_rng(seed)
-    starts = [y0] + [y0 + ybasis @ rng.standard_normal(ybasis.shape[1])
+    starts = [y0] + [y0 + basis @ rng.standard_normal(basis.shape[1])
                      for _ in range(_MULT_STARTS - 1)]
     hits = []
     for y in starts:
         for _ in range(_AP_ITERS):
-            yn = frame.normal_project(y)
-            yn = _affine_project(yn, ybasis, y0)
+            yn = _affine_project(project(y), basis, y0)
             if np.linalg.norm(yn - y) < 1e-15:
                 y = yn
                 break
             y = yn
-        if _in_normal_cone(frame, y):
+        if _in_cone(project, y):
             hits.append(y)
     if not hits:
         return None
     rep = np.mean(hits, axis=0)
-    rep = _affine_project(frame.normal_project(rep), ybasis, y0)
-    return rep if _in_normal_cone(frame, rep) else hits[0]
+    rep = _affine_project(project(rep), basis, y0)
+    return rep if _in_cone(project, rep) else hits[0]
 
 
-def _hull_directions(frame, rep, ybasis):
-    """The columns of ybasis along which rep stays in N_K(A) for a step of
-    either sign; step and tolerance are relative to max(1, ||rep||), so
-    that scaling the data does not change the count."""
-    scale = max(1.0, np.linalg.norm(rep))
-    h = 1e-6 * scale
-    dirs = []
-    for d in ybasis.T:
-        if all(np.linalg.norm(yk - frame.normal_project(yk)) <= 1e-13 * scale
-               for yk in (rep + h * d, rep - h * d)):
-            dirs.append(d)
-    return np.array(dirs).T if dirs else np.zeros((len(rep), 0))
+def affine_cone_point(project, rows, y0, basis, seed):
+    """A point of y0 + range(basis) (orthonormal columns) in the closed
+    convex cone K with projection `project`, or None when there is none to
+    tolerance.  A point is tested directly, and a line in closed form from
+    K's Lorentz rows `rows()`, called only there.  A plane or larger, or
+    a line without closed form, falls back to the seeded search
+    `_projection_search`; `seed` is read only there."""
+    if basis.shape[1] == 0:
+        return y0 if _in_cone(project, y0) else None
+    if basis.shape[1] == 1:
+        y = _line_point(project, rows(), y0, basis[:, 0])
+        if y is not None:
+            return y
+    return _projection_search(project, y0, basis, seed)
+
+
+def _hull_directions(cone, a, rep, ybasis):
+    """Orthonormal directions of the multiplier set's affine hull, given a
+    representative rep in its relative interior: range(ybasis) ∩ the span
+    of the face of N_K(a) holding rep, read at the frame of a + rep."""
+    if ybasis.shape[1] == 0:
+        return ybasis
+    F = cone.frame(a + rep).normal_face_span()
+    return ybasis @ linalg.nullspace(ybasis - F @ (F.T @ ybasis))
 
 
 def recover_multipliers(prog, x, seed=0):
     """Multipliers at x, or None when there are none to tolerance.
 
     The stationarity equation G'(x)* y = -grad f(x) is solved over the
-    span of the normal-cone parametrization at G(x), which leaves the
-    affine set y0 + range(ybasis); the multipliers are its points in the
-    normal cone.  That is decided exactly when ybasis has no column (y0
-    itself) or one (`_line_point`: each block meets the line in a closed
-    form interval).  Only with two or more columns, a PSD kernel of order
-    >= 3 on a line, or a line whose closed form misses, does a seeded
-    alternating-projection search (`_projection_search`) look for one;
-    `seed` is read only there.  The affine dimension counts the columns
-    of ybasis along which the representative stays in the normal cone
-    (`_hull_directions`).
+    span of N_K(a) at a = Pi_K(G(x)), which leaves the affine set
+    y0 + range(ybasis); the multipliers are its points in N_K(a), the
+    polar of the critical cone at the frame of a, which
+    `affine_cone_point` finds (`seed` is read only where it searches).
+    The affine dimension is that of `_hull_directions`.
     """
     x = np.asarray(x, dtype=float)
     g = prog.constraint(x)
-    if prog.cone.dist(g) > _MULT_TOL:
+    a = prog.cone.project(g)
+    if np.linalg.norm(g - a) > _MULT_TOL:
         return None
-    frame = prog.cone.frame(g)
+    frame = prog.cone.frame(a)
     span = frame.normal_span()
     rhs = -prog.gradient(x)
     Gt = prog.constraint_jac(x).T  # maps ambient -> X
@@ -261,18 +234,12 @@ def recover_multipliers(prog, x, seed=0):
         return None
     # affine solution set inside the span: y = span(v0 + ker M . w); both
     # factors have orthonormal columns, so ybasis does too
-    y0 = span @ v0
     ybasis = span @ linalg.nullspace(M)
-    if ybasis.shape[1] == 0:
-        rep = y0 if _in_normal_cone(frame, y0) else None
-    else:
-        rep = _line_point(frame, y0, ybasis[:, 0]) \
-            if ybasis.shape[1] == 1 else None
-        if rep is None:
-            rep = _projection_search(frame, y0, ybasis, seed)
+    rep = affine_cone_point(frame.normal_project, frame.polar_rows,
+                            span @ v0, ybasis, seed)
     if rep is None:
         return None
-    directions = _hull_directions(frame, rep, ybasis)
+    directions = _hull_directions(prog.cone, a, rep, ybasis)
     return MultiplierSet(rep, directions.shape[1], directions)
 
 

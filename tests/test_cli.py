@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conestab import cli, model
+from conestab import cli, conditions, kkt, model
 from conestab.cli import (EXIT_CONFLICT, EXIT_INCONCLUSIVE, EXIT_INPUT,
                           EXIT_OK, EXIT_SOLVER, build_parser, main)
 
@@ -155,6 +155,37 @@ class TestOptions:
     def test_option_only_where_read(self, argv, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+
+class TestSearchWorkCount:
+    """The alternating-projection search runs only where no closed form
+    decides: example2's two-column multiplier plane."""
+
+    @pytest.mark.parametrize("name, calls", [
+        ("example1", 0), ("example2", 1), ("example3", 0), ("example4", 0)])
+    def test_analyze_searches_only_on_a_plane(self, name, calls,
+                                              monkeypatch, capsys):
+        count = [0]
+        search = kkt._projection_search
+
+        def counted(*args):
+            count[0] += 1
+            return search(*args)
+
+        monkeypatch.setattr(kkt, "_projection_search", counted)
+        main(["analyze", "--builtin", name])
+        capsys.readouterr()
+        assert count[0] == calls
+
+    def test_srcq_does_not_read_the_seed_on_example3(self):
+        prog = model.builtin("example3")
+        x, y = model.fixture("example3").reference
+        first = conditions.check_srcq(prog, x, y, seed=0)
+        assert first.fails
+        for seed in range(1, 6):
+            v = conditions.check_srcq(prog, x, y, seed=seed)
+            assert v.status == first.status and v.margin == first.margin
+            assert np.array_equal(v.witness, first.witness)
 
 
 class TestListBuiltins:

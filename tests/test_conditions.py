@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conestab import conditions, kkt, model
+from conestab import conditions, kkt, linalg, model
 from conestab.cones import smat, svec
 from conestab.conditions import (FAILS, HOLDS, INCONCLUSIVE,
                                  affine_hull_probe,
@@ -525,6 +525,71 @@ def _tangent_interior_values(prog, x, d):
     return vals
 
 
+def _kernel_program(name, trial, cols=2):
+    """A program whose RCQ at x = 0 has a polar kernel V of `cols`
+    columns, and the frame at G(0): G(x) = g + (I - V V') x, so
+    ker G'* = range V, for a seeded random subspace V of the normal span
+    at g.  Every frame's tangent cone spans the whole space, so
+    (span C)^perp is {0}."""
+    from conestab.cones import Cone
+    from conestab.model import ConicProgram
+    cone, g = {
+        "orthant-corner": (Cone([("orthant", 3)]), np.zeros(3)),
+        "soc-bdry": (Cone([("soc", 3), ("orthant", 2)]),
+                     np.array([1.0, 1.0, 0.0, 0.0, 0.0])),
+        "soc-apex": (Cone([("soc", 3)]), np.zeros(3)),
+        "psd-beta1": (Cone([("psd", 2), ("orthant", 2)]),
+                      np.concatenate([svec(np.diag([1.0, 0.0])), [0.0, 0.0]])),
+        "psd-beta2": (Cone([("psd", 3)]), svec(np.diag([1.0, 0.0, 0.0]))),
+    }[name]
+    frame = cone.frame(g)
+    N = frame.normal_span()
+    rng = np.random.default_rng(trial)
+    V = N @ np.linalg.qr(rng.standard_normal((N.shape[1], cols)))[0]
+    n = cone.dim
+    prog = ConicProgram(n, np.eye(n), np.zeros(n), 0.0, g,
+                        np.eye(n) - V @ V.T, cone, name=name)
+    return prog, frame
+
+
+class TestPolarKernelStage:
+    @pytest.mark.parametrize("cols", [1, 2])
+    @pytest.mark.parametrize("name", ["orthant-corner", "soc-bdry",
+                                      "soc-apex", "psd-beta1", "psd-beta2"])
+    def test_witness_exactly_when_the_unit_sphere_meets_the_polar(
+            self, name, cols, monkeypatch):
+        # range V meets C° in a sector (or a ray of ±v) or only at 0;
+        # without the interior direction every kernel reaches the test,
+        # which is exact on a line and inconclusive on a plane's miss
+        monkeypatch.setattr(conditions, "_interior_direction",
+                            lambda cc: (None, 0.0))
+        t = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
+        sphere = np.vstack([np.cos(t), np.sin(t)]) if cols == 2 else \
+            np.array([[1.0, -1.0]])
+        seen = set()
+        for trial in range(12):
+            prog, frame = _kernel_program(name, trial, cols)
+            V = linalg.nullspace(prog.constraint_jac(np.zeros(prog.n)).T)
+            assert V.shape[1] == cols
+            hit = any(frame.polar_dist(u) <= 1e-10 for u in (V @ sphere).T)
+            v = check_rcq(prog, np.zeros(prog.n))
+            if hit:
+                assert v.status == FAILS, (name, trial)
+                assert np.isclose(np.linalg.norm(v.witness), 1.0)
+                assert frame.polar_dist(v.witness) <= 1e-10
+                assert np.linalg.norm(V @ (V.T @ v.witness) - v.witness) \
+                    <= 1e-10
+            elif cols == 1:
+                assert v.status == HOLDS and v.witness is None, (name, trial)
+                assert np.isclose(v.margin, min(frame.polar_dist(u) for u
+                                                in (V[:, 0], -V[:, 0])))
+            else:
+                assert v.status == INCONCLUSIVE, (name, trial)
+                assert v.witness is None
+            seen.add(hit)
+        assert seen == {True, False}, name
+
+
 class TestRobinsonCertificate:
     @pytest.mark.parametrize("name", ["example1", "example2", "example3",
                                       "psd4", "orthant8", "soc6+orthant4"])
@@ -582,10 +647,14 @@ class TestRobinsonCertificate:
 
     def test_no_certificate_and_no_witness_is_inconclusive(self,
                                                            monkeypatch):
-        prog, x, y = fixture("example3")
-        monkeypatch.setattr(conditions, "_cone_element_in_subspace",
-                            lambda *args, **kwargs: (None, np.inf))
-        v = check_srcq(prog, x, y)
+        # a two-column polar kernel that meets C° in a sector, so that no
+        # interior direction exists, with the shared search finding nothing
+        prog, frame = _kernel_program("orthant-corner", 2)
+        v = check_rcq(prog, np.zeros(prog.n))
+        assert v.status == FAILS and frame.polar_dist(v.witness) <= 1e-10
+        monkeypatch.setattr(conditions, "affine_cone_point",
+                            lambda *args, **kwargs: None)
+        v = check_rcq(prog, np.zeros(prog.n))
         assert v.status == INCONCLUSIVE
         assert v.witness is None
 

@@ -410,6 +410,46 @@ class TestNormalSpan:
                 assert _in_range(U, y)
 
 
+def _rows_margin(rows, y):
+    """The least t - ||u|| over the Lorentz rows (s, L) of y."""
+    return min((float((L @ y[s])[0] - np.linalg.norm((L @ y[s])[1:]))
+                for s, L in rows), default=np.inf)
+
+
+class TestPolarRows:
+    def test_rows_agree_with_polar_membership(self):
+        # points of the normal span and their polar projections, at every
+        # frame and at the frame built on K, where C° is N_K(A)
+        rng = np.random.default_rng(18)
+        frames, seen = 0, set()
+        for cone, c in _span_cases(rng):
+            for f, on_k in ((cone.frame(c), False),
+                            (cone.frame(cone.frame(c).a), True)):
+                rows = f.polar_rows()
+                if rows is None:
+                    continue
+                U = f.normal_span()
+                for _ in range(20):
+                    y = U @ rng.standard_normal(U.shape[1])
+                    for z in (y, f.polar_project(y)):
+                        inside = f.polar_dist(z) <= 1e-10
+                        margin = _rows_margin(rows, z)
+                        assert margin >= -1e-10 if inside else margin < 0
+                        seen.add(inside)
+                    if on_k:
+                        n = f.normal_project(y)
+                        assert _rows_margin(rows, n) >= -1e-10
+                        assert (np.linalg.norm(y - n) <= 1e-10) == \
+                            (_rows_margin(rows, y) >= -1e-10)
+                frames += 1
+        assert frames >= 40 and seen == {True, False}
+
+    def test_psd_kernel_of_order_three_has_no_rows(self):
+        assert Cone([("psd", 3)]).frame(np.zeros(6)).polar_rows() is None
+        assert Cone([("psd", 3)]).frame(svec(np.diag(
+            [1.0, 0.0, 0.0]))).polar_rows() is not None
+
+
 class TestDirDeriv:
     def test_psd_offdiagonal_direction(self):
         cone = Cone([("psd", 2)])
@@ -462,7 +502,7 @@ class TestDirDeriv:
             d = f.dir_deriv(h)
             val = float((d - h) @ (d - h)) + f.upsilon(d)
             for _ in range(200):
-                w = f.cc_sample(rng)
+                w = f.cc_project(rng.standard_normal(cone.dim))
                 trial = float((w - h) @ (w - h)) + f.upsilon(w)
                 assert val <= trial + 1e-8
 
@@ -544,7 +584,7 @@ class TestUpsilon:
         for _ in range(40):
             cone = random_cone(rng)
             f = cone.frame(rng.standard_normal(cone.dim))
-            d = f.cc_sample(rng)
+            d = f.cc_project(rng.standard_normal(cone.dim))
             u = f.upsilon(d)
             assert u >= -1e-10 * max(1.0, d @ d)
             assert np.isclose(f.upsilon(3.0 * d), 9.0 * u, atol=1e-9)
@@ -565,7 +605,7 @@ class TestUpsilon:
         for _ in range(30):
             cone = random_cone(rng)
             f = cone.frame(rng.standard_normal(cone.dim))
-            d = f.cc_sample(rng)
+            d = f.cc_project(rng.standard_normal(cone.dim))
             assert np.isclose(f.upsilon(d), 0.5 * d @ f.upsilon_grad(d),
                               atol=1e-9)
 

@@ -113,6 +113,24 @@ class TestRecoverMultipliers:
             mset = recover_multipliers(scaled, x)
             assert mset is not None and mset.affine_dim == dim, name
 
+    def test_ray_in_a_plane_has_affine_dim_one(self):
+        # Lambda = {(-s, -s, 0, 0) | s >= 0}: the stationarity set is a
+        # plane, whose null basis need not hold the ray's direction
+        from conestab.cones import Cone
+        from conestab.model import ConicProgram
+        Ai = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        rng = np.random.default_rng(5)
+        mixes = [np.eye(2)] + [rng.standard_normal((2, 2)) for _ in range(20)]
+        for mix in mixes:
+            prog = ConicProgram(2, np.eye(2), np.zeros(2), 0.0, np.zeros(4),
+                                mix @ Ai, Cone([("orthant", 4)]), name="ray")
+            mset = recover_multipliers(prog, np.zeros(2))
+            assert mset is not None and mset.affine_dim == 1
+            d = mset.directions[:, 0]
+            assert np.isclose(abs(d @ [1.0, 1.0, 0.0, 0.0]), np.sqrt(2.0))
+            assert natural_residual(prog, np.zeros(2),
+                                    mset.representative) <= 1e-8
+
     def test_nonstationary_point_has_no_multiplier(self):
         prog = model.builtin("example1")
         assert recover_multipliers(prog, np.array([1.0, 1.0])) is None
@@ -205,6 +223,11 @@ def _ladder_instance():
     return prog, s, y
 
 
+def _line_point(frame, y0, v):
+    """The closed-form line test against N_K(A) at a frame built on K."""
+    return kkt._line_point(frame.normal_project, frame.polar_rows(), y0, v)
+
+
 def _count_normal_projections(monkeypatch):
     from conestab.cones import ConeFrame
     count = [0]
@@ -223,13 +246,13 @@ class TestExactMultiplierLine:
     def test_closed_form_agrees_with_search_and_sample(self, k):
         name, cone, g, y0, v, dim = _line_cases()[k]
         frame = cone.frame(g)
-        assert kkt._normal_cone_rows(frame) is not None, name
+        assert frame.polar_rows() is not None, name
         V = v.reshape(-1, 1)
         grid = np.linspace(-4.0, 4.0, 8001)
         sampled, hits = _sampled_dim(frame, y0, v, grid)
         # the case table's interval, without slack, spans the sampled hits
         lo, hi = -np.inf, np.inf
-        for s, L in kkt._normal_cone_rows(frame):
+        for s, L in frame.polar_rows():
             iv = kkt._line_interval(L[0] @ y0[s], L[0] @ v[s],
                                     L[1:] @ y0[s], L[1:] @ v[s])
             iv = iv or (np.inf, -np.inf)
@@ -239,12 +262,12 @@ class TestExactMultiplierLine:
         else:
             assert abs(max(lo, grid[0]) - hits[0]) <= 1e-3, name
             assert abs(min(hi, grid[-1]) - hits[-1]) <= 1e-3, name
-        exact = kkt._line_point(frame, y0, v)
-        search = kkt._projection_search(frame, y0, V, seed=0)
+        exact = _line_point(frame, y0, v)
+        search = kkt._projection_search(frame.normal_project, y0, V, seed=0)
         found = []
         for rep in (exact, search):
             found.append(None if rep is None else
-                         kkt._hull_directions(frame, rep, V).shape[1])
+                         kkt._hull_directions(cone, g, rep, V).shape[1])
         assert found == [dim, dim] and sampled == dim, name
 
     @pytest.mark.parametrize("name", ["soc-apex", "psd-ker2"])
@@ -254,13 +277,13 @@ class TestExactMultiplierLine:
                                     if c[0] == name and c[5] == 0)
         frame = cone.frame(g)
         y0 = y0 - 0.5 * v
-        exact = kkt._line_point(frame, y0, v)
+        exact = _line_point(frame, y0, v)
         assert exact is not None, name
         assert abs(float(v @ (exact - y0)) - 0.5) <= 1e-5, name
         sampled, hits = _sampled_dim(frame, y0, v,
                                      np.linspace(-4.0, 4.0, 8001))
         assert sampled == 0 and abs(hits[0] - 0.5) <= 1e-12
-        assert kkt._hull_directions(frame, exact,
+        assert kkt._hull_directions(cone, g, exact,
                                     v.reshape(-1, 1)).shape[1] == 0
 
     def test_each_closed_form_is_covered(self):
@@ -271,7 +294,7 @@ class TestExactMultiplierLine:
     def test_psd_kernel_of_order_three_has_no_closed_form(self):
         from conestab.cones import Cone
         frame = Cone([("psd", 3)]).frame(np.zeros(6))
-        assert kkt._normal_cone_rows(frame) is None
+        assert frame.polar_rows() is None
 
     def test_rounding_on_example3_stays_a_point(self, monkeypatch):
         # example3's y0 lies 1.6e-15 outside N, on a line tangent to the
@@ -283,9 +306,9 @@ class TestExactMultiplierLine:
         M = prog.constraint_jac(x).T @ span
         y0 = span @ linalg.lstsq(M, -prog.gradient(x))
         v = (span @ linalg.nullspace(M))[:, 0]
-        assert kkt._line_point(frame, y0, v) is not None
+        assert _line_point(frame, y0, v) is not None
         monkeypatch.setattr(kkt, "_LINE_SLACK", 0.0)
-        assert kkt._line_point(frame, y0, v) is None
+        assert _line_point(frame, y0, v) is None
         monkeypatch.undo()
         mset = recover_multipliers(prog, x)
         assert mset is not None and mset.affine_dim == 0
