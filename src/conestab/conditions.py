@@ -10,7 +10,9 @@ block, certifies holds.  Where neither applies, the condition fails
 exactly when ker(G'*) holds a nonzero element of the polar cone: decided
 exactly on a line, and otherwise by `kkt.affine_cone_point` on a slice,
 whose miss is inconclusive.
-SOSC is decided by enumerating the faces of the critical cone.
+SOSC is decided by enumerating the faces of the critical cone, and the
+kernel probe by enumerating the 3^k sign faces of its k borderline rows
+when no block is curved; one face routine serves both.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
 """
 
@@ -39,6 +41,10 @@ _KERNEL_STARTS = 200
 # SOSC enumerates the 2^k faces cut out by k borderline rows; above this
 # many rows only the affine hull is examined and no minimum is exact.
 MAX_FACE_ROWS = 12
+# the kernel probe enumerates its 3^k sign faces up to this many rows and
+# searches above it: on generated orthant corners the 729 faces of k = 6
+# take about as long as the search, the 2,187 of k = 7 two to three times
+_MAX_PROBE_ROWS = 6
 
 
 class Verdict:
@@ -158,15 +164,6 @@ def _decide_fullness(cc, seed, label):
 # Critical cone of the problem
 
 
-def dir_deriv_is_linear(frame):
-    """Whether the directional derivative of the projection is linear at
-    the frame: no borderline row and no curved block.  Exactly then the
-    critical cone is a subspace and dir_deriv_jac does not depend on h.
-    """
-    rows, curved = frame.borderline()
-    return not (len(rows) or curved)
-
-
 class ProblemCriticalCone:
     """C(x) = {d | G'(x)d in C_K(G(x), y)}, pulled back through G'.
 
@@ -272,46 +269,84 @@ def _face_eig(M, W):
     """Least eigenvalue of M on range(W) (orthonormal columns), its unit
     eigenvector and whether that eigenvalue is multiple."""
     vals, vecs = linalg.sym_eig(W.T @ M @ W)
+    return _least(vals, W @ vecs[:, -1])
+
+
+def _face_svd(F, W):
+    """Least value of ||F w||^2 on the unit sphere of range(W), from the
+    SVD of F W (squaring first, as eigenvalues of W'F'FW, loses the small
+    values), a unit vector attaining it and whether the least singular
+    value is multiple."""
+    _, sig, Vt = np.linalg.svd(F @ W)
+    val, v, tied = _least(sig, W @ Vt[-1])
+    return val ** 2, v, tied
+
+
+def _least(vals, v):
+    """The last of the descending values vals, with its vector v, and
+    whether the one above it lies within 1e-8 of the spectral scale."""
     tie = 1e-8 * max(1.0, abs(float(vals[0])), abs(float(vals[-1])))
-    return float(vals[-1]), W @ vecs[:, -1], \
-        len(vals) > 1 and vals[-2] - vals[-1] <= tie
+    return float(vals[-1]), v, len(vals) > 1 and vals[-2] - vals[-1] <= tie
+
+
+def _face_minimum(Z, A, signs, face, member):
+    """Least value of a per-face Rayleigh problem on the unit sphere of
+    range Z (orthonormal columns), over faces cut by the rows A (in Z's
+    coordinates).
+
+    A face gives row i a sign s_i from `signs`: s_i = 0 holds A_i w = 0,
+    leaving the span W = Z null(A_0), and s_i = +-1 asks s_i A_i w >= 0.
+    face(s, W) gives the least value on range W, a unit vector for it and
+    whether the value is multiple (`_face_eig`, `_face_svd`); it counts
+    when the vector, of either sign, passes member(s, vector).  A
+    minimiser lies in the relative interior of the face of its zero rows,
+    where it minimises the Rayleigh quotient locally, hence globally on W.
+    So the least count is the minimum, unless a multiple value below it
+    was rejected: only one vector of a tied subspace is tried.
+
+    Faces run by their number of zero rows, then in combination order.
+    Returns the least count and its vector, the least rejected multiple
+    value (inf when none) and the first face's value, on W = Z."""
+    k = len(A)
+    nonzero = [s for s in signs if s]
+    mn, wit, rejected, first = np.inf, None, np.inf, None
+    for r in range(k + 1 if 0 in signs else 1):
+        for zero in itertools.combinations(range(k), r):
+            W = Z @ linalg.nullspace(A[list(zero)], tol=1e-10) if zero else Z
+            if W.shape[1] == 0:
+                continue
+            free = [i for i in range(k) if i not in zero]
+            for vals in itertools.product(nonzero, repeat=k - r):
+                s = np.zeros(k)
+                s[free] = vals
+                val, v, tied = face(s, W)
+                first = val if first is None else first
+                inside = next((e for e in (v, -v) if member(s, e)), None)
+                if inside is not None and val < mn:
+                    mn, wit = val, inside
+                elif tied and inside is None:
+                    rejected = min(rejected, val)
+    return mn, wit, rejected, first
 
 
 def _sosc_verdict(M, cc):
     """Least value of d'Md on the unit sphere of C, by face enumeration.
 
     In the hull coordinates d = Z w, C's polyhedral part is {A w >= 0}
-    with A the borderline rows pulled back through G'Z.  A minimiser with
-    active rows S minimises the Rayleigh quotient locally, hence globally,
-    on the face span Z null(A_S), so it is a least eigenvector there; a
-    face's least eigenvalue is a candidate when that eigenvector (of
-    either sign) lies in C.  The least candidate is exact when C is
-    polyhedral with at most MAX_FACE_ROWS rows and no lower multiple
-    eigenvalue was rejected; otherwise HOLDS needs a positive one on the
-    hull, which contains C."""
+    with A the borderline rows pulled back through G'Z, and
+    `_face_minimum` runs its faces with signs {+, 0}: a face's least
+    eigenvalue counts when its eigenvector (of either sign) lies in C.
+    The least count is exact when C is polyhedral with at most
+    MAX_FACE_ROWS rows and no lower multiple eigenvalue was rejected;
+    otherwise HOLDS needs a positive one on the hull, which contains C."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf,
                        note="critical cone is {0}; condition is vacuous")
     Z = cc.affine_basis
     A = cc.rows @ cc.Gmat @ Z
-    faces = [()]
-    if len(A) <= MAX_FACE_ROWS:
-        faces = itertools.chain.from_iterable(
-            itertools.combinations(range(len(A)), r)
-            for r in range(len(A) + 1))
-    mn, wit, hull, rejected = np.inf, None, None, np.inf
-    for S in faces:
-        W = Z @ linalg.nullspace(A[list(S)], tol=1e-10) if S else Z
-        if W.shape[1] == 0:
-            continue
-        val, d, tied = _face_eig(M, W)
-        if not S:
-            hull = val
-        inside = [e for e in (d, -d) if cc.member(e)]
-        if inside and val < mn:
-            mn, wit = val, inside[0]
-        elif tied and not inside:
-            rejected = min(rejected, val)
+    mn, wit, rejected, hull = _face_minimum(
+        Z, A if len(A) <= MAX_FACE_ROWS else A[:0], (1, 0),
+        lambda s, W: _face_eig(M, W), lambda s, d: cc.member(d))
     exact = not cc.curved and len(A) <= MAX_FACE_ROWS and rejected >= mn
     if mn <= SOSC_FAILS_TOL:
         return Verdict(FAILS, margin=mn, witness=wit,
@@ -367,7 +402,9 @@ def _hull_verdict(M, cc):
     """`affine_hull_probe` for the SOSC quadratic M on the hull of cc."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf, note="affine hull is {0}")
-    mn, wit, _ = _face_eig(M, cc.affine_basis)
+    mn, wit, _, _ = _face_minimum(
+        cc.affine_basis, np.zeros((0, cc.affine_dim)), (1,),
+        lambda s, W: _face_eig(M, W), lambda s, d: True)
     if mn > SOSC_FAILS_TOL:
         return Verdict(HOLDS, margin=mn)
     return Verdict(FAILS, margin=mn, witness=wit,
@@ -379,18 +416,17 @@ def _hull_verdict(M, cc):
 
 
 def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
-    """Search for nonzero (dx, dy) with H_L dx + G'* dy = 0 and
-    G' dx = dir_deriv(frame; G' dx + dy).
+    """Least residual of nonzero (dx, dy) in H_L dx + G'* dy = 0 and
+    G' dx = dir_deriv(frame; G' dx + dy), on the unit sphere.
 
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
-    family T.  When the directional derivative is linear at the frame, T
-    is constant and its smallest right singular vector decides exactly;
-    otherwise each start is refined by iterating toward the smallest
-    right singular vector of T(w), for at most 50 steps; a start that is
-    already a kernel direction (an exact witness in extra_seeds) is kept
-    as it is.  That map depends only on the bits of w, so a start whose
-    iterate repeats exactly stops there and takes the iterate step 50
-    would reach.
+    family T.  With no curved block, T(w) depends only on the signs of the
+    k borderline rows at h = G' dx + dy, and a frame with at most
+    _MAX_PROBE_ROWS rows is decided exactly by its 3^k sign faces
+    (`_kernel_faces`); k = 0 is one face, one SVD of the constant T.  On a
+    curved frame, above the cap, or where a tied face value was rejected
+    below the minimum, `_kernel_search` runs instead: it alone reads
+    n_starts, seed and extra_seeds.  The result's "method" says which.
     """
     _require_affine(prog)
     frame = prog.cone.frame(prog.constraint(x) + np.asarray(y, float))
@@ -401,19 +437,62 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
 
 def _kernel_probe(frame, Gmat, H, n_starts, seed, extra_seeds):
     """`kernel_probe` at the frame for G'(x) = Gmat and H_L = H."""
+    rows, curved = frame.borderline()
+    if not curved and len(rows) <= _MAX_PROBE_ROWS:
+        probe = _kernel_faces(frame, Gmat, H, rows)
+        if probe is not None:
+            return probe
+    return _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds)
+
+
+def _probe_residual(frame, Gmat, H, w):
+    """||T(w) w||^2 at the frame for G'(x) = Gmat and H_L = H."""
+    n = Gmat.shape[1]
+    dx, dy = w[:n], w[n:]
+    h = Gmat @ dx + dy
+    r1 = H @ dx + Gmat.T @ dy
+    r2 = Gmat @ dx - frame.dir_deriv(h)
+    return float(r1 @ r1 + r2 @ r2)
+
+
+def _kernel_faces(frame, Gmat, H, rows):
+    """Exact least residual on a frame whose only pieces are the signs of
+    the orthonormal borderline rows r_i at h = [G' I] w.
+
+    On the signs s in {+, -, 0}^k, T(w) is T_s = kkt_matrix(H, G',
+    dir_deriv_jac(sum_i s_i r_i)); where r_i . h = 0 both neighbouring
+    pieces give the same J h.  `_face_minimum` counts the least singular
+    value squared of T_s on a face when its vector has s_i r_i . h >=
+    -WITNESS_TOL ||h||.  None when a tie below that minimum was rejected."""
     m, n = Gmat.shape
+    P = np.hstack([Gmat, np.eye(m)])
 
-    def residual(w):
-        dx, dy = w[:n], w[n:]
-        h = Gmat @ dx + dy
-        r1 = H @ dx + Gmat.T @ dy
-        r2 = Gmat @ dx - frame.dir_deriv(h)
-        return float(r1 @ r1 + r2 @ r2)
+    def face(s, W):
+        return _face_svd(kkt_matrix(H, Gmat, frame.dir_deriv_jac(s @ rows)),
+                         W)
 
-    if dir_deriv_is_linear(frame):
-        T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(np.zeros(m)))
-        w = np.linalg.svd(T)[2][-1]
-        return {"min_residual": residual(w), "witness": w}
+    def member(s, w):
+        h = P @ w
+        return bool(np.all(s * (rows @ h)
+                           >= -WITNESS_TOL * np.linalg.norm(h)))
+
+    mn, w, rejected, _ = _face_minimum(np.eye(n + m), rows @ P, (1, -1, 0),
+                                       face, member)
+    if rejected < mn:
+        return None
+    return {"min_residual": _probe_residual(frame, Gmat, H, w),
+            "witness": w, "method": "exact"}
+
+
+def _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds):
+    """Multi-start search for the least residual: each start is refined by
+    iterating toward the smallest right singular vector of T(w), for at
+    most 50 steps; a start that is already a kernel direction (an exact
+    witness in extra_seeds) is kept as it is.  That map depends only on
+    the bits of w, so a start whose iterate repeats exactly stops there
+    and takes the iterate step 50 would reach.  With no start the
+    residual is infinite and the witness None."""
+    m, n = Gmat.shape
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, float) for s in extra_seeds]
     starts.extend(rng.standard_normal(n + m) for _ in range(n_starts))
@@ -424,7 +503,8 @@ def _kernel_probe(frame, Gmat, H, n_starts, seed, extra_seeds):
             continue
         w = w / nw
         path, seen = [w], {w.tobytes(): 0}
-        for k in range(1, 51 if residual(w) > KERNEL_FOUND_TOL else 1):
+        start = _probe_residual(frame, Gmat, H, w)
+        for k in range(1, 51 if start > KERNEL_FOUND_TOL else 1):
             T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
                 Gmat @ w[:n] + w[n:]))
             _, _, Vt = np.linalg.svd(T)
@@ -442,12 +522,12 @@ def _kernel_probe(frame, Gmat, H, n_starts, seed, extra_seeds):
                 w = path[i + (50 - i) % (k - i)]
                 break
             path.append(w)
-        val = residual(w)
+        val = _probe_residual(frame, Gmat, H, w)
         if val < best_val:
             best_val, best_w = val, w
         if best_val <= KERNEL_FOUND_TOL:
             break
-    return {"min_residual": best_val, "witness": best_w}
+    return {"min_residual": best_val, "witness": best_w, "method": "search"}
 
 
 def kernel_probe_verdict(probe):
@@ -508,9 +588,10 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     srcq = _decide_fullness(cc, seed, "srcq")
     nondeg = _nondegeneracy(tc.frame, tc.Gmat)
     sosc = _sosc_verdict(M, cc)
-    # exact witnesses of the two conditions seed the kernel probe: a polar
-    # direction dy of SRCQ, and a critical direction d of SOSC with the dy
-    # that best balances the stationarity row H d + G'* dy = 0
+    # exact witnesses of the two conditions seed the kernel probe's search,
+    # where it runs: a polar direction dy of SRCQ, and a critical direction
+    # d of SOSC with the dy that best balances the stationarity row
+    # H d + G'* dy = 0
     probe_seeds = []
     if srcq.fails and srcq.witness is not None:
         probe_seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
@@ -556,7 +637,8 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
         "affine_hull_probe": hull,
         "kernel_probe": {"min_residual": probe["min_residual"],
                          "witness": probe["witness"],
-                         "status": probe_v.status},
+                         "status": probe_v.status,
+                         "method": probe["method"]},
         "multiplier_singleton": singleton,
         "theorem_verdict": verdict,
         "consistency_flag": consistency,

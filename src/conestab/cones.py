@@ -432,18 +432,29 @@ class PsdFrame:
             H[bb] = _psd_project_mat(H[bb])
         return svec(P @ H @ P.T)
 
-    def dir_deriv_jac(self, h):
-        """The Jacobian of the projection on the piece of h: the weights
-        at lam, with the beta columns turned to the eigenvectors of
-        P_beta' smat(h) P_beta and the beta-beta block weighted by the
-        divided differences of those eigenvalues."""
+    def _piece(self, h):
+        """The eigenvectors P and weights Omega of the projection's
+        Jacobian on the piece of h: the weights at lam, with the beta
+        columns turned to the eigenvectors of P_beta' smat(h) P_beta and
+        the beta-beta block weighted by the divided differences of those
+        eigenvalues."""
         P, Omega = self.P.copy(), _psd_weights(self.lam)
         b = self.beta
         if len(b):
             mu, V = linalg.sym_eig(P[:, b].T @ smat(h) @ P[:, b])
             P[:, b] = P[:, b] @ V
             Omega[np.ix_(b, b)] = _psd_weights(mu)
-        return _psd_jacobian(P, Omega)
+        return P, Omega
+
+    def dir_deriv_jac(self, h):
+        return _psd_jacobian(*self._piece(h))
+
+    def dir_deriv(self, h):
+        """dir_deriv_jac(h) @ h without forming a matrix of order n^2:
+        R'(Omega o R h) for R = _pair_basis(P), with R h = svec(P'HP)
+        applied as a congruence, O(n^3) where J(h) h is O(n^6)."""
+        P, Omega = self._piece(h)
+        return svec(P @ (Omega * (P.T @ smat(h) @ P)) @ P.T)
 
     def upsilon_grad(self, d):
         D = smat(d)
@@ -566,8 +577,10 @@ class ConeFrame:
     def dir_deriv(self, h):
         """Pi_K'(C; h) = J(h) h, block by block: exact, because the
         directional derivative is linear on each piece and dir_deriv_jac
-        is its matrix on the piece of h."""
-        return np.concatenate([f.dir_deriv_jac(p) @ p for f, p in
+        is its matrix on the piece of h.  A PSD block applies its factors
+        to h without forming J."""
+        return np.concatenate([f.dir_deriv(p) if f.block.kind == "psd"
+                               else f.dir_deriv_jac(p) @ p for f, p in
                                zip(self.frames, self.cone.split(h))])
 
     def normal_project(self, y):

@@ -69,6 +69,10 @@ class TestAnalyze:
         for key in ("rcq", "srcq", "nondegeneracy", "sosc",
                     "affine_hull_probe", "kernel_probe", "theorem_verdict"):
             assert key in data
+        # the probe says how it was decided: example4's 9 sign faces
+        assert set(data["kernel_probe"]) == {"min_residual", "witness",
+                                             "status", "method"}
+        assert data["kernel_probe"]["method"] == "exact"
         assert data["theorem_verdict"] == "holds"
         assert data["srcq"]["margin"] is not None
         # the multiplier the verdicts were decided at
@@ -155,6 +159,37 @@ class TestOptions:
     def test_option_only_where_read(self, argv, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+
+def _bench_gen():
+    """The benchmark's instance generator, bench/gen.py."""
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+class TestKernelProbeLine:
+    def test_polyhedral_instance_prints_the_exact_minimum(self, tmp_path,
+                                                          capsys):
+        # the benchmark's `degenerate` orthant3+psd3 pd instance: an
+        # orthant corner and a PSD beta of size 1, 9 sign faces; the
+        # multi-start search read 8.177e-02
+        inst = _bench_gen().make_instance([("orthant", 3), ("psd", 3)],
+                                          [1, 1], [1, 1], "identity", "pd",
+                                          seed=4)
+        problem = tmp_path / "problem.json"
+        problem.write_text(inst.to_json())
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--problem", str(problem), "--report",
+                     str(report), "--seed", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "kernel probe: holds (min residual 6.321e-02)" in out
+        assert json.loads(report.read_text())["kernel_probe"]["method"] \
+            == "exact"
 
 
 class TestSearchWorkCount:

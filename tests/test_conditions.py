@@ -272,15 +272,26 @@ def _count_tmatrix_builds(monkeypatch):
     return calls
 
 
+def _search(prog, x, y, n_starts=conditions._KERNEL_STARTS, seed=0,
+            extra_seeds=()):
+    """The kernel probe's multi-start search, called directly: polyhedral
+    frames with few rows no longer reach it through `kernel_probe`."""
+    return conditions._kernel_search(
+        prog.cone.frame(prog.constraint(x) + y), prog.constraint_jac(x),
+        kkt.hess_lagrangian(prog, x, y), n_starts, seed, extra_seeds)
+
+
 class TestKernelProbeFastPath:
     def test_constant_t_is_one_svd(self, monkeypatch):
         prog, x, y = _strict_instance()
         frame = prog.cone.frame(prog.constraint(x) + y)
-        assert conditions.dir_deriv_is_linear(frame)
+        rows, curved = frame.borderline()
+        assert len(rows) == 0 and not curved
         assert problem_critical_cone(prog, x, y).is_subspace
         calls = _count_tmatrix_builds(monkeypatch)
         probe = kernel_probe(prog, x, y)
         assert len(calls) == 1
+        assert probe["method"] == "exact"
         monkeypatch.undo()
         H = kkt.hess_lagrangian(prog, x, y)
         T = kkt.kkt_matrix(H, prog.constraint_jac(x),
@@ -291,20 +302,19 @@ class TestKernelProbeFastPath:
                           rtol=1e-9, atol=0.0)
         assert kernel_probe_verdict(probe).status == HOLDS
 
-    def test_fast_path_equals_the_search(self, monkeypatch):
+    def test_fast_path_equals_the_search(self):
         # every start of the search lands on the same singular vector
         prog, x, y = _strict_instance()
         fast = kernel_probe(prog, x, y, seed=4)
-        monkeypatch.setattr(conditions, "dir_deriv_is_linear",
-                            lambda frame: False)
-        search = kernel_probe(prog, x, y, seed=4)
+        search = _search(prog, x, y, seed=4)
         assert search["min_residual"] == fast["min_residual"]
         assert np.array_equal(search["witness"], fast["witness"])
 
     def test_constant_t_with_nonunique_multipliers_fails(self, monkeypatch):
         prog, x, y = _strict_instance(nonunique=True)
         frame = prog.cone.frame(prog.constraint(x) + y)
-        assert conditions.dir_deriv_is_linear(frame)
+        rows, curved = frame.borderline()
+        assert len(rows) == 0 and not curved
         calls = _count_tmatrix_builds(monkeypatch)
         probe = kernel_probe(prog, x, y)
         assert len(calls) == 1
@@ -313,13 +323,18 @@ class TestKernelProbeFastPath:
 
     @pytest.mark.parametrize("name", ["psd-beta", "orthant-corner",
                                       "soc-bdry"])
-    def test_borderline_frame_takes_the_search(self, name, monkeypatch):
+    def test_search_contracts_on_a_borderline_frame(self, name,
+                                                     monkeypatch):
         prog, x, y = _borderline_instances()[name]
         frame = prog.cone.frame(prog.constraint(x) + y)
-        assert not conditions.dir_deriv_is_linear(frame)
+        rows, curved = frame.borderline()
+        assert len(rows) == 1 and not curved
         assert not problem_critical_cone(prog, x, y).is_subspace
+        # the probe decides this frame by its faces, so the search's
+        # contracts are tested by calling it on the same data
+        assert kernel_probe(prog, x, y, n_starts=0)["method"] == "exact"
         # no starts at all: the search finds nothing
-        none = kernel_probe(prog, x, y, n_starts=0)
+        none = _search(prog, x, y, n_starts=0)
         assert none["min_residual"] == np.inf and none["witness"] is None
         verdict = kernel_probe_verdict(none)
         assert verdict.status == INCONCLUSIVE
@@ -327,7 +342,7 @@ class TestKernelProbeFastPath:
         # a lone extra seed is the start the search refines
         w0 = np.random.default_rng(1).standard_normal(prog.n + prog.cone.dim)
         calls = _count_tmatrix_builds(monkeypatch)
-        probe = kernel_probe(prog, x, y, n_starts=0, extra_seeds=[w0])
+        probe = _search(prog, x, y, n_starts=0, extra_seeds=[w0])
         G = prog.constraint_jac(x)
         w0 = w0 / np.linalg.norm(w0)
         assert np.array_equal(calls[0], G @ w0[:prog.n] + w0[prog.n:])
@@ -385,7 +400,7 @@ class TestKernelProbeRepeatCut:
     def test_equals_the_uncut_search(self, seed):
         # one start per seed, so the witness is that start's last iterate
         prog, x, y = _corner_instance()
-        probe = kernel_probe(prog, x, y, n_starts=1, seed=seed)
+        probe = _search(prog, x, y, n_starts=1, seed=seed)
         uncut, _ = _uncut_probe(prog, x, y, n_starts=1, seed=seed)
         assert probe["min_residual"] == uncut["min_residual"]
         assert np.array_equal(probe["witness"], uncut["witness"])
@@ -395,8 +410,136 @@ class TestKernelProbeRepeatCut:
         _, cycled = _uncut_probe(prog, x, y, n_starts=20, seed=1)
         assert cycled >= 10  # 50 T builds each without the cut
         calls = _count_tmatrix_builds(monkeypatch)
-        kernel_probe(prog, x, y, n_starts=20, seed=1)
+        _search(prog, x, y, n_starts=20, seed=1)
         assert len(calls) <= 5 * 20
+
+
+def _piece(kind, rng):
+    """(block, s, y, row) for one borderline piece of the given kind and
+    the unit row a with a . h >= 0 that it contributes."""
+    a, b = rng.uniform(0.5, 2.0, size=2)
+    u = rng.standard_normal(2)
+    u /= np.linalg.norm(u)
+    if kind == "corner":  # index 0 is a corner, index 1 inactive
+        return ("orthant", 2), [0.0, a], [0.0, 0.0], [1.0, 0.0]
+    if kind == "bdry":  # s on the boundary ray, y = 0
+        return (("soc", 3), a * np.concatenate(([1.0], u)), np.zeros(3),
+                np.concatenate(([1.0], -u)) / np.sqrt(2.0))
+    if kind == "apex_ray":  # s = 0, y on the boundary of -K
+        return (("soc", 3), np.zeros(3), -b * np.concatenate(([1.0], -u)),
+                np.concatenate(([1.0], u)) / np.sqrt(2.0))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))  # beta = {q1}
+    return (("psd", 3), svec((q * [a, 0.0, 0.0]) @ q.T),
+            svec((q * [0.0, 0.0, -b]) @ q.T), svec(np.outer(q[:, 1], q[:, 1])))
+
+
+def _polyhedral_instance(pieces, null, seed=0):
+    """One block per borderline piece, G = I + 0.3 N / sqrt(m) for a
+    seeded Gaussian N, and Q positive definite or, with null, zero along
+    d = G^-1 a for the first piece's row a: then G d = a lies in the
+    critical cone, Pi'(C; a) = a, and (d, 0) is a kernel direction."""
+    rng = np.random.default_rng(seed)
+    parts = [_piece(kind, rng) for kind in pieces]
+    s = np.concatenate([p[1] for p in parts])
+    m = len(s)
+    G = np.eye(m) + 0.3 * rng.standard_normal((m, m)) / np.sqrt(m)
+    d = None
+    if null:
+        a = np.zeros(m)
+        a[:len(parts[0][3])] = parts[0][3]
+        d = np.linalg.solve(G, a)
+        d /= np.linalg.norm(d)
+    return _instance([p[0] for p in parts], s,
+                     np.concatenate([p[2] for p in parts]), G, seed, d)
+
+
+_POLYHEDRAL = {
+    "corner2": ["corner"] * 2,
+    "corner4": ["corner"] * 4,
+    "corner6": ["corner"] * conditions._MAX_PROBE_ROWS,
+    "bdry": ["bdry"],
+    "apex_ray": ["apex_ray"],
+    "beta1": ["beta1"],
+    "mix3": ["corner", "bdry", "beta1"],
+    "mix4": ["apex_ray", "corner", "beta1", "corner"],
+    "mix6": ["bdry", "corner", "apex_ray", "beta1", "corner", "beta1"],
+}
+
+
+class TestExactKernelProbe:
+    @pytest.mark.parametrize("null", [False, True])
+    @pytest.mark.parametrize("name", sorted(_POLYHEDRAL))
+    def test_faces_agree_with_the_search(self, name, null):
+        prog, x, y = _polyhedral_instance(_POLYHEDRAL[name], null)
+        frame = prog.cone.frame(prog.constraint(x) + y)
+        rows, curved = frame.borderline()
+        assert len(rows) == len(_POLYHEDRAL[name]) and not curved
+        G = prog.constraint_jac(x)
+        H = kkt.hess_lagrangian(prog, x, y)
+        exact = kernel_probe(prog, x, y)
+        assert exact["method"] == "exact"
+        # the search gets the SOSC witness seed that the report gives it
+        seeds = []
+        sosc = check_sosc(prog, x, y)
+        if sosc.fails:
+            d = sosc.witness
+            seeds.append(np.concatenate([d, linalg.lstsq(G.T, -H @ d)]))
+        search = _search(prog, x, y, n_starts=20, extra_seeds=seeds)
+        assert kernel_probe_verdict(exact).status == \
+            kernel_probe_verdict(search).status == (FAILS if null else HOLDS)
+        assert exact["min_residual"] <= search["min_residual"] + 1e-12
+        # the reported residual is ||T(w) w||^2 at the reported witness
+        w = exact["witness"]
+        T = kkt.kkt_matrix(H, G, frame.dir_deriv_jac(
+            G @ w[:prog.n] + w[prog.n:]))
+        assert np.isclose(np.linalg.norm(w), 1.0)
+        assert np.isclose(exact["min_residual"], float(np.sum((T @ w) ** 2)),
+                          rtol=1e-9, atol=1e-20)
+
+    def test_above_the_cap_the_search_runs(self):
+        pieces = ["corner"] * (conditions._MAX_PROBE_ROWS + 1)
+        prog, x, y = _polyhedral_instance(pieces, False)
+        probe = kernel_probe(prog, x, y, n_starts=3)
+        assert probe["method"] == "search"
+
+    def test_curved_frame_takes_the_search(self):
+        # SOC(3) at its apex, s = y = 0
+        prog, x, y = _instance([("soc", 3)], np.zeros(3), np.zeros(3))
+        assert prog.cone.frame(prog.constraint(x) + y).borderline()[1]
+        probe = kernel_probe(prog, x, y, n_starts=3)
+        assert probe["method"] == "search"
+
+    def test_a_rejected_tie_below_the_minimum_takes_the_search(
+            self, monkeypatch):
+        prog, x, y = _polyhedral_instance(["corner", "bdry"], False)
+        face_minimum = conditions._face_minimum
+
+        def tied(*args):
+            mn, w, _, first = face_minimum(*args)
+            return mn, w, 0.5 * mn, first
+
+        monkeypatch.setattr(conditions, "_face_minimum", tied)
+        probe = kernel_probe(prog, x, y, n_starts=3)
+        assert probe["method"] == "search"
+
+    def test_example4_builds_one_t_matrix_per_face(self, monkeypatch):
+        # 2 borderline rows: 3^2 faces, one T matrix each
+        prog, x, y = fixture("example4")
+        calls = _count_tmatrix_builds(monkeypatch)
+        report = assemble_report(prog, x, y)
+        assert len(calls) <= 9
+        assert report.kernel_probe["method"] == "exact"
+        assert report.kernel_probe["status"] == HOLDS
+
+    def test_exact_probe_reads_no_search_setting(self):
+        # n_starts, seed and extra_seeds reach only the search
+        prog, x, y = fixture("example4")
+        first = kernel_probe(prog, x, y)
+        w0 = np.ones(prog.n + prog.cone.dim)
+        for kw in ({"seed": 7}, {"n_starts": 0}, {"extra_seeds": [w0]}):
+            probe = kernel_probe(prog, x, y, **kw)
+            assert probe["min_residual"] == first["min_residual"]
+            assert np.array_equal(probe["witness"], first["witness"])
 
 
 def _face_null_instances():

@@ -544,6 +544,42 @@ class TestDirDeriv:
                 assert np.max(np.abs(f.dir_deriv(h) - ref)) <= 1e-12
         assert seen == {"psd-beta-0", "psd-beta-1", "psd-beta-2"}
 
+    def test_equals_the_jacobian_product_on_every_block_case(
+            self, monkeypatch):
+        # every block kind and SOC case, PSD beta of size 0 to 3 and a
+        # PSD(12); a PSD block forms neither its Jacobian nor the pair
+        # basis, each of order n^2
+        rng = np.random.default_rng(20)
+        cases = _span_cases(rng)
+        for lam in ([2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0, -1.0],
+                    np.repeat([1.0, 0.0, -1.0], 4)):
+            n = len(lam)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            cases.append((Cone([("psd", n)]), svec((Q * lam) @ Q.T)))
+        pairs = []
+        for cone, c in cases:
+            f = cone.frame(c)
+            for _ in range(5):
+                h = 3.0 * rng.standard_normal(cone.dim)
+                pairs.append((f, h, f.dir_deriv_jac(h) @ h))
+        seen = set()
+        for f, _, _ in pairs:
+            for b in f.frames:
+                seen.add(b.case if b.block.kind == "soc" else
+                         "psd-beta-%d" % len(b.beta) if b.block.kind == "psd"
+                         else b.block.kind)
+        assert {"zero", "orthant", "int", "bdry", "smooth", "apex",
+                "apex_ray", "polar_int", "psd-beta-0", "psd-beta-1",
+                "psd-beta-2", "psd-beta-3"} <= seen
+
+        def formed(*args):
+            raise AssertionError("dir_deriv formed an n^2 x n^2 matrix")
+
+        monkeypatch.setattr(cones, "_psd_jacobian", formed)
+        monkeypatch.setattr(cones, "_pair_basis", formed)
+        for f, h, ref in pairs:
+            assert np.max(np.abs(f.dir_deriv(h) - ref)) <= 1e-12
+
     def test_euler_identity(self):
         # positively homogeneous piecewise linear maps satisfy J(h) h = D(h)
         rng = np.random.default_rng(13)
