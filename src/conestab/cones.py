@@ -10,11 +10,14 @@ A is the projection of C onto the cone and B = C - A lies in the normal
 cone at A.  The frame drives the critical cone, its polar, the
 directional derivative of the projection, and the curvature (sigma) term.
 
-Each frame states the Jacobian J(h) of the directional derivative on the
-piece that contains h, and the derivative itself is Pi'(C; h) = J(h) h.
-Every PSD derivative has one form, R' diag(Omega) R, with R the
-eigenvector pair basis and Omega the divided differences of the
-eigenvalues, [l_i + l_j > 0] on a tie.
+Every orthant, SOC and PSD block's case is read from its Jordan frame at
+C: the eigenvalues, the orthonormal Peirce rows R and the eigenvalue
+pair of each row, with the eigenvalues split into alpha (positive), beta
+(zero) and gamma (negative) (Sun & Sun, Math. Oper. Res. 33 (2008)).
+Each method is stated once on the rows of that split.  The directional
+derivative is Pi'(C; h) = J(h) h with J(h) = R' diag(Omega) R, Omega the
+divided differences of each row's eigenvalue pair, [l_i + l_j > 0] on a
+tie, and the projection's own derivative on the (beta, beta) rows.
 """
 
 import functools
@@ -84,29 +87,27 @@ def _pair_basis(P):
         + Q[np.ix_(cols, rows)] * Q[np.ix_(rows, cols)])
 
 
-def _psd_weights(lam):
-    """Divided differences Omega_ij = (l_i^+ - l_j^+)/(l_i - l_j) of the
-    PSD projection at eigenvalues lam.  On a tie, |l_i - l_j| <=
-    1e-14 max(1, |l_i|, |l_j|), Omega_ij = [l_i + l_j > 0]: symmetric,
-    and [l_i > 0] whenever the two signs agree."""
-    li, lj = lam[:, None], lam[None, :]
+def _weights(li, lj):
+    """Divided differences (l_i^+ - l_j^+)/(l_i - l_j) of the projection
+    at the eigenvalue pairs (li, lj), elementwise.  On a tie, |l_i - l_j|
+    <= 1e-14 max(1, |l_i|, |l_j|), the weight is [l_i + l_j > 0]:
+    symmetric, and [l_i > 0] whenever the two signs agree."""
     d = li - lj
     tie = np.abs(d) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(li),
                                                           np.abs(lj)))
-    pos = np.maximum(lam, 0.0)
     return np.where(tie, (li + lj > 0).astype(float),
-                    (pos[:, None] - pos[None, :]) / np.where(tie, 1.0, d))
+                    (np.maximum(li, 0.0) - np.maximum(lj, 0.0))
+                    / np.where(tie, 1.0, d))
 
 
-def _psd_jacobian(P, Omega):
-    """R' diag(Omega_ij) R with R = _pair_basis(P): the operator
-    H -> P (Omega o P'HP) P' in svec coordinates, which at the eigenframe
-    of M with Omega = _psd_weights is an element of the generalized
-    Jacobian of the PSD projection at M (Sun & Sun, Math. Oper. Res. 27
-    (2002))."""
-    rows, cols, _ = _svec_index(len(P))
+def _psd_jacobian(P, w):
+    """R' diag(w) R with R = _pair_basis(P): the operator H -> P (Omega o
+    P'HP) P' in svec coordinates, w the entries of Omega in svec order,
+    which at the eigenframe of M with the `_weights` of its eigenvalues is
+    an element of the generalized Jacobian of the PSD projection at M
+    (Sun & Sun, Math. Oper. Res. 27 (2002))."""
     R = _pair_basis(P)
-    return R.T @ (Omega[rows, cols][:, None] * R)
+    return R.T @ (w[:, None] * R)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +150,13 @@ class Block:
         if self.kind == "soc":
             return _soc_proj_jacobian(z)
         lam, P = linalg.sym_eig(smat(z))
-        return _psd_jacobian(P, _psd_weights(lam))
+        rows, cols, _ = _svec_index(len(lam))
+        return _psd_jacobian(P, _weights(lam[rows], lam[cols]))
 
     def frame(self, c):
         c = np.asarray(c, dtype=float)
-        if self.kind == "zero":
-            return ZeroFrame(self, c)
-        if self.kind == "orthant":
-            return OrthantFrame(self, c)
-        if self.kind == "soc":
-            return SocFrame(self, c)
-        return PsdFrame(self, c)
+        return ZeroFrame(self, c) if self.kind == "zero" else \
+            BlockFrame(self, c)
 
 
 def _soc_project(z):
@@ -202,6 +199,11 @@ def _soc_proj_jacobian(z):
 
 
 class ZeroFrame:
+    """Frame of a zero block: the critical cone is {0} and N_K(a) the whole
+    space, with no borderline piece."""
+
+    curved = False
+
     def __init__(self, block, c):
         self.block = block
         self.c = c
@@ -211,12 +213,10 @@ class ZeroFrame:
     def cc_project(self, h):
         return np.zeros_like(h)
 
-    def dir_deriv_jac(self, h):
-        d = self.block.dim
-        return np.zeros((d, d))
+    dir_deriv = upsilon_grad = cc_project
 
-    def upsilon_grad(self, d):
-        return np.zeros_like(d)
+    def dir_deriv_jac(self, h):
+        return np.zeros((self.block.dim,) * 2)
 
     def normal_project(self, y):
         return np.asarray(y, dtype=float).copy()
@@ -224,269 +224,206 @@ class ZeroFrame:
     def normal_span(self):
         return np.eye(self.block.dim)
 
-    def cc_equalities(self):
-        return np.eye(self.block.dim)
+    cc_equalities = normal_face_span = normal_span
 
-    normal_face_span = normal_span
+    def rows(self):
+        return np.zeros((0, self.block.dim))
 
+    def relint_point(self):
+        return np.zeros(self.block.dim)
 
-class OrthantFrame:
-    # Per-coordinate states: 0 = inactive (a>0, d free), 1 = corner
-    # (a=0, b=0, d>=0), 2 = strictly complementary active (a=0, b<0, d=0).
-    def __init__(self, block, c):
-        self.block = block
-        self.c = c
-        tol = linalg.rank_tol_for(c)
-        self.a = np.where(c > tol, c, 0.0)
-        self.b = c - self.a
-        self.state = np.where(c > tol, 0, np.where(c < -tol, 2, 1))
-
-    def cc_project(self, h):
-        h = np.asarray(h, dtype=float)
-        out = h.copy()
-        corner = self.state == 1
-        out[corner] = np.maximum(h[corner], 0.0)
-        out[self.state == 2] = 0.0
-        return out
-
-    def dir_deriv_jac(self, h):
-        h = np.asarray(h, dtype=float)
-        diag = np.where(self.state == 0, 1.0,
-                        np.where(self.state == 2, 0.0, (h > 0).astype(float)))
-        return np.diag(diag)
-
-    def upsilon_grad(self, d):
-        return np.zeros_like(np.asarray(d, dtype=float))
-
-    def normal_project(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.minimum(y, 0.0)
-        out[self.state == 0] = 0.0
-        return out
-
-    def normal_span(self):
-        return np.eye(self.block.dim)[:, self.state != 0]
-
-    def cc_equalities(self):
-        return np.eye(self.block.dim)[self.state == 2, :]
-
-    def normal_face_span(self):
-        return np.eye(self.block.dim)[:, self.state == 2]
+    def relint_margin(self, h):
+        return np.inf
 
 
-class SocFrame:
-    """Frame for a second-order-cone block.
+def _jordan(kind, c):
+    """The Jordan frame of c in an orthant, SOC or PSD block: eigenvalues
+    lam, an orthogonal R whose rows span the Peirce spaces, the eigenvalue
+    pair (first, second) of each row, and a scale s with c = s sum_i
+    lam_i R_(ii).
 
-    Spectral values sig1 = t - ||u||, sig2 = t + ||u||; the case table
-    mirrors the sign pattern of (sig1, sig2) after snapping to the shared
-    rank tolerance.  Ties are resolved toward the larger cone.
+    An orthant's rows are the unit vectors, each its own pair; SOC(1) is
+    the half-line, an orthant(1).  An SOC point (t, u) has lam = (t + |u|,
+    t - |u|) with rows rhat = (1, ubar)/sqrt2 and vhat = (1, -ubar)/sqrt2,
+    ubar = u/|u| (e_1 when u = 0), and the rows (0, w), w an orthonormal
+    basis of ubar's complement, form the pair of the two; s = 1/sqrt2.  A
+    PSD point's rows are `_pair_basis` of its eigenvectors, in svec order.
+    """
+    if kind == "psd":
+        lam, P = linalg.sym_eig(smat(c))
+        rows, cols, _ = _svec_index(len(lam))
+        return lam, _pair_basis(P), rows, cols, 1.0
+    m = len(c)
+    if kind == "orthant" or m == 1:
+        idx = np.arange(m)
+        return c.copy(), np.eye(m), idx, idx, 1.0
+    t, u = c[0], c[1:]
+    r = np.linalg.norm(u)
+    ubar = u / r if r > 0 else np.eye(m - 1)[0]
+    R = np.zeros((m, m))
+    R[:2, 0] = 1.0 / SQRT2
+    R[0, 1:] = ubar / SQRT2
+    R[1, 1:] = -R[0, 1:]
+    # rows 2.. of the Householder reflection taking ubar to a multiple of
+    # e_1 are an orthonormal basis of ubar's complement
+    v = ubar.copy()
+    v[0] += np.copysign(1.0, v[0])
+    R[2:, 1:] = np.eye(m - 1)[1:] - np.outer(v[1:], v) * (2.0 / (v @ v))
+    first = np.r_[0, np.ones(m - 1, dtype=int)]
+    second = np.r_[0, 1, np.zeros(m - 2, dtype=int)]
+    return np.array([t + r, t - r]), R, first, second, 1.0 / SQRT2
+
+
+class BlockFrame:
+    """Frame of an orthant, SOC or PSD block at c = a + b, read from the
+    Jordan frame of c (`_jordan`): its eigenvalues, snapped to zero within
+    the shared rank tolerance, split into alpha (positive), beta (zero)
+    and gamma (negative), and each Peirce row is classed by its pair:
+
+      bb      both eigenvalues in beta;
+      ker     both in beta or gamma: the rows of span N_K(a);
+      pinned  in ker, one in gamma: zero on the critical cone;
+      gg      both in gamma: the face of N_K(a) holding b.
+
+    In the coordinates x = R h the critical cone is x_pinned = 0 and x_bb
+    in the cone of the beta subalgebra, and N_K(a) is minus the cone of
+    the ker subalgebra.  The block is curved when its bb rows hold an
+    off-diagonal pair (an SOC(m) apex with m >= 3, a PSD beta of order
+    >= 2); otherwise the beta cone is the orthant of the bb rows, its
+    borderline rows.
     """
 
     def __init__(self, block, c):
         self.block = block
-        self.c = np.asarray(c, dtype=float)
-        m = block.dim
-        t, u = self.c[0], self.c[1:]
-        r = np.linalg.norm(u)
-        sig1, sig2 = t - r, t + r
-        tol = linalg.rank_tol_for(np.array([sig1, sig2]))
-        self.sig1, self.sig2 = sig1, sig2
-        self.uhat = u / r if r > tol else np.zeros(m - 1)
-        s1 = 0 if abs(sig1) <= tol else (1 if sig1 > 0 else -1)
-        s2 = 0 if abs(sig2) <= tol else (1 if sig2 > 0 else -1)
-        if s1 >= 0 and s2 >= 0 and (s1 > 0 or s2 > 0):
-            self.case = "int" if s1 > 0 else "bdry"
-        elif s1 < 0 and s2 < 0:
-            self.case = "polar_int"
-        elif s1 < 0 and s2 > 0:
-            self.case = "smooth"
-        elif s1 < 0 and s2 == 0:
-            self.case = "apex_ray"
-        else:
-            self.case = "apex"
-        # vhat spans the normal ray at a boundary point; rhat the critical ray
-        self.vhat = np.concatenate(([1.0], -self.uhat)) / SQRT2
-        self.rhat = np.concatenate(([1.0], self.uhat)) / SQRT2
-        self.a = _soc_project(self.c)
-        if self.case in ("int", "bdry"):
-            self.a = self.c.copy()
-        elif self.case in ("polar_int", "apex", "apex_ray"):
-            self.a = np.zeros(m)
-        self.b = self.c - self.a
+        self.c = c
+        lam, self.R, first, second, self.s = _jordan(block.kind, c)
+        self.lam = np.where(np.abs(lam) <= linalg.rank_tol_for(lam), 0.0,
+                            lam)
+        self._li, self._lj = self.lam[first], self.lam[second]
+        self.diag = first == second
+        self.bb = (self._li == 0) & (self._lj == 0)
+        self.curved = bool(np.any(self.bb & ~self.diag))
+        self._whole = bool(self.bb.all())
+        self.a = self.s * (np.maximum(self.lam, 0.0) @ self.R[self.diag])
+        self.b = c - self.a
 
-    # --- critical cone -----------------------------------------------------
+    # Index sets and row masks, each built on first use.
+    alpha = functools.cached_property(lambda f: np.flatnonzero(f.lam > 0))
+    beta = functools.cached_property(lambda f: np.flatnonzero(f.lam == 0))
+    gamma = functools.cached_property(lambda f: np.flatnonzero(f.lam < 0))
+    ker = functools.cached_property(lambda f: (f._li <= 0) & (f._lj <= 0))
+    pinned = functools.cached_property(lambda f: f.ker & ~f.bb)
+    gg = functools.cached_property(lambda f: (f._li < 0) & (f._lj < 0))
+    # Omega, zero on bb
+    omega = functools.cached_property(lambda f: _weights(f._li, f._lj))
+
+    @functools.cached_property
+    def ups(self):
+        """The sigma term's weights: -2 lam_gamma / lam_alpha on the
+        (alpha, gamma) pairs."""
+        li, lj = self._li, self._lj
+        mixed = li * lj < 0
+        return np.where(mixed, -2.0 * np.minimum(li, lj)
+                        / np.where(mixed, np.maximum(li, lj), 1.0), 0.0)
+
+    def _own(self, rows, x):
+        """Projection of x, in the coordinates of `rows` (the bb or ker
+        rows), onto the cone of their subalgebra: the orthant when the
+        rows are all diagonal, else a block of this kind of their rank.
+        Only a PSD block has such rows short of the whole block, and its
+        (S, S) rows are the svec coordinates of P_S' H P_S; the methods
+        project a whole block directly."""
+        if not np.any(rows & ~self.diag):
+            return np.maximum(x, 0.0)
+        rank = int(np.count_nonzero(rows & self.diag))
+        return Block(self.block.kind, rank).project(x)
+
+    _Rb = functools.cached_property(lambda f: f.R[f.bb])
+    # the derivative's matrix off the bb rows, fixed by the frame
+    _J0 = functools.cached_property(
+        lambda f: f.R.T @ (f.omega[:, None] * f.R))
+
     def cc_project(self, h):
-        h = np.asarray(h, dtype=float)
-        case = self.case
-        if case == "int":
-            return h.copy()
-        if case == "polar_int":
-            return np.zeros_like(h)
-        if case == "apex":
-            return _soc_project(h)
-        if case == "apex_ray":
-            lam = max(float(self.rhat @ h), 0.0)
-            return lam * self.rhat
-        if case == "bdry":
-            lam = min(float(self.vhat @ h), 0.0)
-            return h - lam * self.vhat
-        return h - float(self.vhat @ h) * self.vhat  # smooth: hyperplane
+        if self._whole:
+            return self.block.project(h)
+        x = self.R @ h
+        x[self.pinned] = 0.0
+        x[self.bb] = self._own(self.bb, x[self.bb])
+        return self.R.T @ x
 
-    # --- directional derivative of the projection --------------------------
-    def dir_deriv_jac(self, h):
-        m = self.block.dim
-        case = self.case
-        if case == "apex":
-            return _soc_proj_jacobian(np.asarray(h, dtype=float))
-        if case == "apex_ray":
-            active = float(self.rhat @ h) > 0
-            return np.outer(self.rhat, self.rhat) if active else np.zeros((m, m))
-        if case == "bdry":
-            inward = float(self.vhat @ h) < 0
-            J = np.eye(m)
-            if inward:
-                J -= np.outer(self.vhat, self.vhat)
-            return J
-        # int, polar_int, smooth: the projection is differentiable at c
-        return _soc_proj_jacobian(self.c)
-
-    # --- curvature term -----------------------------------------------------
-    def upsilon_grad(self, d):
-        d = np.asarray(d, dtype=float)
-        if self.case != "smooth":
-            return np.zeros_like(d)
-        coef = self.sig1 / self.sig2
-        out = np.empty_like(d)
-        out[0] = 2.0 * coef * d[0]
-        out[1:] = -2.0 * coef * d[1:]
-        return out
-
-    # --- normal cone / tangent structure at A ------------------------------
     def normal_project(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.case == "int":
-            return np.zeros_like(y)
-        if self.case in ("polar_int", "apex", "apex_ray"):
-            return -_soc_project(-y)
-        # boundary point: normal ray along -vhat
-        lam = min(float(self.vhat @ y), 0.0)
-        return lam * self.vhat
-
-    def normal_span(self):
-        m = self.block.dim
-        if self.case == "int":
-            return np.zeros((m, 0))
-        if self.case in ("polar_int", "apex", "apex_ray"):
-            return np.eye(m)
-        return self.vhat.reshape(m, 1)
-
-    def cc_equalities(self):
-        m = self.block.dim
-        if self.case == "polar_int":
-            return np.eye(m)
-        if self.case == "apex_ray":
-            return np.eye(m) - np.outer(self.rhat, self.rhat)
-        if self.case == "smooth":
-            return self.vhat.reshape(1, m)
-        return np.zeros((0, m))
-
-    def normal_face_span(self):
-        m = self.block.dim
-        if self.case == "polar_int":
-            return np.eye(m)
-        if self.case in ("smooth", "apex_ray"):
-            return self.vhat.reshape(m, 1)
-        return np.zeros((m, 0))
-
-
-class PsdFrame:
-    """Eigen-frame of C = A + B for a PSD block, with index partition
-    alpha (positive), beta (snapped to zero), gamma (negative)."""
-
-    def __init__(self, block, c):
-        self.block = block
-        self.c = np.asarray(c, dtype=float)
-        C = smat(self.c)
-        lam, P = linalg.sym_eig(C)
-        tol = linalg.rank_tol_for(lam)
-        lam = np.where(np.abs(lam) <= tol, 0.0, lam)
-        self.lam, self.P = lam, P
-        self.alpha = np.where(lam > 0)[0]
-        self.beta = np.where(lam == 0)[0]
-        self.gamma = np.where(lam < 0)[0]
-        pos = np.maximum(lam, 0.0)
-        self.A = (P * pos) @ P.T
-        self.B = (P * np.minimum(lam, 0.0)) @ P.T
-        self.a = svec(self.A)
-        self.b = svec(self.B)
-        inv = np.where(lam > 0, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
-        self.Apinv = (P * inv) @ P.T
-
-    def cc_project(self, h):
-        P, b, g = self.P, self.beta, self.gamma
-        H = P.T @ smat(h) @ P
-        H[np.ix_(np.concatenate([b, g]), g)] = 0.0
-        H[np.ix_(g, b)] = 0.0
-        if len(b):
-            bb = np.ix_(b, b)
-            H[bb] = _psd_project_mat(H[bb])
-        return svec(P @ H @ P.T)
-
-    def _piece(self, h):
-        """The eigenvectors P and weights Omega of the projection's
-        Jacobian on the piece of h: the weights at lam, with the beta
-        columns turned to the eigenvectors of P_beta' smat(h) P_beta and
-        the beta-beta block weighted by the divided differences of those
-        eigenvalues."""
-        P, Omega = self.P.copy(), _psd_weights(self.lam)
-        b = self.beta
-        if len(b):
-            mu, V = linalg.sym_eig(P[:, b].T @ smat(h) @ P[:, b])
-            P[:, b] = P[:, b] @ V
-            Omega[np.ix_(b, b)] = _psd_weights(mu)
-        return P, Omega
+        """Minus the projection of -y onto the ker subalgebra's cone."""
+        if self.ker.all():
+            return -self.block.project(-y)
+        Rk = self.R[self.ker]
+        return Rk.T @ -self._own(self.ker, -(Rk @ y))
 
     def dir_deriv_jac(self, h):
-        return _psd_jacobian(*self._piece(h))
+        """R' diag(Omega) R, with the Jacobian of the beta subalgebra's
+        projection at the bb part x of h on the bb rows: [x > 0] when
+        the block is not curved."""
+        if self._whole:
+            return self.block.proj_jacobian(h)
+        Rb = self._Rb
+        x = Rb @ h
+        if self.curved:
+            JRb = Block(self.block.kind, len(self.beta)).proj_jacobian(x) @ Rb
+        else:
+            JRb = (x > 0)[:, None] * Rb
+        return self._J0 + Rb.T @ JRb
 
     def dir_deriv(self, h):
-        """dir_deriv_jac(h) @ h without forming a matrix of order n^2:
-        R'(Omega o R h) for R = _pair_basis(P), with R h = svec(P'HP)
-        applied as a congruence, O(n^3) where J(h) h is O(n^6)."""
-        P, Omega = self._piece(h)
-        return svec(P @ (Omega * (P.T @ smat(h) @ P)) @ P.T)
+        """dir_deriv_jac(h) @ h without forming it: R'(Omega o R h), with
+        the projection on the bb rows (Euler's identity)."""
+        if self._whole:
+            return self.block.project(h)
+        x = self.R @ h
+        y = self.omega * x
+        y[self.bb] = self._own(self.bb, x[self.bb])
+        return self.R.T @ y
 
     def upsilon_grad(self, d):
-        D = smat(d)
-        G = -2.0 * (self.B @ D @ self.Apinv + self.Apinv @ D @ self.B)
-        return svec(0.5 * (G + G.T))
-
-    def normal_project(self, y):
-        ker = np.concatenate([self.beta, self.gamma])
-        if len(ker) == 0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        U0 = self.P[:, ker]
-        W = U0.T @ smat(y) @ U0
-        return svec(U0 @ (-_psd_project_mat(-W)) @ U0.T)
-
-    def _pair_rows(self, first, second):
-        """The rows of `_pair_basis` for the eigenvector pairs (i, j),
-        i >= j, with i in first and j in second, in svec order."""
-        rows, cols, _ = _svec_index(self.block.size)
-        keep = np.isin(rows, first) & np.isin(cols, second)
-        return _pair_basis(self.P)[keep]
+        return self.R.T @ (self.ups * (self.R @ d))
 
     def normal_span(self):
-        ker = np.concatenate([self.beta, self.gamma])
-        return self._pair_rows(ker, ker).T
+        return self.R[self.ker].T
 
     def cc_equalities(self):
-        # the (gamma, beta) and (gamma, gamma) pairs
-        return self._pair_rows(self.gamma,
-                               np.concatenate([self.beta, self.gamma]))
+        return self.R[self.pinned]
 
     def normal_face_span(self):
-        return self._pair_rows(self.gamma, self.gamma).T
+        return self.R[self.gg].T
+
+    def rows(self):
+        """The borderline rows, x_bb >= 0 on the critical cone, of a block
+        that is not curved."""
+        return self.R[:0] if self.curved else self._Rb
+
+    def relint_point(self):
+        """s sum_b R_(bb) over beta: the unit of the beta subalgebra."""
+        return self.s * self.R[self.bb & self.diag].sum(axis=0)
+
+    def relint_margin(self, h):
+        """The least eigenvalue of the beta subalgebra part of h: that of h
+        when bb is the whole block, else of its bb entries x over s in the
+        beta subalgebra's coordinates, the least x over s when the block is
+        not curved."""
+        if self._whole:
+            return float(_jordan(self.block.kind, h)[0].min())
+        x = self._Rb @ h / self.s
+        if self.curved:
+            return float(_jordan(self.block.kind, x)[0].min())
+        return np.min(x, initial=np.inf)
+
+    def lorentz_rows(self):
+        """On a beta subalgebra of rank 2, the rows L with (t, u) = L h,
+        t = (x_11 + x_22)/2 and u = ((x_11 - x_22)/2, x_12/sqrt2) over s,
+        so that its cone is t >= |u|; None at rank 3 or more."""
+        d = self.R[self.bb & self.diag]
+        if len(d) != 2:
+            return None
+        return np.vstack([(d[0] + d[1]) / 2, (d[0] - d[1]) / 2,
+                          self.R[self.bb & ~self.diag] / SQRT2]) / self.s
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +514,9 @@ class ConeFrame:
     def dir_deriv(self, h):
         """Pi_K'(C; h) = J(h) h, block by block: exact, because the
         directional derivative is linear on each piece and dir_deriv_jac
-        is its matrix on the piece of h.  A PSD block applies its factors
-        to h without forming J."""
-        return np.concatenate([f.dir_deriv(p) if f.block.kind == "psd"
-                               else f.dir_deriv_jac(p) @ p for f, p in
-                               zip(self.frames, self.cone.split(h))])
+        is its matrix on the piece of h.  Each block applies its factors to
+        h without forming J."""
+        return self._map("dir_deriv", h)
 
     def normal_project(self, y):
         return self._map("normal_project", y)
@@ -642,81 +577,44 @@ class ConeFrame:
 
     def normal_face_span(self):
         """Basis of the span of the face of N_K(A) holding B in its
-        relative interior: the orthant indices with b < 0, vhat on an SOC
-        ray of N, the whole of int N, a PSD block's (gamma, gamma) pairs."""
+        relative interior: each block's (gamma, gamma) rows."""
         return self.embed([f.normal_face_span().T for f in self.frames]).T
 
     def borderline(self):
         """The rows a with a . h >= 0 that cut the critical cone out of its
-        affine hull, one per polyhedral borderline piece (an orthant corner
-        e_i, an SOC boundary vhat or apex ray rhat, svec(p p') for a PSD
-        beta {p} of size 1), and the curved blocks as (slice, block frame)
-        pairs (an SOC apex, a PSD beta of size >= 2)."""
-        rows, curved = [], []
-        for f, s in zip(self.frames, self.cone._slices):
-            kind = f.block.kind
-            local = []
-            if kind == "orthant":
-                local = np.eye(f.block.dim)[f.state == 1]
-            elif kind == "soc":
-                local = {"bdry": [f.vhat], "apex_ray": [f.rhat]}.get(f.case,
-                                                                     [])
-                if f.case == "apex":
-                    curved.append((s, f))
-            elif kind == "psd" and len(f.beta) == 1:
-                p = f.P[:, f.beta[0]]
-                local = [svec(np.outer(p, p))]
-            elif kind == "psd" and len(f.beta) >= 2:
-                curved.append((s, f))
-            rows.append(local)
-        return self.embed(rows), curved
+        affine hull, the bb rows of each block that is not curved, and the
+        curved blocks as (slice, block frame) pairs."""
+        curved = [(s, f) for f, s in zip(self.frames, self.cone._slices)
+                  if f.curved]
+        return self.embed([f.rows() for f in self.frames]), curved
 
     def relint_point(self):
-        """A point of the critical cone's relative interior: the sum of
-        the borderline rows and, on each curved block, (1, 0) at an SOC
-        apex or svec(P_beta P_beta') on a PSD beta."""
-        rows, curved = self.borderline()
-        c = rows.sum(axis=0)
-        for s, f in curved:
-            c[s] += (np.eye(f.block.dim)[0] if f.block.kind == "soc" else
-                     svec(f.P[:, f.beta] @ f.P[:, f.beta].T))
-        return c
+        """A point of the critical cone's relative interior: on each block
+        the unit of its beta subalgebra."""
+        return np.concatenate([f.relint_point() for f in self.frames])
 
     def relint_margin(self, h):
-        """The least value over the critical cone's pieces of an h in its
-        span, positive exactly when h lies in its relative interior: a . h
-        for a borderline row a, t - ||u|| at an SOC apex, and
-        lambda_min(P_beta' smat(h) P_beta) on a PSD beta of size >= 2."""
-        rows, curved = self.borderline()
-        vals = list(rows @ h)
-        for s, f in curved:
-            if f.block.kind == "soc":
-                vals.append(float(h[s][0] - np.linalg.norm(h[s][1:])))
-            else:
-                Pb = f.P[:, f.beta]
-                vals.append(float(linalg.sym_eig(
-                    Pb.T @ smat(h[s]) @ Pb)[0][-1]))
-        return min(vals)
+        """The least eigenvalue over the blocks' beta subalgebras of an h
+        in the critical cone's span, positive exactly when h lies in its
+        relative interior (infinite when every block has an empty beta)."""
+        return min(f.relint_margin(p)
+                   for f, p in zip(self.frames, self.cone.split(h)))
 
     def polar_rows(self):
         """C° on span N_K(A) as Lorentz rows: a y of the normal span lies
         in C° iff t >= ||u|| for (t, u) = L y[s], for every (s, L) listed.
-        A borderline row a gives the half-space row -a.  A curved block
-        gives -L: L = I at an SOC apex, and for a PSD beta {p, q} the rows
-        t = (W11 + W22)/2, u = ((W11 - W22)/2, W12) of W = [p q]' smat(y)
-        [p q].  None when a PSD beta has order >= 3, where C° has no such
-        form.  At a frame built at a point of K, C° is N_K(A)."""
+        A borderline row a gives the half-space row -a, and a curved block
+        minus its `lorentz_rows`.  None when a curved block's beta
+        subalgebra has rank 3 or more (a PSD beta of order >= 3), where C°
+        has no such form.  At a frame built at a point of K, C° is
+        N_K(A)."""
         rows, curved = self.borderline()
         out = [(slice(None), -a[None, :]) for a in rows]
         for s, f in curved:
-            if f.block.kind == "soc":
-                out.append((s, -np.eye(f.block.dim)))
-            elif len(f.beta) > 2:
+            L = f.lorentz_rows()
+            if L is None:
                 return None
-            else:
-                R = f._pair_rows(f.beta, f.beta)
-                out.append((s, -np.array([(R[0] + R[2]) / 2,
-                                          (R[0] - R[2]) / 2, R[1] / SQRT2])))
+            out.append((s, -L))
         return out
 
 

@@ -8,6 +8,7 @@ import pytest
 from conestab import cli, conditions, kkt, model
 from conestab.cli import (EXIT_CONFLICT, EXIT_INCONCLUSIVE, EXIT_INPUT,
                           EXIT_OK, EXIT_SOLVER, build_parser, main)
+from conestab.cones import Cone
 
 
 class TestSolve:
@@ -190,6 +191,28 @@ class TestKernelProbeLine:
         assert "kernel probe: holds (min residual 6.321e-02)" in out
         assert json.loads(report.read_text())["kernel_probe"]["method"] \
             == "exact"
+
+
+class TestQuadrantSoc:
+    def test_soc2_apex_is_decided_exactly(self, tmp_path, capsys):
+        # SOC(2) is a quadrant: at its apex the critical cone has the two
+        # borderline rows rhat and vhat and no curved block, so SOSC and
+        # the kernel probe enumerate faces instead of searching
+        prog = model.ConicProgram(
+            2, np.diag([1.0, -0.5]), np.zeros(2), 0.0, np.zeros(2),
+            np.eye(2), Cone([("soc", 2)]), name="soc2-apex")
+        problem = tmp_path / "problem.json"
+        problem.write_text(model.save_problem(prog))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--problem", str(problem), "--report",
+                     str(report)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "kernel probe: holds (min residual 1.564e-02)" in out
+        data = json.loads(report.read_text())
+        assert data["sosc"]["status"] == "holds"
+        assert data["sosc"]["note"] == "exact face minimum"
+        assert abs(data["sosc"]["margin"] - 0.25) <= 1e-12
+        assert data["kernel_probe"]["method"] == "exact"
 
 
 class TestSearchWorkCount:

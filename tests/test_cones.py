@@ -1,9 +1,11 @@
 """Tests for the projection calculus on cone products."""
 
+import types
+
 import numpy as np
 import pytest
 
-from conestab import cones
+from conestab import cones, linalg
 from conestab.cones import (Cone, dir_deriv_fixed_point, dir_deriv_conditions,
                             smat, svec)
 
@@ -258,7 +260,8 @@ class TestCriticalPolar:
         for cone, c in _span_cases(rng):
             f = cone.frame(c)
             for b in f.frames:
-                seen.add(b.case if b.block.kind == "soc" else b.block.kind)
+                seen.add(_case_data(b).case if b.block.kind == "soc"
+                         else b.block.kind)
                 if b.block.kind == "psd" and len(b.beta):
                     seen.add("psd-beta")
             for _ in range(5):
@@ -270,32 +273,57 @@ class TestCriticalPolar:
                         "polar_int", "psd-beta", "zero", "orthant"}
 
 
+def _case_data(f):
+    """The data of one block frame's closed forms, derived from its
+    snapped eigenvalues f.lam, its rows f.R and the eigenvectors of
+    smat(f.c): an orthant's state per coordinate (0 inactive, 1 corner, 2
+    strictly active); an SOC block's case, sig1 = t - |u|, sig2 = t + |u|,
+    uhat, rhat and vhat; a PSD block's P, B and A^+."""
+    k = types.SimpleNamespace()
+    lam = getattr(f, "lam", None)  # a zero block has no eigenvalues
+    if f.block.kind == "orthant":
+        k.state = np.where(lam > 0, 0, np.where(lam < 0, 2, 1))
+    elif f.block.kind == "soc":
+        k.case = {(1, 1): "int", (1, 0): "bdry", (1, -1): "smooth",
+                  (0, -1): "apex_ray", (0, 0): "apex",
+                  (-1, -1): "polar_int"}[tuple(np.sign(lam).astype(int))]
+        k.sig1, k.sig2 = lam[1], lam[0]
+        k.rhat, k.vhat = f.R[0], f.R[1]
+        k.uhat = cones.SQRT2 * f.R[0, 1:]
+    elif f.block.kind == "psd":
+        k.P = linalg.sym_eig(smat(f.c))[1]
+        k.B = (k.P * np.minimum(lam, 0.0)) @ k.P.T
+        inv = np.where(lam > 0, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
+        k.Apinv = (k.P * inv) @ k.P.T
+    return k
+
+
 def _closed_form_polar(f, s):
     """Projection of s onto the polar of one block's critical cone, in
     the closed form of each block case (the reference for the Moreau
     complement s - cc_project(s))."""
-    kind = f.block.kind
+    kind, k = f.block.kind, _case_data(f)
     if kind == "zero":
         return s.copy()
     if kind == "orthant":
         out = s.copy()
-        out[f.state == 0] = 0.0
-        corner = f.state == 1
+        out[k.state == 0] = 0.0
+        corner = k.state == 1
         out[corner] = np.minimum(s[corner], 0.0)
         return out
     if kind == "soc":
-        if f.case == "int":
+        if k.case == "int":
             return np.zeros_like(s)
-        if f.case == "polar_int":
+        if k.case == "polar_int":
             return s.copy()
-        if f.case == "apex":
+        if k.case == "apex":
             return -cones._soc_project(-s)
-        if f.case == "apex_ray":
-            return s - max(float(f.rhat @ s), 0.0) * f.rhat
-        if f.case == "bdry":
-            return min(float(f.vhat @ s), 0.0) * f.vhat
-        return float(f.vhat @ s) * f.vhat  # smooth: normal line
-    St = f.P.T @ smat(s) @ f.P
+        if k.case == "apex_ray":
+            return s - max(float(k.rhat @ s), 0.0) * k.rhat
+        if k.case == "bdry":
+            return min(float(k.vhat @ s), 0.0) * k.vhat
+        return float(k.vhat @ s) * k.vhat  # smooth: normal line
+    St = k.P.T @ smat(s) @ k.P
     out = np.zeros_like(St)
     for rows, cols in ((f.beta, f.gamma), (f.gamma, f.beta),
                        (f.gamma, f.gamma)):
@@ -303,7 +331,7 @@ def _closed_form_polar(f, s):
     if len(f.beta):
         bb = np.ix_(f.beta, f.beta)
         out[bb] = -cones._psd_project_mat(-St[bb])
-    return svec(f.P @ out @ f.P.T)
+    return svec(k.P @ out @ k.P.T)
 
 
 def _closed_form_dir_deriv(f, h):
@@ -311,15 +339,16 @@ def _closed_form_dir_deriv(f, h):
     closed form of each block case: the critical-cone projection, except
     on a smooth SOC boundary and on PSD blocks (the reference for
     J(h) h)."""
-    if f.block.kind == "soc" and f.case == "smooth":
-        p = float(f.uhat @ h[1:])
+    k = _case_data(f)
+    if f.block.kind == "soc" and k.case == "smooth":
+        p = float(k.uhat @ h[1:])
         dt = 0.5 * (h[0] + p)
-        scale = f.sig2 / (f.sig2 - f.sig1)
-        return np.concatenate(([dt], dt * f.uhat
-                               + scale * (h[1:] - p * f.uhat)))
+        scale = k.sig2 / (k.sig2 - k.sig1)
+        return np.concatenate(([dt], dt * k.uhat
+                               + scale * (h[1:] - p * k.uhat)))
     if f.block.kind != "psd":
         return f.cc_project(h)
-    Ht = f.P.T @ smat(h) @ f.P
+    Ht = k.P.T @ smat(h) @ k.P
     out = np.zeros_like(Ht)
     a, b, g = f.alpha, f.beta, f.gamma
     for rows, cols in ((a, a), (a, b), (b, a)):
@@ -329,17 +358,18 @@ def _closed_form_dir_deriv(f, h):
     out[np.ix_(g, a)] = out[np.ix_(a, g)].T
     if len(b):
         out[np.ix_(b, b)] = cones._psd_project_mat(Ht[np.ix_(b, b)])
-    return svec(f.P @ out @ f.P.T)
+    return svec(k.P @ out @ k.P.T)
 
 
 def _closed_form_upsilon(f, d):
     """The sigma term of one block at a critical direction d, in closed
     form: nonzero only on a smooth SOC boundary and on PSD blocks."""
-    if f.block.kind == "soc" and f.case == "smooth":
-        return f.sig1 / f.sig2 * (d[0] ** 2 - float(d[1:] @ d[1:]))
+    k = _case_data(f)
+    if f.block.kind == "soc" and k.case == "smooth":
+        return k.sig1 / k.sig2 * (d[0] ** 2 - float(d[1:] @ d[1:]))
     if f.block.kind == "psd":
         D = smat(d)
-        return -2.0 * float(np.sum(f.B * (D @ f.Apinv @ D)))
+        return -2.0 * float(np.sum(k.B * (D @ k.Apinv @ D)))
     return 0.0
 
 
@@ -385,7 +415,7 @@ class TestNormalSpan:
 
     def test_soc_cases_are_all_covered(self):
         rng = np.random.default_rng(12)
-        seen = {f.case for cone, c in _span_cases(rng)
+        seen = {_case_data(f).case for cone, c in _span_cases(rng)
                 for f in cone.frame(c).frames if f.block.kind == "soc"}
         assert seen == {"int", "bdry", "smooth", "apex_ray", "apex",
                         "polar_int"}
@@ -414,6 +444,60 @@ def _rows_margin(rows, y):
     """The least t - ||u|| over the Lorentz rows (s, L) of y."""
     return min((float((L @ y[s])[0] - np.linalg.norm((L @ y[s])[1:]))
                 for s, L in rows), default=np.inf)
+
+
+def _piece_cases(rng):
+    """`_span_cases` plus every case of SOC(1) and SOC(2) and PSD frames
+    whose zero-eigenvalue index set has order 1, 2 and 3 next to positive
+    and negative eigenvalues."""
+    cases = _span_cases(rng)
+    cases += [(Cone([("soc", 1)]), np.array([t])) for t in (1.0, 0.0, -1.0)]
+    for u in (1.0, -1.0, 0.0):
+        cases += [(Cone([("soc", 2)]), np.array([t, u]))
+                  for t in (2.0, 1.0, 0.3, -1.0, -2.0)]
+    cases.append((Cone([("soc", 2)]), np.zeros(2)))
+    for lam in ([2.0, 0.0, -1.0], [1.5, 0.0, 0.0, -2.0],
+                [1.0, 0.0, 0.0, 0.0, -1.0]):
+        n = len(lam)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        cases.append((Cone([("psd", n)]), svec((Q * lam) @ Q.T)))
+    return cases
+
+
+class TestFramePieces:
+    def test_relint_point_has_a_positive_margin_in_the_cone(self):
+        # on frames with a borderline piece; elsewhere C is a subspace
+        rng = np.random.default_rng(21)
+        checked = 0
+        for cone, c in _piece_cases(rng):
+            f = cone.frame(c)
+            rows, curved = f.borderline()
+            if not (len(rows) or curved):
+                continue
+            p = f.relint_point()
+            assert f.cc_dist(p) <= 1e-12 * max(1.0, np.linalg.norm(p))
+            assert f.relint_margin(p) > 0.0
+            checked += 1
+        assert checked >= 20
+
+    def test_borderline_rows_hold_on_the_critical_cone(self):
+        rng = np.random.default_rng(22)
+        for cone, c in _piece_cases(rng):
+            f = cone.frame(c)
+            rows, _ = f.borderline()
+            for _ in range(10):
+                d = f.cc_project(3.0 * rng.standard_normal(cone.dim))
+                assert np.min(rows @ d, initial=0.0) >= -1e-12
+
+    def test_normal_face_span_is_orthonormal_in_the_normal_span(self):
+        rng = np.random.default_rng(23)
+        for cone, c in _piece_cases(rng):
+            f = cone.frame(c)
+            F, U = f.normal_face_span(), f.normal_span()
+            err = np.abs(F.T @ F - np.eye(F.shape[1]))
+            assert np.max(err, initial=0.0) <= 1e-12
+            for v in F.T:
+                assert _in_range(U, v)
 
 
 class TestPolarRows:
@@ -565,7 +649,7 @@ class TestDirDeriv:
         seen = set()
         for f, _, _ in pairs:
             for b in f.frames:
-                seen.add(b.case if b.block.kind == "soc" else
+                seen.add(_case_data(b).case if b.block.kind == "soc" else
                          "psd-beta-%d" % len(b.beta) if b.block.kind == "psd"
                          else b.block.kind)
         assert {"zero", "orthant", "int", "bdry", "smooth", "apex",
@@ -682,6 +766,87 @@ class TestFixedPointCharacterization:
                 dA, dB = d, dA + dB - d
             conj = all(dir_deriv_conditions(f, dA, dB))
             assert conj == dir_deriv_fixed_point(f, dA, dB)
+
+
+def _frame_outputs(f, hs):
+    """Every method of a product frame, at the directions hs where it
+    takes one: (name, value) pairs."""
+    out = []
+    for h in hs:
+        out += [("cc_project", f.cc_project(h)),
+                ("polar_project", f.polar_project(h)),
+                ("normal_project", f.normal_project(h)),
+                ("dir_deriv", f.dir_deriv(h)),
+                ("dir_deriv_jac", f.dir_deriv_jac(h)),
+                ("upsilon_grad", f.upsilon_grad(h))]
+    rows, curved = f.borderline()
+    polar = np.vstack([L for _, L in f.polar_rows()] + [rows[:0]])
+    return out + [("normal_span", f.normal_span()),
+                  ("cc_equalities", f.cc_equalities()),
+                  ("normal_face_span", f.normal_face_span()),
+                  ("borderline", rows), ("curved", float(len(curved))),
+                  ("polar_rows", polar),
+                  ("relint_point", f.relint_point()),
+                  ("lam", f.frames[0].lam)]
+
+
+class TestLowOrderSoc:
+    """SOC(1) is the half-line and SOC(2) a quadrant turned by 45
+    degrees: their frames are orthant frames."""
+
+    def test_soc1_frames_equal_orthant1_frames(self):
+        hs = [np.array([v]) for v in (2.0, -0.5, 0.0)]
+        for c in (1.0, 0.0, -1.0):
+            soc = Cone([("soc", 1)]).frame(np.array([c]))
+            orth = Cone([("orthant", 1)]).frame(np.array([c]))
+            for (name, a), (_, b) in zip(_frame_outputs(soc, hs),
+                                         _frame_outputs(orth, hs)):
+                assert np.shape(a) == np.shape(b), (c, name)
+                assert np.allclose(a, b, rtol=0.0, atol=1e-15), (c, name)
+            assert soc.relint_margin(soc.relint_point()) == \
+                orth.relint_margin(orth.relint_point())
+            for h in hs:
+                assert soc.relint_margin(h) == orth.relint_margin(h)
+
+    def test_soc2_frames_equal_orthant2_frames_in_rhat_vhat(self):
+        # Q has rows rhat and vhat, and maps SOC(2) onto the orthant; the
+        # eigenvalue-valued pieces carry the SOC scale s = 1/sqrt2
+        rng = np.random.default_rng(24)
+        s = 1.0 / cones.SQRT2
+        seen = set()
+        points = [np.array([t, u]) for u in (1.0, -1.0)
+                  for t in (2.0, 1.0, 0.3, 0.0, -1.0, -2.0)]
+        points += [np.array([t, 0.0]) for t in (1.0, 0.0, -1.0)]
+        for c in points:
+            soc = Cone([("soc", 2)]).frame(c)
+            Q = soc.frames[0].R
+            orth = Cone([("orthant", 2)]).frame(Q @ c)
+            seen.add(tuple(np.sign(orth.frames[0].lam)))
+            hs = [3.0 * rng.standard_normal(2) for _ in range(4)]
+            got = _frame_outputs(soc, hs)
+            ref = _frame_outputs(orth, [Q @ h for h in hs])
+            for (name, a), (_, b) in zip(got, ref):
+                if name == "dir_deriv_jac":
+                    b = Q.T @ b @ Q
+                elif name in ("normal_span", "normal_face_span"):
+                    b = Q.T @ b
+                elif name in ("cc_equalities", "borderline", "polar_rows"):
+                    b = b @ Q
+                elif name == "relint_point":
+                    b = s * Q.T @ b
+                elif name == "lam":
+                    b = b / s
+                elif name != "curved":
+                    b = Q.T @ b
+                assert np.shape(a) == np.shape(b), (c, name)
+                assert np.allclose(a, b, rtol=0.0, atol=1e-14), (c, name)
+            for h in hs:
+                assert np.isclose(soc.relint_margin(h),
+                                  orth.relint_margin(Q @ h) / s,
+                                  rtol=1e-14, atol=0.0)
+        # every sign pattern of the two eigenvalues, the apex among them
+        assert seen == {(1, 1), (1, 0), (1, -1), (0, -1), (0, 0),
+                        (-1, -1)}
 
 
 class TestConeContainer:

@@ -250,7 +250,7 @@ class TestExactMultiplierLine:
         V = v.reshape(-1, 1)
         grid = np.linspace(-4.0, 4.0, 8001)
         sampled, hits = _sampled_dim(frame, y0, v, grid)
-        # the case table's interval, without slack, spans the sampled hits
+        # the Lorentz rows' interval, without slack, spans the sampled hits
         lo, hi = -np.inf, np.inf
         for s, L in frame.polar_rows():
             iv = kkt._line_interval(L[0] @ y0[s], L[0] @ v[s],
