@@ -14,15 +14,20 @@ SOSC is decided by enumerating the faces of the critical cone, and the
 kernel probe by enumerating the 3^k sign faces of its k borderline rows
 when no block is curved; one face routine serves both.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
+
+Every check reads one pulled-back cone, a `ProblemCriticalCone`: at the
+multiplier y for SRCQ, SOSC, the hull probe and the kernel probe, and at
+y = 0 (the tangent cone) for RCQ and nondegeneracy.  It holds the frame,
+G', H and the derived matrices, each computed once.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
 from . import linalg
-from .kkt import (affine_cone_point, hess_lagrangian, kkt_matrix,
-                  natural_residual)
+from .kkt import affine_cone_point, kkt_matrix, natural_residual
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -74,18 +79,6 @@ class Verdict:
         }
 
 
-def _require_affine(prog):
-    if not prog.is_affine:
-        raise ValueError("condition checks require an affine constraint map; "
-                         "%r carries callbacks" % prog.name)
-
-
-def _polar_kernel(Gmat, N):
-    """Orthonormal basis of ker(G'*) ∩ range(N), as N null(G'* N); the
-    columns of N (a `ConeFrame.normal_span`) are orthonormal."""
-    return N @ linalg.nullspace(Gmat.T @ N, tol=1e-12)
-
-
 def _span_witness(w):
     """w scaled to unit norm with its largest-magnitude entry positive: a
     null-space vector's sign is whatever the SVD picked."""
@@ -118,7 +111,7 @@ def _decide_fullness(cc, seed, label):
     so `affine_cone_point` looks for one on the slice <v, c> = -1 (`seed`
     is read only there); a miss is inconclusive.
     """
-    V = _polar_kernel(cc.Gmat, cc.frame.normal_span())
+    V = cc.polar_kernel
     if V.shape[1] == 0:
         return Verdict(HOLDS, margin=1.0,
                        note="%s: ker(G'*) meets the polar span trivially"
@@ -167,18 +160,23 @@ def _decide_fullness(cc, seed, label):
 class ProblemCriticalCone:
     """C(x) = {d | G'(x)d in C_K(G(x), y)}, pulled back through G'.
 
-    Holds the frame at G(x) + y, the rows E with span C_K = null E, the
-    hull basis Z = null(E G') of C(x), and the borderline rows and curved
-    blocks of `ConeFrame.borderline`.  At y = 0 the critical cone is the
-    tangent cone T_K(G(x)).
+    The one object every check reads.  It holds the frame at G(x) + y, G'
+    (`Gmat`), the Hessian of the Lagrangian H (Q: G is affine), the rows E
+    with span C_K = null E, the hull basis Z = null(E G') of C(x), and the
+    borderline rows and curved blocks of `ConeFrame.borderline`.  At y = 0
+    the critical cone is the tangent cone T_K(G(x)).  The polar kernel
+    and the SOSC quadratic are computed on first use.  A program whose
+    constraint map carries callbacks is refused here, for every check.
     """
 
     def __init__(self, prog, x, y):
-        _require_affine(prog)
-        self.prog = prog
+        if not prog.is_affine:
+            raise ValueError("condition checks require an affine constraint "
+                             "map; %r carries callbacks" % prog.name)
         g = prog.constraint(x)
         self.frame = prog.cone.frame(g + np.asarray(y, float))
         self.Gmat = prog.constraint_jac(x)
+        self.H = prog.Q
         self.E = self.frame.cc_equalities()
         self.affine_basis = linalg.nullspace(self.E @ self.Gmat, tol=1e-10)
         self.rows, self.curved = self.frame.borderline()
@@ -187,6 +185,26 @@ class ProblemCriticalCone:
     @property
     def affine_dim(self):
         return self.affine_basis.shape[1]
+
+    @functools.cached_property
+    def polar_kernel(self):
+        """Orthonormal basis of ker(G'*) ∩ span N, as N null(G'* N); the
+        columns of N (a `ConeFrame.normal_span`) are orthonormal."""
+        N = self.frame.normal_span()
+        return N @ linalg.nullspace(self.Gmat.T @ N, tol=1e-12)
+
+    @functools.cached_property
+    def quadratic(self):
+        """The SOSC quadratic H + G'* Ups G', with Ups the matrix of the
+        form D -> Upsilon(D), valid on the critical cone."""
+        m = self.Gmat.shape[0]
+        Ups = np.zeros((m, m))
+        for k in range(m):
+            e = np.zeros(m)
+            e[k] = 1.0
+            Ups[:, k] = 0.5 * self.frame.upsilon_grad(e)
+        Ups = 0.5 * (Ups + Ups.T)
+        return self.H + self.Gmat.T @ Ups @ self.Gmat
 
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
@@ -226,17 +244,15 @@ def check_srcq(prog, x, y, seed=0):
 
 def check_nondegeneracy(prog, x):
     """G'(x)X + lin T_K(G(x)) = Y: exact, ker(G'*) ∩ (lin T)^perp = {0}."""
-    _require_affine(prog)
-    return _nondegeneracy(prog.cone.frame(prog.constraint(x)),
-                          prog.constraint_jac(x))
+    return _nondegeneracy(_tangent_cone(prog, x))
 
 
-def _nondegeneracy(frame, Gmat):
-    """`check_nondegeneracy` at the frame of G(x) for G'(x) = Gmat."""
-    N = frame.normal_span()
-    V = _polar_kernel(Gmat, N)
+def _nondegeneracy(tc):
+    """`check_nondegeneracy` on the tangent cone tc."""
+    V = tc.polar_kernel
     if V.shape[1] == 0:
-        kerGt = linalg.nullspace(Gmat.T, tol=1e-12)
+        N = tc.frame.normal_span()
+        kerGt = linalg.nullspace(tc.Gmat.T, tol=1e-12)
         margin = 1.0
         if kerGt.shape[1] and N.shape[1]:
             margin -= float(np.linalg.svd(kerGt.T @ N, compute_uv=False)[0])
@@ -247,22 +263,6 @@ def _nondegeneracy(frame, Gmat):
 
 # ---------------------------------------------------------------------------
 # Second-order conditions
-
-
-def _upsilon_matrix(frame, dim):
-    """Matrix of the quadratic form D -> Upsilon(D) (valid on the critical
-    cone, where the closed forms apply)."""
-    H = np.zeros((dim, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        H[:, k] = 0.5 * frame.upsilon_grad(e)
-    return 0.5 * (H + H.T)
-
-
-def _sosc_quadratic(prog, x, y, cc):
-    Ups = _upsilon_matrix(cc.frame, prog.cone.dim)
-    return hess_lagrangian(prog, x, y) + cc.Gmat.T @ Ups @ cc.Gmat
 
 
 def _face_eig(M, W):
@@ -364,7 +364,7 @@ def _sosc_verdict(M, cc):
 def check_sosc(prog, x, y):
     """Positivity of <d, H_L d> + Upsilon(G'd) on C(x)\\{0} at multiplier y."""
     cc = problem_critical_cone(prog, x, y)
-    return _sosc_verdict(_sosc_quadratic(prog, x, y, cc), cc)
+    return _sosc_verdict(cc.quadratic, cc)
 
 
 def check_robinson_sosc(prog, x, multipliers):
@@ -372,14 +372,12 @@ def check_robinson_sosc(prog, x, multipliers):
     min over critical directions of the max over multipliers.  The max is
     at least the mean, so the SOSC test of the mean quadratic decides
     HOLDS; FAILS needs its witness to fail at every multiplier."""
-    _require_affine(prog)
-    mults = [np.asarray(m, float) for m in multipliers]
-    if not mults:
+    ccs = [problem_critical_cone(prog, x, m) for m in multipliers]
+    if not ccs:
         raise ValueError("at least one multiplier is required")
-    ccs = [problem_critical_cone(prog, x, m) for m in mults]
-    mats = [_sosc_quadratic(prog, x, m, cc) for m, cc in zip(mults, ccs)]
+    mats = [cc.quadratic for cc in ccs]
     v = _sosc_verdict(sum(mats) / len(mats), ccs[0])
-    v.note += "; mean of %d supplied multipliers" % len(mults)
+    v.note += "; mean of %d supplied multipliers" % len(mats)
     if v.fails:
         v.margin = max(float(v.witness @ M @ v.witness) for M in mats)
         v.status = FAILS if v.margin <= SOSC_FAILS_TOL else INCONCLUSIVE
@@ -394,17 +392,15 @@ def affine_hull_probe(prog, x, y):
     regime from strong regularity on degenerate instances: the quadratic
     can be positive on the cone yet lose definiteness on its hull.
     """
-    cc = problem_critical_cone(prog, x, y)
-    return _hull_verdict(_sosc_quadratic(prog, x, y, cc), cc)
+    return _hull_verdict(problem_critical_cone(prog, x, y))
 
 
-def _hull_verdict(M, cc):
-    """`affine_hull_probe` for the SOSC quadratic M on the hull of cc."""
+def _hull_verdict(cc):
+    """`affine_hull_probe`: the least eigenvalue of the SOSC quadratic on
+    the hull of cc."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf, note="affine hull is {0}")
-    mn, wit, _, _ = _face_minimum(
-        cc.affine_basis, np.zeros((0, cc.affine_dim)), (1,),
-        lambda s, W: _face_eig(M, W), lambda s, d: True)
+    mn, wit, _ = _face_eig(cc.quadratic, cc.affine_basis)
     if mn > SOSC_FAILS_TOL:
         return Verdict(HOLDS, margin=mn)
     return Verdict(FAILS, margin=mn, witness=wit,
@@ -428,34 +424,31 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     below the minimum, `_kernel_search` runs instead: it alone reads
     n_starts, seed and extra_seeds.  The result's "method" says which.
     """
-    _require_affine(prog)
-    frame = prog.cone.frame(prog.constraint(x) + np.asarray(y, float))
-    return _kernel_probe(frame, prog.constraint_jac(x),
-                         hess_lagrangian(prog, x, y), n_starts, seed,
+    return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
 
 
-def _kernel_probe(frame, Gmat, H, n_starts, seed, extra_seeds):
-    """`kernel_probe` at the frame for G'(x) = Gmat and H_L = H."""
-    rows, curved = frame.borderline()
-    if not curved and len(rows) <= _MAX_PROBE_ROWS:
-        probe = _kernel_faces(frame, Gmat, H, rows)
+def _kernel_probe(cc, n_starts, seed, extra_seeds):
+    """`kernel_probe` on the pulled-back cone cc."""
+    if not cc.curved and len(cc.rows) <= _MAX_PROBE_ROWS:
+        probe = _kernel_faces(cc)
         if probe is not None:
             return probe
-    return _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds)
+    return _kernel_search(cc, n_starts, seed, extra_seeds)
 
 
-def _probe_residual(frame, Gmat, H, w):
-    """||T(w) w||^2 at the frame for G'(x) = Gmat and H_L = H."""
+def _probe_residual(cc, w):
+    """||T(w) w||^2 on the pulled-back cone cc."""
+    Gmat = cc.Gmat
     n = Gmat.shape[1]
     dx, dy = w[:n], w[n:]
     h = Gmat @ dx + dy
-    r1 = H @ dx + Gmat.T @ dy
-    r2 = Gmat @ dx - frame.dir_deriv(h)
+    r1 = cc.H @ dx + Gmat.T @ dy
+    r2 = Gmat @ dx - cc.frame.dir_deriv(h)
     return float(r1 @ r1 + r2 @ r2)
 
 
-def _kernel_faces(frame, Gmat, H, rows):
+def _kernel_faces(cc):
     """Exact least residual on a frame whose only pieces are the signs of
     the orthonormal borderline rows r_i at h = [G' I] w.
 
@@ -464,12 +457,13 @@ def _kernel_faces(frame, Gmat, H, rows):
     pieces give the same J h.  `_face_minimum` counts the least singular
     value squared of T_s on a face when its vector has s_i r_i . h >=
     -WITNESS_TOL ||h||.  None when a tie below that minimum was rejected."""
-    m, n = Gmat.shape
-    P = np.hstack([Gmat, np.eye(m)])
+    m, n = cc.Gmat.shape
+    rows = cc.rows
+    P = np.hstack([cc.Gmat, np.eye(m)])
 
     def face(s, W):
-        return _face_svd(kkt_matrix(H, Gmat, frame.dir_deriv_jac(s @ rows)),
-                         W)
+        return _face_svd(kkt_matrix(cc.H, cc.Gmat,
+                                    cc.frame.dir_deriv_jac(s @ rows)), W)
 
     def member(s, w):
         h = P @ w
@@ -480,11 +474,11 @@ def _kernel_faces(frame, Gmat, H, rows):
                                        face, member)
     if rejected < mn:
         return None
-    return {"min_residual": _probe_residual(frame, Gmat, H, w),
-            "witness": w, "method": "exact"}
+    return {"min_residual": _probe_residual(cc, w), "witness": w,
+            "method": "exact"}
 
 
-def _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds):
+def _kernel_search(cc, n_starts, seed, extra_seeds):
     """Multi-start search for the least residual: each start is refined by
     iterating toward the smallest right singular vector of T(w), for at
     most 50 steps; a start that is already a kernel direction (an exact
@@ -492,6 +486,7 @@ def _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds):
     the bits of w, so a start whose iterate repeats exactly stops there
     and takes the iterate step 50 would reach.  With no start the
     residual is infinite and the witness None."""
+    frame, Gmat, H = cc.frame, cc.Gmat, cc.H
     m, n = Gmat.shape
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, float) for s in extra_seeds]
@@ -503,7 +498,7 @@ def _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds):
             continue
         w = w / nw
         path, seen = [w], {w.tobytes(): 0}
-        start = _probe_residual(frame, Gmat, H, w)
+        start = _probe_residual(cc, w)
         for k in range(1, 51 if start > KERNEL_FOUND_TOL else 1):
             T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
                 Gmat @ w[:n] + w[n:]))
@@ -522,7 +517,7 @@ def _kernel_search(frame, Gmat, H, n_starts, seed, extra_seeds):
                 w = path[i + (50 - i) % (k - i)]
                 break
             path.append(w)
-        val = _probe_residual(frame, Gmat, H, w)
+        val = _probe_residual(cc, w)
         if val < best_val:
             best_val, best_w = val, w
         if best_val <= KERNEL_FOUND_TOL:
@@ -574,20 +569,17 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     through the directional-derivative system, and one-way implications
     between the qualifications are audited on the spot.
     """
-    _require_affine(prog)
+    # one pulled-back cone at y = 0 for RCQ and nondegeneracy, the first
+    # to refuse a non-affine constraint map, and one at y for the rest
+    tc = _tangent_cone(prog, x)
     res = natural_residual(prog, x, y)
     if not res <= 1e-8:
         raise ValueError("(x, y) is not a KKT pair (residual %.2e)" % res)
-    # one pulled-back cone at y = 0 for RCQ and nondegeneracy, one at y
-    # for the rest, and one SOSC quadratic for SOSC and the hull probe
-    tc = _tangent_cone(prog, x)
     cc = problem_critical_cone(prog, x, y)
-    M = _sosc_quadratic(prog, x, y, cc)
-    H = hess_lagrangian(prog, x, y)
     rcq = _decide_fullness(tc, seed, "rcq")
     srcq = _decide_fullness(cc, seed, "srcq")
-    nondeg = _nondegeneracy(tc.frame, tc.Gmat)
-    sosc = _sosc_verdict(M, cc)
+    nondeg = _nondegeneracy(tc)
+    sosc = _sosc_verdict(cc.quadratic, cc)
     # exact witnesses of the two conditions seed the kernel probe's search,
     # where it runs: a polar direction dy of SRCQ, and a critical direction
     # d of SOSC with the dy that best balances the stationarity row
@@ -597,12 +589,11 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
         probe_seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
     if sosc.fails:
         d = sosc.witness
-        dy = linalg.lstsq(cc.Gmat.T, -H @ d)
+        dy = linalg.lstsq(cc.Gmat.T, -cc.H @ d)
         probe_seeds.append(np.concatenate([d, dy]))
-    probe = _kernel_probe(cc.frame, cc.Gmat, H, _KERNEL_STARTS, seed,
-                          probe_seeds)
+    probe = _kernel_probe(cc, _KERNEL_STARTS, seed, probe_seeds)
     probe_v = kernel_probe_verdict(probe)
-    hull = _hull_verdict(M, cc)
+    hull = _hull_verdict(cc)
     singleton = None
     if multiplier_set is not None:
         singleton = multiplier_set.is_singleton

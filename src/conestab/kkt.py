@@ -161,7 +161,9 @@ def _projection_search(project, y0, basis, seed):
     """A point of (y0 + range basis) ∩ K by alternating projections from y0
     and seeded random starts, or None when none converges into K: the mean
     of the limits, which lies in the relative interior when the starts
-    spread over the set, else the first limit."""
+    spread over the set, else the first limit.  A start stops when its
+    step falls to round-off, 1e-14 max(1, ||y||): a limit is reached only
+    to that, and below it the iterates can cycle for every step."""
     rng = np.random.default_rng(seed)
     starts = [y0] + [y0 + basis @ rng.standard_normal(basis.shape[1])
                      for _ in range(_MULT_STARTS - 1)]
@@ -169,7 +171,7 @@ def _projection_search(project, y0, basis, seed):
     for y in starts:
         for _ in range(_AP_ITERS):
             yn = _affine_project(project(y), basis, y0)
-            if np.linalg.norm(yn - y) < 1e-15:
+            if np.linalg.norm(yn - y) <= 1e-14 * max(1.0, np.linalg.norm(y)):
                 y = yn
                 break
             y = yn
@@ -268,12 +270,6 @@ def kkt_matrix(H, Gp, J):
     V[n:, :n] = (np.eye(m) - J) @ Gp
     V[n:, n:] = -J
     return V
-
-
-def hess_lagrangian(prog, x, y):
-    """Hessian of the Lagrangian in x.  This is Q: the constraint map is
-    affine, and a callback program supplies no second derivative."""
-    return prog.Q.copy()
 
 
 def solve_kkt(prog, pert=None, start=None, opts=None):

@@ -54,21 +54,9 @@ def lstsq(M, r):
     return v
 
 
-def rank_tol_for(values, rank_tol=None):
+def rank_tol_for(values):
     """Absolute snap tolerance from the spectral scale, floored at unit
     scale so numerically-zero data (entries near machine epsilon) snaps
     to exactly zero on desk-scale problems."""
-    if rank_tol is not None:
-        return rank_tol
     vmax = float(np.max(np.abs(values))) if len(values) else 0.0
     return RANK_TOL_FACTOR * max(vmax, 1.0)
-
-
-def pseudo_inverse(S, rank_tol=None):
-    """Moore-Penrose inverse of a symmetric matrix via its eigen-frame."""
-    vals, vecs = sym_eig(S)
-    tol = rank_tol_for(vals, rank_tol)
-    if tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    inv = np.where(np.abs(vals) > tol, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return (vecs * inv) @ vecs.T

@@ -77,7 +77,7 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     records = []
     prev = reference
     for eps in grid:
-        pert = model.Perturbation(eps * direction.a, eps * direction.b)
+        pert = direction.scaled(eps)
         if oracle is not None:
             pt = oracle(eps)
             res = natural_residual(prog, pt.x, pt.y, pert)

@@ -162,26 +162,15 @@ class TestOptions:
             build_parser().parse_args(argv)
 
 
-def _bench_gen():
-    """The benchmark's instance generator, bench/gen.py."""
-    import importlib.util
-    import pathlib
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 class TestKernelProbeLine:
     def test_polyhedral_instance_prints_the_exact_minimum(self, tmp_path,
-                                                          capsys):
+                                                          capsys, bench_gen):
         # the benchmark's `degenerate` orthant3+psd3 pd instance: an
         # orthant corner and a PSD beta of size 1, 9 sign faces; the
         # multi-start search read 8.177e-02
-        inst = _bench_gen().make_instance([("orthant", 3), ("psd", 3)],
-                                          [1, 1], [1, 1], "identity", "pd",
-                                          seed=4)
+        inst = bench_gen.make_instance([("orthant", 3), ("psd", 3)],
+                                       [1, 1], [1, 1], "identity", "pd",
+                                       seed=4)
         problem = tmp_path / "problem.json"
         problem.write_text(inst.to_json())
         report = tmp_path / "report.json"

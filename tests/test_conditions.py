@@ -190,7 +190,7 @@ class TestKernelProbe:
         g = prog.constraint(x)
         frame = prog.cone.frame(g + y)
         G = prog.constraint_jac(x)
-        H = kkt.hess_lagrangian(prog, x, y)
+        H = prog.Q
 
         def r(w):
             dx, dy = w[:n], w[n:]
@@ -276,9 +276,8 @@ def _search(prog, x, y, n_starts=conditions._KERNEL_STARTS, seed=0,
             extra_seeds=()):
     """The kernel probe's multi-start search, called directly: polyhedral
     frames with few rows no longer reach it through `kernel_probe`."""
-    return conditions._kernel_search(
-        prog.cone.frame(prog.constraint(x) + y), prog.constraint_jac(x),
-        kkt.hess_lagrangian(prog, x, y), n_starts, seed, extra_seeds)
+    return conditions._kernel_search(problem_critical_cone(prog, x, y),
+                                     n_starts, seed, extra_seeds)
 
 
 class TestKernelProbeFastPath:
@@ -293,7 +292,7 @@ class TestKernelProbeFastPath:
         assert len(calls) == 1
         assert probe["method"] == "exact"
         monkeypatch.undo()
-        H = kkt.hess_lagrangian(prog, x, y)
+        H = prog.Q
         T = kkt.kkt_matrix(H, prog.constraint_jac(x),
                            frame.dir_deriv_jac(np.zeros(prog.cone.dim)))
         v = np.linalg.svd(T)[2][-1]
@@ -357,7 +356,7 @@ def _uncut_probe(prog, x, y, n_starts, seed):
     n, m = prog.n, prog.cone.dim
     frame = prog.cone.frame(prog.constraint(x) + y)
     Gmat = prog.constraint_jac(x)
-    H = kkt.hess_lagrangian(prog, x, y)
+    H = prog.Q
     rng = np.random.default_rng(seed)
     best_val, best_w, cycled = np.inf, None, 0
     for _ in range(n_starts):
@@ -475,7 +474,7 @@ class TestExactKernelProbe:
         rows, curved = frame.borderline()
         assert len(rows) == len(_POLYHEDRAL[name]) and not curved
         G = prog.constraint_jac(x)
-        H = kkt.hess_lagrangian(prog, x, y)
+        H = prog.Q
         exact = kernel_probe(prog, x, y)
         assert exact["method"] == "exact"
         # the search gets the SOSC witness seed that the report gives it
@@ -574,7 +573,7 @@ class TestExactSosc:
         w = v.witness
         assert np.isclose(np.linalg.norm(w), 1.0)
         assert cc.member(w)
-        M = conditions._sosc_quadratic(prog, x, y, cc)
+        M = cc.quadratic
         assert float(w @ M @ w) <= conditions.SOSC_FAILS_TOL
         assert check_robinson_sosc(prog, x, [y]).status == FAILS
         report = assemble_report(prog, x, y)
@@ -600,7 +599,7 @@ class TestExactSosc:
         # the minimum from above
         prog, x, y = fixture("example4")
         cc = problem_critical_cone(prog, x, y)
-        M = conditions._sosc_quadratic(prog, x, y, cc)
+        M = cc.quadratic
         k = np.arange(200000) + 0.5
         z = 1.0 - 2.0 * k / len(k)
         t = np.pi * (1.0 + 5.0 ** 0.5) * k
@@ -818,6 +817,49 @@ class TestRobinsonCertificate:
                 check_srcq(prog, x, y).status, name
 
 
+def _count_calls(monkeypatch, cls, method):
+    """A list that grows by one at each call of cls.method."""
+    calls = []
+    original = getattr(cls, method)
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+_PUBLIC_CHECKS = {
+    "check_rcq": lambda prog, x, y: check_rcq(prog, x),
+    "check_srcq": check_srcq,
+    "check_nondegeneracy": lambda prog, x, y: check_nondegeneracy(prog, x),
+    "check_sosc": check_sosc,
+    "check_robinson_sosc": lambda prog, x, y: check_robinson_sosc(prog, x,
+                                                                  [y]),
+    "affine_hull_probe": affine_hull_probe,
+    "kernel_probe": kernel_probe,
+}
+
+
+class TestAffineMapGuard:
+    @pytest.mark.parametrize("name", sorted(_PUBLIC_CHECKS))
+    def test_every_check_refuses_a_callback_map(self, name):
+        prog = model.builtin("remark2")
+        x, y = model.fixture("remark2").reference
+        with pytest.raises(ValueError, match="affine constraint map"):
+            _PUBLIC_CHECKS[name](prog, x, y)
+
+    @pytest.mark.parametrize("name", ["check_nondegeneracy", "kernel_probe"])
+    def test_one_frame_per_check(self, name, monkeypatch):
+        from conestab.cones import Cone
+        calls = _count_calls(monkeypatch, Cone, "frame")
+        for fx in ("example1", "example2", "example3", "example4"):
+            calls.clear()
+            _PUBLIC_CHECKS[name](*fixture(fx))
+            assert len(calls) == 1, fx
+
+
 class TestAssembleReport:
     def test_rejects_non_kkt_pairs(self):
         prog = model.builtin("example1")
@@ -875,14 +917,16 @@ class TestAssembleReport:
         # one at G(x) for RCQ and nondegeneracy, one at G(x) + y for SRCQ,
         # SOSC, the hull probe and the kernel probe
         from conestab.cones import Cone
-        calls = []
-        original = Cone.frame
+        calls = _count_calls(monkeypatch, Cone, "frame")
+        for name in ("example1", "example2", "example3", "example4"):
+            calls.clear()
+            assemble_report(*fixture(name))
+            assert len(calls) == 2, name
 
-        def counted(self, c):
-            calls.append(1)
-            return original(self, c)
-
-        monkeypatch.setattr(Cone, "frame", counted)
+    def test_one_borderline_split_per_cone(self, monkeypatch):
+        # the kernel probe reads the rows its cone already holds
+        from conestab.cones import ConeFrame
+        calls = _count_calls(monkeypatch, ConeFrame, "borderline")
         for name in ("example1", "example2", "example3", "example4"):
             calls.clear()
             assemble_report(*fixture(name))

@@ -131,6 +131,27 @@ class TestRecoverMultipliers:
             assert natural_residual(prog, np.zeros(2),
                                     mset.representative) <= 1e-8
 
+    def test_projection_search_stops_at_round_off(self, bench_gen,
+                                                  monkeypatch):
+        # the benchmark's `degenerate` psd4 nonunique instance: at its x
+        # the multipliers form a segment of a PSD normal cone of order 3,
+        # which has no closed-form line test, so the search runs; an
+        # absolute stop at 1e-15 lets two of its starts cycle at steps of
+        # 2-5e-15, with ||y|| ~ 2, for all _AP_ITERS steps
+        inst = bench_gen.make_instance([("psd", 4)], [1], [0], "nonunique",
+                                       "pd", seed=5)
+        steps = [0]
+        original = kkt._affine_project
+
+        def counted(y, basis, offset):
+            steps[0] += 1
+            return original(y, basis, offset)
+
+        monkeypatch.setattr(kkt, "_affine_project", counted)
+        mset = recover_multipliers(inst.prog, inst.x, seed=1)
+        assert 0 < steps[0] < kkt._AP_ITERS
+        assert mset is not None and mset.affine_dim == 1
+
     def test_nonstationary_point_has_no_multiplier(self):
         prog = model.builtin("example1")
         assert recover_multipliers(prog, np.array([1.0, 1.0])) is None

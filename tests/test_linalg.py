@@ -122,35 +122,6 @@ class TestLstsq:
         assert np.linalg.norm(M.T @ (M @ v - r)) <= 1e-10
 
 
-class TestPseudoInverse:
-    def test_singular_diagonal(self):
-        assert np.allclose(linalg.pseudo_inverse(np.diag([1.0, 0.0])),
-                           np.diag([1.0, 0.0]))
-
-    def test_invertible_diagonal(self):
-        assert np.allclose(linalg.pseudo_inverse(np.diag([2.0, 4.0])),
-                           np.diag([0.5, 0.25]))
-
-    def test_zero(self):
-        assert np.allclose(linalg.pseudo_inverse(np.zeros((2, 2))), 0.0)
-
-    def test_penrose_identities(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            n = rng.integers(1, 6)
-            S = rng.standard_normal((n, n))
-            S = S + S.T
-            P = linalg.pseudo_inverse(S)
-            scale = max(np.linalg.norm(S), 1.0)
-            assert np.linalg.norm(S @ P @ S - S) <= 1e-10 * scale
-            assert np.linalg.norm(P @ S @ P - P) <= 1e-10 * scale
-            assert np.allclose(S @ P, (S @ P).T, atol=1e-10)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            linalg.pseudo_inverse(np.eye(2), rank_tol=-1.0)
-
-
 def test_rank_tol_floors_at_unit_scale():
     tiny = linalg.rank_tol_for(np.array([1e-16, -3e-16]))
     assert tiny == linalg.RANK_TOL_FACTOR
