@@ -294,6 +294,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's generators take only non-negative seeds, and a search
+        # reads the seed on some inputs only: refuse it on every input
+        if getattr(args, "seed", 0) < 0:
+            raise InputError("--seed must be non-negative, got %d"
+                             % args.seed)
         return args.func(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

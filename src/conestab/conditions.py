@@ -41,8 +41,12 @@ SOSC_FAILS_TOL = 1e-9
 SOSC_HOLDS_TOL = 1e-6
 KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
-# random starts of the kernel-probe search
+# random starts of the kernel-probe search, and the most starts that
+# advance in lock-step: one stacked T and SVD per step share the per-call
+# overhead of the Jacobian, T and SVD layers, and batches grow from one
+# start so that a search an early start ends builds few T it discards
 _KERNEL_STARTS = 200
+_SEARCH_BATCH = 32
 # SOSC enumerates the 2^k faces cut out by k borderline rows; above this
 # many rows only the affine hull is examined and no minimum is exact.
 MAX_FACE_ROWS = 12
@@ -422,7 +426,10 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     (`_kernel_faces`); k = 0 is one face, one SVD of the constant T.  On a
     curved frame, above the cap, or where a tied face value was rejected
     below the minimum, `_kernel_search` runs instead: it alone reads
-    n_starts, seed and extra_seeds.  The result's "method" says which.
+    n_starts, seed and extra_seeds.  It advances its starts in lock-step
+    batches, each step one stack of T matrices along a leading axis, and
+    returns what a start-by-start loop returns.  The result's "method"
+    says which.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -484,45 +491,76 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
     most 50 steps; a start that is already a kernel direction (an exact
     witness in extra_seeds) is kept as it is.  That map depends only on
     the bits of w, so a start whose iterate repeats exactly stops there
-    and takes the iterate step 50 would reach.  With no start the
-    residual is infinite and the witness None."""
-    frame, Gmat, H = cc.frame, cc.Gmat, cc.H
-    m, n = Gmat.shape
+    and takes the iterate step 50 would reach.  The first start, in
+    order, whose residual reaches KERNEL_FOUND_TOL ends the search.  With
+    no start the residual is infinite and the witness None.
+
+    Starts run in batches of 1, 2, 4, ... up to _SEARCH_BATCH, cut at a
+    start that is already a kernel direction (`_refine`).  Every stacked
+    kernel gives each start the bits of its own call, so the result is
+    that of a start-by-start loop."""
+    m, n = cc.Gmat.shape
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, float) for s in extra_seeds]
     starts.extend(rng.standard_normal(n + m) for _ in range(n_starts))
+    starts = [w / np.linalg.norm(w) for w in starts if np.linalg.norm(w)]
     best_val, best_w = np.inf, None
-    for w in starts:
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            continue
-        w = w / nw
-        path, seen = [w], {w.tobytes(): 0}
-        start = _probe_residual(cc, w)
-        for k in range(1, 51 if start > KERNEL_FOUND_TOL else 1):
-            T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
-                Gmat @ w[:n] + w[n:]))
-            _, _, Vt = np.linalg.svd(T)
-            wn = Vt[-1]
-            if np.linalg.norm(wn - w) < 1e-14 or \
-               np.linalg.norm(wn + w) < 1e-14:
-                w = wn
+    size = 1
+    while starts and best_val > KERNEL_FOUND_TOL:
+        batch, starts = starts[:size], starts[size:]
+        size = min(2 * size, _SEARCH_BATCH)
+        for w in _refine(cc, batch):
+            val = _probe_residual(cc, w)
+            if val < best_val:
+                best_val, best_w = val, w
+            if best_val <= KERNEL_FOUND_TOL:
                 break
-            w = wn
-            i = seen.setdefault(w.tobytes(), k)
+    return {"min_residual": best_val, "witness": best_w, "method": "search"}
+
+
+def _refine(cc, starts):
+    """The last iterates of the unit starts, advanced in lock-step up to
+    the first start whose residual already reaches KERNEL_FOUND_TOL,
+    which is kept as it is and ends the list.  Each step builds T(w) for
+    every running start as one stack along a leading axis and takes one
+    stacked SVD."""
+    Gmat, H, frame = cc.Gmat, cc.H, cc.frame
+    n = Gmat.shape[1]
+    running = []
+    for j, w in enumerate(starts):
+        start = _probe_residual(cc, w)
+        if start > KERNEL_FOUND_TOL:
+            running.append(j)
+        elif start <= KERNEL_FOUND_TOL:  # a NaN residual does neither
+            starts = starts[:j + 1]
+            break
+    ends = list(starts)
+    paths = {j: [starts[j]] for j in running}
+    seen = {j: {starts[j].tobytes(): 0} for j in running}
+    for k in range(1, 51):
+        if not running:
+            break
+        W = np.array([ends[j] for j in running])
+        T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
+            linalg.matvec(Gmat, W[:, :n]) + W[:, n:]))
+        Wn = np.linalg.svd(T)[2][:, -1]
+        done = (linalg.norms(Wn - W) < 1e-14) | (linalg.norms(Wn + W) < 1e-14)
+        still = []
+        for j, w, stop in zip(running, Wn, done):
+            ends[j] = w = w.copy()
+            if stop:
+                continue
+            i = seen[j].setdefault(w.tobytes(), k)
             if i < k:
                 # from step i on the iterates repeat with period k - i;
                 # the first lap ran every transition of the cycle, so the
                 # convergence test cannot fire before step 50
-                w = path[i + (50 - i) % (k - i)]
-                break
-            path.append(w)
-        val = _probe_residual(cc, w)
-        if val < best_val:
-            best_val, best_w = val, w
-        if best_val <= KERNEL_FOUND_TOL:
-            break
-    return {"min_residual": best_val, "witness": best_w, "method": "search"}
+                ends[j] = paths[j][i + (50 - i) % (k - i)]
+                continue
+            paths[j].append(w)
+            still.append(j)
+        running = still
+    return ends
 
 
 def kernel_probe_verdict(probe):

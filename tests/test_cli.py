@@ -161,6 +161,17 @@ class TestOptions:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    # example2's multiplier search reads the seed, example4 reaches no
+    # seeded search: a negative seed is refused on both
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "certify"])
+    @pytest.mark.parametrize("name", ["example2", "example4"])
+    def test_negative_seed_is_input_error(self, command, name, capsys):
+        assert main([command, "--builtin", name, "--seed", "-1"]) == \
+            EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
+
 
 class TestKernelProbeLine:
     def test_polyhedral_instance_prints_the_exact_minimum(self, tmp_path,

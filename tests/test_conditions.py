@@ -260,12 +260,15 @@ def _borderline_instances():
 
 
 def _count_tmatrix_builds(monkeypatch):
+    """Patch ConeFrame.dir_deriv_jac to record its argument h, one entry
+    per T matrix: each row of a stacked h is one build."""
     from conestab.cones import ConeFrame
     calls = []
     original = ConeFrame.dir_deriv_jac
 
     def counted(self, h):
-        calls.append(np.array(h))
+        h = np.array(h)
+        calls.extend(h.reshape(-1, h.shape[-1]))
         return original(self, h)
 
     monkeypatch.setattr(ConeFrame, "dir_deriv_jac", counted)
@@ -411,6 +414,64 @@ class TestKernelProbeRepeatCut:
         calls = _count_tmatrix_builds(monkeypatch)
         _search(prog, x, y, n_starts=20, seed=1)
         assert len(calls) <= 5 * 20
+
+
+def _search_instances():
+    """The corner instance and two curved frames: an SOC(4) apex and a
+    PSD(3) beta of order 2.  The search's verdict is HOLDS on all three,
+    so every start runs."""
+    ps, py, _ = _psd_pair([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    return {"corner": _corner_instance(),
+            "soc-apex": _instance([("soc", 4)], np.zeros(4), np.zeros(4)),
+            "psd-beta2": _instance([("psd", 3)], ps, py)}
+
+
+class TestBatchedKernelSearch:
+    """Starts advance in lock-step batches of 1, 2, 4, ... 32; the result
+    is the start-by-start loop's, bit for bit."""
+
+    @pytest.mark.parametrize("n_starts", [1, 33, 70])
+    @pytest.mark.parametrize("name", ["corner", "soc-apex", "psd-beta2"])
+    def test_equals_the_start_by_start_reference(self, name, n_starts,
+                                                 monkeypatch):
+        prog, x, y = _search_instances()[name]
+        cc = problem_critical_cone(prog, x, y)
+        assert bool(cc.curved) == (name != "corner")
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = _search(prog, x, y, n_starts=n_starts, seed=3)
+        monkeypatch.undo()
+        uncut, _ = _uncut_probe(prog, x, y, n_starts=n_starts, seed=3)
+        assert probe["min_residual"] == uncut["min_residual"]
+        assert probe["witness"].tobytes() == uncut["witness"].tobytes()
+        assert kernel_probe_verdict(probe).status == HOLDS
+        # a batch of b starts builds b T matrices per step
+        assert len(calls) >= n_starts
+
+    def test_a_later_exact_witness_ends_the_search(self, monkeypatch):
+        # the SOSC witness seed solves the corner instance's system; it
+        # follows five random seeds that do not, and two more follow it
+        prog, x, y = _corner_instance()
+        cc = problem_critical_cone(prog, x, y)
+        d = check_sosc(prog, x, y).witness
+        exact = np.concatenate([d, linalg.lstsq(cc.Gmat.T, -cc.H @ d)])
+        assert conditions._probe_residual(
+            cc, exact / np.linalg.norm(exact)) <= conditions.KERNEL_FOUND_TOL
+        rng = np.random.default_rng(7)
+        seeds = [rng.standard_normal(len(exact)) for _ in range(7)]
+        calls = _count_tmatrix_builds(monkeypatch)
+        # the start-by-start loop: each start before the witness alone
+        for w0 in seeds[:5]:
+            alone = _search(prog, x, y, n_starts=0, extra_seeds=[w0])
+            assert alone["min_residual"] > conditions.KERNEL_FOUND_TOL
+        sequential = len(calls)
+        del calls[:]
+        # the witness is the sixth start, inside the third batch (3..6)
+        probe = _search(prog, x, y, n_starts=20,
+                        extra_seeds=seeds[:5] + [exact] + seeds[5:])
+        assert probe["witness"].tobytes() == \
+            (exact / np.linalg.norm(exact)).tobytes()
+        assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL
+        assert 0 < len(calls) <= sequential
 
 
 def _piece(kind, rng):

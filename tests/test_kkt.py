@@ -434,3 +434,14 @@ class TestErrorBound:
         assert np.isfinite(kap)
         assert kap > 0.0
 
+
+
+def test_kkt_matrix_on_a_stack_equals_each_call():
+    rng = np.random.default_rng(4)
+    H = rng.standard_normal((3, 3))
+    Gp = rng.standard_normal((5, 3))
+    J = rng.standard_normal((2, 4, 5, 5))
+    V = kkt.kkt_matrix(H, Gp, J)
+    assert V.shape == (2, 4, 8, 8)
+    for idx in np.ndindex(2, 4):
+        assert V[idx].tobytes() == kkt.kkt_matrix(H, Gp, J[idx]).tobytes()
