@@ -74,8 +74,13 @@ def _load_fixture(args):
         raise InputError("bad problem file: %s" % exc)
 
 
+# the most points a --grid spec may give; the default grid has 11
+_MAX_GRID_POINTS = 100
+
+
 def _parse_grid(spec):
-    """'a:b:step' in decades: eps = 10^-d for d = a, a+step, ..., b."""
+    """'a:b:step' in decades: eps = 10^-d for d = a, a+step, ..., b, at
+    most _MAX_GRID_POINTS of them, distinct and above 0."""
     if spec is None:
         return None
     try:
@@ -83,14 +88,23 @@ def _parse_grid(spec):
     except ValueError:
         raise InputError("grid spec must be 'a:b:step-decades', got %r"
                          % spec)
-    if step <= 0 or b < a:
-        raise InputError("grid spec needs b >= a and step > 0")
+    if not (0 <= a <= b < np.inf and 0 < step < np.inf):  # False on NaN
+        raise InputError("grid spec needs finite 0 <= a <= b and step > 0, "
+                         "got %r" % spec)
     ds = []
     d = a
-    while d <= b + 1e-12:
+    while d <= b + 1e-12 and len(ds) <= _MAX_GRID_POINTS:
         ds.append(d)
         d += step
-    return [10.0 ** (-d) for d in ds]
+    if len(ds) > _MAX_GRID_POINTS:
+        raise InputError("grid spec %r gives more than %d points"
+                         % (spec, _MAX_GRID_POINTS))
+    grid = [10.0 ** (-d) for d in ds]
+    # strictly decreasing down to a last eps above 0
+    if not all(e > f for e, f in zip(grid, grid[1:] + [0.0])):
+        raise InputError("grid spec %r gives eps values that underflow to "
+                         "0 or repeat" % spec)
+    return grid
 
 
 def _reference(fx):
@@ -290,9 +304,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # numpy's generators take only non-negative seeds, and a search
         # reads the seed on some inputs only: refuse it on every input

@@ -41,8 +41,8 @@ SOSC_FAILS_TOL = 1e-9
 SOSC_HOLDS_TOL = 1e-6
 KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
-# random starts of the kernel-probe search, and the most starts that
-# advance in lock-step: one stacked T and SVD per step share the per-call
+# random starts of the kernel-probe search, and the most starts of one of
+# its lock-step batches: one stacked T and SVD per step share the per-call
 # overhead of the Jacobian, T and SVD layers, and batches grow from one
 # start so that a search an early start ends builds few T it discards
 _KERNEL_STARTS = 200
@@ -201,14 +201,15 @@ class ProblemCriticalCone:
     def quadratic(self):
         """The SOSC quadratic H + G'* Ups G', with Ups the matrix of the
         form D -> Upsilon(D), valid on the critical cone."""
-        m = self.Gmat.shape[0]
-        Ups = np.zeros((m, m))
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = 1.0
-            Ups[:, k] = 0.5 * self.frame.upsilon_grad(e)
+        Ups = 0.5 * self.frame.upsilon_grad(np.eye(self.Gmat.shape[0])).T
         Ups = 0.5 * (Ups + Ups.T)
         return self.H + self.Gmat.T @ Ups @ self.Gmat
+
+    def tmatrix(self, h):
+        """T = kkt_matrix(H, G', dir_deriv_jac(h)), the kernel probe's
+        matrix on the piece of h, or the stack of them at a stack of h
+        along leading axes."""
+        return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
@@ -426,10 +427,11 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     (`_kernel_faces`); k = 0 is one face, one SVD of the constant T.  On a
     curved frame, above the cap, or where a tied face value was rejected
     below the minimum, `_kernel_search` runs instead: it alone reads
-    n_starts, seed and extra_seeds.  It advances its starts in lock-step
-    batches, each step one stack of T matrices along a leading axis, and
-    returns what a start-by-start loop returns.  The result's "method"
-    says which.
+    n_starts, seed and extra_seeds.  It refines each start for at most 50
+    steps, in lock-step batches whose every step is one stack of T
+    matrices along a leading axis, and returns what a start-by-start loop
+    returns.  Both build T by `ProblemCriticalCone.tmatrix`.  The result's
+    "method" says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -459,18 +461,17 @@ def _kernel_faces(cc):
     """Exact least residual on a frame whose only pieces are the signs of
     the orthonormal borderline rows r_i at h = [G' I] w.
 
-    On the signs s in {+, -, 0}^k, T(w) is T_s = kkt_matrix(H, G',
-    dir_deriv_jac(sum_i s_i r_i)); where r_i . h = 0 both neighbouring
-    pieces give the same J h.  `_face_minimum` counts the least singular
-    value squared of T_s on a face when its vector has s_i r_i . h >=
-    -WITNESS_TOL ||h||.  None when a tie below that minimum was rejected."""
+    On the signs s in {+, -, 0}^k, T(w) is T_s = cc.tmatrix(sum_i s_i
+    r_i); where r_i . h = 0 both neighbouring pieces give the same J h.
+    `_face_minimum` counts the least singular value squared of T_s on a
+    face when its vector has s_i r_i . h >= -WITNESS_TOL ||h||.  None
+    when a tie below that minimum was rejected."""
     m, n = cc.Gmat.shape
     rows = cc.rows
     P = np.hstack([cc.Gmat, np.eye(m)])
 
     def face(s, W):
-        return _face_svd(kkt_matrix(cc.H, cc.Gmat,
-                                    cc.frame.dir_deriv_jac(s @ rows)), W)
+        return _face_svd(cc.tmatrix(s @ rows), W)
 
     def member(s, w):
         h = P @ w
@@ -487,18 +488,16 @@ def _kernel_faces(cc):
 
 def _kernel_search(cc, n_starts, seed, extra_seeds):
     """Multi-start search for the least residual: each start is refined by
-    iterating toward the smallest right singular vector of T(w), for at
-    most 50 steps; a start that is already a kernel direction (an exact
-    witness in extra_seeds) is kept as it is.  That map depends only on
-    the bits of w, so a start whose iterate repeats exactly stops there
-    and takes the iterate step 50 would reach.  The first start, in
-    order, whose residual reaches KERNEL_FOUND_TOL ends the search.  With
-    no start the residual is infinite and the witness None.
-
-    Starts run in batches of 1, 2, 4, ... up to _SEARCH_BATCH, cut at a
-    start that is already a kernel direction (`_refine`).  Every stacked
-    kernel gives each start the bits of its own call, so the result is
-    that of a start-by-start loop."""
+    iterating toward the smallest right singular vector of T(w), until it
+    moves less than 1e-14 (up to sign) or for 50 steps.  Starts run in
+    lock-step batches of 1, 2, 4, ... up to _SEARCH_BATCH, each step one
+    stacked T and SVD of the running starts; every stacked kernel gives
+    each start the bits of its own call, so the result is that of a
+    start-by-start loop.  The first start, in order, whose residual
+    reaches KERNEL_FOUND_TOL is kept as it is (an exact witness in
+    extra_seeds) and ends the search; a NaN residual neither runs nor
+    ends it.  With no start the residual is infinite and the witness None.
+    """
     m, n = cc.Gmat.shape
     rng = np.random.default_rng(seed)
     starts = [np.asarray(s, float) for s in extra_seeds]
@@ -509,58 +508,30 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
     while starts and best_val > KERNEL_FOUND_TOL:
         batch, starts = starts[:size], starts[size:]
         size = min(2 * size, _SEARCH_BATCH)
-        for w in _refine(cc, batch):
+        vals = []
+        for w in batch:
+            vals.append(_probe_residual(cc, w))
+            if vals[-1] <= KERNEL_FOUND_TOL:
+                break
+        ends = np.array(batch[:len(vals)])
+        running = np.flatnonzero(np.array(vals) > KERNEL_FOUND_TOL)
+        for _ in range(50):
+            if not len(running):
+                break
+            W = ends[running]
+            Wn = np.linalg.svd(cc.tmatrix(
+                linalg.matvec(cc.Gmat, W[:, :n]) + W[:, n:]))[2][:, -1]
+            ends[running] = Wn
+            done = (linalg.norms(Wn - W) < 1e-14) | \
+                (linalg.norms(Wn + W) < 1e-14)
+            running = running[~done]
+        for w in ends:
             val = _probe_residual(cc, w)
             if val < best_val:
                 best_val, best_w = val, w
             if best_val <= KERNEL_FOUND_TOL:
                 break
     return {"min_residual": best_val, "witness": best_w, "method": "search"}
-
-
-def _refine(cc, starts):
-    """The last iterates of the unit starts, advanced in lock-step up to
-    the first start whose residual already reaches KERNEL_FOUND_TOL,
-    which is kept as it is and ends the list.  Each step builds T(w) for
-    every running start as one stack along a leading axis and takes one
-    stacked SVD."""
-    Gmat, H, frame = cc.Gmat, cc.H, cc.frame
-    n = Gmat.shape[1]
-    running = []
-    for j, w in enumerate(starts):
-        start = _probe_residual(cc, w)
-        if start > KERNEL_FOUND_TOL:
-            running.append(j)
-        elif start <= KERNEL_FOUND_TOL:  # a NaN residual does neither
-            starts = starts[:j + 1]
-            break
-    ends = list(starts)
-    paths = {j: [starts[j]] for j in running}
-    seen = {j: {starts[j].tobytes(): 0} for j in running}
-    for k in range(1, 51):
-        if not running:
-            break
-        W = np.array([ends[j] for j in running])
-        T = kkt_matrix(H, Gmat, frame.dir_deriv_jac(
-            linalg.matvec(Gmat, W[:, :n]) + W[:, n:]))
-        Wn = np.linalg.svd(T)[2][:, -1]
-        done = (linalg.norms(Wn - W) < 1e-14) | (linalg.norms(Wn + W) < 1e-14)
-        still = []
-        for j, w, stop in zip(running, Wn, done):
-            ends[j] = w = w.copy()
-            if stop:
-                continue
-            i = seen[j].setdefault(w.tobytes(), k)
-            if i < k:
-                # from step i on the iterates repeat with period k - i;
-                # the first lap ran every transition of the cycle, so the
-                # convergence test cannot fire before step 50
-                ends[j] = paths[j][i + (50 - i) % (k - i)]
-                continue
-            paths[j].append(w)
-            still.append(j)
-        running = still
-    return ends
 
 
 def kernel_probe_verdict(probe):

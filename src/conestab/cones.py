@@ -394,7 +394,7 @@ class BlockFrame:
         return self.R.T @ y
 
     def upsilon_grad(self, d):
-        return self.R.T @ (self.ups * (self.R @ d))
+        return linalg.matvec(self.R.T, self.ups * linalg.matvec(self.R, d))
 
     def normal_span(self):
         return self.R[self.ker].T
@@ -513,7 +513,7 @@ class ConeFrame:
     def _map(self, method, v):
         parts = self.cone.split(v)
         return np.concatenate([getattr(f, method)(p)
-                               for f, p in zip(self.frames, parts)])
+                               for f, p in zip(self.frames, parts)], axis=-1)
 
     def cc_project(self, h):
         return self._map("cc_project", h)

@@ -361,26 +361,3 @@ def solve_kkt_multistart(prog, pert=None):
             break
     return best
 
-
-def error_bound_kappa(prog, xbar, ybar, n_samples=1000):
-    """Largest observed ratio ||(x,y) - (xbar,ybar)|| / ||F(x,y)|| over
-    seeded random points within radius 1e-2 of the reference pair."""
-    radius = 1e-2
-    rng = np.random.default_rng(0)
-    xbar = np.asarray(xbar, dtype=float)
-    ybar = np.asarray(ybar, dtype=float)
-    n, m = prog.n, prog.cone.dim
-    worst = 0.0
-    for _ in range(n_samples):
-        d = rng.standard_normal(n + m)
-        d *= radius * rng.random() ** (1.0 / (n + m)) / np.linalg.norm(d)
-        x = xbar + d[:n]
-        y = ybar + d[n:]
-        r = natural_residual(prog, x, y)
-        dist = np.linalg.norm(d)
-        if r == 0.0:
-            if dist > 0:
-                return np.inf
-            continue
-        worst = max(worst, dist / r)
-    return worst

@@ -123,6 +123,22 @@ class TestSweep:
         code = main(["sweep", "--builtin", "example4", "--grid", "1:2:1"])
         assert code == EXIT_SOLVER
 
+    @pytest.mark.parametrize("spec, why", [
+        ("320:330:1", "underflow to 0"),  # 10^-324 is 0.0
+        ("1:330:1", "more than 100 points"),
+        ("1:1:1e-300", "more than 100 points"),  # d + step == d
+        ("nan:2:0.5", "finite 0 <= a <= b"),
+        ("1:2:inf", "finite 0 <= a <= b"),
+        ("-1:2:1", "finite 0 <= a <= b"),
+    ])
+    def test_bad_grid_values_are_input_errors(self, spec, why, capsys):
+        assert main(["sweep", "--builtin", "example4",
+                     "--grid=" + spec]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid spec")
+        assert why in captured.err
+
 
 class TestCertify:
     def test_lipschitz_fixture_agrees(self, capsys):
@@ -266,6 +282,15 @@ class TestGridParsing:
     def test_rejects_reversed_range(self):
         with pytest.raises(cli.InputError):
             cli._parse_grid("3:1:1")
+
+    def test_rejects_an_infinite_range(self):
+        # the point loop would never end
+        with pytest.raises(cli.InputError, match="finite"):
+            cli._parse_grid("1:inf:1")
+
+    def test_keeps_the_last_eps_above_zero(self):
+        grid = cli._parse_grid("313:323:1")
+        assert len(grid) == 11 and grid[-1] > 0.0
 
 
 class TestProblemFileFlow:

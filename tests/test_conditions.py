@@ -60,6 +60,20 @@ class TestProblemCriticalCone:
         assert cc.member(10.0 * d)
         assert cc.member(np.zeros(3))
 
+    def test_quadratic_equals_the_unit_vector_loop(self):
+        # orthant x SOC x PSD with (alpha, gamma) pairs in the SOC and PSD
+        # blocks, so that Upsilon is not zero, and G' not the identity
+        prog, x, y = _strict_instance(nonunique=True)
+        cc = problem_critical_cone(prog, x, y)
+        m = cc.Gmat.shape[0]
+        Ups = np.zeros((m, m))
+        for k in range(m):
+            Ups[:, k] = 0.5 * cc.frame.upsilon_grad(np.eye(m)[k])
+        assert np.any(Ups)
+        Ups = 0.5 * (Ups + Ups.T)
+        ref = cc.H + cc.Gmat.T @ Ups @ cc.Gmat
+        assert cc.quadratic.tobytes() == ref.tobytes()
+
 
 class TestConstraintQualifications:
     def test_rcq_holds_on_all_fixtures(self):
@@ -407,14 +421,6 @@ class TestKernelProbeRepeatCut:
         assert probe["min_residual"] == uncut["min_residual"]
         assert np.array_equal(probe["witness"], uncut["witness"])
 
-    def test_cycling_starts_stop_early(self, monkeypatch):
-        prog, x, y = _corner_instance()
-        _, cycled = _uncut_probe(prog, x, y, n_starts=20, seed=1)
-        assert cycled >= 10  # 50 T builds each without the cut
-        calls = _count_tmatrix_builds(monkeypatch)
-        _search(prog, x, y, n_starts=20, seed=1)
-        assert len(calls) <= 5 * 20
-
 
 def _search_instances():
     """The corner instance and two curved frames: an SOC(4) apex and a
@@ -472,6 +478,27 @@ class TestBatchedKernelSearch:
             (exact / np.linalg.norm(exact)).tobytes()
         assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL
         assert 0 < len(calls) <= sequential
+
+
+@pytest.mark.parametrize("name", ["corner", "soc-apex"])
+def test_a_nan_start_is_neither_refined_nor_the_witness(name, monkeypatch):
+    # the NaN start shares the second batch with a finite one
+    prog, x, y = _search_instances()[name]
+    cc = problem_critical_cone(prog, x, y)
+    nan = np.full(prog.n + prog.cone.dim, np.nan)
+    assert np.isnan(conditions._probe_residual(cc, nan))
+    rng = np.random.default_rng(2)
+    w1, w2 = rng.standard_normal((2, len(nan)))
+    calls = _count_tmatrix_builds(monkeypatch)
+    probe = _search(prog, x, y, n_starts=5, seed=3,
+                    extra_seeds=[w1, nan, w2])
+    assert np.all(np.isfinite(calls))
+    builds = len(calls)
+    del calls[:]
+    without = _search(prog, x, y, n_starts=5, seed=3, extra_seeds=[w1, w2])
+    assert len(calls) == builds
+    assert probe["min_residual"] == without["min_residual"]
+    assert probe["witness"].tobytes() == without["witness"].tobytes()
 
 
 def _piece(kind, rng):

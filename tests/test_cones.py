@@ -937,6 +937,18 @@ class TestStackedCalls:
         H[2] = 0.0
         _assert_stack_is_rowwise(f.dir_deriv_jac, H)
 
+    def test_upsilon_grad(self):
+        # every block kind, with (alpha, gamma) pairs wherever one can be
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        cone = Cone([("zero", 1), ("orthant", 2), ("soc", 3), ("psd", 3)])
+        f = cone.frame(np.r_[0.5, 1.0, -2.0, 0.5, 1.0, 0.0,
+                             svec((Q * [2.0, 0.0, -1.0]) @ Q.T)])
+        assert all(np.any(b.ups) for b in f.frames[2:])
+        D = rng.standard_normal((10, cone.dim))
+        D[:len(D) // 2] = np.eye(cone.dim)[:len(D) // 2]
+        _assert_stack_is_rowwise(f.upsilon_grad, D)
+
 
 class TestConeContainer:
     def test_split_and_dim(self):

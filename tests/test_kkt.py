@@ -427,15 +427,6 @@ class TestSemismoothness:
         assert ratio <= 0.1
 
 
-class TestErrorBound:
-    def test_kappa_is_finite_at_regular_point(self):
-        prog, x, y = model.well_conditioned_instance("orthant", seed=1)
-        kap = kkt.error_bound_kappa(prog, x, y, n_samples=200)
-        assert np.isfinite(kap)
-        assert kap > 0.0
-
-
-
 def test_kkt_matrix_on_a_stack_equals_each_call():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((3, 3))
