@@ -183,8 +183,11 @@ def cmd_analyze(args):
           % (_status_mark(report.affine_hull_probe),
              report.affine_hull_probe.margin))
     kp = report.kernel_probe
-    print("kernel probe: %s (min residual %.3e)"
-          % (kp["status"], kp["min_residual"]))
+    # pieces that hold report their least margin, not a residual
+    print("kernel probe: %s (%s %.3e)"
+          % (kp["status"], "piece margin" if kp["method"] == "pieces"
+             and kp["status"] == conditions.HOLDS else "min residual",
+             kp["min_residual"]))
     if mset is not None:
         print("multiplier set: affine dim %d%s"
               % (mset.affine_dim,
@@ -192,6 +195,9 @@ def cmd_analyze(args):
     if report.inconsistencies:
         print("INTERNAL INCONSISTENCIES: %s"
               % "; ".join(report.inconsistencies))
+    if report.consistency_flag is False:
+        print("INCONSISTENT: kernel probe %s, robust isolated calmness %s"
+              % (kp["status"], verdict))
     if args.report:
         data = report.to_dict()
         if mset is not None:

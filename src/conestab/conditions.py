@@ -12,7 +12,11 @@ exactly on a line, and otherwise by `kkt.affine_cone_point` on a slice,
 whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone, and the
 kernel probe by enumerating the 3^k sign faces of its k borderline rows
-when no block is curved; one face routine serves both.
+when no block is curved; one face routine serves both.  With one curved
+block of Lorentz form (an SOC apex, a PSD zero eigenspace of order 2)
+the probe is decided by the linear pieces of its complementarity and an
+S-lemma certificate for the curved one.  Elsewhere it searches, and a
+search never gives HOLDS.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
 
 Every check reads one pulled-back cone, a `ProblemCriticalCone`: at the
@@ -50,9 +54,10 @@ _SEARCH_BATCH = 32
 # SOSC enumerates the 2^k faces cut out by k borderline rows; above this
 # many rows only the affine hull is examined and no minimum is exact.
 MAX_FACE_ROWS = 12
-# the kernel probe enumerates its 3^k sign faces up to this many rows and
-# searches above it: on generated orthant corners the 729 faces of k = 6
-# take about as long as the search, the 2,187 of k = 7 two to three times
+# the kernel probe enumerates its 3^k sign faces, or beside a Lorentz block
+# its 3 * 2^k pieces, up to this many rows and searches above it: on
+# generated orthant corners the 729 faces of k = 6 take about as long as
+# the search, the 2,187 of k = 7 two to three times
 _MAX_PROBE_ROWS = 6
 
 
@@ -424,14 +429,20 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     family T.  With no curved block, T(w) depends only on the signs of the
     k borderline rows at h = G' dx + dy, and a frame with at most
     _MAX_PROBE_ROWS rows is decided exactly by its 3^k sign faces
-    (`_kernel_faces`); k = 0 is one face, one SVD of the constant T.  On a
-    curved frame, above the cap, or where a tied face value was rejected
-    below the minimum, `_kernel_search` runs instead: it alone reads
-    n_starts, seed and extra_seeds.  It refines each start for at most 50
-    steps, in lock-step batches whose every step is one stack of T
-    matrices along a leading axis, and returns what a start-by-start loop
-    returns.  Both build T by `ProblemCriticalCone.tmatrix`.  The result's
-    "method" says which ran.
+    (`_kernel_faces`); k = 0 is one face, one SVD of the constant T.  With
+    one curved block that has `lorentz_rows` and at most _MAX_PROBE_ROWS
+    rows, `_kernel_pieces` decides the system piece by piece: a witness
+    of residual at most KERNEL_FOUND_TOL, or no witness and the least
+    piece margin as min_residual.  Above the cap, on a PSD zero
+    eigenspace of order 3 or more or two curved blocks, where a tied face
+    value was rejected below the minimum or a piece stays undecided,
+    `_kernel_search` runs instead: it alone reads n_starts, seed and
+    extra_seeds, and `kernel_probe_verdict` never reads HOLDS from it.  It
+    refines each start for at most 50 steps, in lock-step batches whose
+    every step is one stack of T matrices along a leading axis, and
+    returns what a start-by-start loop returns.  The faces and the search
+    build T by `ProblemCriticalCone.tmatrix`.  The result's "method"
+    ("exact", "pieces" or "search") says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -439,8 +450,8 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
 
 def _kernel_probe(cc, n_starts, seed, extra_seeds):
     """`kernel_probe` on the pulled-back cone cc."""
-    if not cc.curved and len(cc.rows) <= _MAX_PROBE_ROWS:
-        probe = _kernel_faces(cc)
+    if len(cc.rows) <= _MAX_PROBE_ROWS:
+        probe = _kernel_pieces(cc) if cc.curved else _kernel_faces(cc)
         if probe is not None:
             return probe
     return _kernel_search(cc, n_starts, seed, extra_seeds)
@@ -484,6 +495,127 @@ def _kernel_faces(cc):
         return None
     return {"min_residual": _probe_residual(cc, w), "witness": w,
             "method": "exact"}
+
+
+def _piece_space(M):
+    """Orthonormal basis of null M, at the rank `linalg.nullspace` takes,
+    and the least singular value it keeps, squared (inf when none): the
+    least ||M w||^2 of a unit w orthogonal to the basis."""
+    _, sig, Vt = np.linalg.svd(M)
+    rank = int(np.sum(sig > 1e-10 * max(1.0, sig[0])))
+    return Vt[rank:].T, sig[rank - 1] ** 2 if rank else np.inf
+
+
+def _lorentz_certificate(K0, K1):
+    """The largest lambda_min(K0 + tau K1) over tau, or the first value
+    found at or above KERNEL_ABSENT_TOL.  It is concave in tau, with the
+    supergradient v'K1v at a unit least eigenvector v: tau = 0 comes
+    first, then steps doubling from |K0|/|K1| along the supergradient's
+    sign until that sign turns, then bisection on it."""
+    def at(tau):
+        vals, vecs = linalg.sym_eig(K0 + tau * K1)
+        return vals[-1], vecs[:, -1] @ K1 @ vecs[:, -1]
+
+    best, slope = at(0.0)
+    if best >= KERNEL_ABSENT_TOL or slope == 0.0:
+        return best
+    lo, hi = 0.0, None
+    step = np.copysign((np.linalg.norm(K0) or 1.0) / np.linalg.norm(K1),
+                       slope)
+    for _ in range(120):
+        tau = lo + step if hi is None else 0.5 * (lo + hi)
+        val, g = at(tau)
+        best = max(best, val)
+        if best >= KERNEL_ABSENT_TOL:
+            break
+        if g * slope > 0.0:
+            lo, step = tau, 2.0 * step
+        else:
+            hi = tau
+    return best
+
+
+def _kernel_pieces(cc):
+    """The probe decided by pieces on a frame with one curved block whose
+    beta subalgebra has rank 2 (`lorentz_rows` L: an SOC(m) apex, m >= 3,
+    or a PSD beta of order 2) besides k borderline rows r; None where
+    that does not apply or a piece stays undecided.
+
+    On w = (dx, dy) the system has linear rows, stationarity [H G'*] w =
+    0 and (1 - Omega_i) R_i G'dx - Omega_i R_i dy = 0 on every Peirce row
+    R_i off bb (a zero block's unit rows, Omega 0).  A borderline row asks
+    a_r >= 0 >= b_r, a_r b_r = 0 of a_r = r . G'dx and b_r = r . dy; its
+    signs are dropped, giving 2^k relaxed pieces a_r = 0 or b_r = 0.  On
+    the curved block a = L G'dx and b = L dy ask a in K, b in -K, a . b =
+    0 for K = {t >= |u|}, the union of three pieces, J = diag(1, -I):
+
+      P1  b = 0 and a in K;   P2  a = 0 and -b in K;
+      P3  b = -mu J a with mu > 0, a'Ja = 0 and a != 0.
+
+    P1 and P2 hold a nonzero w iff lambda_max(S'C'JCS) >= 0 on the null
+    space S of their equations, C the map to a or b (by Sylvester's law,
+    iff C has a null vector on S or lambda_max(V'JV) >= 0 on a basis V of
+    C S); its eigenvector is the candidate, of either sign.  On P3,
+    stationarity gives dx'H dx = -<G'dx, dy> = -sum_i Omega_i (1 -
+    Omega_i) (R_i h)^2 <= 0, as the borderline and curved products
+    vanish, and a'Ja = 0; so lambda_min(D'(H + tau G'*L'JLG')D) > 0 for
+    some tau, D a basis of the dx part of the piece's null space, leaves
+    no a != 0 (an S-lemma certificate: Polik & Terlaky, SIAM Rev. 49
+    (2007)).
+
+    A piece's margin is the least of the kept singular value squared of
+    its equations and -lambda_max (P1, P2) or the certificate (P3).  The
+    first P1 or P2 candidate whose unrelaxed `_probe_residual` is at most
+    KERNEL_FOUND_TOL is the witness, found before any certificate is
+    sought.  Without one, the probe holds, with no witness, when the least
+    margin, its min_residual, is at least KERNEL_ABSENT_TOL."""
+    if len(cc.curved) != 1:
+        return None
+    s, f = cc.curved[0]
+    L = f.lorentz_rows()
+    if L is None:
+        return None
+    m, n = cc.Gmat.shape
+    X = np.hstack([cc.Gmat, np.zeros((m, m))])  # w -> G'dx
+    Y = np.hstack([np.zeros((m, n)), np.eye(m)])  # w -> dy
+    off = [(g.omega[~g.bb, None], g.R[~g.bb]) for g in cc.frame.frames]
+    Rx = cc.frame.embed([(1.0 - om) * R for om, R in off])
+    Ry = cc.frame.embed([om * R for om, R in off])
+    fixed = np.block([[cc.H, cc.Gmat.T], [Rx @ cc.Gmat, -Ry]])
+    Ls = np.zeros((len(L), m))
+    Ls[:, s] = L
+    A, B = Ls @ X, Ls @ Y
+    J = np.diag(np.r_[1.0, -np.ones(len(L) - 1)])
+    relaxed = [np.vstack([fixed, np.where(np.array(pick, dtype=bool)[:, None],
+                                          cc.rows @ X, cc.rows @ Y)])
+               for pick in itertools.product((0, 1), repeat=len(cc.rows))]
+    margins, candidates = [], []
+    for M in relaxed:
+        for eq, C in ((B, A), (A, B)):  # P1, P2
+            S, margin = _piece_space(np.vstack([M, eq]))
+            if S.shape[1]:
+                vals, vecs = linalg.sym_eig(S.T @ C.T @ J @ C @ S)
+                margin = min(margin, -vals[0])
+                if margin < KERNEL_ABSENT_TOL:
+                    candidates.extend([S @ vecs[:, 0], -S @ vecs[:, 0]])
+            margins.append(margin)
+    for w in candidates:
+        r = _probe_residual(cc, w)
+        if r <= KERNEL_FOUND_TOL:
+            return {"min_residual": r, "witness": w, "method": "pieces"}
+    for M in relaxed:  # P3
+        S, margin = _piece_space(M)
+        U, sig, _ = np.linalg.svd(S[:n], full_matrices=False)
+        D = U[:, sig > 1e-10]
+        if D.shape[1]:
+            AD = A[:, :n] @ D
+            margin = min(margin, _lorentz_certificate(D.T @ cc.H @ D,
+                                                      AD.T @ J @ AD))
+        margins.append(margin)
+    if min(margins) < KERNEL_ABSENT_TOL:
+        return None
+    return {"min_residual": float(min(margins)), "witness": None,
+            "method": "pieces"}
 
 
 def _kernel_search(cc, n_starts, seed, extra_seeds):
@@ -535,15 +667,24 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
 
 
 def kernel_probe_verdict(probe):
-    r = probe["min_residual"]
-    if probe["witness"] is None:
+    """FAILS on a witness whose residual is at most KERNEL_FOUND_TOL.
+    HOLDS on an exact minimum of at least KERNEL_ABSENT_TOL, or on pieces
+    that are all empty (no witness, the least margin as min_residual).  A
+    search's minimum is sampled, so it never gives HOLDS."""
+    r, w = probe["min_residual"], probe["witness"]
+    if probe["method"] == "pieces" and w is None:
+        return Verdict(HOLDS, margin=r, note="every piece is empty")
+    if w is None:
         return Verdict(INCONCLUSIVE, margin=r, note="no start was tried")
     if r <= KERNEL_FOUND_TOL:
-        return Verdict(FAILS, margin=r, witness=probe["witness"],
+        return Verdict(FAILS, margin=r, witness=w,
                        note="nonzero kernel direction found")
+    if probe["method"] == "search":
+        return Verdict(INCONCLUSIVE, margin=r, witness=w,
+                       note="a sampled minimum certifies nothing")
     if r >= KERNEL_ABSENT_TOL:
         return Verdict(HOLDS, margin=r, note="no kernel direction found")
-    return Verdict(INCONCLUSIVE, margin=r, witness=probe["witness"])
+    return Verdict(INCONCLUSIVE, margin=r, witness=w)
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,13 @@ def _soc_jacobian(z):
 
 class ZeroFrame:
     """Frame of a zero block: the critical cone is {0} and N_K(a) the whole
-    space, with no borderline piece."""
+    space, with no borderline piece.  Read as a `BlockFrame`, its rows are
+    the unit vectors, each with Omega 0 and none of them bb."""
 
     curved = False
+    R = property(lambda f: np.eye(f.block.dim))
+    omega = property(lambda f: np.zeros(f.block.dim))
+    bb = property(lambda f: np.zeros(f.block.dim, dtype=bool))
 
     def __init__(self, block, c):
         self.block = block

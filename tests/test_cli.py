@@ -209,6 +209,45 @@ class TestKernelProbeLine:
             == "exact"
 
 
+    def test_soc_apex_prints_the_least_piece_margin(self, tmp_path, capsys,
+                                                     bench_gen):
+        # the benchmark's `degenerate` soc6 pd instance (list position 1):
+        # the kernel probe decides its apex by pieces, not by a search
+        inst = bench_gen.make_instance([("soc", 6)], [0], [1], "identity",
+                                       "pd", seed=1)
+        problem = tmp_path / "problem.json"
+        problem.write_text(inst.to_json())
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--problem", str(problem), "--report",
+                     str(report), "--seed", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        kp = json.loads(report.read_text())["kernel_probe"]
+        assert kp["method"] == "pieces" and kp["witness"] is None
+        assert "kernel probe: holds (piece margin %.3e)" % kp["min_residual"] \
+            in out
+        assert "min residual" not in out
+
+    def test_inconsistency_is_printed(self, monkeypatch, capsys):
+        # a probe that contradicts the theorem verdict is named on its own
+        # line; the exit code stays that of the verdicts
+        original = conditions.assemble_report
+
+        def contradicted(*args, **kwargs):
+            fields = dict(original(*args, **kwargs)._fields)
+            fields["kernel_probe"] = dict(fields["kernel_probe"],
+                                          status=conditions.FAILS)
+            fields["consistency_flag"] = False
+            return conditions.ConditionReport(fields)
+
+        assert main(["analyze", "--builtin", "example4"]) == EXIT_OK
+        assert "INCONSISTENT" not in capsys.readouterr().out
+        monkeypatch.setattr(conditions, "assemble_report", contradicted)
+        assert main(["analyze", "--builtin", "example4"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "INCONSISTENT: kernel probe fails, robust isolated calmness " \
+            "holds\n" in out
+
+
 class TestQuadrantSoc:
     def test_soc2_apex_is_decided_exactly(self, tmp_path, capsys):
         # SOC(2) is a quadrant: at its apex the critical cone has the two

@@ -424,8 +424,8 @@ class TestKernelProbeRepeatCut:
 
 def _search_instances():
     """The corner instance and two curved frames: an SOC(4) apex and a
-    PSD(3) beta of order 2.  The search's verdict is HOLDS on all three,
-    so every start runs."""
+    PSD(3) beta of order 2.  None has a kernel, so every start runs and
+    the search's verdict is INCONCLUSIVE: it never gives HOLDS."""
     ps, py, _ = _psd_pair([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     return {"corner": _corner_instance(),
             "soc-apex": _instance([("soc", 4)], np.zeros(4), np.zeros(4)),
@@ -449,7 +449,7 @@ class TestBatchedKernelSearch:
         uncut, _ = _uncut_probe(prog, x, y, n_starts=n_starts, seed=3)
         assert probe["min_residual"] == uncut["min_residual"]
         assert probe["witness"].tobytes() == uncut["witness"].tobytes()
-        assert kernel_probe_verdict(probe).status == HOLDS
+        assert kernel_probe_verdict(probe).status == INCONCLUSIVE
         # a batch of b starts builds b T matrices per step
         assert len(calls) >= n_starts
 
@@ -573,7 +573,10 @@ class TestExactKernelProbe:
             seeds.append(np.concatenate([d, linalg.lstsq(G.T, -H @ d)]))
         search = _search(prog, x, y, n_starts=20, extra_seeds=seeds)
         assert kernel_probe_verdict(exact).status == \
-            kernel_probe_verdict(search).status == (FAILS if null else HOLDS)
+            (FAILS if null else HOLDS)
+        # a search never gives HOLDS
+        assert kernel_probe_verdict(search).status == \
+            (FAILS if null else INCONCLUSIVE)
         assert exact["min_residual"] <= search["min_residual"] + 1e-12
         # the reported residual is ||T(w) w||^2 at the reported witness
         w = exact["witness"]
@@ -589,12 +592,23 @@ class TestExactKernelProbe:
         probe = kernel_probe(prog, x, y, n_starts=3)
         assert probe["method"] == "search"
 
-    def test_curved_frame_takes_the_search(self):
+    def test_soc_apex_is_decided_by_pieces(self):
         # SOC(3) at its apex, s = y = 0
         prog, x, y = _instance([("soc", 3)], np.zeros(3), np.zeros(3))
         assert prog.cone.frame(prog.constraint(x) + y).borderline()[1]
         probe = kernel_probe(prog, x, y, n_starts=3)
+        assert probe["method"] == "pieces"
+        assert kernel_probe_verdict(probe).status == HOLDS
+
+    def test_psd_beta_of_order_three_takes_the_search(self):
+        # PSD(4) at diag(1, 0, 0, 0) with y = 0: no Lorentz rows
+        ps, py, _ = _psd_pair([1.0, 0.0, 0.0, 0.0], [0.0] * 4)
+        prog, x, y = _instance([("psd", 4)], ps, py)
+        (_, f), = problem_critical_cone(prog, x, y).curved
+        assert f.lorentz_rows() is None
+        probe = kernel_probe(prog, x, y, n_starts=3)
         assert probe["method"] == "search"
+        assert kernel_probe_verdict(probe).status != HOLDS
 
     def test_a_rejected_tie_below_the_minimum_takes_the_search(
             self, monkeypatch):
@@ -627,6 +641,134 @@ class TestExactKernelProbe:
             probe = kernel_probe(prog, x, y, **kw)
             assert probe["min_residual"] == first["min_residual"]
             assert np.array_equal(probe["witness"], first["witness"])
+
+
+def _planted_apex(m, seed, piece="P3"):
+    """SOC(m) at its apex, x = 0 and y = 0, with G random and H symmetric
+    and rank-2-corrected so that a planted unit w = (dx, dy) solves the
+    directional-derivative system, on the piece named:
+
+      P3  G dx = a on bd K and dy = -mu J a;
+      P1  dy = 0 and G dx in int K;
+      P2  G dx = 0 (one more variable than rows) and -dy in int K.
+
+    H is indefinite or singular: dx'H dx = -<G dx, dy> = 0."""
+    from conestab.cones import Cone
+    from conestab.model import ConicProgram
+    rng = np.random.default_rng(seed)
+    n = m + (piece == "P2")
+    G = rng.standard_normal((m, n))
+    u = rng.standard_normal(m - 1)
+    u /= np.linalg.norm(u)
+    mu = rng.uniform(0.5, 2.0)
+    J = np.diag(np.r_[1.0, -np.ones(m - 1)])
+    if piece == "P2":
+        dx = linalg.nullspace(G)[:, 0]
+        dy = -np.r_[1.0, 0.5 * u]
+    else:
+        a = np.r_[1.0, u if piece == "P3" else 0.5 * u]
+        dx = np.linalg.solve(G, a)
+        dy = -mu * J @ a if piece == "P3" else np.zeros(m)
+    R = rng.standard_normal((n, n))
+    H0 = R @ R.T / n + np.eye(n)
+    r = -G.T @ dy - H0 @ dx
+    H = H0 + (np.outer(r, dx) + np.outer(dx, r)) / (dx @ dx) \
+        - (r @ dx) * np.outer(dx, dx) / (dx @ dx) ** 2
+    prog = ConicProgram(n, H, np.zeros(n), 0.0, np.zeros(m), G.T,
+                        Cone([("soc", m)]), name="planted-" + piece)
+    w = np.r_[dx, dy]
+    return prog, np.zeros(n), np.zeros(m), w / np.linalg.norm(w)
+
+
+def _pieces_controls():
+    """Kernel-free frames with one Lorentz block: SOC(3..6) apexes with Q
+    positive definite, the PSD(3) beta of order 2, an SOC(4) apex beside
+    two orthant corners, and an SOC(3) apex whose Q = diag(1, -1/2, -1/2)
+    is certified off P3 only at tau = -3/4."""
+    from conestab.cones import Cone
+    from conestab.model import ConicProgram
+    out = {"soc%d" % m: _instance([("soc", m)], np.zeros(m), np.zeros(m),
+                                  seed=m) for m in range(3, 7)}
+    out["psd-beta2"] = _search_instances()["psd-beta2"]
+    G = np.eye(7) + 0.3 * np.random.default_rng(4).standard_normal(
+        (7, 7)) / np.sqrt(7)
+    out["soc4+corners"] = _instance([("soc", 4), ("orthant", 3)],
+                                    np.r_[np.zeros(6), 1.0], np.zeros(7), G)
+    out["soc3-indefinite"] = (
+        ConicProgram(3, np.diag([1.0, -0.5, -0.5]), np.zeros(3), 0.0,
+                     np.zeros(3), np.eye(3), Cone([("soc", 3)]),
+                     name="apex"), np.zeros(3), np.zeros(3))
+    return out
+
+
+class TestKernelPieces:
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_planted_apex_family_never_holds(self, m):
+        for seed in range(3):
+            prog, x, y, w = _planted_apex(m, seed)
+            cc = problem_critical_cone(prog, x, y)
+            assert conditions._probe_residual(cc, w) <= 1e-25
+            probe = kernel_probe(prog, x, y, n_starts=20, seed=seed)
+            verdict = kernel_probe_verdict(probe)
+            assert verdict.status != HOLDS
+            if verdict.fails:
+                assert conditions._probe_residual(
+                    cc, probe["witness"]) <= conditions.KERNEL_FOUND_TOL
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("piece", ["P1", "P2"])
+    def test_planted_p1_and_p2_kernels_are_found(self, piece, m,
+                                                  monkeypatch):
+        prog, x, y, w = _planted_apex(m, 0, piece)
+        cc = problem_critical_cone(prog, x, y)
+        assert conditions._probe_residual(cc, w) <= 1e-25
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = kernel_probe(prog, x, y)
+        assert probe["method"] == "pieces" and not calls
+        assert kernel_probe_verdict(probe).status == FAILS
+        assert conditions._probe_residual(
+            cc, probe["witness"]) <= conditions.KERNEL_FOUND_TOL
+
+    @pytest.mark.parametrize("name", sorted(_pieces_controls()))
+    def test_controls_hold_by_pieces(self, name, monkeypatch):
+        prog, x, y = _pieces_controls()[name]
+        cc = problem_critical_cone(prog, x, y)
+        assert len(cc.curved) == 1
+        assert len(cc.rows) == (2 if name == "soc4+corners" else 0)
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = kernel_probe(prog, x, y)
+        assert not calls
+        assert probe["method"] == "pieces" and probe["witness"] is None
+        assert kernel_probe_verdict(probe).status == HOLDS
+        assert probe["min_residual"] >= conditions.KERNEL_ABSENT_TOL
+        monkeypatch.undo()
+        search = _search(prog, x, y, n_starts=20, seed=1)
+        assert search["min_residual"] > conditions.KERNEL_FOUND_TOL
+
+    def test_pieces_read_no_search_setting(self):
+        prog, x, y = _pieces_controls()["soc4+corners"]
+        first = kernel_probe(prog, x, y)
+        w0 = np.ones(prog.n + prog.cone.dim)
+        for kw in ({"seed": 7}, {"n_starts": 0}, {"extra_seeds": [w0]}):
+            assert kernel_probe(prog, x, y, **kw) == first
+
+    @pytest.mark.parametrize("i, status", [(1, HOLDS), (2, HOLDS),
+                                           (12, FAILS)])
+    def test_curved_benchmark_instances(self, i, status, bench_gen,
+                                        monkeypatch):
+        # the `degenerate` list's soc6 pd, soc5+orthant6 pd and soc6+soc6
+        # face-null entries, each generated with its list position as seed
+        spec = {1: ([("soc", 6)], [0], [1], "identity", "pd"),
+                2: ([("soc", 5), ("orthant", 6)], [0, 2], [1, 2], "identity",
+                    "pd"),
+                12: ([("soc", 6), ("soc", 6)], [2, 0], [0, 1], "identity",
+                     "face-null")}[i]
+        inst = bench_gen.make_instance(*spec, seed=i)
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = kernel_probe(inst.prog, inst.x, inst.y)
+        assert not calls
+        assert probe["method"] == "pieces"
+        assert kernel_probe_verdict(probe).status == status
 
 
 def _face_null_instances():
