@@ -45,12 +45,8 @@ SOSC_FAILS_TOL = 1e-9
 SOSC_HOLDS_TOL = 1e-6
 KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
-# random starts of the kernel-probe search, and the most starts of one of
-# its lock-step batches: one stacked T and SVD per step share the per-call
-# overhead of the Jacobian, T and SVD layers, and batches grow from one
-# start so that a search an early start ends builds few T it discards
+# random starts of the kernel-probe search
 _KERNEL_STARTS = 200
-_SEARCH_BATCH = 32
 # SOSC enumerates the 2^k faces cut out by k borderline rows; above this
 # many rows only the affine hull is examined and no minimum is exact.
 MAX_FACE_ROWS = 12
@@ -212,8 +208,7 @@ class ProblemCriticalCone:
 
     def tmatrix(self, h):
         """T = kkt_matrix(H, G', dir_deriv_jac(h)), the kernel probe's
-        matrix on the piece of h, or the stack of them at a stack of h
-        along leading axes."""
+        matrix on the piece of h."""
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
     def member(self, d):
@@ -438,11 +433,10 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     value was rejected below the minimum or a piece stays undecided,
     `_kernel_search` runs instead: it alone reads n_starts, seed and
     extra_seeds, and `kernel_probe_verdict` never reads HOLDS from it.  It
-    refines each start for at most 50 steps, in lock-step batches whose
-    every step is one stack of T matrices along a leading axis, and
-    returns what a start-by-start loop returns.  The faces and the search
-    build T by `ProblemCriticalCone.tmatrix`.  The result's "method"
-    ("exact", "pieces" or "search") says which ran.
+    refines one start at a time, for at most 50 steps, one T and one SVD
+    per step.  The faces and the search build T by
+    `ProblemCriticalCone.tmatrix`.  The result's "method" ("exact",
+    "pieces" or "search") says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -621,14 +615,11 @@ def _kernel_pieces(cc):
 def _kernel_search(cc, n_starts, seed, extra_seeds):
     """Multi-start search for the least residual: each start is refined by
     iterating toward the smallest right singular vector of T(w), until it
-    moves less than 1e-14 (up to sign) or for 50 steps.  Starts run in
-    lock-step batches of 1, 2, 4, ... up to _SEARCH_BATCH, each step one
-    stacked T and SVD of the running starts; every stacked kernel gives
-    each start the bits of its own call, so the result is that of a
-    start-by-start loop.  The first start, in order, whose residual
-    reaches KERNEL_FOUND_TOL is kept as it is (an exact witness in
-    extra_seeds) and ends the search; a NaN residual neither runs nor
-    ends it.  With no start the residual is infinite and the witness None.
+    moves less than 1e-14 (up to sign) or for 50 steps, one start at a
+    time in order.  The first start whose residual reaches
+    KERNEL_FOUND_TOL is kept as it is (an exact witness in extra_seeds)
+    and ends the search; a NaN residual is neither refined nor the
+    witness.  With no start the residual is infinite and the witness None.
     """
     m, n = cc.Gmat.shape
     rng = np.random.default_rng(seed)
@@ -636,33 +627,21 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
     starts.extend(rng.standard_normal(n + m) for _ in range(n_starts))
     starts = [w / np.linalg.norm(w) for w in starts if np.linalg.norm(w)]
     best_val, best_w = np.inf, None
-    size = 1
-    while starts and best_val > KERNEL_FOUND_TOL:
-        batch, starts = starts[:size], starts[size:]
-        size = min(2 * size, _SEARCH_BATCH)
-        vals = []
-        for w in batch:
-            vals.append(_probe_residual(cc, w))
-            if vals[-1] <= KERNEL_FOUND_TOL:
-                break
-        ends = np.array(batch[:len(vals)])
-        running = np.flatnonzero(np.array(vals) > KERNEL_FOUND_TOL)
-        for _ in range(50):
-            if not len(running):
-                break
-            W = ends[running]
-            Wn = np.linalg.svd(cc.tmatrix(
-                linalg.matvec(cc.Gmat, W[:, :n]) + W[:, n:]))[2][:, -1]
-            ends[running] = Wn
-            done = (linalg.norms(Wn - W) < 1e-14) | \
-                (linalg.norms(Wn + W) < 1e-14)
-            running = running[~done]
-        for w in ends:
+    for w in starts:
+        val = _probe_residual(cc, w)
+        if val > KERNEL_FOUND_TOL:
+            for _ in range(50):
+                wn = np.linalg.svd(cc.tmatrix(cc.Gmat @ w[:n] + w[n:]))[2][-1]
+                done = np.linalg.norm(wn - w) < 1e-14 or \
+                    np.linalg.norm(wn + w) < 1e-14
+                w = wn
+                if done:
+                    break
             val = _probe_residual(cc, w)
-            if val < best_val:
-                best_val, best_w = val, w
-            if best_val <= KERNEL_FOUND_TOL:
-                break
+        if val < best_val:
+            best_val, best_w = val, w
+        if best_val <= KERNEL_FOUND_TOL:
+            break
     return {"min_residual": best_val, "witness": best_w, "method": "search"}
 
 

@@ -56,18 +56,17 @@ def svec(M):
 
 
 def smat(v):
-    """Inverse of svec; a stack of vectors along leading axes gives the
-    stack of matrices."""
+    """Inverse of svec."""
     v = np.asarray(v, dtype=float)
-    m = v.shape[-1]
+    m = len(v)
     n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
     if svec_dim(n) != m:
         raise ValueError("vector length is not a triangular number")
     rows, cols, scale = _svec_index(n)
     w = v / scale
-    M = np.empty(v.shape[:-1] + (n, n))
-    M[..., rows, cols] = w
-    M[..., cols, rows] = w
+    M = np.empty((n, n))
+    M[rows, cols] = w
+    M[cols, rows] = w
     return M
 
 
@@ -81,12 +80,12 @@ def _pair_basis(P):
     """Rows svec(u u') for a pair (i, i) and svec((u v' + v u')/sqrt2)
     for i > j, with u, v the columns i, j of the orthogonal P, one for
     every pair in svec order: an orthogonal R with R svec(H) =
-    svec(P'HP); a stack of P along leading axes gives the stack of R."""
-    rows, cols, scale = _svec_index(P.shape[-1])
-    Q = np.swapaxes(P, -1, -2)
+    svec(P'HP)."""
+    rows, cols, scale = _svec_index(len(P))
+    Q = P.T
     r, c = rows[:, None], cols[:, None]
     return 0.5 * np.outer(scale, scale) * (
-        Q[..., r, rows] * Q[..., c, cols] + Q[..., c, rows] * Q[..., r, cols])
+        Q[r, rows] * Q[c, cols] + Q[c, rows] * Q[r, cols])
 
 
 def _weights(li, lj):
@@ -107,10 +106,9 @@ def _psd_jacobian(P, w):
     P'HP) P' in svec coordinates, w the entries of Omega in svec order,
     which at the eigenframe of M with the `_weights` of its eigenvalues is
     an element of the generalized Jacobian of the PSD projection at M
-    (Sun & Sun, Math. Oper. Res. 27 (2002)).  Stacks of P and w along
-    leading axes give the stack of operators."""
+    (Sun & Sun, Math. Oper. Res. 27 (2002))."""
     R = _pair_basis(P)
-    return np.swapaxes(R, -1, -2) @ (w[..., None] * R)
+    return R.T @ (w[:, None] * R)
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +142,17 @@ class Block:
         return svec(_psd_project_mat(smat(z)))
 
     def proj_jacobian(self, z):
-        """A generalized Jacobian element of the projection at z (dense).
-        A stack of points z along leading axes gives the stack of
-        elements, each with the bits of its own call."""
+        """A generalized Jacobian element of the projection at z (dense)."""
         z = np.asarray(z, dtype=float)
         if self.kind == "zero":
-            return np.zeros(z.shape[:-1] + (self.dim, self.dim))
+            return np.zeros((self.dim, self.dim))
         if self.kind == "orthant":
-            return (z > 0)[..., None] * np.eye(self.dim)
+            return np.diag((z > 0).astype(float))
         if self.kind == "soc":
             return _soc_jacobian(z)
         lam, P = linalg.sym_eig(smat(z))
-        rows, cols, _ = _svec_index(lam.shape[-1])
-        return _psd_jacobian(P, _weights(lam[..., rows], lam[..., cols]))
+        rows, cols, _ = _svec_index(len(lam))
+        return _psd_jacobian(P, _weights(lam[rows], lam[cols]))
 
     def frame(self, c):
         c = np.asarray(c, dtype=float)
@@ -179,29 +175,28 @@ def _soc_project(z):
 
 
 def _soc_jacobian(z):
-    """The SOC projection's Jacobian element at each point z = (t, u)
-    along the last axis: the identity inside the cone, zero in its polar,
-    and at the apex (|u| <= tol) by the sign of t; between, with ubar =
-    u/|u| and q = t/|u|, the half of [[1, ubar'], [ubar, (1 + q) I - q
-    ubar ubar']].  tol is 1e-14 max(1, |z|)."""
-    m = z.shape[-1]
-    t, u = z[..., 0], z[..., 1:]
-    r = linalg.norms(u)
-    tol = 1e-14 * np.maximum(1.0, linalg.norms(z))
-    apex = r <= tol
-    inside = np.where(apex, t > 0, t >= r - tol)
-    between = ~apex & ~inside & (t > -r + tol)
-    r = np.where(between, r, 1.0)
-    uhat = u / r[..., None]
-    q = (t / r)[..., None, None]
-    J = np.zeros(z.shape[:-1] + (m, m))
-    J[..., 0, 0] = 0.5
-    J[..., 0, 1:] = 0.5 * uhat
-    J[..., 1:, 0] = 0.5 * uhat
-    J[..., 1:, 1:] = 0.5 * ((1.0 + q) * np.eye(m - 1)
-                            - q * (uhat[..., :, None] * uhat[..., None, :]))
-    return np.where(between[..., None, None], J,
-                    inside[..., None, None] * np.eye(m))
+    """The SOC projection's Jacobian element at z = (t, u): at the apex
+    (|u| <= tol) the identity when t > 0 and zero otherwise; the identity
+    inside the cone (t >= |u| - tol) and zero in its polar (t <= -|u| +
+    tol); between, with ubar = u/|u| and q = t/|u|, the half of [[1,
+    ubar'], [ubar, (1 + q) I - q ubar ubar']].  tol is 1e-14 max(1,
+    |z|)."""
+    m = len(z)
+    t, u = z[0], z[1:]
+    r = np.linalg.norm(u)
+    tol = 1e-14 * max(1.0, np.linalg.norm(z))
+    if r <= tol:
+        return np.eye(m) if t > 0 else np.zeros((m, m))
+    if t >= r - tol:
+        return np.eye(m)
+    if t <= -r + tol:
+        return np.zeros((m, m))
+    uhat, q = u / r, t / r
+    J = np.empty((m, m))
+    J[0, 0] = 0.5
+    J[0, 1:] = J[1:, 0] = 0.5 * uhat
+    J[1:, 1:] = 0.5 * ((1.0 + q) * np.eye(m - 1) - q * np.outer(uhat, uhat))
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,7 @@ class ZeroFrame:
     dir_deriv = upsilon_grad = cc_project
 
     def dir_deriv_jac(self, h):
-        return np.zeros(np.shape(h)[:-1] + (self.block.dim,) * 2)
+        return np.zeros((self.block.dim,) * 2)
 
     def normal_project(self, y):
         return np.asarray(y, dtype=float).copy()
@@ -375,16 +370,15 @@ class BlockFrame:
     def dir_deriv_jac(self, h):
         """R' diag(Omega) R, with the Jacobian of the beta subalgebra's
         projection at the bb part x of h on the bb rows: [x > 0] when
-        the block is not curved.  A stack of h along leading axes gives
-        the stack of matrices, each with the bits of its own call."""
+        the block is not curved."""
         if self._whole:
             return self.block.proj_jacobian(h)
         Rb = self._Rb
-        x = linalg.matvec(Rb, h)
+        x = Rb @ h
         if self.curved:
             JRb = Block(self.block.kind, len(self.beta)).proj_jacobian(x) @ Rb
         else:
-            JRb = (x > 0)[..., None] * Rb
+            JRb = (x > 0)[:, None] * Rb
         return self._J0 + Rb.T @ JRb
 
     def dir_deriv(self, h):
@@ -493,10 +487,11 @@ class Cone:
 
     @classmethod
     def from_spec(cls, spec):
-        """Inverse of `to_spec`; a malformed spec raises ValueError."""
+        """Inverse of `to_spec`; a malformed spec, a bool size among
+        them, raises ValueError."""
         if not isinstance(spec, list) or not all(
                 isinstance(d, dict) and "type" in d
-                and isinstance(d.get("size"), int) for d in spec):
+                and type(d.get("size")) is int for d in spec):
             raise ValueError('must be a list of {"type": ..., "size": '
                              'integer} blocks')
         return cls([Block(d["type"], d["size"]) for d in spec])
@@ -545,12 +540,11 @@ class ConeFrame:
         return float(np.linalg.norm(np.asarray(s, dtype=float) - self.polar_project(s)))
 
     def dir_deriv_jac(self, h):
-        """The block-diagonal matrix of the blocks' dir_deriv_jac at h,
-        or the stack of them at a stack of h along leading axes."""
+        """The block-diagonal matrix of the blocks' dir_deriv_jac at h."""
         parts = self.cone.split(h)
-        J = np.zeros(parts[0].shape[:-1] + (self.cone.dim,) * 2)
+        J = np.zeros((self.cone.dim, self.cone.dim))
         for f, p, s in zip(self.frames, parts, self.cone._slices):
-            J[..., s, s] = f.dir_deriv_jac(p)
+            J[s, s] = f.dir_deriv_jac(p)
         return J
 
     def upsilon(self, d, check=True):

@@ -262,14 +262,13 @@ _LM_INIT = 1e-4
 def kkt_matrix(H, Gp, J):
     """[[H, Gp'], [(I - J) Gp, -J]]: the Jacobian of the natural map, or
     of its directional-derivative system, for the Hessian H, constraint
-    Jacobian Gp and a Jacobian element J of the projection; a stack of J
-    along leading axes gives the stack of matrices."""
+    Jacobian Gp and a Jacobian element J of the projection."""
     m, n = Gp.shape
-    V = np.empty(J.shape[:-2] + (n + m, n + m))
-    V[..., :n, :n] = H
-    V[..., :n, n:] = Gp.T
-    V[..., n:, :n] = (np.eye(m) - J) @ Gp
-    V[..., n:, n:] = -J
+    V = np.empty((n + m, n + m))
+    V[:n, :n] = H
+    V[:n, n:] = Gp.T
+    V[n:, :n] = (np.eye(m) - J) @ Gp
+    V[n:, n:] = -J
     return V
 
 

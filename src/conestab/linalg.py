@@ -15,23 +15,22 @@ RANK_TOL_FACTOR = 1e-9
 
 
 def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix, or of each matrix of a
-    stack along the leading axes, by LAPACK (numpy's eigh).
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy's eigh).
 
     Returns (values, vectors): eigenvalues sorted descending and
     orthonormal eigenvector columns, so that
     vectors @ diag(values) @ vectors.T reconstructs the symmetric part of
-    S.  eigh runs once per matrix of a stack, so each gives the bits of
-    its own call.  Raises ValueError on a non-square or non-finite input,
-    since eigh would return NaN eigenvectors without raising.
+    S.  Raises ValueError on an input that is not one square matrix (a
+    stack of them included) or has a non-finite entry, since eigh would
+    return NaN eigenvectors without raising.
     """
     A = np.array(S, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("sym_eig expects a square matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("sym_eig expects finite entries")
-    vals, vecs = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
-    return vals[..., ::-1], vecs[..., ::-1]
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    return vals[::-1], vecs[:, ::-1]
 
 
 def nullspace(M, tol=1e-10):
@@ -61,13 +60,6 @@ def matvec(A, X):
     product per vector, so each gives the bits of A @ x; X @ A.T does
     not."""
     return (A @ X[..., None])[..., 0]
-
-
-def norms(X):
-    """The Euclidean norm of each vector x along the last axis of X, as
-    sqrt(x . x) with one dot product per vector: the bits of
-    np.linalg.norm(x), which np.linalg.norm(X, axis=-1) does not give."""
-    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
 
 
 def rank_tol_for(values):

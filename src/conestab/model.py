@@ -155,7 +155,8 @@ def problem_from_dict(data):
     for key in ("name", "n", "objective", "constraint", "cone"):
         _require(key in data, "missing top-level key %r" % key)
     n = data["n"]
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    # a JSON true is a bool, which Python counts as the int 1
+    _require(type(n) is int and n >= 1, "n must be a positive integer")
     obj, con = data["objective"], data["constraint"]
     _require(isinstance(obj, dict) and isinstance(con, dict),
              "objective and constraint must be objects")

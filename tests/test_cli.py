@@ -375,6 +375,23 @@ class TestProblemFileFlow:
         assert err.startswith("error: bad problem file:")
         assert key in err
 
+    @pytest.mark.parametrize("key", ["n", "size"])
+    def test_boolean_integer_is_input_error(self, key, tmp_path, capsys):
+        # a one-variable problem, so that true read as 1 would load
+        data = {"name": "tiny", "n": True,
+                "objective": {"Q": [[1.0]], "c": [0.0], "c0": 0.0},
+                "constraint": {"A0": [0.0], "Ai": [[1.0]]},
+                "cone": [{"type": "orthant", "size": 1}]}
+        if key == "size":
+            data["n"], data["cone"][0]["size"] = 1, True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for command in ("analyze", "solve", "sweep", "certify"):
+            assert main([command, "--problem", str(path)]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad problem file:")
+            assert key in err
+
     @pytest.mark.parametrize("name", ["mine", "example1"])
     def test_sweep_and_certify_problem_file(self, name, tmp_path, capsys):
         # a file's name never selects a builtin's reference or direction

@@ -275,14 +275,15 @@ def _borderline_instances():
 
 def _count_tmatrix_builds(monkeypatch):
     """Patch ConeFrame.dir_deriv_jac to record its argument h, one entry
-    per T matrix: each row of a stacked h is one build."""
+    per T matrix: each call takes one 1-D h."""
     from conestab.cones import ConeFrame
     calls = []
     original = ConeFrame.dir_deriv_jac
 
     def counted(self, h):
         h = np.array(h)
-        calls.extend(h.reshape(-1, h.shape[-1]))
+        assert h.ndim == 1
+        calls.append(h)
         return original(self, h)
 
     monkeypatch.setattr(ConeFrame, "dir_deriv_jac", counted)
@@ -433,8 +434,8 @@ def _search_instances():
 
 
 class TestBatchedKernelSearch:
-    """Starts advance in lock-step batches of 1, 2, 4, ... 32; the result
-    is the start-by-start loop's, bit for bit."""
+    """The search's result is the start-by-start reference's, bit for
+    bit."""
 
     @pytest.mark.parametrize("n_starts", [1, 33, 70])
     @pytest.mark.parametrize("name", ["corner", "soc-apex", "psd-beta2"])
@@ -450,7 +451,7 @@ class TestBatchedKernelSearch:
         assert probe["min_residual"] == uncut["min_residual"]
         assert probe["witness"].tobytes() == uncut["witness"].tobytes()
         assert kernel_probe_verdict(probe).status == INCONCLUSIVE
-        # a batch of b starts builds b T matrices per step
+        # each start builds at least one T matrix
         assert len(calls) >= n_starts
 
     def test_a_later_exact_witness_ends_the_search(self, monkeypatch):
@@ -465,13 +466,13 @@ class TestBatchedKernelSearch:
         rng = np.random.default_rng(7)
         seeds = [rng.standard_normal(len(exact)) for _ in range(7)]
         calls = _count_tmatrix_builds(monkeypatch)
-        # the start-by-start loop: each start before the witness alone
+        # each start before the witness, searched alone
         for w0 in seeds[:5]:
             alone = _search(prog, x, y, n_starts=0, extra_seeds=[w0])
             assert alone["min_residual"] > conditions.KERNEL_FOUND_TOL
         sequential = len(calls)
         del calls[:]
-        # the witness is the sixth start, inside the third batch (3..6)
+        # the witness is the sixth start, and it ends the search
         probe = _search(prog, x, y, n_starts=20,
                         extra_seeds=seeds[:5] + [exact] + seeds[5:])
         assert probe["witness"].tobytes() == \
@@ -482,7 +483,7 @@ class TestBatchedKernelSearch:
 
 @pytest.mark.parametrize("name", ["corner", "soc-apex"])
 def test_a_nan_start_is_neither_refined_nor_the_witness(name, monkeypatch):
-    # the NaN start shares the second batch with a finite one
+    # the NaN start sits between two finite ones
     prog, x, y = _search_instances()[name]
     cc = problem_critical_cone(prog, x, y)
     nan = np.full(prog.n + prog.cone.dim, np.nan)

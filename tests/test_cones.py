@@ -862,80 +862,52 @@ def _assert_stack_is_rowwise(fn, Z):
 
 
 def _soc_points(m, rng):
-    """Points of every case of the SOC(m) Jacobian, two of each: inside,
-    in the polar, between, on either boundary ray, and the apex with
-    t > 0 and with t <= 0."""
+    """Points of every case of the SOC(m) Jacobian, two of each, with the
+    case whose closed form they take: inside, in the polar, between, on
+    either boundary ray, the apex with t > 0 and with t <= 0, and t = 1
+    beside the apex at |u| = 1e-16."""
     pts = []
     for _ in range(2):
         u = rng.standard_normal(m - 1)
         r = np.linalg.norm(u)
-        pts += [np.r_[2.0 * r + 0.1, u], np.r_[-2.0 * r - 0.1, u],
-                np.r_[0.3 * r, u], np.r_[r, u], np.r_[-r, u],
-                np.r_[1.0 + rng.random(), np.zeros(m - 1)],
-                np.r_[-rng.random(), np.zeros(m - 1)],
-                np.r_[1.0, 1e-16 * u], np.zeros(m)]
+        pts += [("identity", np.r_[2.0 * r + 0.1, u]),
+                ("zero", np.r_[-2.0 * r - 0.1, u]),
+                ("between", np.r_[0.3 * r, u]),
+                ("identity", np.r_[r, u]), ("zero", np.r_[-r, u]),
+                ("identity", np.r_[1.0 + rng.random(), np.zeros(m - 1)]),
+                ("zero", np.r_[-rng.random(), np.zeros(m - 1)]),
+                ("zero", np.zeros(m)),
+                ("identity", np.r_[1.0, 1e-16 * u / r])]
     return pts
+
+
+class TestSocJacobian:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_each_case_has_its_closed_form(self, m):
+        rng = np.random.default_rng(m)
+        for case, z in _soc_points(m, rng):
+            J = cones._soc_jacobian(z)
+            if case != "between":
+                assert np.array_equal(J, np.eye(m) * (case == "identity"))
+                continue
+            t, u = z[0], z[1:]
+            ubar, q = u / np.linalg.norm(u), t / np.linalg.norm(u)
+            ref = 0.5 * np.block([
+                [np.ones((1, 1)), ubar[None, :]],
+                [ubar[:, None],
+                 (1.0 + q) * np.eye(m - 1) - q * np.outer(ubar, ubar)]])
+            assert np.allclose(J, ref, rtol=0.0, atol=1e-15)
+            assert np.array_equal(cones.Block("soc", m).proj_jacobian(z), J)
+
+    def test_soc1_is_the_half_line(self):
+        for t in (2.0, 1e-300, 0.0, -1.0):
+            assert np.array_equal(cones._soc_jacobian(np.array([t])),
+                                  [[float(t > 0)]])
 
 
 class TestStackedCalls:
     """A stack of arguments along leading axes gives the stack of the
     per-point results, bit for bit."""
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
-    def test_soc_jacobian_on_every_case(self, m):
-        rng = np.random.default_rng(m)
-        _assert_stack_is_rowwise(cones.Block("soc", m).proj_jacobian,
-                                 _soc_points(m, rng))
-
-    @pytest.mark.parametrize("kind, size", [
-        ("zero", 3), ("orthant", 5), ("psd", 1), ("psd", 2), ("psd", 3),
-        ("psd", 4)])
-    def test_proj_jacobian(self, kind, size):
-        rng = np.random.default_rng(size)
-        block = cones.Block(kind, size)
-        Z = rng.standard_normal((8, block.dim))
-        Z[::3] = np.round(Z[::3])  # orthant zeros, PSD eigenvalue ties
-        Z[1] = 0.0
-        if kind == "psd":
-            Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
-            Z[2] = svec((Q * np.r_[1.0, np.zeros(size - 1)]) @ Q.T)
-        _assert_stack_is_rowwise(block.proj_jacobian, Z)
-
-    @pytest.mark.parametrize("name", [
-        "zero", "soc-apex", "psd-origin", "orthant-partial", "psd-beta2",
-        "psd-beta3", "product"])
-    def test_dir_deriv_jac(self, name):
-        # the last block frame is curved, or its bb rows are the whole
-        # block, as listed
-        rng = np.random.default_rng(3)
-
-        def psd(lam):
-            n = len(lam)
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            return Cone([("psd", n)]), svec((Q * lam) @ Q.T)
-
-        mixed = Cone([("zero", 1), ("orthant", 2), ("soc", 3), ("psd", 3)])
-        cone, c = {
-            "zero": (Cone([("zero", 3)]), rng.standard_normal(3)),
-            "soc-apex": (Cone([("soc", 4)]), np.zeros(4)),
-            "psd-origin": (Cone([("psd", 3)]), np.zeros(6)),
-            "orthant-partial": (Cone([("orthant", 5)]),
-                                np.array([1.0, 0.0, -2.0, 0.0, 3.0])),
-            "psd-beta2": psd([2.0, 0.0, 0.0, -1.0]),
-            "psd-beta3": psd([1.0, 0.0, 0.0, 0.0, -1.0]),
-            "product": (mixed, np.r_[0.5, 0.0, 1.0, np.zeros(3),
-                                     svec(np.diag([1.0, 0.0, 0.0]))]),
-        }[name]
-        f = cone.frame(c)
-        if name != "zero":
-            last = f.frames[-1]
-            assert (last.curved, last._whole) == {
-                "soc-apex": (True, True), "psd-origin": (True, True),
-                "orthant-partial": (False, False)}.get(name, (True, False))
-        H = 3.0 * rng.standard_normal((10, cone.dim))
-        H[:2] = np.round(H[:2])
-        H[2] = 0.0
-        _assert_stack_is_rowwise(f.dir_deriv_jac, H)
 
     def test_upsilon_grad(self):
         # every block kind, with (alpha, gamma) pairs wherever one can be

@@ -425,14 +425,3 @@ class TestSemismoothness:
         Fd = natural_map(prog, x + d[:3], y + d[3:])
         ratio = np.linalg.norm(Fd - F - V @ d) / np.linalg.norm(d)
         assert ratio <= 0.1
-
-
-def test_kkt_matrix_on_a_stack_equals_each_call():
-    rng = np.random.default_rng(4)
-    H = rng.standard_normal((3, 3))
-    Gp = rng.standard_normal((5, 3))
-    J = rng.standard_normal((2, 4, 5, 5))
-    V = kkt.kkt_matrix(H, Gp, J)
-    assert V.shape == (2, 4, 8, 8)
-    for idx in np.ndindex(2, 4):
-        assert V[idx].tobytes() == kkt.kkt_matrix(H, Gp, J[idx]).tobytes()

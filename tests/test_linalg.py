@@ -72,34 +72,19 @@ class TestSymEig:
         with pytest.raises(ValueError):
             linalg.sym_eig(np.zeros((2, 3)))
 
-    def test_stack_equals_each_call(self):
-        rng = np.random.default_rng(8)
-        S = rng.standard_normal((2, 3, 5, 5))
-        S[0, 1] = np.diag([1.0, 1.0, 0.0, 0.0, -2.0])  # ties
-        vals, vecs = linalg.sym_eig(S)
-        assert vals.shape == (2, 3, 5) and vecs.shape == (2, 3, 5, 5)
-        for idx in np.ndindex(2, 3):
-            v, P = linalg.sym_eig(S[idx])
-            assert vals[idx].tobytes() == v.tobytes()
-            assert vecs[idx].tobytes() == P.tobytes()
-
-    def test_rejects_a_stack_with_a_nonfinite_entry(self):
-        for bad in (np.nan, np.inf):
-            S = np.stack([np.eye(3)] * 4)
-            S[2, 0, 1] = bad
-            with pytest.raises(ValueError):
-                linalg.sym_eig(S)
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError):
+            linalg.sym_eig(np.stack([np.eye(3)] * 4))
 
 
 class TestStackedProducts:
-    def test_matvec_and_norms_equal_each_call(self):
+    def test_matvec_equals_each_call(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((7, 5))
         X = rng.standard_normal((3, 4, 8))[..., 1:6]  # strided rows
-        AX, norms = linalg.matvec(A, X), linalg.norms(X)
+        AX = linalg.matvec(A, X)
         for idx in np.ndindex(3, 4):
             assert AX[idx].tobytes() == (A @ X[idx]).tobytes()
-            assert norms[idx] == np.linalg.norm(X[idx])
 
 
 class TestNullspace:

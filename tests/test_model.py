@@ -62,6 +62,24 @@ class TestFileFormat:
         assert prog.n == 1
         assert prog.cone.dim == 1
 
+    @pytest.mark.parametrize("key", ["n", "size"])
+    def test_boolean_integer_rejected(self, key):
+        # JSON true is a Python bool, and a bool is an int equal to 1
+        data = {"name": "tiny", "n": 1,
+                "objective": {"Q": [[1.0]], "c": [0.0], "c0": 0.0},
+                "constraint": {"A0": [0.0], "Ai": [[1.0]]},
+                "cone": [{"type": "orthant", "size": 1}]}
+        assert model.problem_from_dict(data).n == 1
+        if key == "n":
+            data["n"] = True
+        else:
+            data["cone"][0]["size"] = True
+        with pytest.raises(ProblemFormatError, match=key):
+            model.problem_from_dict(data)
+        if key == "size":
+            with pytest.raises(ValueError):
+                model.Cone.from_spec(data["cone"])
+
     def test_load_problem_file(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(save_problem(builtin("example4")))
