@@ -143,6 +143,33 @@ class TestProjJacobian:
                                       / (2.0 * step) for e in E])
                 assert np.max(np.abs(J - fd)) <= 1e-7
 
+    @pytest.mark.parametrize("kind, size", [
+        ("zero", 3), ("orthant", 5), ("soc", 1), ("soc", 3), ("psd", 1),
+        ("psd", 2), ("psd", 3), ("psd", 4)])
+    def test_is_a_symmetric_contraction_with_euler_identity(self, kind,
+                                                            size):
+        # J symmetric with spectrum in [0, 1], as every element of the
+        # generalized Jacobian of a projection on a convex set, and
+        # J z = Pi(z) by positive homogeneity; at kinks and ties too
+        rng = np.random.default_rng(size)
+        block = cones.Block(kind, size)
+        Z = rng.standard_normal((8, block.dim))
+        Z[::3] = np.round(Z[::3])  # orthant zeros, PSD eigenvalue ties
+        Z[1] = 0.0
+        if kind == "psd":
+            Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            Z[2] = svec((Q * np.r_[1.0, np.zeros(size - 1)]) @ Q.T)
+        if kind == "soc" and size > 1:
+            Z = np.vstack([Z] + [z for _, z in _soc_points(size, rng)])
+        for z in Z:
+            J = block.proj_jacobian(z)
+            assert J.shape == (block.dim, block.dim)
+            assert np.max(np.abs(J - J.T)) <= 1e-14
+            ev = np.linalg.eigvalsh(J)
+            assert ev[0] >= -1e-14 and ev[-1] <= 1.0 + 1e-14
+            assert np.allclose(J @ z, block.project(z), rtol=0.0,
+                               atol=1e-14 * max(1.0, np.abs(z).max()))
+
     def test_psd_is_symmetric_at_a_cross_sign_tie(self):
         # eigenvalues +-1e-16 tie; the weight of the pair must not depend
         # on which of the two is taken first
@@ -673,6 +700,49 @@ class TestDirDeriv:
             h = rng.standard_normal(cone.dim)
             J = f.dir_deriv_jac(h)
             assert np.allclose(J @ h, f.dir_deriv(h), atol=1e-8)
+
+    @pytest.mark.parametrize("name", [
+        "zero", "soc-apex", "psd-origin", "orthant-partial", "psd-beta2",
+        "psd-beta3", "product"])
+    def test_jacobian_matches_central_differences(self, name):
+        # at a generic h the directional derivative is differentiable and
+        # dir_deriv_jac(h) is its Jacobian; the last block frame is
+        # curved, or its bb rows are the whole block, as listed
+        rng = np.random.default_rng(3)
+
+        def psd(lam):
+            n = len(lam)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            return Cone([("psd", n)]), svec((Q * lam) @ Q.T)
+
+        mixed = Cone([("zero", 1), ("orthant", 2), ("soc", 3), ("psd", 3)])
+        cone, c = {
+            "zero": (Cone([("zero", 3)]), rng.standard_normal(3)),
+            "soc-apex": (Cone([("soc", 4)]), np.zeros(4)),
+            "psd-origin": (Cone([("psd", 3)]), np.zeros(6)),
+            "orthant-partial": (Cone([("orthant", 5)]),
+                                np.array([1.0, 0.0, -2.0, 0.0, 3.0])),
+            "psd-beta2": psd([2.0, 0.0, 0.0, -1.0]),
+            "psd-beta3": psd([1.0, 0.0, 0.0, 0.0, -1.0]),
+            "product": (mixed, np.r_[0.5, 0.0, 1.0, np.zeros(3),
+                                     svec(np.diag([1.0, 0.0, 0.0]))]),
+        }[name]
+        f = cone.frame(c)
+        if name != "zero":
+            last = f.frames[-1]
+            assert (last.curved, last._whole) == {
+                "soc-apex": (True, True), "psd-origin": (True, True),
+                "orthant-partial": (False, False)}.get(name, (True, False))
+        step = 1e-6
+        E = np.eye(cone.dim)
+        for _ in range(5):
+            h = 3.0 * rng.standard_normal(cone.dim)
+            J = f.dir_deriv_jac(h)
+            assert J.shape == (cone.dim, cone.dim)
+            fd = np.column_stack([(f.dir_deriv(h + step * e)
+                                   - f.dir_deriv(h - step * e))
+                                  / (2.0 * step) for e in E])
+            assert np.max(np.abs(J - fd)) <= 1e-7
 
 
 class TestUpsilon:
