@@ -49,13 +49,20 @@ def _sanitize(obj):
     return obj
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def _dump_json(data, path):
     text = json.dumps(_sanitize(data), indent=2, sort_keys=True)
     if path is None:
         print(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, text + "\n")
 
 
 def _load_fixture(args):
@@ -70,6 +77,9 @@ def _load_fixture(args):
         return model.Fixture(model.load_problem_file(args.problem))
     except FileNotFoundError:
         raise InputError("problem file not found: %s" % args.problem)
+    except OSError as exc:
+        raise InputError("cannot read problem file %s: %s"
+                         % (args.problem, exc.strerror))
     except model.ProblemFormatError as exc:
         raise InputError("bad problem file: %s" % exc)
 
@@ -216,8 +226,7 @@ def cmd_sweep(args):
     result, failure = _sweep_fit(args, fx, _reference(fx))
     csv = result.to_csv()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+        _write(args.out, csv)
     else:
         print(csv, end="")
     if failure is not None:

@@ -10,10 +10,10 @@ A is the projection of C onto the cone and B = C - A lies in the normal
 cone at A.  The frame drives the critical cone, its polar, the
 directional derivative of the projection, and the curvature (sigma) term.
 
-Every orthant, SOC and PSD block's case is read from its Jordan frame at
-C: the eigenvalues, the orthonormal Peirce rows R and the eigenvalue
-pair of each row, with the eigenvalues split into alpha (positive), beta
-(zero) and gamma (negative) (Sun & Sun, Math. Oper. Res. 33 (2008)).
+Every block's case is read from its Jordan frame at C: the eigenvalues,
+the orthonormal Peirce rows R and the eigenvalue pair of each row, with
+the eigenvalues split into alpha (positive), beta (zero) and gamma
+(negative) (Sun & Sun, Math. Oper. Res. 33 (2008)).
 Each method is stated once on the rows of that split.  The directional
 derivative is Pi'(C; h) = J(h) h with J(h) = R' diag(Omega) R, Omega the
 divided differences of each row's eigenvalue pair, [l_i + l_j > 0] on a
@@ -101,16 +101,6 @@ def _weights(li, lj):
                     / np.where(tie, 1.0, d))
 
 
-def _psd_jacobian(P, w):
-    """R' diag(w) R with R = _pair_basis(P): the operator H -> P (Omega o
-    P'HP) P' in svec coordinates, w the entries of Omega in svec order,
-    which at the eigenframe of M with the `_weights` of its eigenvalues is
-    an element of the generalized Jacobian of the PSD projection at M
-    (Sun & Sun, Math. Oper. Res. 27 (2002))."""
-    R = _pair_basis(P)
-    return R.T @ (w[:, None] * R)
-
-
 # ---------------------------------------------------------------------------
 # Cone blocks
 
@@ -144,20 +134,15 @@ class Block:
     def proj_jacobian(self, z):
         """A generalized Jacobian element of the projection at z (dense)."""
         z = np.asarray(z, dtype=float)
-        if self.kind == "zero":
-            return np.zeros((self.dim, self.dim))
         if self.kind == "orthant":
             return np.diag((z > 0).astype(float))
         if self.kind == "soc":
             return _soc_jacobian(z)
-        lam, P = linalg.sym_eig(smat(z))
-        rows, cols, _ = _svec_index(len(lam))
-        return _psd_jacobian(P, _weights(lam[rows], lam[cols]))
-
-    def frame(self, c):
-        c = np.asarray(c, dtype=float)
-        return ZeroFrame(self, c) if self.kind == "zero" else \
-            BlockFrame(self, c)
+        # R' diag(Omega) R at the Jordan frame of z: for PSD the operator
+        # H -> P (Omega o P'HP) P' in svec coordinates (Sun & Sun, Math.
+        # Oper. Res. 27 (2002)), zero for a zero block
+        lam, R, first, second, _ = _jordan(self.kind, z)
+        return R.T @ (_weights(lam[first], lam[second])[:, None] * R)
 
 
 def _soc_project(z):
@@ -203,69 +188,30 @@ def _soc_jacobian(z):
 # Block frames
 
 
-class ZeroFrame:
-    """Frame of a zero block: the critical cone is {0} and N_K(a) the whole
-    space, with no borderline piece.  Read as a `BlockFrame`, its rows are
-    the unit vectors, each with Omega 0 and none of them bb."""
-
-    curved = False
-    R = property(lambda f: np.eye(f.block.dim))
-    omega = property(lambda f: np.zeros(f.block.dim))
-    bb = property(lambda f: np.zeros(f.block.dim, dtype=bool))
-
-    def __init__(self, block, c):
-        self.block = block
-        self.c = c
-        self.a = np.zeros_like(c)
-        self.b = c.copy()
-
-    def cc_project(self, h):
-        return np.zeros_like(h)
-
-    dir_deriv = upsilon_grad = cc_project
-
-    def dir_deriv_jac(self, h):
-        return np.zeros((self.block.dim,) * 2)
-
-    def normal_project(self, y):
-        return np.asarray(y, dtype=float).copy()
-
-    def normal_span(self):
-        return np.eye(self.block.dim)
-
-    cc_equalities = normal_face_span = normal_span
-
-    def rows(self):
-        return np.zeros((0, self.block.dim))
-
-    def relint_point(self):
-        return np.zeros(self.block.dim)
-
-    def relint_margin(self, h):
-        return np.inf
-
-
 def _jordan(kind, c):
-    """The Jordan frame of c in an orthant, SOC or PSD block: eigenvalues
-    lam, an orthogonal R whose rows span the Peirce spaces, the eigenvalue
-    pair (first, second) of each row, and a scale s with c = s sum_i
-    lam_i R_(ii).
+    """The Jordan frame of c in a block: eigenvalues lam, an orthogonal R
+    whose rows span the Peirce spaces, the eigenvalue pair (first, second)
+    of each row, and a scale s with c = s sum_i lam_i R_(ii).
 
     An orthant's rows are the unit vectors, each its own pair; SOC(1) is
-    the half-line, an orthant(1).  An SOC point (t, u) has lam = (t + |u|,
-    t - |u|) with rows rhat = (1, ubar)/sqrt2 and vhat = (1, -ubar)/sqrt2,
-    ubar = u/|u| (e_1 when u = 0), and the rows (0, w), w an orthonormal
-    basis of ubar's complement, form the pair of the two; s = 1/sqrt2.  A
-    PSD point's rows are `_pair_basis` of its eigenvectors, in svec order.
+    the half-line, an orthant(1).  A zero block's rows are the unit
+    vectors too, each with eigenvalue -1 whatever c is: only that sign is
+    read, and it makes every row gamma, so a = 0, b = c and Omega = 0.  An
+    SOC point (t, u) has lam = (t + |u|, t - |u|) with rows rhat = (1,
+    ubar)/sqrt2 and vhat = (1, -ubar)/sqrt2, ubar = u/|u| (e_1 when u =
+    0), and the rows (0, w), w an orthonormal basis of ubar's complement,
+    form the pair of the two; s = 1/sqrt2.  A PSD point's rows are
+    `_pair_basis` of its eigenvectors, in svec order.
     """
     if kind == "psd":
         lam, P = linalg.sym_eig(smat(c))
         rows, cols, _ = _svec_index(len(lam))
         return lam, _pair_basis(P), rows, cols, 1.0
     m = len(c)
-    if kind == "orthant" or m == 1:
+    if kind in ("zero", "orthant") or m == 1:
         idx = np.arange(m)
-        return c.copy(), np.eye(m), idx, idx, 1.0
+        lam = -np.ones(m) if kind == "zero" else c.copy()
+        return lam, np.eye(m), idx, idx, 1.0
     t, u = c[0], c[1:]
     r = np.linalg.norm(u)
     ubar = u / r if r > 0 else np.eye(m - 1)[0]
@@ -284,10 +230,10 @@ def _jordan(kind, c):
 
 
 class BlockFrame:
-    """Frame of an orthant, SOC or PSD block at c = a + b, read from the
-    Jordan frame of c (`_jordan`): its eigenvalues, snapped to zero within
-    the shared rank tolerance, split into alpha (positive), beta (zero)
-    and gamma (negative), and each Peirce row is classed by its pair:
+    """Frame of a block at c = a + b, read from the Jordan frame of c
+    (`_jordan`): its eigenvalues, snapped to zero within the shared rank
+    tolerance, split into alpha (positive), beta (zero) and gamma
+    (negative), and each Peirce row is classed by its pair:
 
       bb      both eigenvalues in beta;
       ker     both in beta or gamma: the rows of span N_K(a);
@@ -361,7 +307,10 @@ class BlockFrame:
         return self.R.T @ x
 
     def normal_project(self, y):
-        """Minus the projection of -y onto the ker subalgebra's cone."""
+        """Minus the projection of -y onto the ker subalgebra's cone; y
+        itself at a zero block, whose N_K(a) is the whole space."""
+        if self.block.kind == "zero":
+            return np.asarray(y, dtype=float).copy()
         if self.ker.all():
             return -self.block.project(-y)
         Rk = self.R[self.ker]
@@ -504,8 +453,8 @@ class ConeFrame:
     def __init__(self, cone, c):
         self.cone = cone
         self.c = np.asarray(c, dtype=float)
-        self.frames = [b.frame(p) for b, p in zip(cone.blocks,
-                                                  cone.split(self.c))]
+        self.frames = [BlockFrame(b, p) for b, p in zip(cone.blocks,
+                                                        cone.split(self.c))]
         self.a = np.concatenate([f.a for f in self.frames])
         self.b = np.concatenate([f.b for f in self.frames])
 

@@ -193,13 +193,20 @@ def load_problem(text):
     except json.JSONDecodeError as exc:
         raise ProblemFormatError("invalid JSON at line %d column %d: %s"
                                  % (exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise ProblemFormatError("JSON nested too deeply")
     _require(isinstance(data, dict), "top level must be an object")
     return problem_from_dict(data)
 
 
 def load_problem_file(path):
-    with open(path, "r") as fh:
-        return load_problem(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError("not UTF-8 text: %s at byte %d"
+                                     % (exc.reason, exc.start))
+    return load_problem(text)
 
 
 def save_problem(prog):

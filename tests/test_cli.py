@@ -403,3 +403,44 @@ class TestProblemFileFlow:
         assert "fitted exponent 0.99" in capsys.readouterr().out
         assert main(["certify", "--problem", str(path)]) == EXIT_OK
         assert "agree" in capsys.readouterr().out
+
+
+def _unreadable(tmp_path, case):
+    """A problem path that exists but cannot be read as a problem."""
+    path = tmp_path / "p.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b'\xff\xfe{"name": "p"}')
+    else:
+        path.write_text("[" * 100000 + "]" * 100000)
+    return path
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("command", ["solve", "analyze", "sweep",
+                                         "certify"])
+    @pytest.mark.parametrize("case, message", [
+        ("directory", "cannot read problem file"),
+        ("not-utf8", "bad problem file: not UTF-8 text"),
+        ("deep", "bad problem file: JSON nested too deeply")])
+    def test_unreadable_problem_file_is_input_error(self, command, case,
+                                                    message, tmp_path,
+                                                    capsys):
+        path = _unreadable(tmp_path, case)
+        assert main([command, "--problem", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--out", "{dir}"],
+        ["sweep", "--grid", "1:2:1", "--out", "{dir}"],
+        ["analyze", "--report", "{dir}/missing/r.json"]],
+        ids=["solve-out-dir", "sweep-out-dir", "analyze-report-no-parent"])
+    def test_unwritable_output_is_input_error(self, argv, tmp_path, capsys):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        assert main(argv + ["--builtin", "example4"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s" % argv[-1])
+        assert "Traceback" not in err

@@ -368,20 +368,18 @@ class TestKernelProbeFastPath:
         assert probe["witness"] is not None
 
 
-def _uncut_probe(prog, x, y, n_starts, seed):
-    """The multi-start search with every start run until it converges or
-    for its full 50 steps, as it was written before the repeat cut."""
+def _reference_search(prog, x, y, n_starts, seed):
+    """The multi-start search written out start by start: each start runs
+    until it converges or for its full 50 steps."""
     n, m = prog.n, prog.cone.dim
     frame = prog.cone.frame(prog.constraint(x) + y)
     Gmat = prog.constraint_jac(x)
     H = prog.Q
     rng = np.random.default_rng(seed)
-    best_val, best_w, cycled = np.inf, None, 0
+    best_val, best_w = np.inf, None
     for _ in range(n_starts):
         w = rng.standard_normal(n + m)
         w = w / np.linalg.norm(w)
-        seen = {w.tobytes()}
-        repeated = False
         for _ in range(50):
             T = kkt.kkt_matrix(H, Gmat, frame.dir_deriv_jac(
                 Gmat @ w[:n] + w[n:]))
@@ -391,9 +389,6 @@ def _uncut_probe(prog, x, y, n_starts, seed):
                 w = wn
                 break
             w = wn
-            repeated = repeated or w.tobytes() in seen
-            seen.add(w.tobytes())
-        cycled += repeated
         dx, dy = w[:n], w[n:]
         r1 = H @ dx + Gmat.T @ dy
         r2 = Gmat @ dx - frame.dir_deriv(Gmat @ dx + dy)
@@ -402,7 +397,7 @@ def _uncut_probe(prog, x, y, n_starts, seed):
             best_val, best_w = val, w
         if best_val <= conditions.KERNEL_FOUND_TOL:
             break
-    return {"min_residual": best_val, "witness": best_w}, cycled
+    return {"min_residual": best_val, "witness": best_w}
 
 
 def _corner_instance():
@@ -410,17 +405,6 @@ def _corner_instance():
     along e0: most search starts enter a cycle of period 2 at step 1."""
     return _instance([("orthant", 3)], np.zeros(3), [0.0, 0.0, -1.0],
                      seed=1, null=np.eye(3)[0])
-
-
-class TestKernelProbeRepeatCut:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_equals_the_uncut_search(self, seed):
-        # one start per seed, so the witness is that start's last iterate
-        prog, x, y = _corner_instance()
-        probe = _search(prog, x, y, n_starts=1, seed=seed)
-        uncut, _ = _uncut_probe(prog, x, y, n_starts=1, seed=seed)
-        assert probe["min_residual"] == uncut["min_residual"]
-        assert np.array_equal(probe["witness"], uncut["witness"])
 
 
 def _search_instances():
@@ -433,9 +417,18 @@ def _search_instances():
             "psd-beta2": _instance([("psd", 3)], ps, py)}
 
 
-class TestBatchedKernelSearch:
+class TestKernelSearch:
     """The search's result is the start-by-start reference's, bit for
     bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_start_equals_the_reference(self, seed):
+        # one start per seed, so the witness is that start's last iterate
+        prog, x, y = _corner_instance()
+        probe = _search(prog, x, y, n_starts=1, seed=seed)
+        ref = _reference_search(prog, x, y, n_starts=1, seed=seed)
+        assert probe["min_residual"] == ref["min_residual"]
+        assert np.array_equal(probe["witness"], ref["witness"])
 
     @pytest.mark.parametrize("n_starts", [1, 33, 70])
     @pytest.mark.parametrize("name", ["corner", "soc-apex", "psd-beta2"])
@@ -447,9 +440,9 @@ class TestBatchedKernelSearch:
         calls = _count_tmatrix_builds(monkeypatch)
         probe = _search(prog, x, y, n_starts=n_starts, seed=3)
         monkeypatch.undo()
-        uncut, _ = _uncut_probe(prog, x, y, n_starts=n_starts, seed=3)
-        assert probe["min_residual"] == uncut["min_residual"]
-        assert probe["witness"].tobytes() == uncut["witness"].tobytes()
+        ref = _reference_search(prog, x, y, n_starts=n_starts, seed=3)
+        assert probe["min_residual"] == ref["min_residual"]
+        assert probe["witness"].tobytes() == ref["witness"].tobytes()
         assert kernel_probe_verdict(probe).status == INCONCLUSIVE
         # each start builds at least one T matrix
         assert len(calls) >= n_starts

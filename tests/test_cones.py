@@ -307,7 +307,7 @@ def _case_data(f):
     strictly active); an SOC block's case, sig1 = t - |u|, sig2 = t + |u|,
     uhat, rhat and vhat; a PSD block's P, B and A^+."""
     k = types.SimpleNamespace()
-    lam = getattr(f, "lam", None)  # a zero block has no eigenvalues
+    lam = f.lam  # all -1 at a zero block, which reads none of them
     if f.block.kind == "orthant":
         k.state = np.where(lam > 0, 0, np.where(lam < 0, 2, 1))
     elif f.block.kind == "soc":
@@ -686,7 +686,6 @@ class TestDirDeriv:
         def formed(*args):
             raise AssertionError("dir_deriv formed an n^2 x n^2 matrix")
 
-        monkeypatch.setattr(cones, "_psd_jacobian", formed)
         monkeypatch.setattr(cones, "_pair_basis", formed)
         for f, h, ref in pairs:
             assert np.max(np.abs(f.dir_deriv(h) - ref)) <= 1e-12
@@ -1010,3 +1009,20 @@ class TestConeContainer:
     def test_zero_block_projects_to_origin(self):
         cone = Cone([("zero", 2)])
         assert np.allclose(cone.project(np.array([1.0, -3.0])), 0.0)
+
+    def test_zero_block_frame_pins_every_row(self):
+        # every row is gamma: the critical cone is {0}, N_K(a) the space
+        c = np.array([1.0, -3.0, 0.0])
+        f = Cone([("zero", 3)]).frame(c).frames[0]
+        h = np.array([2.0, 0.5, -1.0])
+        assert np.array_equal(f.a, np.zeros(3)) and np.array_equal(f.b, c)
+        assert not f.curved and f.rows().shape == (0, 3)
+        assert np.array_equal(f.cc_project(h), np.zeros(3))
+        assert np.array_equal(f.normal_project(h), h)
+        for span in (f.normal_span(), f.cc_equalities(),
+                     f.normal_face_span()):
+            assert np.array_equal(span, np.eye(3))
+        assert np.array_equal(f.dir_deriv_jac(h), np.zeros((3, 3)))
+        assert np.array_equal(f.block.proj_jacobian(h), np.zeros((3, 3)))
+        assert np.array_equal(f.relint_point(), np.zeros(3))
+        assert f.relint_margin(np.zeros(3)) == np.inf
