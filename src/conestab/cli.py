@@ -6,6 +6,7 @@ Exit codes: 0 success/agreement, 1 input error, 2 solver failure,
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -49,12 +50,23 @@ def _sanitize(obj):
     return obj
 
 
-def _write(path, text):
+def _write(path, text, mode="w"):
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc.strerror))
+
+
+def _check_writable(path):
+    """Refuse an output path that cannot be opened for writing, with
+    `_write`'s message, before any work starts.  Appending nothing leaves
+    an existing file as it is, and a file the check creates is removed."""
+    if path is not None:
+        existed = os.path.lexists(path)
+        _write(path, "", "a")
+        if not existed:
+            os.remove(path)
 
 
 def _dump_json(data, path):
@@ -159,6 +171,7 @@ def _sweep_fit(args, fx, ref):
 
 
 def cmd_solve(args):
+    _check_writable(args.out)
     prog = _load_fixture(args).prog
     pt = kkt.solve_kkt_multistart(prog)
     print("problem: %s" % prog.name)
@@ -179,6 +192,7 @@ def _status_mark(v):
 
 
 def cmd_analyze(args):
+    _check_writable(args.report)
     fx = _load_fixture(args)
     _, mset, report = _analysis(args, fx)
     verdict = report.theorem_verdict
@@ -222,6 +236,7 @@ def cmd_analyze(args):
 
 
 def cmd_sweep(args):
+    _check_writable(args.out)
     fx = _load_fixture(args)
     result, failure = _sweep_fit(args, fx, _reference(fx))
     csv = result.to_csv()

@@ -20,6 +20,7 @@ divided differences of each row's eigenvalue pair, [l_i + l_j > 0] on a
 tie, and the projection's own derivative on the (beta, beta) rows.
 """
 
+import collections
 import functools
 
 import numpy as np
@@ -39,20 +40,27 @@ def svec_dim(n):
     return n * (n + 1) // 2
 
 
+_SvecIndex = collections.namedtuple("_SvecIndex", "rows cols scale flat pos")
+
+
 @functools.lru_cache(maxsize=None)
 def _svec_index(n):
     """Rows and columns of the lower triangle of an order-n matrix in svec
     order, with the svec scale of each entry (1 on the diagonal, sqrt(2)
-    off it)."""
+    off it), the flat index of each of those entries in the matrix, and
+    the svec position of every entry of the matrix (an n x n table)."""
     cols, rows = np.triu_indices(n)
-    return rows, cols, np.where(rows == cols, 1.0, SQRT2)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    return _SvecIndex(rows, cols, np.where(rows == cols, 1.0, SQRT2),
+                      rows * n + cols, pos)
 
 
 def svec(M):
     """Lower triangle, column-major, off-diagonals scaled by sqrt(2)."""
     M = np.asarray(M, dtype=float)
-    rows, cols, scale = _svec_index(M.shape[0])
-    return scale * M[rows, cols]
+    ix = _svec_index(M.shape[0])
+    return ix.scale * M.take(ix.flat)
 
 
 def smat(v):
@@ -62,30 +70,37 @@ def smat(v):
     n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
     if svec_dim(n) != m:
         raise ValueError("vector length is not a triangular number")
-    rows, cols, scale = _svec_index(n)
-    w = v / scale
-    M = np.empty((n, n))
-    M[rows, cols] = w
-    M[cols, rows] = w
-    return M
+    ix = _svec_index(n)
+    return (v / ix.scale)[ix.pos]
 
 
-def _psd_project_mat(M):
-    vals, vecs = linalg.sym_eig(M)
-    pos = np.maximum(vals, 0.0)
-    return (vecs * pos) @ vecs.T
+@functools.lru_cache(maxsize=None)
+def _pair_index(n):
+    """For the pair basis of an order-n P: the flat indices in P of
+    P[i_l, i_k], P[j_l, j_k], P[i_l, j_k] and P[j_l, i_k] at row k and
+    column l, (i, j) being the svec pair of each, and the weights
+    s_k s_l / 2 of the svec scales."""
+    ix = _svec_index(n)
+    rows, cols = ix.rows, ix.cols
+    rn, cn = rows * n, cols * n
+    return (rn + rows[:, None], cn + cols[:, None], rn + cols[:, None],
+            cn + rows[:, None], 0.5 * np.outer(ix.scale, ix.scale))
 
 
 def _pair_basis(P):
     """Rows svec(u u') for a pair (i, i) and svec((u v' + v u')/sqrt2)
     for i > j, with u, v the columns i, j of the orthogonal P, one for
     every pair in svec order: an orthogonal R with R svec(H) =
-    svec(P'HP)."""
-    rows, cols, scale = _svec_index(len(P))
-    Q = P.T
-    r, c = rows[:, None], cols[:, None]
-    return 0.5 * np.outer(scale, scale) * (
-        Q[r, rows] * Q[c, cols] + Q[c, rows] * Q[r, cols])
+    svec(P'HP).  Each factor is one gather from P."""
+    ii, jj, ij, ji, half = _pair_index(len(P))
+    p = P.ravel()
+    R = p[ii]
+    R *= p[jj]
+    S = p[ij]
+    S *= p[ji]
+    R += S
+    R *= half
+    return R
 
 
 def _weights(li, lj):
@@ -121,7 +136,15 @@ class Block:
     def __repr__(self):
         return "Block(%r, %d)" % (self.kind, self.size)
 
-    def project(self, z):
+    def eig(self, z):
+        """The eigendecomposition `linalg.sym_eig(smat(z))` of a PSD block,
+        which `project` and `proj_jacobian` both read; None at the other
+        kinds, which read z alone."""
+        return linalg.sym_eig(smat(z)) if self.kind == "psd" else None
+
+    def project(self, z, eig=None):
+        """The projection of z; `eig` is `self.eig(z)`, computed here
+        when not given."""
         z = np.asarray(z, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(z)
@@ -129,10 +152,12 @@ class Block:
             return np.maximum(z, 0.0)
         if self.kind == "soc":
             return _soc_project(z)
-        return svec(_psd_project_mat(smat(z)))
+        vals, vecs = self.eig(z) if eig is None else eig
+        return svec((vecs * np.maximum(vals, 0.0)) @ vecs.T)
 
-    def proj_jacobian(self, z):
-        """A generalized Jacobian element of the projection at z (dense)."""
+    def proj_jacobian(self, z, eig=None):
+        """A generalized Jacobian element of the projection at z (dense);
+        `eig` as for `project`."""
         z = np.asarray(z, dtype=float)
         if self.kind == "orthant":
             return np.diag((z > 0).astype(float))
@@ -141,7 +166,7 @@ class Block:
         # R' diag(Omega) R at the Jordan frame of z: for PSD the operator
         # H -> P (Omega o P'HP) P' in svec coordinates (Sun & Sun, Math.
         # Oper. Res. 27 (2002)), zero for a zero block
-        lam, R, first, second, _ = _jordan(self.kind, z)
+        lam, R, first, second, _ = _jordan(self.kind, z, eig)
         return R.T @ (_weights(lam[first], lam[second])[:, None] * R)
 
 
@@ -188,7 +213,7 @@ def _soc_jacobian(z):
 # Block frames
 
 
-def _jordan(kind, c):
+def _jordan(kind, c, eig=None):
     """The Jordan frame of c in a block: eigenvalues lam, an orthogonal R
     whose rows span the Peirce spaces, the eigenvalue pair (first, second)
     of each row, and a scale s with c = s sum_i lam_i R_(ii).
@@ -201,12 +226,13 @@ def _jordan(kind, c):
     ubar)/sqrt2 and vhat = (1, -ubar)/sqrt2, ubar = u/|u| (e_1 when u =
     0), and the rows (0, w), w an orthonormal basis of ubar's complement,
     form the pair of the two; s = 1/sqrt2.  A PSD point's rows are
-    `_pair_basis` of its eigenvectors, in svec order.
+    `_pair_basis` of its eigenvectors, in svec order, read from `eig`,
+    the block's `Block.eig(c)`, when it is given.
     """
     if kind == "psd":
-        lam, P = linalg.sym_eig(smat(c))
-        rows, cols, _ = _svec_index(len(lam))
-        return lam, _pair_basis(P), rows, cols, 1.0
+        lam, P = linalg.sym_eig(smat(c)) if eig is None else eig
+        ix = _svec_index(len(lam))
+        return lam, _pair_basis(P), ix.rows, ix.cols, 1.0
     m = len(c)
     if kind in ("zero", "orthant") or m == 1:
         idx = np.arange(m)
@@ -414,18 +440,28 @@ class Cone:
                              % (z.shape[-1], self.dim))
         return [z[..., s] for s in self._slices]
 
-    def project(self, z):
-        parts = self.split(z)
-        return np.concatenate([b.project(p) for b, p in zip(self.blocks, parts)])
+    def eigs(self, z):
+        """Each block's `Block.eig` of its part of z."""
+        return [b.eig(p) for b, p in zip(self.blocks, self.split(z))]
+
+    def project(self, z, eigs=None):
+        """Pi_K(z); `eigs` is `self.eigs(z)`, computed block by block when
+        not given."""
+        eigs = eigs or [None] * len(self.blocks)
+        return np.concatenate([b.project(p, e) for b, p, e in
+                               zip(self.blocks, self.split(z), eigs)])
 
     def dist(self, z):
         return float(np.linalg.norm(np.asarray(z, dtype=float) - self.project(z)))
 
-    def proj_jacobian(self, z):
-        parts = self.split(z)
+    def proj_jacobian(self, z, eigs=None):
+        """The block-diagonal Jacobian element of the projection at z;
+        `eigs` as for `project`."""
+        eigs = eigs or [None] * len(self.blocks)
         J = np.zeros((self.dim, self.dim))
-        for b, p, s in zip(self.blocks, parts, self._slices):
-            J[s, s] = b.proj_jacobian(p)
+        for b, p, e, s in zip(self.blocks, self.split(z), eigs,
+                              self._slices):
+            J[s, s] = b.proj_jacobian(p, e)
         return J
 
     def frame(self, c):

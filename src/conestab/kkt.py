@@ -8,7 +8,9 @@ vanishes exactly at KKT pairs of the perturbed problem, and Robinson's
 normal map in (x, z) with y = z - Pi_K(z) gives the equivalent
 formulation used for the solution-set identity.  The solver runs Newton
 steps on F with a Levenberg-Marquardt damping of the generalized
-Jacobian, which is all that desk-scale instances need.
+Jacobian, which is all that desk-scale instances need.  It forms the
+damped system once per point, from the eigendecompositions that F's
+projection took there; a rejected step changes only the damping.
 """
 
 import zlib
@@ -46,15 +48,17 @@ class MultiplierSet:
         return self.affine_dim == 0
 
 
-def natural_map(prog, x, y, pert=None):
-    """Residual of the perturbed KKT system at (x, y), stacked (X then Y)."""
+def natural_map(prog, x, y, pert=None, eigs=None):
+    """Residual of the perturbed KKT system at (x, y), stacked (X then Y).
+    `eigs` is the cone's `Cone.eigs` at G(x) + b + y, computed when not
+    given."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = pert.a if pert is not None else None
     b = pert.b if pert is not None else None
     g = prog.constraint(x, b)
     stat = prog.gradient(x, a) + prog.adjoint(y, x)
-    comp = g - prog.cone.project(g + y)
+    comp = g - prog.cone.project(g + y, eigs)
     return np.concatenate([stat, comp])
 
 
@@ -275,6 +279,11 @@ def kkt_matrix(H, Gp, J):
 def solve_kkt(prog, pert=None, start=None, opts=None):
     """Damped semismooth Newton on the natural map.
 
+    The Levenberg-Marquardt system (V'V + lam I) d = -V'F is formed once
+    per point: V from the Jacobian element of the projection, which
+    reads the eigendecompositions the natural map took there.  A rejected
+    step changes only lam, added to the diagonal of a copy of V'V.
+
     Returns a KKTPoint; `converged` is False when the residual target was
     not met, with the best iterate retained (failures near degenerate
     points are themselves diagnostic data).
@@ -282,13 +291,21 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     opts = opts or SolveOptions()
     n, m = prog.n, prog.cone.dim
     b = pert.b if pert is not None else None
+
+    def evaluate(x, y):
+        """F(x, y), the point z = G(x) + b + y and the eigendecompositions
+        of z that F's projection and the Jacobian element read."""
+        z = prog.constraint(x, b) + y
+        eigs = prog.cone.eigs(z)
+        return natural_map(prog, x, y, pert, eigs), z, eigs
+
     if start is None:
         x = np.zeros(n)
         y = np.zeros(m)
     else:
         x = np.asarray(start.x, dtype=float).copy()
         y = np.asarray(start.y, dtype=float).copy()
-    F = natural_map(prog, x, y, pert)
+    F, z, eigs = evaluate(x, y)
     res = np.linalg.norm(F)
     if not np.isfinite(res):
         # non-finite data or start: no Newton step can repair it
@@ -297,6 +314,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     lam = _LM_INIT
     it = 0
     rejects = 0
+    system = None  # (V'V, -V'F) at (x, y)
     # kick generator for escaping merit-function stationary points that
     # are not roots (the natural map is only piecewise smooth, so damped
     # steps can stall inside the wrong smooth piece)
@@ -307,27 +325,34 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             kick = kick_rng.standard_normal(n + m)
             kick *= max(10.0 * best[2], 1e-3) / np.linalg.norm(kick)
             x, y = bx + kick[:n], by + kick[n:]
-            F = natural_map(prog, x, y, pert)
+            F, z, eigs = evaluate(x, y)
             res = np.linalg.norm(F)
+            system = None
             lam = _LM_INIT
             rejects = 0
             it += 1
             continue
-        J = prog.cone.proj_jacobian(prog.constraint(x, b) + y)
-        V = kkt_matrix(prog.Q, prog.constraint_jac(x), J)
-        A = V.T @ V + lam * np.eye(n + m)
+        if system is None:
+            V = kkt_matrix(prog.Q, prog.constraint_jac(x),
+                           prog.cone.proj_jacobian(z, eigs))
+            system = (V.T @ V, -V.T @ F)
+        # adding 0.0 copies V'V with +0.0 for any -0.0 off its diagonal,
+        # the bits that adding lam I gives
+        A = system[0] + 0.0
+        A.flat[::n + m + 1] += lam
         try:
-            d = np.linalg.solve(A, -V.T @ F)
+            d = np.linalg.solve(A, system[1])
         except np.linalg.LinAlgError:
             lam *= 4.0
             rejects += 1
             it += 1
             continue
         xt, yt = x + d[:n], y + d[n:]
-        Ft = natural_map(prog, xt, yt, pert)
+        Ft, zt, eigst = evaluate(xt, yt)
         rt = np.linalg.norm(Ft)
         if rt < res:
-            x, y, F, res = xt, yt, Ft, rt
+            x, y, F, res, z, eigs = xt, yt, Ft, rt, zt, eigst
+            system = None
             lam = max(lam * 0.25, 1e-14)
             rejects = 0
             if res < best[2]:

@@ -438,9 +438,33 @@ class TestUnusablePaths:
         ["sweep", "--grid", "1:2:1", "--out", "{dir}"],
         ["analyze", "--report", "{dir}/missing/r.json"]],
         ids=["solve-out-dir", "sweep-out-dir", "analyze-report-no-parent"])
-    def test_unwritable_output_is_input_error(self, argv, tmp_path, capsys):
+    def test_unwritable_output_is_input_error(self, argv, tmp_path, capsys,
+                                              monkeypatch):
+        # the path is refused before any solve, sweep or analysis starts
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the path was checked")
+
+        for owner, name in ((kkt, "solve_kkt_multistart"),
+                            (kkt, "recover_multipliers"),
+                            (cli.sweep, "run_sweep"),
+                            (conditions, "assemble_report")):
+            monkeypatch.setattr(owner, name, work)
         argv = [a.format(dir=tmp_path) for a in argv]
         assert main(argv + ["--builtin", "example4"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write %s" % argv[-1])
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_checked_path_is_left_as_it_was(self, existing, tmp_path,
+                                            capsys):
+        # remark2 is refused after the check: a file the check created is
+        # gone, and an existing one keeps its bytes
+        path = tmp_path / "r.json"
+        if existing:
+            path.write_text("old")
+        argv = ["analyze", "--builtin", "remark2", "--report", str(path)]
+        assert main(argv) == EXIT_INPUT
+        assert "affine" in capsys.readouterr().err
+        assert path.exists() == existing
+        assert not existing or path.read_text() == "old"

@@ -81,6 +81,60 @@ class TestSvec:
                 smat(np.zeros(m))
 
 
+def _broadcast_svec(M):
+    """svec as one broadcast gather of rows and columns: the gathers'
+    reference."""
+    cols, rows = np.triu_indices(M.shape[0])
+    return np.where(rows == cols, 1.0, cones.SQRT2) * M[rows, cols]
+
+
+def _broadcast_smat(v, n):
+    cols, rows = np.triu_indices(n)
+    w = v / np.where(rows == cols, 1.0, cones.SQRT2)
+    M = np.empty((n, n))
+    M[rows, cols] = w
+    M[cols, rows] = w
+    return M
+
+
+def _broadcast_pair_basis(P):
+    cols, rows = np.triu_indices(len(P))
+    scale = np.where(rows == cols, 1.0, cones.SQRT2)
+    Q = P.T
+    r, c = rows[:, None], cols[:, None]
+    return 0.5 * np.outer(scale, scale) * (
+        Q[r, rows] * Q[c, cols] + Q[c, rows] * Q[r, cols])
+
+
+class TestGathers:
+    """svec, smat and the pair basis gather through flat indices and give
+    the broadcast formulas' bits."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_svec_and_smat(self, n):
+        rng = np.random.default_rng(n)
+        S = rng.standard_normal((n, n))
+        S = S + S.T
+        v = rng.standard_normal(cones.svec_dim(n))
+        # a reversed view is not contiguous, as sym_eig's vectors are not
+        for M in (S, S[::-1, ::-1], rng.standard_normal((n, n))):
+            assert svec(M).tobytes() == _broadcast_svec(M).tobytes()
+        assert smat(v).tobytes() == _broadcast_smat(v, n).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pair_basis(self, n):
+        rng = np.random.default_rng(n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # distinct eigenvalues, and a repeated one with a zero block
+        lams = [rng.standard_normal(n), np.r_[np.ones(n // 2),
+                                              np.zeros(n - n // 2)]]
+        for lam in lams:
+            P = linalg.sym_eig((Q * lam) @ Q.T)[1]
+            R = cones._pair_basis(P)
+            assert R.tobytes() == _broadcast_pair_basis(P).tobytes()
+            assert R.flags.c_contiguous
+
+
 class TestProject:
     def test_orthant_clips_negatives(self):
         cone = Cone([("orthant", 2)])
@@ -300,6 +354,12 @@ class TestCriticalPolar:
                         "polar_int", "psd-beta", "zero", "orthant"}
 
 
+def _psd_project_mat(M):
+    """Projection of the symmetric M onto the PSD cone."""
+    vals, vecs = linalg.sym_eig(M)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
+
+
 def _case_data(f):
     """The data of one block frame's closed forms, derived from its
     snapped eigenvalues f.lam, its rows f.R and the eigenvectors of
@@ -357,7 +417,7 @@ def _closed_form_polar(f, s):
         out[np.ix_(rows, cols)] = St[np.ix_(rows, cols)]
     if len(f.beta):
         bb = np.ix_(f.beta, f.beta)
-        out[bb] = -cones._psd_project_mat(-St[bb])
+        out[bb] = -_psd_project_mat(-St[bb])
     return svec(k.P @ out @ k.P.T)
 
 
@@ -384,7 +444,7 @@ def _closed_form_dir_deriv(f, h):
     out[np.ix_(a, g)] = la / (la - lg) * Ht[np.ix_(a, g)]
     out[np.ix_(g, a)] = out[np.ix_(a, g)].T
     if len(b):
-        out[np.ix_(b, b)] = cones._psd_project_mat(Ht[np.ix_(b, b)])
+        out[np.ix_(b, b)] = _psd_project_mat(Ht[np.ix_(b, b)])
     return svec(k.P @ out @ k.P.T)
 
 

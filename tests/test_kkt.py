@@ -1,9 +1,11 @@
 """Tests for the KKT residual maps, multiplier recovery, and the solver."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from conestab import kkt, linalg, model
+from conestab import cones, kkt, linalg, model
 from conestab.cones import smat, svec
 from conestab.kkt import (KKTPoint, SolveOptions, natural_map,
                           natural_residual, normal_map, recover_multipliers,
@@ -406,6 +408,158 @@ class TestSolveKkt:
         pt = solve_kkt(prog)
         assert not pt.converged
         assert not solve_kkt_multistart(prog).converged
+
+
+def _reference_solve(prog, pert=None, start=None, opts=None):
+    """The damped Newton loop that forms J, V and the damped system at
+    every iteration, a rejected step included: `solve_kkt`'s reference.
+    Returns the point and the number of kicks taken."""
+    opts = opts or SolveOptions()
+    n, m = prog.n, prog.cone.dim
+    b = pert.b if pert is not None else None
+    if start is None:
+        x = np.zeros(n)
+        y = np.zeros(m)
+    else:
+        x = np.asarray(start.x, dtype=float).copy()
+        y = np.asarray(start.y, dtype=float).copy()
+    F = natural_map(prog, x, y, pert)
+    res = np.linalg.norm(F)
+    if not np.isfinite(res):
+        return KKTPoint(x, y, res, iterations=0, converged=False), 0
+    best = (x.copy(), y.copy(), res)
+    lam = 1e-4
+    it = rejects = kicks = 0
+    kick_rng = np.random.default_rng(zlib.crc32(prog.name.encode()) ^ 0x9e37)
+    while not res <= opts.residual_target and it < opts.max_iter:
+        if rejects >= 8:
+            kicks += 1
+            bx, by, _ = best
+            kick = kick_rng.standard_normal(n + m)
+            kick *= max(10.0 * best[2], 1e-3) / np.linalg.norm(kick)
+            x, y = bx + kick[:n], by + kick[n:]
+            F = natural_map(prog, x, y, pert)
+            res = np.linalg.norm(F)
+            lam = 1e-4
+            rejects = 0
+            it += 1
+            continue
+        J = prog.cone.proj_jacobian(prog.constraint(x, b) + y)
+        V = kkt.kkt_matrix(prog.Q, prog.constraint_jac(x), J)
+        A = V.T @ V + lam * np.eye(n + m)
+        try:
+            d = np.linalg.solve(A, -V.T @ F)
+        except np.linalg.LinAlgError:
+            lam *= 4.0
+            rejects += 1
+            it += 1
+            continue
+        xt, yt = x + d[:n], y + d[n:]
+        Ft = natural_map(prog, xt, yt, pert)
+        rt = np.linalg.norm(Ft)
+        if rt < res:
+            x, y, F, res = xt, yt, Ft, rt
+            lam = max(lam * 0.25, 1e-14)
+            rejects = 0
+            if res < best[2]:
+                best = (x.copy(), y.copy(), res)
+        else:
+            lam *= 4.0
+            rejects += 1
+        it += 1
+    if not res <= opts.residual_target:
+        x, y, res = best
+        return KKTPoint(x, y, res, iterations=it, converged=False), kicks
+    return KKTPoint(x, y, res, iterations=it, converged=True), kicks
+
+
+# (blocks, rank, border) of the generated solver cases
+_SOLVE_SPECS = {
+    "orthant": ([("orthant", 8)], [3], [2]),
+    "soc": ([("soc", 6)], [1], [0]),
+    "psd": ([("psd", 5)], [2], [1]),
+    "mixed": ([("orthant", 4), ("soc", 4), ("psd", 3), ("psd", 2)],
+              [1, 0, 1, 1], [1, 1, 1, 0]),
+}
+
+
+def _solve_cases(gen):
+    """(prog, pert, start) of every solver case, cold and warm-started: the
+    builtins from zero and from their reference along their direction, and
+    generated instances from zero and from their known pair along a random
+    direction.  example2 from its reference at eps = 1 and 0.1 kicks, and
+    converges only at eps = 1."""
+    cases = {}
+    for name in ALL_REFERENCED:
+        fx = model.fixture(name)
+        ref = KKTPoint(*fx.reference, 0.0)
+        cases[name + "-cold"] = (fx.prog, None, None)
+        for eps in (1.0, 0.1, 1e-3):
+            cases["%s-warm-%g" % (name, eps)] = (
+                fx.prog, fx.direction.scaled(eps), ref)
+    for i, (name, spec) in enumerate(_SOLVE_SPECS.items()):
+        inst = gen.make_instance(*spec, seed=i)
+        rng = np.random.default_rng(i)
+        pert = model.Perturbation(rng.standard_normal(inst.prog.n),
+                                  rng.standard_normal(inst.prog.cone.dim))
+        cases[name + "-cold"] = (inst.prog, None, None)
+        cases[name + "-warm"] = (inst.prog, pert.scaled(1e-2),
+                                 KKTPoint(inst.x, inst.y, 0.0))
+    return cases
+
+
+_SOLVE_CASE_NAMES = (
+    ["%s-%s" % (n, w) for n in ALL_REFERENCED
+     for w in ("cold", "warm-1", "warm-0.1", "warm-0.001")]
+    + ["%s-%s" % (n, w) for n in _SOLVE_SPECS for w in ("cold", "warm")])
+
+
+class TestSolveReference:
+    """solve_kkt is the reference loop bit for bit, and forms the Jacobian
+    once per point from the natural map's eigendecompositions."""
+
+    @pytest.mark.parametrize("case", _SOLVE_CASE_NAMES)
+    def test_equals_the_reference_loop(self, case, bench_gen):
+        prog, pert, start = _solve_cases(bench_gen)[case]
+        pt = solve_kkt(prog, pert, start)
+        ref, kicks = _reference_solve(prog, pert, start)
+        assert pt.x.tobytes() == ref.x.tobytes()
+        assert pt.y.tobytes() == ref.y.tobytes()
+        assert pt.residual == ref.residual
+        assert pt.iterations == ref.iterations
+        assert pt.converged == ref.converged
+        if case in ("example2-warm-1", "example2-warm-0.1"):
+            assert kicks >= 1
+            assert ref.converged == (case == "example2-warm-1")
+
+    @pytest.mark.parametrize("case", _SOLVE_CASE_NAMES)
+    def test_work_per_point(self, case, bench_gen, monkeypatch):
+        prog, pert, start = _solve_cases(bench_gen)[case]
+        points, maps, eigs = [], [0], [0]
+        jacobian, nat, sym_eig = (cones.Cone.proj_jacobian, kkt.natural_map,
+                                  linalg.sym_eig)
+
+        def counted_jacobian(cone, z, *args):
+            points.append(np.asarray(z).tobytes())
+            return jacobian(cone, z, *args)
+
+        def counted_map(*args):
+            maps[0] += 1
+            return nat(*args)
+
+        def counted_eig(S):
+            eigs[0] += 1
+            return sym_eig(S)
+
+        monkeypatch.setattr(cones.Cone, "proj_jacobian", counted_jacobian)
+        monkeypatch.setattr(kkt, "natural_map", counted_map)
+        monkeypatch.setattr(linalg, "sym_eig", counted_eig)
+        pt = solve_kkt(prog, pert, start)
+        psd = sum(b.kind == "psd" for b in prog.cone.blocks)
+        assert len(set(points)) == len(points)
+        assert len(points) <= pt.iterations
+        assert eigs[0] == psd * maps[0]
+        assert maps[0] >= 1
 
 
 class TestSemismoothness:
