@@ -15,8 +15,8 @@ from .conditions import (affine_hull_probe, assemble_report, check_nondegeneracy
 from .kkt import (KKTPoint, MultiplierSet, SolveOptions, natural_map,
                   normal_map, recover_multipliers, solve_kkt,
                   solve_kkt_multistart)
-from .model import (ConicProgram, Fixture, Perturbation, builtin, evaluate,
-                    fixture, load_problem, load_problem_file, oracle_example1,
+from .model import (ConicProgram, Fixture, Perturbation, builtin, fixture,
+                    load_problem, load_problem_file, oracle_example1,
                     oracle_example3, save_problem)
 from .sweep import builtin_sweep, default_grid, fit_exponent, run_sweep
 

@@ -259,10 +259,6 @@ class SolveOptions:
         self.residual_target = float(residual_target)
 
 
-# initial Levenberg-Marquardt damping, and again after each kick
-_LM_INIT = 1e-4
-
-
 def kkt_matrix(H, Gp, J):
     """[[H, Gp'], [(I - J) Gp, -J]]: the Jacobian of the natural map, or
     of its directional-derivative system, for the Hessian H, constraint
@@ -284,9 +280,15 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     reads the eigendecompositions the natural map took there.  A rejected
     step changes only lam, added to the diagonal of a copy of V'V.
 
-    Returns a KKTPoint; `converged` is False when the residual target was
-    not met, with the best iterate retained (failures near degenerate
-    points are themselves diagnostic data).
+    A step is accepted only when it lowers the residual, so the last
+    iterate is the best one.  The natural map is only piecewise smooth,
+    and damped steps can stall inside the wrong smooth piece: eight
+    rejected steps in a row end the run, and the caller restarts it
+    (`solve_kkt_multistart`, the sweep's cold retry).
+
+    Returns a KKTPoint at the last iterate; `converged` is False when the
+    residual target was not met (failures near degenerate points are
+    themselves diagnostic data).
     """
     opts = opts or SolveOptions()
     n, m = prog.n, prog.cone.dim
@@ -310,28 +312,12 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     if not np.isfinite(res):
         # non-finite data or start: no Newton step can repair it
         return KKTPoint(x, y, res, iterations=0, converged=False)
-    best = (x.copy(), y.copy(), res)
-    lam = _LM_INIT
+    lam = 1e-4
     it = 0
     rejects = 0
     system = None  # (V'V, -V'F) at (x, y)
-    # kick generator for escaping merit-function stationary points that
-    # are not roots (the natural map is only piecewise smooth, so damped
-    # steps can stall inside the wrong smooth piece)
-    kick_rng = np.random.default_rng(zlib.crc32(prog.name.encode()) ^ 0x9e37)
-    while not res <= opts.residual_target and it < opts.max_iter:
-        if rejects >= 8:
-            bx, by, _ = best
-            kick = kick_rng.standard_normal(n + m)
-            kick *= max(10.0 * best[2], 1e-3) / np.linalg.norm(kick)
-            x, y = bx + kick[:n], by + kick[n:]
-            F, z, eigs = evaluate(x, y)
-            res = np.linalg.norm(F)
-            system = None
-            lam = _LM_INIT
-            rejects = 0
-            it += 1
-            continue
+    while not res <= opts.residual_target and it < opts.max_iter \
+            and rejects < 8:
         if system is None:
             V = kkt_matrix(prog.Q, prog.constraint_jac(x),
                            prog.cone.proj_jacobian(z, eigs))
@@ -355,16 +341,12 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             system = None
             lam = max(lam * 0.25, 1e-14)
             rejects = 0
-            if res < best[2]:
-                best = (x.copy(), y.copy(), res)
         else:
             lam *= 4.0
             rejects += 1
         it += 1
-    if not res <= opts.residual_target:
-        x, y, res = best
-        return KKTPoint(x, y, res, iterations=it, converged=False)
-    return KKTPoint(x, y, res, iterations=it, converged=True)
+    return KKTPoint(x, y, res, iterations=it,
+                    converged=res <= opts.residual_target)
 
 
 def solve_kkt_multistart(prog, pert=None):

@@ -128,13 +128,6 @@ class Perturbation:
         return float(np.sqrt(self.a @ self.a + self.b @ self.b))
 
 
-def evaluate(prog, x, pert=None):
-    """(objective value, objective gradient, constraint value) under pert."""
-    a = pert.a if pert is not None else None
-    b = pert.b if pert is not None else None
-    return (prog.objective(x, a), prog.gradient(x, a), prog.constraint(x, b))
-
-
 # ---------------------------------------------------------------------------
 # File format
 

@@ -67,7 +67,7 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     oracle: optional eps -> KKTPoint map used instead of the solver.
     """
     grid = list(grid) if grid is not None else default_grid()
-    if any(e <= 0 or e > 1 for e in grid):
+    if not all(0 < e <= 1 for e in grid):  # False on NaN
         raise ValueError("grid values must lie in (0, 1]")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly decreasing")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conestab import cli, conditions, kkt, model
+from conestab import cli, conditions, kkt, model, sweep
 from conestab.cli import (EXIT_CONFLICT, EXIT_INCONCLUSIVE, EXIT_INPUT,
                           EXIT_OK, EXIT_SOLVER, build_parser, main)
 from conestab.cones import Cone
@@ -164,6 +164,83 @@ class TestCertify:
         assert main(["certify", "--builtin", "example4",
                      "--grid", "1:4:1"]) == EXIT_SOLVER
         assert "no exponent fit" in capsys.readouterr().err
+
+
+class TestFailureExits:
+    """Exit 2 when no KKT point is found, 3 on an inconclusive verdict and
+    4 when theory and measurement conflict.  Exits 3 and 4 patch a
+    checker's outcome, so that the tests do not pin the searches' limits."""
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "sweep"])
+    def test_no_kkt_point_is_solver_failure(self, command, tmp_path,
+                                            capsys):
+        # min -x over x >= 0 is unbounded below: there is no KKT point
+        data = {"name": "no-kkt", "n": 1,
+                "objective": {"Q": [[0.0]], "c": [-1.0], "c0": 0.0},
+                "constraint": {"A0": [0.0], "Ai": [[1.0]]},
+                "cone": [{"type": "orthant", "size": 1}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--problem", str(path)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver failed to locate a KKT point\n"
+
+    def test_search_probe_is_inconclusive(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.setattr(conditions, "_kernel_probe",
+                            conditions._kernel_search)
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--builtin", "example4", "--report",
+                     str(report)]) == EXIT_INCONCLUSIVE
+        assert "ROBUST ISOLATED CALMNESS: HOLDS" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        assert data["kernel_probe"]["method"] == "search"
+        assert data["kernel_probe"]["status"] == "inconclusive"
+        assert data["consistency_flag"] is None
+
+    @pytest.mark.parametrize("name, status, verdict", [
+        ("example4", conditions.FAILS, "holds"),
+        ("example3", conditions.HOLDS, "fails")])
+    def test_probe_against_the_verdict_is_inconsistent(
+            self, name, status, verdict, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(conditions, "kernel_probe_verdict",
+                            lambda probe: conditions.Verdict(status))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--builtin", name, "--report",
+                     str(report)]) == EXIT_OK
+        assert "INCONSISTENT: kernel probe %s, robust isolated calmness " \
+            "%s\n" % (status, verdict) in capsys.readouterr().out
+        assert json.loads(report.read_text())["consistency_flag"] is False
+
+    def test_inconclusive_sosc_has_nothing_to_certify(self, monkeypatch,
+                                                      capsys):
+        def unsolved(*args, **kwargs):
+            raise AssertionError("an inconclusive verdict was swept")
+
+        monkeypatch.setattr(conditions, "_sosc_verdict",
+                            lambda M, cc: conditions.Verdict(
+                                conditions.INCONCLUSIVE))
+        monkeypatch.setattr(sweep, "run_sweep", unsolved)
+        assert main(["certify", "--builtin", "example4"]) == \
+            EXIT_INCONCLUSIVE
+        assert capsys.readouterr().out == \
+            "verdict inconclusive; nothing to certify\n"
+
+    def test_square_root_rate_conflicts_with_holds(self, monkeypatch,
+                                                   capsys):
+        fit = sweep.fit_exponent
+
+        def square_root(result):
+            fit(result)
+            result.fitted_exponent = 0.5
+            return result.fitted_exponent, result.fit_stderr
+
+        monkeypatch.setattr(sweep, "fit_exponent", square_root)
+        assert main(["certify", "--builtin", "example4"]) == EXIT_CONFLICT
+        captured = capsys.readouterr()
+        assert "verdict: holds; measured exponent 0.5000" in captured.out
+        assert captured.err == "theory and measurement CONFLICT\n"
 
 
 class TestOptions:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conestab import conditions, kkt, linalg, model
-from conestab.cones import smat, svec
+from conestab.cones import Cone, smat, svec
 from conestab.conditions import (FAILS, HOLDS, INCONCLUSIVE,
                                  affine_hull_probe,
                                  assemble_report, check_nondegeneracy,
@@ -144,6 +144,20 @@ class TestSecondOrderConditions:
         assert v.status == FAILS
         assert v.witness is not None
 
+    def test_more_face_rows_than_the_cap_is_not_certified_exact(self):
+        # orthant(13) at its apex: C is the orthant, with one row more than
+        # MAX_FACE_ROWS; Q = I with Q01 = Q10 = 2 is copositive there but
+        # not positive definite on the hull
+        n = conditions.MAX_FACE_ROWS + 1
+        Q = np.eye(n)
+        Q[0, 1] = Q[1, 0] = 2.0
+        prog = model.ConicProgram(n, Q, np.zeros(n), 0.0, np.zeros(n),
+                                  np.eye(n), Cone([("orthant", n)]),
+                                  name="orthant13-apex")
+        v = check_sosc(prog, np.zeros(n), np.zeros(n))
+        assert v.status == INCONCLUSIVE
+        assert v.note == "face minimum not certified exact"
+
     def test_robinson_sosc_over_sampled_multipliers(self):
         prog, x, y = fixture("example2")
         mset = kkt.recover_multipliers(prog, x)
@@ -196,6 +210,15 @@ class TestKernelProbe:
             probe = kernel_probe(prog, x, y, extra_seeds=seeds)
             assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL, name
             assert kernel_probe_verdict(probe).status == FAILS
+
+    @pytest.mark.parametrize("method", ["exact", "pieces"])
+    def test_a_minimum_in_the_tolerance_gap_is_inconclusive(self, method):
+        w = np.ones(4) / 2.0
+        r = np.sqrt(conditions.KERNEL_FOUND_TOL * conditions.KERNEL_ABSENT_TOL)
+        v = kernel_probe_verdict({"min_residual": r, "witness": w,
+                                  "method": method})
+        assert v.status == INCONCLUSIVE
+        assert v.margin == r and v.witness is w
 
     def test_residual_is_positively_homogeneous_of_degree_two(self):
         prog, x, y = fixture("example3")
@@ -738,6 +761,22 @@ class TestKernelPieces:
         monkeypatch.undo()
         search = _search(prog, x, y, n_starts=20, seed=1)
         assert search["min_residual"] > conditions.KERNEL_FOUND_TOL
+
+    def test_two_curved_blocks_fall_back_to_the_search(self):
+        # two SOC(3) apexes, G = Q = I: SRCQ and SOSC hold, but the pieces
+        # take one curved block only, and a search never reads HOLDS
+        prog = model.ConicProgram(6, np.eye(6), np.zeros(6), 0.0,
+                                  np.zeros(6), np.eye(6),
+                                  Cone([("soc", 3), ("soc", 3)]),
+                                  name="soc3+soc3-apex")
+        x = y = np.zeros(6)
+        cc = problem_critical_cone(prog, x, y)
+        assert len(cc.curved) == 2
+        assert conditions._kernel_pieces(cc) is None
+        probe = kernel_probe(prog, x, y)
+        assert probe["method"] == "search"
+        assert kernel_probe_verdict(probe).status != HOLDS
+        assert check_srcq(prog, x, y).holds and check_sosc(prog, x, y).holds
 
     def test_pieces_read_no_search_setting(self):
         prog, x, y = _pieces_controls()["soc4+corners"]

@@ -7,7 +7,7 @@ from conestab import model
 from conestab.cones import smat, svec
 from conestab.kkt import natural_residual
 from conestab.model import (ConicProgram, Perturbation, ProblemFormatError,
-                            builtin, evaluate, load_problem, save_problem)
+                            builtin, load_problem, save_problem)
 
 
 class TestFileFormat:
@@ -90,14 +90,16 @@ class TestFileFormat:
 class TestEvaluate:
     def test_origin_returns_constant_data(self):
         prog = builtin("example3")
-        f, grad, g = evaluate(prog, np.zeros(prog.n))
+        x = np.zeros(prog.n)
+        f, grad, g = prog.objective(x), prog.gradient(x), prog.constraint(x)
         assert np.isclose(f, prog.c0)
         assert np.allclose(grad, prog.c)
         assert np.allclose(g, prog.A0)
 
     def test_psd_fixture_at_origin(self):
         prog = builtin("example1")
-        f, grad, g = evaluate(prog, np.zeros(2))
+        x = np.zeros(2)
+        f, grad, g = prog.objective(x), prog.gradient(x), prog.constraint(x)
         assert f == 0.0
         assert np.allclose(grad, [1.0, 0.0])
         assert np.allclose(g, 0.0)
@@ -106,7 +108,8 @@ class TestEvaluate:
         prog = builtin("example1")
         pert = Perturbation(np.array([0.5, 0.0]),
                             svec(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        _, grad, g = evaluate(prog, np.zeros(2), pert)
+        x = np.zeros(2)
+        grad, g = prog.gradient(x, pert.a), prog.constraint(x, pert.b)
         assert np.allclose(grad, [0.5, 0.0])
         assert np.allclose(smat(g), [[0.0, 1.0], [1.0, 0.0]])
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conestab import model
+from conestab import model, sweep
 from conestab.kkt import KKTPoint, natural_residual
 from conestab.model import oracle_example1, oracle_example3
 from conestab.sweep import (SweepRecord, SweepResult, builtin_sweep,
@@ -57,6 +57,20 @@ class TestRunSweep:
             run_sweep(prog, d, grid=[1e-3, 1e-2], reference=ref)
         with pytest.raises(ValueError, match="grid"):
             run_sweep(prog, d, grid=[2.0, 1e-2], reference=ref)
+
+    def test_nan_grid_value_is_refused_before_any_solve(self, monkeypatch):
+        prog = model.builtin("example4")
+        d = model.fixture("example4").direction
+        ref = KKTPoint(*model.fixture("example4").reference, 0.0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(sweep, "solve_kkt", refused)
+        monkeypatch.setattr(sweep, "solve_kkt_multistart", refused)
+        for grid in ([float("nan")], [1e-1, float("nan")]):
+            with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
+                run_sweep(prog, d, grid=grid, reference=ref)
 
     def test_reference_required(self):
         prog = model.builtin("example4")
