@@ -6,11 +6,12 @@ The natural map
 
 vanishes exactly at KKT pairs of the perturbed problem, and Robinson's
 normal map in (x, z) with y = z - Pi_K(z) gives the equivalent
-formulation used for the solution-set identity.  The solver runs Newton
-steps on F with a Levenberg-Marquardt damping of the generalized
-Jacobian, which is all that desk-scale instances need.  It forms the
-damped system once per point, from the eigendecompositions that F's
-projection took there; a rejected step changes only the damping.
+formulation used for the solution-set identity.  The solver tries the
+semismooth Newton step V d = -F first at each point, V an element of
+the generalized Jacobian read from the eigendecompositions that F's
+projection took there, and damps it in the Levenberg-Marquardt way
+only where that step fails, which is all that desk-scale instances
+need.
 """
 
 import zlib
@@ -250,7 +251,7 @@ def recover_multipliers(prog, x, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Semismooth Newton with Levenberg-Marquardt damping
+# Semismooth Newton, with Levenberg-Marquardt damping where it fails
 
 
 class SolveOptions:
@@ -272,19 +273,36 @@ def kkt_matrix(H, Gp, J):
     return V
 
 
-def solve_kkt(prog, pert=None, start=None, opts=None):
-    """Damped semismooth Newton on the natural map.
+def _finite_solve(A, r):
+    """The solution d of A d = r, or None when A is singular to working
+    precision or d is not finite."""
+    try:
+        d = np.linalg.solve(A, r)
+    except np.linalg.LinAlgError:
+        return None
+    return d if np.isfinite(d).all() else None
 
-    The Levenberg-Marquardt system (V'V + lam I) d = -V'F is formed once
-    per point: V from the Jacobian element of the projection, which
-    reads the eigendecompositions the natural map took there.  A rejected
-    step changes only lam, added to the diagonal of a copy of V'V.
+
+def solve_kkt(prog, pert=None, start=None, opts=None):
+    """Semismooth Newton on the natural map, damped where it fails.
+
+    V, an element of the natural map's generalized Jacobian, is formed
+    once per point from the Jacobian element of the projection, which
+    reads the eigendecompositions the natural map took there.  The first
+    trial at each point is the undamped step V d = -F, one LU of V.
+    When V is singular, d is not finite or the step does not lower the
+    residual, the Levenberg-Marquardt system (V'V + lam I) d = -V'F is
+    formed at that point; a rejected damped step changes only lam, x4,
+    and an accepted step, Newton or damped, takes lam to
+    max(lam / 4, 1e-14).  A failed Newton trial counts as an iteration
+    and leaves lam as it is.  A step that is not finite is rejected
+    without evaluating F there.
 
     A step is accepted only when it lowers the residual, so the last
     iterate is the best one.  The natural map is only piecewise smooth,
     and damped steps can stall inside the wrong smooth piece: eight
-    rejected steps in a row end the run, and the caller restarts it
-    (`solve_kkt_multistart`, the sweep's cold retry).
+    rejected damped steps in a row end the run, and the caller restarts
+    it (`solve_kkt_multistart`, the sweep's cold retry).
 
     Returns a KKTPoint at the last iterate; `converged` is False when the
     residual target was not met (failures near degenerate points are
@@ -313,38 +331,34 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         # non-finite data or start: no Newton step can repair it
         return KKTPoint(x, y, res, iterations=0, converged=False)
     lam = 1e-4
-    it = 0
-    rejects = 0
-    system = None  # (V'V, -V'F) at (x, y)
+    it = rejects = 0
+    V = system = None  # at (x, y): V, then (V'V, -V'F) once Newton fails
     while not res <= opts.residual_target and it < opts.max_iter \
             and rejects < 8:
-        if system is None:
+        if V is None:
             V = kkt_matrix(prog.Q, prog.constraint_jac(x),
                            prog.cone.proj_jacobian(z, eigs))
-            system = (V.T @ V, -V.T @ F)
-        # adding 0.0 copies V'V with +0.0 for any -0.0 off its diagonal,
-        # the bits that adding lam I gives
-        A = system[0] + 0.0
-        A.flat[::n + m + 1] += lam
-        try:
-            d = np.linalg.solve(A, system[1])
-        except np.linalg.LinAlgError:
-            lam *= 4.0
-            rejects += 1
-            it += 1
-            continue
-        xt, yt = x + d[:n], y + d[n:]
-        Ft, zt, eigst = evaluate(xt, yt)
-        rt = np.linalg.norm(Ft)
+            d = _finite_solve(V, -F)
+        else:
+            A = system[0].copy()
+            A.flat[::n + m + 1] += lam
+            d = _finite_solve(A, system[1])
+        it += 1
+        rt = np.inf
+        if d is not None:
+            xt, yt = x + d[:n], y + d[n:]
+            Ft, zt, eigst = evaluate(xt, yt)
+            rt = np.linalg.norm(Ft)
         if rt < res:
             x, y, F, res, z, eigs = xt, yt, Ft, rt, zt, eigst
-            system = None
+            V = system = None
             lam = max(lam * 0.25, 1e-14)
             rejects = 0
+        elif system is None:
+            system = (V.T @ V, -V.T @ F)
         else:
             lam *= 4.0
             rejects += 1
-        it += 1
     return KKTPoint(x, y, res, iterations=it,
                     converged=res <= opts.residual_target)
 

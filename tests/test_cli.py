@@ -186,6 +186,27 @@ class TestFailureExits:
         assert captured.out == ""
         assert captured.err == "solver failed to locate a KKT point\n"
 
+    @pytest.mark.parametrize("command", ["solve", "analyze", "certify",
+                                         "sweep"])
+    def test_overflowing_step_is_solver_failure(self, command, tmp_path,
+                                                capsys):
+        # 1e160 entries overflow the damped Newton system to inf
+        data = {"name": "overflow", "n": 1,
+                "objective": {"Q": [[1.0]], "c": [1.0], "c0": 0.0},
+                "constraint": {"A0": [0.0, 0.0, 0.0],
+                               "Ai": [[1e160, 0.0, 1e160]]},
+                "cone": [{"type": "psd", "size": 2}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--problem", str(path)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        if command == "solve":
+            assert "converged = False" in captured.out
+            assert captured.err == ""
+        else:
+            assert captured.err == "solver failed to locate a KKT point\n"
+
     def test_search_probe_is_inconclusive(self, tmp_path, monkeypatch,
                                           capsys):
         monkeypatch.setattr(conditions, "_kernel_probe",

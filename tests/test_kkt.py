@@ -11,6 +11,14 @@ from conestab.kkt import (KKTPoint, SolveOptions, natural_map,
 
 ALL_REFERENCED = ("example1", "example2", "example3", "example4")
 
+# min x^2 / 2 + x over 1e160 x I in PSD(2): the constraint's scale
+# overflows the damped system
+OVERFLOWING_PSD2 = {
+    "name": "overflow", "n": 1,
+    "objective": {"Q": [[1.0]], "c": [1.0], "c0": 0.0},
+    "constraint": {"A0": [0.0, 0.0, 0.0], "Ai": [[1e160, 0.0, 1e160]]},
+    "cone": [{"type": "psd", "size": 2}]}
+
 
 class TestNaturalMap:
     def test_vanishes_at_reference_pairs(self):
@@ -407,11 +415,24 @@ class TestSolveKkt:
         assert not pt.converged
         assert not solve_kkt_multistart(prog).converged
 
+    def test_non_finite_step_is_rejected(self):
+        # V is singular at the start, and V'V overflows to inf, so every
+        # damped step is NaN: each is rejected without a trial point
+        prog = model.problem_from_dict(OVERFLOWING_PSD2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pt = solve_kkt(prog)
+        assert not pt.converged
+        assert pt.iterations == 9
+        assert pt.residual == 1.0
+
 
 def _reference_solve(prog, pert=None, start=None, opts=None):
-    """The damped Newton loop that forms J, V and the damped system at
-    every iteration, a rejected step included: `solve_kkt`'s reference.
-    Eight rejected steps in a row end it at the last iterate."""
+    """The Newton-first loop that forms J and V afresh at every trial:
+    `solve_kkt`'s reference.  At each new point it tries the undamped step
+    V d = -F; when that step is singular, not finite or does not lower the
+    residual, it takes damped steps (V'V + lam I) d = -V'F at that point
+    until one is accepted.  Eight rejected damped steps in a row end it at
+    the last iterate."""
     opts = opts or SolveOptions()
     n, m = prog.n, prog.cone.dim
     b = pert.b if pert is not None else None
@@ -427,29 +448,36 @@ def _reference_solve(prog, pert=None, start=None, opts=None):
         return KKTPoint(x, y, res, iterations=0, converged=False)
     lam = 1e-4
     it = rejects = 0
+    newton = True
     while not res <= opts.residual_target and it < opts.max_iter \
             and rejects < 8:
         J = prog.cone.proj_jacobian(prog.constraint(x, b) + y)
         V = kkt.kkt_matrix(prog.Q, prog.constraint_jac(x), J)
-        A = V.T @ V + lam * np.eye(n + m)
+        if newton:
+            A, r = V, -F
+        else:
+            A, r = V.T @ V, -V.T @ F
+            A.flat[::n + m + 1] += lam
+        it += 1
         try:
-            d = np.linalg.solve(A, -V.T @ F)
+            d = np.linalg.solve(A, r)
         except np.linalg.LinAlgError:
-            lam *= 4.0
-            rejects += 1
-            it += 1
-            continue
-        xt, yt = x + d[:n], y + d[n:]
-        Ft = natural_map(prog, xt, yt, pert)
-        rt = np.linalg.norm(Ft)
+            d = np.full(n + m, np.nan)
+        rt = np.inf
+        if np.isfinite(d).all():
+            xt, yt = x + d[:n], y + d[n:]
+            Ft = natural_map(prog, xt, yt, pert)
+            rt = np.linalg.norm(Ft)
         if rt < res:
             x, y, F, res = xt, yt, Ft, rt
             lam = max(lam * 0.25, 1e-14)
             rejects = 0
+            newton = True
+        elif newton:
+            newton = False
         else:
             lam *= 4.0
             rejects += 1
-        it += 1
     return KKTPoint(x, y, res, iterations=it,
                     converged=res <= opts.residual_target)
 
@@ -496,8 +524,9 @@ _SOLVE_CASE_NAMES = (
 
 
 class TestSolveReference:
-    """solve_kkt is the reference loop bit for bit, and forms the Jacobian
-    once per point from the natural map's eigendecompositions."""
+    """solve_kkt is the reference loop bit for bit, tries the Newton step
+    first at each point, and forms the Jacobian once per point from the
+    natural map's eigendecompositions."""
 
     @pytest.mark.parametrize("case", _SOLVE_CASE_NAMES)
     def test_equals_the_reference_loop(self, case, bench_gen):
@@ -524,6 +553,46 @@ class TestSolveReference:
         monkeypatch.setattr(np.random, "default_rng", refused)
         for case in _SOLVE_CASE_NAMES:
             solve_kkt(*cases[case])
+
+    @staticmethod
+    def _solves(prog, pert, start, monkeypatch):
+        """solve_kkt's point and its linear solves, each "newton" when its
+        matrix is a V that kkt_matrix returned, else "damped"."""
+        Vs, solves = [], []
+        kkt_matrix, solve = kkt.kkt_matrix, np.linalg.solve
+
+        def counted_matrix(*args):
+            Vs.append(kkt_matrix(*args))
+            return Vs[-1]
+
+        def counted_solve(A, r):
+            solves.append("newton" if any(A is V for V in Vs) else "damped")
+            return solve(A, r)
+
+        monkeypatch.setattr(kkt, "kkt_matrix", counted_matrix)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        return solve_kkt(prog, pert, start), solves
+
+    @pytest.mark.parametrize("case", ["%s-%s" % (n, w) for n in _SOLVE_SPECS
+                                      for w in ("cold", "warm")])
+    def test_one_newton_solve_per_iteration(self, case, bench_gen,
+                                            monkeypatch):
+        # strictly complementary: V is nonsingular near the solution, and
+        # no V'V is formed
+        pt, solves = self._solves(*_solve_cases(bench_gen)[case],
+                                  monkeypatch)
+        assert pt.converged
+        assert solves == ["newton"] * pt.iterations
+
+    def test_example2_stalls_on_the_damped_path(self, bench_gen,
+                                               monkeypatch):
+        pt, solves = self._solves(*_solve_cases(bench_gen)["example2-warm-1"],
+                                  monkeypatch)
+        assert not pt.converged
+        assert pt.iterations < SolveOptions().max_iter
+        assert solves[0] == "newton"
+        # the stall: eight rejected damped steps in a row
+        assert solves[-8:] == ["damped"] * 8
 
     @pytest.mark.parametrize("case", _SOLVE_CASE_NAMES)
     def test_work_per_point(self, case, bench_gen, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conestab import model, sweep
+from conestab.cli import SLOPE_CUTOFF
 from conestab.kkt import KKTPoint, natural_residual
 from conestab.model import oracle_example1, oracle_example3
 from conestab.sweep import (SweepRecord, SweepResult, builtin_sweep,
@@ -176,3 +177,26 @@ class TestBuiltinSweeps:
         result = builtin_sweep("example2")
         assert all(r.solved for r in result.records)
         assert result.records[-1].dist_x < 1e-5
+
+
+def _solver_sweep(name):
+    """The fixture's sweep from its reference along its direction, solved
+    by `solve_kkt` at every grid point (no oracle)."""
+    fx = model.fixture(name)
+    return run_sweep(fx.prog, fx.direction,
+                     reference=KKTPoint(*fx.reference, 0.0),
+                     observable=fx.observable)
+
+
+class TestSolverSweeps:
+    """A warm start that picks a calm-looking point would make a non-calm
+    problem read as calm: the solver-driven exponents stay where the
+    closed forms put them."""
+
+    def test_multiplier_drift_is_not_read_as_calm(self):
+        slope, _ = fit_exponent(_solver_sweep("example3"))
+        assert slope < SLOPE_CUTOFF
+
+    def test_cube_root_coordinate_reads_two_thirds(self):
+        slope, _ = fit_exponent(_solver_sweep("example1"))
+        assert abs(slope - 2.0 / 3.0) <= 0.01
