@@ -7,6 +7,7 @@ Exit codes: 0 success/agreement, 1 input error, 2 solver failure,
 import argparse
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -50,12 +51,24 @@ def _sanitize(obj):
     return obj
 
 
-def _write(path, text, mode="w"):
+def _cannot_write(path, exc):
+    return InputError("cannot write %s: %s" % (path, exc.strerror))
+
+
+def _write(path, text):
+    """Write text to path in place, with `open(path, "w")`'s encoding and
+    newlines but without its truncate on open: an existing regular file
+    is overwritten and then cut to the new length, which keeps its inode
+    and mode.  A special file such as /dev/null, or a pipe, cannot be
+    cut and is only written.  The write is not atomic."""
     try:
-        with open(path, mode) as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
-        raise InputError("cannot write %s: %s" % (path, exc.strerror))
+        raise _cannot_write(path, exc)
 
 
 def _check_writable(path):
@@ -64,7 +77,10 @@ def _check_writable(path):
     an existing file as it is, and a file the check creates is removed."""
     if path is not None:
         existed = os.path.lexists(path)
-        _write(path, "", "a")
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise _cannot_write(path, exc)
         if not existed:
             os.remove(path)
 

@@ -283,6 +283,13 @@ def _finite_solve(A, r):
     return d if np.isfinite(d).all() else None
 
 
+def _residual(F):
+    """||F||, inf when its square overflows: the solver's isfinite and
+    descent tests read that inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(F)
+
+
 def solve_kkt(prog, pert=None, start=None, opts=None):
     """Semismooth Newton on the natural map, damped where it fails.
 
@@ -326,7 +333,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         x = np.asarray(start.x, dtype=float).copy()
         y = np.asarray(start.y, dtype=float).copy()
     F, z, eigs = evaluate(x, y)
-    res = np.linalg.norm(F)
+    res = _residual(F)
     if not np.isfinite(res):
         # non-finite data or start: no Newton step can repair it
         return KKTPoint(x, y, res, iterations=0, converged=False)
@@ -348,14 +355,16 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         if d is not None:
             xt, yt = x + d[:n], y + d[n:]
             Ft, zt, eigst = evaluate(xt, yt)
-            rt = np.linalg.norm(Ft)
+            rt = _residual(Ft)
         if rt < res:
             x, y, F, res, z, eigs = xt, yt, Ft, rt, zt, eigst
             V = system = None
             lam = max(lam * 0.25, 1e-14)
             rejects = 0
         elif system is None:
-            system = (V.T @ V, -V.T @ F)
+            # an overflow leaves inf or NaN, which `_finite_solve` rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                system = (V.T @ V, -V.T @ F)
         else:
             lam *= 4.0
             rejects += 1

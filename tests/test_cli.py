@@ -1,6 +1,7 @@
 """Tests for the command-line surface: output formats and exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -198,8 +199,7 @@ class TestFailureExits:
                 "cone": [{"type": "psd", "size": 2}]}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(data))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main([command, "--problem", str(path)]) == EXIT_SOLVER
+        assert main([command, "--problem", str(path)]) == EXIT_SOLVER
         captured = capsys.readouterr()
         if command == "solve":
             assert "converged = False" in captured.out
@@ -566,3 +566,69 @@ class TestUnusablePaths:
         assert "affine" in capsys.readouterr().err
         assert path.exists() == existing
         assert not existing or path.read_text() == "old"
+
+
+class TestOutputWriter:
+    """`--out` and `--report` rewrite an existing file in place: the bytes
+    are those of a fresh write, and the file keeps its inode and mode."""
+
+    ARGV = {"analyze": ["analyze", "--builtin", "example4", "--report"],
+            "solve": ["solve", "--builtin", "example4", "--out"],
+            "sweep": ["sweep", "--builtin", "example4", "--grid", "1:5:1",
+                      "--out"]}
+
+    def _run(self, command, path, capsys):
+        assert main(self.ARGV[command] + [str(path)]) == EXIT_OK
+        capsys.readouterr()
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_existing_file_gets_the_bytes_of_a_fresh_write(self, command,
+                                                           tmp_path,
+                                                           capsys):
+        fresh = self._run(command, tmp_path / "fresh", capsys)
+        assert len(fresh) < 20000
+        assert self._run(command, tmp_path / "fresh", capsys) == fresh
+        for name, old in (("longer", b"#" * 20000), ("shorter", b"#")):
+            path = tmp_path / name
+            path.write_bytes(old)
+            assert self._run(command, path, capsys) == fresh
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_existing_file_keeps_its_inode_and_mode(self, command, tmp_path,
+                                                    capsys):
+        path = tmp_path / "out"
+        path.write_bytes(b"#" * 20000)
+        path.chmod(0o640)
+        before = path.stat()
+        self._run(command, path, capsys)
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mode == before.st_mode
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_output_is_never_opened_with_truncate(self, command, tmp_path,
+                                                  monkeypatch, capsys):
+        # O_TRUNC frees an existing file's blocks, which some file systems
+        # make slow; the writer cuts the file at the end instead
+        calls = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            calls.append((str(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        path = tmp_path / "out"
+        path.write_bytes(b"#" * 20000)
+        self._run(command, path, capsys)
+        assert str(path) in [p for p, _ in calls]
+        assert not any(flags & os.O_TRUNC for _, flags in calls)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="no /dev/null")
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_dev_null_is_written(self, command, capsys):
+        # a character device cannot be truncated, and is only written
+        assert main(self.ARGV[command] + ["/dev/null"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
