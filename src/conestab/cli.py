@@ -162,7 +162,7 @@ def _analysis(args, fx):
         raise InputError("analysis requires an affine constraint map; "
                          "%r carries callbacks" % fx.prog.name)
     ref = _reference(fx)
-    mset = kkt.recover_multipliers(fx.prog, ref.x, seed=args.seed)
+    mset = kkt.recover_multipliers(fx.prog, ref.x)
     report = conditions.assemble_report(fx.prog, ref.x, ref.y,
                                         multiplier_set=mset, seed=args.seed)
     return ref, mset, report
@@ -312,8 +312,8 @@ def build_parser():
         grp.add_argument("--problem", help="path to a problem JSON file")
         if seed:
             p.add_argument("--seed", type=int, default=0,
-                           help="seed for the checker searches and multiplier "
-                                "recovery (no effect on sweep)")
+                           help="seed for the kernel probe's search (no effect "
+                                "on sweep)")
 
     p = sub.add_parser("solve", help="find a KKT point")
     add_common(p, seed=False)

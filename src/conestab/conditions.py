@@ -104,7 +104,7 @@ def _interior_direction(cc):
     return d / np.linalg.norm(d), cc.frame.relint_margin(h) / nh
 
 
-def _decide_fullness(cc, seed, label):
+def _decide_fullness(cc, label):
     """Verdict on G'X + C = Y for the critical cone C of cc.
 
     With L = range G', L + C = Y iff L + span C = Y and L meets ri C.
@@ -113,8 +113,8 @@ def _decide_fullness(cc, seed, label):
     it fails exactly when V = ker(G'*) ∩ span C° holds a nonzero element
     of C°: v or -v on a line.  On a plane or larger each such element has
     <v, c> < 0 for the point c of ri C, as range V misses (span C)^perp,
-    so `affine_cone_point` looks for one on the slice <v, c> = -1 (`seed`
-    is read only there); a miss is inconclusive.
+    so `affine_cone_point` looks for one on the slice <v, c> = -1; a miss
+    is inconclusive.
     """
     V = cc.polar_kernel
     if V.shape[1] == 0:
@@ -141,7 +141,7 @@ def _decide_fullness(cc, seed, label):
         if nw > WITNESS_TOL * np.linalg.norm(c):
             y = affine_cone_point(cc.frame.polar_project, cc.frame.polar_rows,
                                   V @ (-w / nw ** 2),
-                                  V @ linalg.nullspace(w[None, :]), seed)
+                                  V @ linalg.nullspace(w[None, :]))
         cands = [] if y is None else [y / np.linalg.norm(y)]
     dists = [cc.frame.polar_dist(u) for u in cands]
     for u, dist in zip(cands, dists):
@@ -230,7 +230,7 @@ def _tangent_cone(prog, x):
     return problem_critical_cone(prog, x, np.zeros(prog.cone.dim))
 
 
-def check_rcq(prog, x, seed=0):
+def check_rcq(prog, x):
     """Robinson's CQ, G'(x)X + T_K(G(x)) = Y, by `_decide_fullness`.
 
     A holds verdict carries a unit d with G'd in ri T_K(G(x)), so that
@@ -238,13 +238,13 @@ def check_rcq(prog, x, seed=0):
     normal span or meets it in a line that misses N_K(G(x)); a fails
     verdict carries a unit y in ker(G'*) ∩ N_K(G(x)).
     """
-    return _decide_fullness(_tangent_cone(prog, x), seed, "rcq")
+    return _decide_fullness(_tangent_cone(prog, x), "rcq")
 
 
-def check_srcq(prog, x, y, seed=0):
+def check_srcq(prog, x, y):
     """Strict RCQ at the multiplier y, G'(x)X + C_K(G(x), y) = Y, decided
     as `check_rcq` with the critical cone in place of the tangent cone."""
-    return _decide_fullness(problem_critical_cone(prog, x, y), seed, "srcq")
+    return _decide_fullness(problem_critical_cone(prog, x, y), "srcq")
 
 
 def check_nondegeneracy(prog, x):
@@ -696,7 +696,8 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     The headline verdict is robust isolated calmness = SRCQ and SOSC (at
     a local minimum under the RCQ); the kernel probe cross-checks it
     through the directional-derivative system, and one-way implications
-    between the qualifications are audited on the spot.
+    between the qualifications are audited on the spot.  `seed` reaches
+    only the kernel probe's search.
     """
     # one pulled-back cone at y = 0 for RCQ and nondegeneracy, the first
     # to refuse a non-affine constraint map, and one at y for the rest
@@ -705,8 +706,8 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     if not res <= 1e-8:
         raise ValueError("(x, y) is not a KKT pair (residual %.2e)" % res)
     cc = problem_critical_cone(prog, x, y)
-    rcq = _decide_fullness(tc, seed, "rcq")
-    srcq = _decide_fullness(cc, seed, "srcq")
+    rcq = _decide_fullness(tc, "rcq")
+    srcq = _decide_fullness(cc, "srcq")
     nondeg = _nondegeneracy(tc)
     sosc = _sosc_verdict(cc.quadratic, cc)
     # exact witnesses of the two conditions seed the kernel probe's search,

@@ -85,7 +85,6 @@ def normal_map(prog, x, z, pert=None):
 # Multiplier recovery
 
 _AP_ITERS = 800
-_MULT_STARTS = 8
 _MULT_TOL = 1e-8
 # slack of the closed-form line test, relative to max(1, ||y0||): round-off
 # can put the one point where a line touches N just outside it
@@ -162,47 +161,46 @@ def _line_point(project, rows, y0, v):
     return y if _in_cone(project, y) else None
 
 
-def _projection_search(project, y0, basis, seed):
-    """A point of (y0 + range basis) ∩ K by alternating projections from y0
-    and seeded random starts, or None when none converges into K: the mean
-    of the limits, which lies in the relative interior when the starts
-    spread over the set, else the first limit.  A start stops when its
-    step falls to round-off, 1e-14 max(1, ||y||): a limit is reached only
-    to that, and below it the iterates can cycle for every step."""
-    rng = np.random.default_rng(seed)
-    starts = [y0] + [y0 + basis @ rng.standard_normal(basis.shape[1])
-                     for _ in range(_MULT_STARTS - 1)]
-    hits = []
-    for y in starts:
+def _projection_search(project, y0, basis):
+    """A point of (y0 + range basis) ∩ K by alternating projections, or
+    None when the run from y0 does not converge into K.  Its limit p is
+    moved off the boundary by one more run from p + b and from p - b for
+    each column b of basis: the mean of p and the limits in K,
+    re-projected, lies in the relative interior when they spread over the
+    set, else p is kept.  A run stops when its step falls to round-off,
+    1e-14 max(1, ||y||): a limit is reached only to that, and below it the
+    iterates can cycle for every step."""
+    def run(y):
         for _ in range(_AP_ITERS):
             yn = _affine_project(project(y), basis, y0)
             if np.linalg.norm(yn - y) <= 1e-14 * max(1.0, np.linalg.norm(y)):
-                y = yn
-                break
+                return yn
             y = yn
-        if _in_cone(project, y):
-            hits.append(y)
-    if not hits:
+        return y
+
+    p = run(y0)
+    if not _in_cone(project, p):
         return None
+    hits = [p] + [y for b in basis.T for y in (run(p + b), run(p - b))
+                  if _in_cone(project, y)]
     rep = np.mean(hits, axis=0)
     rep = _affine_project(project(rep), basis, y0)
-    return rep if _in_cone(project, rep) else hits[0]
+    return rep if _in_cone(project, rep) else p
 
 
-def affine_cone_point(project, rows, y0, basis, seed):
+def affine_cone_point(project, rows, y0, basis):
     """A point of y0 + range(basis) (orthonormal columns) in the closed
     convex cone K with projection `project`, or None when there is none to
     tolerance.  A point is tested directly, and a line in closed form from
     K's Lorentz rows `rows()`, called only there.  A plane or larger, or
-    a line without closed form, falls back to the seeded search
-    `_projection_search`; `seed` is read only there."""
+    a line without closed form, falls back to `_projection_search`."""
     if basis.shape[1] == 0:
         return y0 if _in_cone(project, y0) else None
     if basis.shape[1] == 1:
         y = _line_point(project, rows(), y0, basis[:, 0])
         if y is not None:
             return y
-    return _projection_search(project, y0, basis, seed)
+    return _projection_search(project, y0, basis)
 
 
 def _hull_directions(cone, a, rep, ybasis):
@@ -215,15 +213,16 @@ def _hull_directions(cone, a, rep, ybasis):
     return ybasis @ linalg.nullspace(ybasis - F @ (F.T @ ybasis))
 
 
-def recover_multipliers(prog, x, seed=0):
+def recover_multipliers(prog, x):
     """Multipliers at x, or None when there are none to tolerance.
 
     The stationarity equation G'(x)* y = -grad f(x) is solved over the
     span of N_K(a) at a = Pi_K(G(x)), which leaves the affine set
     y0 + range(ybasis); the multipliers are its points in N_K(a), the
     polar of the critical cone at the frame of a, which
-    `affine_cone_point` finds (`seed` is read only where it searches).
-    The affine dimension is that of `_hull_directions`.
+    `affine_cone_point` finds.  ker M is taken at the rank rule of
+    `ProblemCriticalCone.polar_kernel`, which spans the same subspace for
+    SRCQ.  The affine dimension is that of `_hull_directions`.
     """
     x = np.asarray(x, dtype=float)
     g = prog.constraint(x)
@@ -241,9 +240,9 @@ def recover_multipliers(prog, x, seed=0):
         return None
     # affine solution set inside the span: y = span(v0 + ker M . w); both
     # factors have orthonormal columns, so ybasis does too
-    ybasis = span @ linalg.nullspace(M)
+    ybasis = span @ linalg.nullspace(M, tol=1e-12)
     rep = affine_cone_point(frame.normal_project, frame.polar_rows,
-                            span @ v0, ybasis, seed)
+                            span @ v0, ybasis)
     if rep is None:
         return None
     directions = _hull_directions(prog.cone, a, rep, ybasis)

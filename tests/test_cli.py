@@ -275,8 +275,8 @@ class TestOptions:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
-    # example2's multiplier search reads the seed, example4 reaches no
-    # seeded search: a negative seed is refused on both
+    # only the kernel probe's search reads the seed, and no built-in
+    # fixture reaches it: a negative seed is refused on every input
     @pytest.mark.parametrize("command", ["analyze", "sweep", "certify"])
     @pytest.mark.parametrize("name", ["example2", "example4"])
     def test_negative_seed_is_input_error(self, command, name, capsys):
@@ -388,15 +388,23 @@ class TestSearchWorkCount:
         capsys.readouterr()
         assert count[0] == calls
 
-    def test_srcq_does_not_read_the_seed_on_example3(self):
-        prog = model.builtin("example3")
-        x, y = model.fixture("example3").reference
-        first = conditions.check_srcq(prog, x, y, seed=0)
-        assert first.fails
-        for seed in range(1, 6):
-            v = conditions.check_srcq(prog, x, y, seed=seed)
-            assert v.status == first.status and v.margin == first.margin
-            assert np.array_equal(v.witness, first.witness)
+    def test_multiplier_dim_does_not_read_the_seed(self, tmp_path, capsys,
+                                                   planted):
+        # a planted orthant(8) instance whose multiplier set is a plane:
+        # the eight seeded starts read affine dimension 1 at --seed 0 and
+        # 2 at --seed 2
+        prog, _, _ = planted([("orthant", 8)], [2], 2, 5)
+        problem = tmp_path / "problem.json"
+        problem.write_text(model.save_problem(prog))
+        reports = []
+        for seed in ("0", "2"):
+            report = tmp_path / ("report-%s.json" % seed)
+            main(["analyze", "--problem", str(problem), "--report",
+                  str(report), "--seed", seed])
+            reports.append(report.read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["multiplier_affine_dim"] == 2
 
 
 class TestListBuiltins:

@@ -1164,8 +1164,8 @@ class TestAssembleReport:
     def test_shared_cones_give_the_public_verdicts(self, name):
         prog, x, y = fixture(name)
         report = assemble_report(prog, x, y, seed=1)
-        for key, v in (("rcq", check_rcq(prog, x, seed=1)),
-                       ("srcq", check_srcq(prog, x, y, seed=1)),
+        for key, v in (("rcq", check_rcq(prog, x)),
+                       ("srcq", check_srcq(prog, x, y)),
                        ("nondegeneracy", check_nondegeneracy(prog, x)),
                        ("sosc", check_sosc(prog, x, y)),
                        ("affine_hull_probe", affine_hull_probe(prog, x, y))):

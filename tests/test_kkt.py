@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conestab import cones, kkt, linalg, model
+from conestab import conditions, cones, kkt, linalg, model
 from conestab.cones import smat, svec
 from conestab.kkt import (KKTPoint, SolveOptions, natural_map,
                           natural_residual, normal_map, recover_multipliers,
@@ -141,13 +141,10 @@ class TestRecoverMultipliers:
 
     def test_projection_search_stops_at_round_off(self, bench_gen,
                                                   monkeypatch):
-        # the benchmark's `degenerate` psd4 nonunique instance: at its x
-        # the multipliers form a segment of a PSD normal cone of order 3,
-        # which has no closed-form line test, so the search runs; an
-        # absolute stop at 1e-15 lets two of its starts cycle at steps of
-        # 2-5e-15, with ||y|| ~ 2, for all _AP_ITERS steps
-        inst = bench_gen.make_instance([("psd", 4)], [1], [0], "nonunique",
-                                       "pd", seed=5)
+        # a PSD normal cone of order 3 has no closed-form line test, so
+        # the search runs; an absolute stop at 1e-15 let runs cycle at
+        # steps of 2-5e-15, with ||y|| ~ 2, for all _AP_ITERS steps
+        prog, x, _ = _psd4_nonunique(bench_gen)
         steps = [0]
         original = kkt._affine_project
 
@@ -156,9 +153,30 @@ class TestRecoverMultipliers:
             return original(y, basis, offset)
 
         monkeypatch.setattr(kkt, "_affine_project", counted)
-        mset = recover_multipliers(inst.prog, inst.x, seed=1)
+        mset = recover_multipliers(prog, x)
         assert 0 < steps[0] < kkt._AP_ITERS
         assert mset is not None and mset.affine_dim == 1
+
+    @pytest.mark.parametrize("sigma, dim, srcq", [
+        (1e-9, 0, conditions.HOLDS), (1e-11, 0, conditions.HOLDS),
+        (1e-13, 1, conditions.FAILS)])
+    def test_one_rank_rule_for_the_polar_kernel(self, sigma, dim, srcq):
+        # G = U diag(1, sigma): recovery and SRCQ must take ker G'* ∩ span N
+        # at one rank rule, or at sigma = 1e-11, between tolerances 1e-12
+        # and 1e-10, SRCQ holds on a trivial polar kernel while the
+        # multiplier set reads affine dimension 1
+        from conestab.cones import Cone
+        from conestab.model import ConicProgram
+        U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+        G = U @ np.diag([1.0, sigma])
+        x, y = np.zeros(2), np.array([-1.0, -1.0])
+        prog = ConicProgram(2, np.eye(2), -G.T @ y, 0.0, np.zeros(2), G.T,
+                            Cone([("orthant", 2)]), name="rank")
+        mset = recover_multipliers(prog, x)
+        report = conditions.assemble_report(prog, x, y, multiplier_set=mset)
+        assert mset.affine_dim == dim
+        assert report.srcq.status == srcq
+        assert report.inconsistencies == []
 
     def test_nonstationary_point_has_no_multiplier(self):
         prog = model.builtin("example1")
@@ -167,6 +185,69 @@ class TestRecoverMultipliers:
     def test_infeasible_point_has_no_multiplier(self):
         prog = model.builtin("example4")
         assert recover_multipliers(prog, np.array([5.0, 0.0, -3.0])) is None
+
+
+def _psd4_nonunique(gen):
+    """The benchmark's `degenerate` psd4 nonunique instance (list position
+    5): the multipliers form a segment of a PSD normal cone of order 3."""
+    inst = gen.make_instance([("psd", 4)], [1], [0], "nonunique", "pd",
+                             seed=5)
+    return inst.prog, inst.x, inst.y
+
+
+# products and active ranks of the planted nonunique family: each block's
+# normal span holds at least three directions
+PLANTED = [([("orthant", 8)], [2]), ([("soc", 5)], [0]), ([("psd", 4)], [1]),
+           ([("psd", 5)], [1]),
+           ([("orthant", 3), ("soc", 4), ("psd", 3)], [1, 0, 1])]
+
+
+class TestProjectionSearch:
+    """The search that decides multiplier planes and the RCQ/SRCQ polar
+    witness: one run from y0 to p, then one from p + b and p - b for each
+    basis column b.  It reads no seed and draws no random number."""
+
+    def test_no_random_generator(self, bench_gen, monkeypatch):
+        cases = [(model.builtin("example2"),)
+                 + tuple(model.fixture("example2").reference),
+                 _psd4_nonunique(bench_gen)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for prog, x, y in cases:
+            mset = recover_multipliers(prog, x)
+            assert mset is not None and not mset.is_singleton, prog.name
+            conditions.check_rcq(prog, x)
+            conditions.check_srcq(prog, x, y)
+
+    @pytest.mark.parametrize("blocks, rank", PLANTED, ids=[
+        "orthant8", "soc5", "psd4", "psd5", "orthant3+soc4+psd3"])
+    def test_planted_affine_dim(self, blocks, rank, planted):
+        # the eight seeded starts read 593 of these 600 right at seed 0:
+        # orthant(8) with k = 2 at seeds 5, 10 and 26 read 1
+        wrong = []
+        for k in (1, 2, 3):
+            for seed in range(40):
+                prog, x, _ = planted(blocks, rank, k, seed)
+                mset = recover_multipliers(prog, x)
+                if mset is None or mset.affine_dim != k:
+                    wrong.append((k, seed))
+        assert wrong == []
+
+    @pytest.mark.parametrize("case, budget", [("example2", 120),
+                                              ("psd4-nonunique", 18)])
+    def test_projection_budget(self, case, budget, bench_gen, monkeypatch):
+        # the least counts of the eight seeded starts over seeds 0-30; they
+        # made up to 1,102 and 144
+        if case == "example2":
+            prog, x = model.builtin(case), model.fixture(case).reference[0]
+        else:
+            prog, x, _ = _psd4_nonunique(bench_gen)
+        count = _count_normal_projections(monkeypatch)
+        assert recover_multipliers(prog, x) is not None
+        assert 0 < count[0] <= budget
 
 
 def _unit(v):
@@ -292,7 +373,7 @@ class TestExactMultiplierLine:
             assert abs(max(lo, grid[0]) - hits[0]) <= 1e-3, name
             assert abs(min(hi, grid[-1]) - hits[-1]) <= 1e-3, name
         exact = _line_point(frame, y0, v)
-        search = kkt._projection_search(frame.normal_project, y0, V, seed=0)
+        search = kkt._projection_search(frame.normal_project, y0, V)
         found = []
         for rep in (exact, search):
             found.append(None if rep is None else
