@@ -8,8 +8,9 @@ gives holds at once, a unit vector of ker(G'*) ∩ (span C)^perp is a polar
 witness that fails, and a direction d with G'd in ri C, checked block by
 block, certifies holds.  Where neither applies, the condition fails
 exactly when ker(G'*) holds a nonzero element of the polar cone: decided
-exactly on a line, and otherwise by `kkt.affine_cone_point` on a slice,
-whose miss is inconclusive.
+exactly on a line, and otherwise by `kkt.affine_cone_point` on a slice:
+by a closed-form candidate in the polar cone's relative interior when
+there is one, else by a search, whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone, and the
 kernel probe by enumerating the 3^k sign faces of its k borderline rows
 when no block is curved; one face routine serves both.  With one curved
@@ -139,7 +140,7 @@ def _decide_fullness(cc, label):
         nw = np.linalg.norm(w)
         y = None
         if nw > WITNESS_TOL * np.linalg.norm(c):
-            y = affine_cone_point(cc.frame.polar_project, cc.frame.polar_rows,
+            y = affine_cone_point(cc.frame, cc.frame.polar_project,
                                   V @ (-w / nw ** 2),
                                   V @ linalg.nullspace(w[None, :]))
         cands = [] if y is None else [y / np.linalg.norm(y)]

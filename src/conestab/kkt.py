@@ -89,6 +89,8 @@ _MULT_TOL = 1e-8
 # slack of the closed-form line test, relative to max(1, ||y0||): round-off
 # can put the one point where a line touches N just outside it
 _LINE_SLACK = 1e-12
+# least relint margin, relative to max(1, ||y_c||), of the interior candidate
+_RELINT_SLACK = 1e-10
 
 
 def _affine_project(y, basis, offset):
@@ -188,16 +190,26 @@ def _projection_search(project, y0, basis):
     return rep if _in_cone(project, rep) else p
 
 
-def affine_cone_point(project, rows, y0, basis):
-    """A point of y0 + range(basis) (orthonormal columns) in the closed
-    convex cone K with projection `project`, or None when there is none to
-    tolerance.  A point is tested directly, and a line in closed form from
-    K's Lorentz rows `rows()`, called only there.  A plane or larger, or
-    a line without closed form, falls back to `_projection_search`."""
+def affine_cone_point(frame, project, y0, basis):
+    """A point of y0 + range(basis) (orthonormal columns in span N_K(A) at
+    `frame`) in C° of the frame, with projection `project`, or None when
+    there is none to tolerance.  A point is tested directly.  Else y_c,
+    the point of the set nearest to -max(1, ||y0||) c / ||c|| for c the
+    frame's `relint_point`, is taken when its `relint_margin` puts it in
+    ri C°: the set then meets ri C° (Robinson, 1976), and its affine hull
+    is all of it.  Else a line is decided from the frame's `polar_rows`,
+    and a plane, or a line without closed form, by `_projection_search`."""
     if basis.shape[1] == 0:
         return y0 if _in_cone(project, y0) else None
+    c = frame.relint_point()
+    nc = np.linalg.norm(c)
+    y = y0 if nc == 0 else _affine_project(
+        -max(1.0, np.linalg.norm(y0)) / nc * c, basis, y0)
+    if frame.relint_margin(-y) > _RELINT_SLACK * max(1.0, np.linalg.norm(y)) \
+            and _in_cone(project, y):
+        return y
     if basis.shape[1] == 1:
-        y = _line_point(project, rows(), y0, basis[:, 0])
+        y = _line_point(project, frame.polar_rows(), y0, basis[:, 0])
         if y is not None:
             return y
     return _projection_search(project, y0, basis)
@@ -220,9 +232,10 @@ def recover_multipliers(prog, x):
     span of N_K(a) at a = Pi_K(G(x)), which leaves the affine set
     y0 + range(ybasis); the multipliers are its points in N_K(a), the
     polar of the critical cone at the frame of a, which
-    `affine_cone_point` finds.  ker M is taken at the rank rule of
-    `ProblemCriticalCone.polar_kernel`, which spans the same subspace for
-    SRCQ.  The affine dimension is that of `_hull_directions`.
+    `affine_cone_point` finds, at its interior candidate when it can.  ker
+    M is taken at the rank rule of `ProblemCriticalCone.polar_kernel`,
+    which spans the same subspace for SRCQ.  The affine dimension is that
+    of `_hull_directions`.
     """
     x = np.asarray(x, dtype=float)
     g = prog.constraint(x)
@@ -241,8 +254,7 @@ def recover_multipliers(prog, x):
     # affine solution set inside the span: y = span(v0 + ker M . w); both
     # factors have orthonormal columns, so ybasis does too
     ybasis = span @ linalg.nullspace(M, tol=1e-12)
-    rep = affine_cone_point(frame.normal_project, frame.polar_rows,
-                            span @ v0, ybasis)
+    rep = affine_cone_point(frame, frame.normal_project, span @ v0, ybasis)
     if rep is None:
         return None
     directions = _hull_directions(prog.cone, a, rep, ybasis)
@@ -251,6 +263,9 @@ def recover_multipliers(prog, x):
 
 # ---------------------------------------------------------------------------
 # Semismooth Newton, with Levenberg-Marquardt damping where it fails
+
+# bound on the cosine of F with each column of V at a stationary point
+_GTOL = 1e-6
 
 
 class SolveOptions:
@@ -289,6 +304,16 @@ def _residual(F):
         return np.linalg.norm(F)
 
 
+def _stationary(system, res):
+    """More's gradient test on the damped system (V'V, -V'F), res = ||F||:
+    |V_j'F| <= _GTOL ||V_j|| ||F|| at each nonzero column, all finite."""
+    g, cn = system[1], np.sqrt(np.diag(system[0]))
+    if not (np.isfinite(g).all() and np.isfinite(cn).all()):
+        return False
+    live = cn > 0
+    return np.max(np.abs(g[live]) / cn[live], initial=0.0) <= _GTOL * res
+
+
 def solve_kkt(prog, pert=None, start=None, opts=None):
     """Semismooth Newton on the natural map, damped where it fails.
 
@@ -306,9 +331,11 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
 
     A step is accepted only when it lowers the residual, so the last
     iterate is the best one.  The natural map is only piecewise smooth,
-    and damped steps can stall inside the wrong smooth piece: eight
-    rejected damped steps in a row end the run, and the caller restarts
-    it (`solve_kkt_multistart`, the sweep's cold retry).
+    and damped steps can stall inside the wrong smooth piece: a point
+    where the damped system is formed and F is stationary for ||F||^2
+    (`_stationary`), or eight rejected damped steps in a row at a kink,
+    end the run, and the caller restarts it (`solve_kkt_multistart`, the
+    sweep's cold retry).
 
     Returns a KKTPoint at the last iterate; `converged` is False when the
     residual target was not met (failures near degenerate points are
@@ -364,6 +391,8 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             # an overflow leaves inf or NaN, which `_finite_solve` rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 system = (V.T @ V, -V.T @ F)
+                if _stationary(system, res):
+                    break
         else:
             lam *= 4.0
             rejects += 1

@@ -1063,6 +1063,18 @@ class TestRobinsonCertificate:
         assert v.status == INCONCLUSIVE
         assert v.witness is None
 
+    def test_polar_slice_witness_needs_no_search(self, monkeypatch):
+        # the same sector meets ri C°, so the interior candidate on the
+        # slice <v, c> = -1 is the witness
+        def refuse(*args):
+            raise AssertionError("the projection search ran")
+
+        monkeypatch.setattr(kkt, "_projection_search", refuse)
+        prog, frame = _kernel_program("orthant-corner", 2)
+        v = check_rcq(prog, np.zeros(prog.n))
+        assert v.status == FAILS and frame.polar_dist(v.witness) <= 1e-10
+        assert frame.relint_margin(-v.witness) > 0.0
+
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     def test_verdicts_do_not_depend_on_the_constraint_scale(self, scale):
         # G scaled by s keeps (x, y / s) a KKT pair; the program is rebuilt
