@@ -13,8 +13,7 @@ from .conditions import (affine_hull_probe, assemble_report, check_nondegeneracy
                          check_rcq, check_robinson_sosc, check_sosc,
                          check_srcq, kernel_probe, problem_critical_cone)
 from .kkt import (KKTPoint, MultiplierSet, SolveOptions, natural_map,
-                  normal_map, recover_multipliers, solve_kkt,
-                  solve_kkt_multistart)
+                  recover_multipliers, solve_kkt, solve_kkt_multistart)
 from .model import (ConicProgram, Fixture, Perturbation, builtin, fixture,
                     load_problem, load_problem_file, oracle_example1,
                     oracle_example3, save_problem)

@@ -8,9 +8,11 @@ gives holds at once, a unit vector of ker(G'*) ∩ (span C)^perp is a polar
 witness that fails, and a direction d with G'd in ri C, checked block by
 block, certifies holds.  Where neither applies, the condition fails
 exactly when ker(G'*) holds a nonzero element of the polar cone: decided
-exactly on a line, and otherwise by `kkt.affine_cone_point` on a slice:
-by a closed-form candidate in the polar cone's relative interior when
-there is one, else by a search, whose miss is inconclusive.
+exactly on a line.  On a plane or larger it holds when a bound from G'
+alone shows that the slice <v, c> = -1 (c in ri C) of ker(G'*) misses
+the polar cone; else `kkt.affine_cone_point` decides on the slice, by a
+closed-form candidate in ri C° or by a search, whose miss is
+inconclusive.
 SOSC is decided by enumerating the faces of the critical cone, and the
 kernel probe by enumerating the 3^k sign faces of its k borderline rows
 when no block is curved; one face routine serves both.  With one curved
@@ -113,9 +115,14 @@ def _decide_fullness(cc, label):
     of C°; the second is certified by an interior direction.  Otherwise
     it fails exactly when V = ker(G'*) ∩ span C° holds a nonzero element
     of C°: v or -v on a line.  On a plane or larger each such element has
-    <v, c> < 0 for the point c of ri C, as range V misses (span C)^perp,
-    so `affine_cone_point` looks for one on the slice <v, c> = -1; a miss
-    is inconclusive.
+    <v, c> < 0 for the point c of ri C, as range V misses (span C)^perp.
+    As c lies 1/sqrt2 from the relative boundary of C (the unit of each
+    beta subalgebra), a unit one has a part of norm <= sqrt2 ||V'c|| in
+    span C and, as G'* v = 0, ||G'|| / sigma times that off it, sigma the
+    least singular value of G'* on (span C)^perp: so none exists, and the
+    condition holds, when ||V'c|| < sigma / (sqrt2 (sigma + ||G'||)).
+    Else `affine_cone_point` looks for one on the slice <v, c> = -1; a
+    miss is inconclusive.
     """
     V = cc.polar_kernel
     if V.shape[1] == 0:
@@ -138,6 +145,12 @@ def _decide_fullness(cc, label):
         c = cc.frame.relint_point()
         w = V.T @ c
         nw = np.linalg.norm(w)
+        sigma = (np.linalg.svd(cc.Gmat.T @ R, compute_uv=False)[-1]
+                 if R.shape[1] else np.inf)
+        bound = np.sqrt(0.5) / (1.0 + np.linalg.norm(cc.Gmat, 2) / sigma)
+        if nw < bound:
+            return Verdict(HOLDS, margin=bound - nw,
+                           note="%s: the polar slice vanishes" % label)
         y = None
         if nw > WITNESS_TOL * np.linalg.norm(c):
             y = affine_cone_point(cc.frame, cc.frame.polar_project,

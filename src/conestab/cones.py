@@ -451,9 +451,6 @@ class Cone:
         return np.concatenate([b.project(p, e) for b, p, e in
                                zip(self.blocks, self.split(z), eigs)])
 
-    def dist(self, z):
-        return float(np.linalg.norm(np.asarray(z, dtype=float) - self.project(z)))
-
     def proj_jacobian(self, z, eigs=None):
         """The block-diagonal Jacobian element of the projection at z;
         `eigs` as for `project`."""

@@ -4,13 +4,11 @@ The natural map
 
     F(x, y) = (grad f(x) - a + G'(x)* y,  G(x) + b - Pi_K(G(x) + b + y))
 
-vanishes exactly at KKT pairs of the perturbed problem, and Robinson's
-normal map in (x, z) with y = z - Pi_K(z) gives the equivalent
-formulation used for the solution-set identity.  The solver tries the
-semismooth Newton step V d = -F first at each point, V an element of
-the generalized Jacobian read from the eigendecompositions that F's
-projection took there, and damps it in the Levenberg-Marquardt way
-only where that step fails, which is all that desk-scale instances
+vanishes exactly at KKT pairs of the perturbed problem.  The solver
+tries the semismooth Newton step V d = -F first at each point, V an
+element of the generalized Jacobian read from the eigendecompositions
+that F's projection took there, and damps it in the Levenberg-Marquardt
+way only where that step fails, which is all that desk-scale instances
 need.
 """
 
@@ -65,20 +63,6 @@ def natural_map(prog, x, y, pert=None, eigs=None):
 
 def natural_residual(prog, x, y, pert=None):
     return float(np.linalg.norm(natural_map(prog, x, y, pert)))
-
-
-def normal_map(prog, x, z, pert=None):
-    """Residual of Psi(x, z) = (a, -b); zero iff (x, z - Pi_K(z)) is KKT."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pz = prog.cone.project(z)
-    y = z - pz
-    first = prog.gradient(x) + prog.adjoint(y, x)
-    second = prog.constraint(x) - pz
-    if pert is not None:
-        first = first - pert.a
-        second = second + pert.b
-    return np.concatenate([first, second])
 
 
 # ---------------------------------------------------------------------------

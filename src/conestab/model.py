@@ -124,9 +124,6 @@ class Perturbation:
     def scaled(self, eps):
         return Perturbation(eps * self.a, eps * self.b)
 
-    def norm(self):
-        return float(np.sqrt(self.a @ self.a + self.b @ self.b))
-
 
 # ---------------------------------------------------------------------------
 # File format
@@ -457,39 +454,3 @@ def fixture(name):
 def builtin(name):
     return fixture(name).prog
 
-
-def well_conditioned_instance(kind, seed=0):
-    """A randomly generated instance with a known KKT pair and no
-    borderline structure (strict complementarity, surjective G').
-
-    kind "orthant": bound-constrained strongly convex QP with a mixed
-    active set.  kind "psd": strongly convex objective over PSD(2) with a
-    rank-deficient optimum and a strictly complementary multiplier.
-    Returns (program, x, y).
-    """
-    rng = np.random.default_rng(seed)
-    if kind == "orthant":
-        n = 3
-        cone = Cone([("orthant", n)])
-        R = rng.standard_normal((n, n))
-        Q = R @ R.T + n * np.eye(n)
-        xbar = np.array([1.0, 0.0, 0.0])
-        ybar = np.array([0.0, -1.0, -2.0])
-        c = -(Q @ xbar) - ybar
-        prog = ConicProgram(n, Q, c, 0.0, np.zeros(n), np.eye(n), cone,
-                            name="gen-orthant-%d" % seed)
-        return prog, xbar, ybar
-    if kind == "psd":
-        n = 3
-        cone = Cone([("psd", 2)])
-        R = rng.standard_normal((n, n))
-        Q = R @ R.T + n * np.eye(n)
-        Xbar = np.diag([1.0, 0.0])
-        Ybar = np.diag([0.0, -1.5])
-        xbar = svec(Xbar)
-        ybar = svec(Ybar)
-        c = -(Q @ xbar) - ybar
-        prog = ConicProgram(n, Q, c, 0.0, np.zeros(n), np.eye(n), cone,
-                            name="gen-psd-%d" % seed)
-        return prog, xbar, ybar
-    raise KeyError("unknown instance kind %r" % kind)

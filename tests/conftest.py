@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conestab.cones import Cone
+from conestab.cones import Cone, svec
 from conestab.model import ConicProgram
 
 
@@ -46,5 +46,36 @@ def planted(bench_gen):
         prog = ConicProgram(m, Q, -(Q @ x) - G.T @ y, 0.0, s - G @ x, G.T,
                             cone, name="planted-%d-%d" % (k, seed))
         return prog, x, y
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def well_conditioned_instance():
+    """well_conditioned_instance(kind, seed) -> (prog, x, y): a randomly
+    generated instance with a known KKT pair and no borderline structure
+    (strict complementarity, surjective G').
+
+    kind "orthant": bound-constrained strongly convex QP with a mixed
+    active set.  kind "psd": strongly convex objective over PSD(2) with a
+    rank-deficient optimum and a strictly complementary multiplier.
+    """
+    pairs = {
+        "orthant": (Cone([("orthant", 3)]), np.array([1.0, 0.0, 0.0]),
+                    np.array([0.0, -1.0, -2.0])),
+        "psd": (Cone([("psd", 2)]), svec(np.diag([1.0, 0.0])),
+                svec(np.diag([0.0, -1.5]))),
+    }
+
+    def build(kind, seed=0):
+        cone, xbar, ybar = pairs[kind]
+        rng = np.random.default_rng(seed)
+        n = 3
+        R = rng.standard_normal((n, n))
+        Q = R @ R.T + n * np.eye(n)
+        c = -(Q @ xbar) - ybar
+        prog = ConicProgram(n, Q, c, 0.0, np.zeros(n), np.eye(n), cone,
+                            name="gen-%s-%d" % (kind, seed))
+        return prog, xbar.copy(), ybar.copy()
 
     return build

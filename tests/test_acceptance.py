@@ -214,7 +214,8 @@ def test_criterion_6_derivative_characterization_equivalence(capsys):
                                                  3 * per_type))
 
 
-def test_criterion_7_verdict_battery_consistency(capsys):
+def test_criterion_7_verdict_battery_consistency(capsys,
+                                                 well_conditioned_instance):
     """On the four fixtures plus two generated instances, the kernel
     probe agrees with the SRCQ-and-SOSC verdict with no inconclusives."""
     cases = []
@@ -222,8 +223,8 @@ def test_criterion_7_verdict_battery_consistency(capsys):
         prog = model.builtin(name)
         x, y = model.fixture(name).reference
         cases.append((prog, x, y))
-    cases.append(model.well_conditioned_instance("orthant", seed=0))
-    cases.append(model.well_conditioned_instance("psd", seed=0))
+    cases.append(well_conditioned_instance("orthant", seed=0))
+    cases.append(well_conditioned_instance("psd", seed=0))
     bad = []
     for prog, x, y in cases:
         report = conditions.assemble_report(prog, x, y)

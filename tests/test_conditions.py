@@ -40,9 +40,10 @@ class TestProblemCriticalCone:
         assert not cc.member(outside_trace)
         assert not cc.member(outside_psd)
 
-    def test_interior_constraint_gives_full_space(self):
+    def test_interior_constraint_gives_full_space(
+            self, well_conditioned_instance):
         # G(x) strictly inside the cone: every direction is critical
-        prog, x, y = model.well_conditioned_instance("orthant", seed=2)
+        prog, x, y = well_conditioned_instance("orthant", seed=2)
         from conestab.cones import Cone
         from conestab.model import ConicProgram
         free = ConicProgram(2, np.eye(2), np.zeros(2), 0.0,
@@ -60,10 +61,30 @@ class TestProblemCriticalCone:
         assert cc.member(10.0 * d)
         assert cc.member(np.zeros(3))
 
-    def test_quadratic_equals_the_unit_vector_loop(self):
+    @pytest.mark.parametrize("case", [
+        None, ("ladder", 1), ("ladder", 5), ("ladder", 6), ("ladder", 10),
+        ("degenerate", 8), ("degenerate", 11)],
+        ids=lambda case: "%s%d" % case if case else "strict")
+    def test_quadratic_equals_the_unit_vector_loop(self, case, bench_gen):
         # orthant x SOC x PSD with (alpha, gamma) pairs in the SOC and PSD
-        # blocks, so that Upsilon is not zero, and G' not the identity
-        prog, x, y = _strict_instance(nonunique=True)
+        # blocks, so that Upsilon is not zero, and G' not the identity; and
+        # benchmark instances of the `ladder` and `degenerate` lists, each
+        # generated with its list position as seed, on which forming
+        # Upsilon by one matrix product per block changes the bits
+        if case is None:
+            prog, x, y = _strict_instance(nonunique=True)
+        else:
+            spec = {("ladder", 1): ([("psd", 4)], [2]),
+                    ("ladder", 5): ([("psd", 8)], [4]),
+                    ("ladder", 6): ([("soc", 12)], [1]),
+                    ("ladder", 10): ([("orthant", 10), ("soc", 8),
+                                      ("psd", 6)], [4, 1, 3]),
+                    ("degenerate", 8): ([("psd", 4)], [2], [0], "identity",
+                                        "face-null"),
+                    ("degenerate", 11): ([("soc", 8)], [1], [0], "identity",
+                                         "face-null")}[case]
+            inst = bench_gen.make_instance(*spec, seed=case[1])
+            prog, x, y = inst.prog, inst.x, inst.y
         cc = problem_critical_cone(prog, x, y)
         m = cc.Gmat.shape[0]
         Ups = np.zeros((m, m))
@@ -116,13 +137,15 @@ class TestConstraintQualifications:
             prog, x, y = fixture(name)
             assert check_nondegeneracy(prog, x).status == status, name
 
-    def test_nondegeneracy_holds_for_surjective_jacobian(self):
-        prog, x, y = model.well_conditioned_instance("psd", seed=0)
+    def test_nondegeneracy_holds_for_surjective_jacobian(
+            self, well_conditioned_instance):
+        prog, x, y = well_conditioned_instance("psd", seed=0)
         assert check_nondegeneracy(prog, x).status == HOLDS
 
-    def test_implication_nondegeneracy_gives_srcq(self):
+    def test_implication_nondegeneracy_gives_srcq(
+            self, well_conditioned_instance):
         for kind, seed in (("orthant", 0), ("psd", 0), ("orthant", 7)):
-            prog, x, y = model.well_conditioned_instance(kind, seed)
+            prog, x, y = well_conditioned_instance(kind, seed)
             if check_nondegeneracy(prog, x).status == HOLDS:
                 assert check_srcq(prog, x, y).status == HOLDS
 
@@ -182,8 +205,9 @@ class TestSecondOrderConditions:
         assert abs(D[0, 0]) <= 1e-8 * scale
         assert abs(2.0 * D[0, 1] - D[1, 1]) <= 1e-8 * scale
 
-    def test_affine_hull_probe_holds_with_strong_curvature(self):
-        prog, x, y = model.well_conditioned_instance("orthant", seed=3)
+    def test_affine_hull_probe_holds_with_strong_curvature(
+            self, well_conditioned_instance):
+        prog, x, y = well_conditioned_instance("orthant", seed=3)
         assert affine_hull_probe(prog, x, y).status == HOLDS
 
     def test_affine_hull_probe_vacuous_on_trivial_hull(self):
@@ -965,7 +989,9 @@ class TestPolarKernelStage:
             self, name, cols, monkeypatch):
         # range V meets C° in a sector (or a ray of ±v) or only at 0;
         # without the interior direction every kernel reaches the test,
-        # which is exact on a line and inconclusive on a plane's miss
+        # which is exact on a line; a plane's miss holds where the polar
+        # slice vanishes, |<v, c>| < 1/sqrt2 on its unit circle (span C
+        # is the whole space, so no G' term), and is inconclusive else
         monkeypatch.setattr(conditions, "_interior_direction",
                             lambda cc: (None, 0.0))
         t = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
@@ -989,8 +1015,12 @@ class TestPolarKernelStage:
                 assert np.isclose(v.margin, min(frame.polar_dist(u) for u
                                                 in (V[:, 0], -V[:, 0])))
             else:
-                assert v.status == INCONCLUSIVE, (name, trial)
+                gap = np.sqrt(0.5) - np.linalg.norm(V.T @ frame.relint_point())
+                assert v.status == (HOLDS if gap > 0 else INCONCLUSIVE), \
+                    (name, trial)
                 assert v.witness is None
+                if gap > 0:
+                    assert np.isclose(v.margin, gap)
             seen.add(hit)
         assert seen == {True, False}, name
 
@@ -1075,6 +1105,44 @@ class TestRobinsonCertificate:
         assert v.status == FAILS and frame.polar_dist(v.witness) <= 1e-10
         assert frame.relint_margin(-v.witness) > 0.0
 
+    @pytest.mark.parametrize("zero_block", [False, True])
+    def test_vanishing_polar_slice_holds(self, zero_block, monkeypatch):
+        # orthant(6) at s = (0, 0, 0, 0, 1, 1) with G' an orthonormal basis
+        # of the complement of the rows below: ker G'* ∩ span N is the
+        # plane of the first two rows, orthogonal to c = (1, 1, 1, 1, 0, 0),
+        # and no interior direction is found; yet z = (1, 1, 1, 1, -6, 0)
+        # lies in range G' with its corner part in ri C, so RCQ holds.  A
+        # zero block with G' = 1 on it adds (span C)^perp with sigma = 1
+        # and ||G'|| = 1, which halves the margin 1/sqrt2
+        from conestab.cones import Cone
+        from conestab.model import ConicProgram
+
+        def refuse(*args):
+            raise AssertionError("affine_cone_point ran")
+
+        monkeypatch.setattr(conditions, "affine_cone_point", refuse)
+        B = linalg.nullspace(np.array([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+                                       [0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+                                       [2.0, 2.0, 1.0, 1.0, 1.0, 0.0]]))
+        s = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        z = np.array([1.0, 1.0, 1.0, 1.0, -6.0, 0.0])
+        assert np.allclose(B @ (B.T @ z), z)
+        blocks, G = [("orthant", 6)], B
+        if zero_block:
+            blocks.append(("zero", 1))
+            G = np.block([[B, np.zeros((6, 1))], [np.zeros((1, 3)), 1.0]])
+            s = np.r_[s, 0.0]
+        m, n = G.shape
+        prog = ConicProgram(n, np.eye(n), np.zeros(n), 0.0, s, G.T,
+                            Cone(blocks))
+        x, y = np.zeros(n), np.zeros(m)
+        assert kkt.natural_residual(prog, x, y) == 0.0
+        margin = np.sqrt(0.5) / (2.0 if zero_block else 1.0)
+        for v in (check_rcq(prog, x), check_srcq(prog, x, y)):
+            assert v.status == HOLDS and "vanishes" in v.note
+            assert v.witness is None
+            assert np.isclose(v.margin, margin)
+
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     def test_verdicts_do_not_depend_on_the_constraint_scale(self, scale):
         # G scaled by s keeps (x, y / s) a KKT pair; the program is rebuilt
@@ -1141,8 +1209,8 @@ class TestAssembleReport:
         with pytest.raises(ValueError, match="KKT"):
             assemble_report(prog, np.ones(2), np.zeros(3))
 
-    def test_rejects_nan_residual(self):
-        prog, x, y = model.well_conditioned_instance("orthant", seed=0)
+    def test_rejects_nan_residual(self, well_conditioned_instance):
+        prog, x, y = well_conditioned_instance("orthant", seed=0)
         y = y.copy()
         y[0] = np.nan
         with pytest.raises(ValueError, match="KKT"):
@@ -1164,9 +1232,10 @@ class TestAssembleReport:
             assert report.consistency_flag is True, name
             assert report.inconsistencies == [], name
 
-    def test_generated_instances_are_robustly_isolated_calm(self):
+    def test_generated_instances_are_robustly_isolated_calm(
+            self, well_conditioned_instance):
         for kind in ("orthant", "psd"):
-            prog, x, y = model.well_conditioned_instance(kind, seed=0)
+            prog, x, y = well_conditioned_instance(kind, seed=0)
             report = assemble_report(prog, x, y)
             assert report.theorem_verdict == HOLDS
             assert report.consistency_flag is True

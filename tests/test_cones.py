@@ -259,7 +259,7 @@ class TestSpectralFrame:
             f = cone.frame(c)
             a, b = f.a, f.b
             assert np.allclose(a + b, c)
-            assert cone.dist(a) <= 1e-10
+            assert np.linalg.norm(a - cone.project(a)) <= 1e-10
             assert abs(a @ b) <= 1e-10 * max(1.0, a @ a + b @ b)
             # b in the polar cone: projection onto K of b is zero
             assert np.linalg.norm(cone.project(b)) <= 1e-8

@@ -6,8 +6,8 @@ import pytest
 from conestab import conditions, cones, kkt, linalg, model
 from conestab.cones import smat, svec
 from conestab.kkt import (KKTPoint, SolveOptions, natural_map,
-                          natural_residual, normal_map, recover_multipliers,
-                          solve_kkt, solve_kkt_multistart)
+                          natural_residual, recover_multipliers, solve_kkt,
+                          solve_kkt_multistart)
 
 ALL_REFERENCED = ("example1", "example2", "example3", "example4")
 
@@ -27,9 +27,9 @@ class TestNaturalMap:
             x, y = model.fixture(name).reference
             assert natural_residual(prog, x, y) <= 1e-12, name
 
-    def test_vanishes_at_generated_instances(self):
+    def test_vanishes_at_generated_instances(self, well_conditioned_instance):
         for kind in ("orthant", "psd"):
-            prog, x, y = model.well_conditioned_instance(kind, seed=0)
+            prog, x, y = well_conditioned_instance(kind, seed=0)
             assert natural_residual(prog, x, y) <= 1e-12
 
     def test_positive_away_from_solutions(self):
@@ -52,34 +52,6 @@ class TestNaturalMap:
         s12 = natural_map(prog, x, y1 + y2)[:n]
         grad = prog.gradient(x)
         assert np.allclose(s12 - grad, (s1 - grad) + (s2 - grad))
-
-
-class TestNormalMap:
-    def test_zero_at_shifted_reference(self):
-        # z = G(x) + b + y turns a natural-map root into a normal-map root
-        for name in ALL_REFERENCED:
-            prog = model.builtin(name)
-            x, y = model.fixture(name).reference
-            z = prog.constraint(x) + y
-            assert np.linalg.norm(normal_map(prog, x, z)) <= 1e-12, name
-
-    def test_consistency_for_solved_perturbed_pairs(self):
-        prog = model.builtin("example4")
-        direction = model.fixture("example4").direction
-        for eps in (1e-2, 1e-4):
-            pert = direction.scaled(eps)
-            pt = solve_kkt_multistart(prog, pert)
-            assert pt.converged
-            z = prog.constraint(pt.x, pert.b) + pt.y
-            assert np.linalg.norm(normal_map(prog, pt.x, z, pert)) <= 1e-9
-
-    def test_interior_z_reduces_to_smooth_equations(self):
-        prog = model.builtin("example1")
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(2)
-        z = svec(np.eye(2) + 0.1 * smat(rng.standard_normal(3)))
-        r = normal_map(prog, x, z)
-        assert np.allclose(r[2:], prog.constraint(x) - z)
 
 
 class TestRecoverMultipliers:
