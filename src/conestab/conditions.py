@@ -11,8 +11,8 @@ exactly when ker(G'*) holds a nonzero element of the polar cone: decided
 exactly on a line.  On a plane or larger it holds when a bound from G'
 alone shows that the slice <v, c> = -1 (c in ri C) of ker(G'*) misses
 the polar cone; else `kkt.affine_cone_point` decides on the slice, by a
-closed-form candidate in ri C° or by a search, whose miss is
-inconclusive.
+closed-form candidate in ri C°, by the polar cone's Lorentz rows where
+the slice is a line, or by a search, whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone, and the
 kernel probe by enumerating the 3^k sign faces of its k borderline rows
 when no block is curved; one face routine serves both.  With one curved
@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .kkt import affine_cone_point, kkt_matrix, natural_residual
+from .kkt import affine_cone_point, kkt_matrix, line_span, natural_residual
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -121,8 +121,12 @@ def _decide_fullness(cc, label):
     span C and, as G'* v = 0, ||G'|| / sigma times that off it, sigma the
     least singular value of G'* on (span C)^perp: so none exists, and the
     condition holds, when ||V'c|| < sigma / (sqrt2 (sigma + ||G'||)).
-    Else `affine_cone_point` looks for one on the slice <v, c> = -1; a
-    miss is inconclusive.
+    Else `affine_cone_point` looks for one on the slice <v, c> = -1.  On
+    a two-column V the slice is a line: where the Lorentz rows of C° give
+    it in closed form and their `line_span` is empty, none exists and the
+    condition holds, with margin lo - hi, the gap along the unit line
+    between the slack-widened row intervals (inf when one row's interval
+    is empty).  A miss of the search is inconclusive.
     """
     V = cc.polar_kernel
     if V.shape[1] == 0:
@@ -153,9 +157,15 @@ def _decide_fullness(cc, label):
                            note="%s: the polar slice vanishes" % label)
         y = None
         if nw > WITNESS_TOL * np.linalg.norm(c):
-            y = affine_cone_point(cc.frame, cc.frame.polar_project,
-                                  V @ (-w / nw ** 2),
-                                  V @ linalg.nullspace(w[None, :]))
+            y0, B = V @ (-w / nw ** 2), V @ linalg.nullspace(w[None, :])
+            y = affine_cone_point(cc.frame, cc.frame.polar_project, y0, B)
+            rows = cc.frame.polar_rows() if y is None else None
+            if rows is not None and B.shape[1] == 1:
+                lo, hi = line_span(rows, y0, B[:, 0])
+                if lo > hi:
+                    return Verdict(HOLDS, margin=lo - hi,
+                                   note="%s: the polar slice is a line that "
+                                   "misses the polar cone" % label)
         cands = [] if y is None else [y / np.linalg.norm(y)]
     dists = [cc.frame.polar_dist(u) for u in cands]
     for u, dist in zip(cands, dists):

@@ -124,14 +124,10 @@ def _line_interval(t0, t1, u0, u1):
     return min(p[0] for p in hit), max(p[1] for p in hit)
 
 
-def _line_point(project, rows, y0, v):
-    """A relative-interior point of (y0 + R v) ∩ K in closed form: the
-    intervals of K's Lorentz rows (as `ConeFrame.polar_rows`), each widened
-    by a slack, meet in (lo, hi), and `_inner_point` picks s in it with a
-    width of max(1, ||y0||).  None when rows is None, the intersection is
-    empty, or y0 + s v fails the membership test of `project`."""
-    if rows is None:
-        return None
+def line_span(rows, y0, v):
+    """The interval (lo, hi) of the s with y0 + s v in C°, for C° given by
+    its Lorentz rows (as `ConeFrame.polar_rows`), each widened by a slack;
+    lo > hi when it is empty, (inf, -inf) when one row's interval is."""
     scale = max(1.0, np.linalg.norm(y0))
     lo, hi = -np.inf, np.inf
     for s, L in rows:
@@ -139,11 +135,17 @@ def _line_point(project, rows, y0, v):
         iv = _line_interval(r0[0] + _LINE_SLACK * scale, r1[0], r0[1:],
                             r1[1:])
         if iv is None:
-            return None
+            return np.inf, -np.inf
         lo, hi = max(lo, iv[0]), min(hi, iv[1])
-    if lo > hi:
-        return None
-    y = y0 + _inner_point(lo, hi, scale) * v
+    return lo, hi
+
+
+def _line_point(project, y0, v, span):
+    """A relative-interior point of (y0 + R v) ∩ K in closed form:
+    `_inner_point` picks s in the non-empty `line_span` span with a width
+    of max(1, ||y0||).  None when y0 + s v fails the membership test of
+    `project`."""
+    y = y0 + _inner_point(*span, max(1.0, np.linalg.norm(y0))) * v
     return y if _in_cone(project, y) else None
 
 
@@ -181,8 +183,9 @@ def affine_cone_point(frame, project, y0, basis):
     the point of the set nearest to -max(1, ||y0||) c / ||c|| for c the
     frame's `relint_point`, is taken when its `relint_margin` puts it in
     ri C°: the set then meets ri C° (Robinson, 1976), and its affine hull
-    is all of it.  Else a line is decided from the frame's `polar_rows`,
-    and a plane, or a line without closed form, by `_projection_search`."""
+    is all of it.  Else a line is decided from the frame's `polar_rows`
+    (None, with no search, when their `line_span` is empty), and a plane,
+    or a line without closed form, by `_projection_search`."""
     if basis.shape[1] == 0:
         return y0 if _in_cone(project, y0) else None
     c = frame.relint_point()
@@ -192,8 +195,12 @@ def affine_cone_point(frame, project, y0, basis):
     if frame.relint_margin(-y) > _RELINT_SLACK * max(1.0, np.linalg.norm(y)) \
             and _in_cone(project, y):
         return y
-    if basis.shape[1] == 1:
-        y = _line_point(project, frame.polar_rows(), y0, basis[:, 0])
+    rows = frame.polar_rows() if basis.shape[1] == 1 else None
+    if rows is not None:
+        span = line_span(rows, y0, basis[:, 0])
+        if span[0] > span[1]:
+            return None
+        y = _line_point(project, y0, basis[:, 0], span)
         if y is not None:
             return y
     return _projection_search(project, y0, basis)

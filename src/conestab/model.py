@@ -259,7 +259,9 @@ def oracle_example1(eps):
     Feasibility is x1 >= 0, x2 >= 0, x1*x2 >= eps^2; at the optimum the
     product constraint binds, reducing the problem to one variable whose
     stationarity equation 1 + 2*x1 - 2*eps^4/x1^3 = 0 is solved by
-    bisection (the left side is increasing on (0, inf)).
+    bisection (the left side is increasing on (0, inf)), at most 200
+    halvings, until one leaves the bracket unchanged: it is then a fixed
+    point of the halving.
     """
     if not 0.0 < eps <= 0.1:
         raise ValueError("eps must lie in (0, 0.1]")
@@ -273,11 +275,14 @@ def oracle_example1(eps):
     while phi(lo) > 0:
         lo *= 0.5
     for _ in range(200):
+        bracket = (lo, hi)
         mid = 0.5 * (lo + hi)
         if phi(mid) > 0:
             hi = mid
         else:
             lo = mid
+        if (lo, hi) == bracket:
+            break
     x1 = 0.5 * (lo + hi)
     return x1, eps ** 2 / x1
 

@@ -11,7 +11,7 @@ import io
 
 import numpy as np
 
-from . import model
+from . import linalg, model
 from .kkt import KKTPoint, natural_residual, solve_kkt, solve_kkt_multistart
 
 CSV_COLUMNS = ("eps", "solved", "dist_x", "dist_y", "residual", "iterations")
@@ -57,6 +57,22 @@ class SweepResult:
         return buf.getvalue()
 
 
+def _kkt_pair_is_unique(prog):
+    """Whether prog has one KKT pair for every canonical perturbation: G
+    affine, Q positive definite (its least eigenvalue above
+    `linalg.rank_tol_for` of its spectrum), so the primal is unique, and
+    G' of full row rank at the rank rule of
+    `ProblemCriticalCone.polar_kernel`, so G'* is injective and the
+    multiplier is unique too.  cone.dim <= n is tested first."""
+    if not prog.is_affine or prog.cone.dim > prog.n:
+        return False
+    q = np.linalg.eigvalsh(prog.Q)
+    if not q[0] > linalg.rank_tol_for(q):
+        return False
+    s = np.linalg.svd(prog.Gmat, compute_uv=False)
+    return bool(s[-1] > 1e-12 * max(1.0, s[0]))
+
+
 def run_sweep(prog, direction, grid=None, reference=None, observable="x",
               oracle=None):
     """Sweep eps over the grid (strictly decreasing) and measure drift.
@@ -65,6 +81,14 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     "multiplier-drift" (dual distance), "full" (joint distance); it
     selects what dist_x/dist_y carry for exponent fitting downstream.
     oracle: optional eps -> KKTPoint map used instead of the solver.
+
+    Without an oracle each point is solved by `solve_kkt` from the last
+    solved point (the reference before the first), and one that does not
+    converge is retried cold by `solve_kkt_multistart`.  Where
+    `_kkt_pair_is_unique` holds, the drift cannot depend on the start, and
+    every point after the first solved one starts on the secant through
+    the reference instead: (x, y) + (eps / eps_prev) (p - (x, y)), p the
+    last solved point at eps_prev.
     """
     grid = list(grid) if grid is not None else default_grid()
     if not all(0 < e <= 1 for e in grid):  # False on NaN
@@ -74,8 +98,9 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     if reference is None:
         raise ValueError("a reference KKT point is required")
     xb, yb = reference.x, reference.y
+    secant = oracle is None and _kkt_pair_is_unique(prog)
     records = []
-    prev = reference
+    prev, prev_eps = reference, None
     for eps in grid:
         pert = direction.scaled(eps)
         if oracle is not None:
@@ -84,7 +109,12 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
             pt = KKTPoint(pt.x, pt.y, res, iterations=pt.iterations,
                           converged=res <= SOLVED_RESIDUAL)
         else:
-            pt = solve_kkt(prog, pert, start=prev)
+            start = prev
+            if secant and prev_eps is not None:
+                t = eps / prev_eps
+                start = KKTPoint(xb + t * (prev.x - xb),
+                                 yb + t * (prev.y - yb), 0.0)
+            pt = solve_kkt(prog, pert, start=start)
             if not pt.converged:
                 # warm starts can strand the damped Newton iteration in the
                 # wrong smooth piece of the natural map; retry cold
@@ -93,7 +123,7 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
                     pt = alt
         solved = pt.converged and pt.residual <= SOLVED_RESIDUAL
         if solved:
-            prev = pt
+            prev, prev_eps = pt, eps
         if observable == "x2":
             dx = abs(pt.x[1] - xb[1])
         elif observable == "full":

@@ -991,7 +991,8 @@ class TestPolarKernelStage:
         # without the interior direction every kernel reaches the test,
         # which is exact on a line; a plane's miss holds where the polar
         # slice vanishes, |<v, c>| < 1/sqrt2 on its unit circle (span C
-        # is the whole space, so no G' term), and is inconclusive else
+        # is the whole space, so no G' term), and else where the slice, a
+        # line, misses C°'s Lorentz rows, which every frame here has
         monkeypatch.setattr(conditions, "_interior_direction",
                             lambda cc: (None, 0.0))
         t = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
@@ -1016,11 +1017,12 @@ class TestPolarKernelStage:
                                                 in (V[:, 0], -V[:, 0])))
             else:
                 gap = np.sqrt(0.5) - np.linalg.norm(V.T @ frame.relint_point())
-                assert v.status == (HOLDS if gap > 0 else INCONCLUSIVE), \
-                    (name, trial)
-                assert v.witness is None
+                assert frame.polar_rows() is not None
+                assert v.status == HOLDS and v.witness is None, (name, trial)
                 if gap > 0:
                     assert np.isclose(v.margin, gap)
+                else:
+                    assert "misses" in v.note and v.margin > 0, (name, trial)
             seen.add(hit)
         assert seen == {True, False}, name
 
@@ -1142,6 +1144,36 @@ class TestRobinsonCertificate:
             assert v.status == HOLDS and "vanishes" in v.note
             assert v.witness is None
             assert np.isclose(v.margin, margin)
+
+    def test_polar_slice_line_that_misses_holds(self, tmp_path, capsys,
+                                                monkeypatch):
+        # random file 12, orthant(4) x psd(1) with n = 2: the polar kernel
+        # has two columns and no interior direction, its slice is a line
+        # whose orthant rows give intervals that do not meet, so RCQ holds
+        # in closed form, with no search
+        import json
+
+        import random_problems
+        from conestab import cli
+        from conestab.model import save_problem
+
+        def refuse(*args):
+            raise AssertionError("the projection search ran")
+
+        monkeypatch.setattr(kkt, "_projection_search", refuse)
+        prog = random_problems.random_problem(12)
+        path, report = tmp_path / "p12.json", tmp_path / "r12.json"
+        path.write_text(save_problem(prog))
+        assert cli.main(["analyze", "--problem", str(path),
+                         "--report", str(report)]) == 0
+        capsys.readouterr()
+        rcq = json.loads(report.read_text())["rcq"]
+        assert rcq["status"] == HOLDS and "misses" in rcq["note"]
+        assert 0.0 < rcq["margin"] < np.inf
+        x = kkt.solve_kkt_multistart(prog).x
+        cc = conditions._tangent_cone(prog, x)
+        assert cc.polar_kernel.shape[1] == 2
+        assert conditions._interior_direction(cc)[1] <= conditions.WITNESS_TOL
 
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     def test_verdicts_do_not_depend_on_the_constraint_scale(self, scale):

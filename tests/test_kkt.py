@@ -335,7 +335,10 @@ def _ladder_instance():
 
 def _line_point(frame, y0, v):
     """The closed-form line test against N_K(A) at a frame built on K."""
-    return kkt._line_point(frame.normal_project, frame.polar_rows(), y0, v)
+    span = kkt.line_span(frame.polar_rows(), y0, v)
+    if span[0] > span[1]:
+        return None
+    return kkt._line_point(frame.normal_project, y0, v, span)
 
 
 def _count_normal_projections(monkeypatch):

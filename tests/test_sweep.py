@@ -122,6 +122,23 @@ class TestOracleCubeRootRate:
             pert = direction.scaled(eps)
             assert natural_residual(prog, pt.x, pt.y, pert) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 3.2e-5, 1e-6, 1e-8])
+    def test_bisection_stops_with_the_bits_of_200_halvings(self, eps):
+        def phi(x1):
+            return 1.0 + 2.0 * x1 - 2.0 * eps ** 4 / x1 ** 3
+
+        lo, hi = eps ** 2, 1.0
+        while phi(lo) > 0:
+            lo *= 0.5
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if phi(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        x1 = 0.5 * (lo + hi)
+        assert oracle_example1(eps) == (x1, eps ** 2 / x1)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             oracle_example1(0.5)
@@ -200,3 +217,62 @@ class TestSolverSweeps:
     def test_cube_root_coordinate_reads_two_thirds(self):
         slope, _ = fit_exponent(_solver_sweep("example1"))
         assert abs(slope - 2.0 / 3.0) <= 0.01
+
+
+# (blocks, rank, border) of generated programs with G = I and Q positive
+# definite, instance seed 0: a PSD beta, an SOC apex and a mixed product
+_UNIQUE_SPECS = [
+    ([("psd", 6)], [2], [1]),
+    ([("soc", 8)], [0], [1]),
+    ([("orthant", 6), ("soc", 5), ("psd", 4)], [2, 0, 1], [1, 1, 1]),
+]
+
+
+class TestSecantStart:
+    """Where the perturbed KKT pair is unique, the sweep starts each point
+    after the first solved one on the secant through the reference."""
+
+    @pytest.mark.parametrize("kind", ["orthant", "psd"])
+    def test_unique_where_g_is_the_identity_and_q_definite(
+            self, kind, well_conditioned_instance):
+        prog, _, _ = well_conditioned_instance(kind, 3)
+        assert sweep._kkt_pair_is_unique(prog)
+
+    @pytest.mark.parametrize("spec", [
+        ([("psd", 4)], [2], [0], "identity", "face-null"),
+        ([("orthant", 10)], [4], [1], "identity", "face-null"),
+        ([("psd", 4)], [1], [0], "nonunique", "pd"),
+        ([("orthant", 8)], [2], [0], "nonunique", "pd"),
+    ], ids=["psd4-face-null", "orthant10-face-null", "psd4-nonunique",
+            "orthant8-nonunique"])
+    def test_not_unique_on_a_singular_q_or_g(self, spec, bench_gen):
+        assert not sweep._kkt_pair_is_unique(
+            bench_gen.make_instance(*spec, seed=0).prog)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "example4", "remark2"])
+    def test_not_unique_on_any_builtin(self, name):
+        # n < m on the examples; remark2's constraint map is a callback
+        assert not sweep._kkt_pair_is_unique(model.builtin(name))
+
+    @pytest.mark.parametrize("k", range(len(_UNIQUE_SPECS)))
+    def test_matches_the_last_point_start_in_fewer_iterations(
+            self, k, bench_gen, monkeypatch):
+        inst = bench_gen.make_instance(*_UNIQUE_SPECS[k], seed=0)
+        direction = model.default_direction(inst.prog)
+        ref = KKTPoint(inst.x, inst.y, 0.0)
+        assert sweep._kkt_pair_is_unique(inst.prog)
+        runs = []
+        for unique in (True, False):
+            monkeypatch.setattr(sweep, "_kkt_pair_is_unique",
+                                lambda prog: unique)
+            result = run_sweep(inst.prog, direction, reference=ref,
+                               observable="full")
+            runs.append((result, fit_exponent(result)[0],
+                         sum(r.iterations for r in result.records)))
+        (secant, s1, i1), (chain, s2, i2) = runs
+        assert [r.solved for r in secant.records] == \
+            [r.solved for r in chain.records]
+        assert all(r.solved for r in secant.records)
+        assert abs(s1 - s2) <= 1e-6
+        assert i1 <= 0.6 * i2
