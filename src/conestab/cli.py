@@ -156,25 +156,22 @@ def _reference(fx):
     return pt
 
 
-def _analysis(args, fx):
-    """Reference pair, multiplier set and condition report of a fixture."""
-    if not fx.prog.is_affine:
-        raise InputError("analysis requires an affine constraint map; "
-                         "%r carries callbacks" % fx.prog.name)
-    ref = _reference(fx)
-    mset = kkt.recover_multipliers(fx.prog, ref.x)
-    report = conditions.assemble_report(fx.prog, ref.x, ref.y,
-                                        multiplier_set=mset, seed=args.seed)
-    return ref, mset, report
+def _observable(args, fx):
+    """The sweep's observable, refused as input before any solve."""
+    observable = args.observable or fx.observable
+    try:
+        sweep.check_observable(fx.prog, observable)
+    except ValueError as exc:
+        raise InputError(str(exc))
+    return observable
 
 
-def _sweep_fit(args, fx, ref):
+def _sweep_fit(args, fx, ref, observable):
     """Sweep the fixture along its direction from ref and fit the drift
     exponent.  Returns the result and why the fit failed, or None."""
     result = sweep.run_sweep(fx.prog, fx.direction,
                              grid=_parse_grid(args.grid), reference=ref,
-                             observable=args.observable or fx.observable,
-                             oracle=fx.oracle)
+                             observable=observable, oracle=fx.oracle)
     solved = sum(1 for r in result.records if r.solved)
     if solved < 4:
         return result, ("only %d/%d grid points solved; no fit"
@@ -210,7 +207,8 @@ def _status_mark(v):
 def cmd_analyze(args):
     _check_writable(args.report)
     fx = _load_fixture(args)
-    _, mset, report = _analysis(args, fx)
+    ref = _reference(fx)
+    report = conditions.assemble_report(fx.prog, ref.x, ref.y, seed=args.seed)
     verdict = report.theorem_verdict
     print("problem: %s" % fx.prog.name)
     print("ROBUST ISOLATED CALMNESS: %s (SRCQ %s, SOSC %s)"
@@ -228,10 +226,10 @@ def cmd_analyze(args):
           % (kp["status"], "piece margin" if kp["method"] == "pieces"
              and kp["status"] == conditions.HOLDS else "min residual",
              kp["min_residual"]))
-    if mset is not None:
+    if report.multiplier_affine_dim is not None:
         print("multiplier set: affine dim %d%s"
-              % (mset.affine_dim,
-                 " (singleton)" if mset.is_singleton else ""))
+              % (report.multiplier_affine_dim,
+                 " (singleton)" if report.multiplier_singleton else ""))
     if report.inconsistencies:
         print("INTERNAL INCONSISTENCIES: %s"
               % "; ".join(report.inconsistencies))
@@ -239,22 +237,19 @@ def cmd_analyze(args):
         print("INCONSISTENT: kernel probe %s, robust isolated calmness %s"
               % (kp["status"], verdict))
     if args.report:
-        data = report.to_dict()
-        if mset is not None:
-            data["multiplier_affine_dim"] = mset.affine_dim
-        _dump_json(data, args.report)
-    essential = [report.rcq, report.srcq, report.sosc]
-    if any(v.status == conditions.INCONCLUSIVE for v in essential) or \
-       verdict == conditions.INCONCLUSIVE or \
-       kp["status"] == conditions.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        _dump_json(report.to_dict(), args.report)
+    # the verdict is inconclusive only where SRCQ or SOSC is
+    statuses = (report.rcq.status, report.srcq.status, report.sosc.status,
+                kp["status"])
+    return EXIT_INCONCLUSIVE if conditions.INCONCLUSIVE in statuses \
+        else EXIT_OK
 
 
 def cmd_sweep(args):
     _check_writable(args.out)
     fx = _load_fixture(args)
-    result, failure = _sweep_fit(args, fx, _reference(fx))
+    observable = _observable(args, fx)
+    result, failure = _sweep_fit(args, fx, _reference(fx), observable)
     csv = result.to_csv()
     if args.out:
         _write(args.out, csv)
@@ -273,12 +268,14 @@ def cmd_certify(args):
     """Analyze and sweep, then check that theory and measurement agree:
     the verdict holds iff the measured drift exponent reaches ~1."""
     fx = _load_fixture(args)
-    ref, _, report = _analysis(args, fx)
+    observable = _observable(args, fx)
+    ref = _reference(fx)
+    report = conditions.assemble_report(fx.prog, ref.x, ref.y, seed=args.seed)
     verdict = report.theorem_verdict
     if verdict == conditions.INCONCLUSIVE:
         print("verdict inconclusive; nothing to certify")
         return EXIT_INCONCLUSIVE
-    result, failure = _sweep_fit(args, fx, ref)
+    result, failure = _sweep_fit(args, fx, ref, observable)
     if failure is not None:
         print(failure, file=sys.stderr)
         return EXIT_SOLVER
@@ -329,7 +326,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--observable",
-                   choices=["x", "x2", "multiplier-drift", "full"],
+                   choices=sweep.OBSERVABLES,
                    help="drift observable for the exponent fit")
     p.add_argument("--grid", help="'a:b:step' in decades, eps = 10^-d")
     p.set_defaults(func=cmd_sweep)
@@ -338,7 +335,7 @@ def build_parser():
                        help="check verdict against measured exponent")
     add_common(p)
     p.add_argument("--observable", default="full",
-                   choices=["x", "x2", "multiplier-drift", "full"],
+                   choices=sweep.OBSERVABLES,
                    help="drift observable (default full: the KKT map's "
                         "(x, y) drift that the verdict is about)")
     p.add_argument("--grid", help="'a:b:step' in decades, eps = 10^-d")

@@ -34,7 +34,8 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .kkt import affine_cone_point, kkt_matrix, line_span, natural_residual
+from .kkt import (affine_cone_point, kkt_matrix, line_span, natural_residual,
+                  recover_multipliers)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -97,14 +98,15 @@ def _interior_direction(cc):
     """A unit d with G'd in the relative interior of the critical cone C
     of cc (a `ProblemCriticalCone`), and its margin: the least borderline
     row value and curved block eigenvalue of G'd, relative to ||G'd||.  A
-    margin above zero certifies G'd in ri C; d is None when G'd is zero."""
+    margin above zero certifies G'd in ri C; d is None when G'd is zero to
+    round-off, at most 1e-12 max(1, ||G'||) ||d||: noise has no direction."""
     Z = cc.affine_basis
     d = Z @ linalg.lstsq(cc.Gmat @ Z, cc.frame.relint_point())
     h = cc.Gmat @ d
-    nh = np.linalg.norm(h)
-    if nh == 0.0:
+    nh, nd = np.linalg.norm(h), np.linalg.norm(d)
+    if nh <= 1e-12 * max(1.0, np.linalg.norm(cc.Gmat, 2)) * nd:
         return None, 0.0
-    return d / np.linalg.norm(d), cc.frame.relint_margin(h) / nh
+    return d / nd, cc.frame.relint_margin(h) / nh
 
 
 def _decide_fullness(cc, label):
@@ -190,17 +192,18 @@ class ProblemCriticalCone:
     """C(x) = {d | G'(x)d in C_K(G(x), y)}, pulled back through G'.
 
     The one object every check reads.  It holds the frame at G(x) + y, G'
-    (`Gmat`), the Hessian of the Lagrangian H (Q: G is affine), the rows E
+    (`Gmat`), the Hessian of the Lagrangian H (Q), the rows E
     with span C_K = null E, the hull basis Z = null(E G') of C(x), and the
     borderline rows and curved blocks of `ConeFrame.borderline`.  At y = 0
     the critical cone is the tangent cone T_K(G(x)).  The polar kernel
-    and the SOSC quadratic are computed on first use.  A program whose
-    constraint map carries callbacks is refused here, for every check.
+    and the SOSC quadratic are computed on first use.  A constraint map
+    that carries callbacks is refused at y != 0, the one place that
+    refuses it: there H = Q would leave out the Hessian of <y, G>.
     """
 
     def __init__(self, prog, x, y):
-        if not prog.is_affine:
-            raise ValueError("condition checks require an affine constraint "
+        if not prog.is_affine and np.any(y):
+            raise ValueError("checks at y != 0 require an affine constraint "
                              "map; %r carries callbacks" % prog.name)
         g = prog.constraint(x)
         self.frame = prog.cone.frame(g + np.asarray(y, float))
@@ -700,35 +703,31 @@ class ConditionReport:
         self._fields = fields
 
     def to_dict(self):
-        out = {}
-        for k, v in self._fields.items():
+        def plain(v):
             if isinstance(v, Verdict):
-                out[k] = v.to_dict()
-            elif isinstance(v, np.ndarray):
-                out[k] = v.tolist()
-            elif isinstance(v, dict):
-                out[k] = {kk: (vv.tolist() if isinstance(vv, np.ndarray)
-                               else vv) for kk, vv in v.items()}
-            else:
-                out[k] = v
-        return out
+                return v.to_dict()
+            if isinstance(v, dict):
+                return {k: plain(w) for k, w in v.items()}
+            return v.tolist() if isinstance(v, np.ndarray) else v
+        return plain(self._fields)
 
 
-def assemble_report(prog, x, y, multiplier_set=None, seed=0):
+def assemble_report(prog, x, y, seed=0):
     """Run every checker at the KKT pair (x, y) and combine the verdicts.
 
     The headline verdict is robust isolated calmness = SRCQ and SOSC (at
     a local minimum under the RCQ); the kernel probe cross-checks it
     through the directional-derivative system, and one-way implications
-    between the qualifications are audited on the spot.  `seed` reaches
+    between the qualifications are audited on the spot, against the
+    multiplier set that `recover_multipliers` finds at x.  `seed` reaches
     only the kernel probe's search.
     """
-    # one pulled-back cone at y = 0 for RCQ and nondegeneracy, the first
-    # to refuse a non-affine constraint map, and one at y for the rest
-    tc = _tangent_cone(prog, x)
     res = natural_residual(prog, x, y)
     if not res <= 1e-8:
         raise ValueError("(x, y) is not a KKT pair (residual %.2e)" % res)
+    # one pulled-back cone at y = 0 for RCQ and nondegeneracy, and one at
+    # y for the rest
+    tc = _tangent_cone(prog, x)
     cc = problem_critical_cone(prog, x, y)
     rcq = _decide_fullness(tc, "rcq")
     srcq = _decide_fullness(cc, "srcq")
@@ -748,29 +747,18 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
     probe = _kernel_probe(cc, _KERNEL_STARTS, seed, probe_seeds)
     probe_v = kernel_probe_verdict(probe)
     hull = _hull_verdict(cc)
-    singleton = None
-    if multiplier_set is not None:
-        singleton = multiplier_set.is_singleton
-    if srcq.status == HOLDS and sosc.status == HOLDS:
-        verdict = HOLDS
-    elif srcq.status == FAILS or sosc.status == FAILS:
-        verdict = FAILS
-    else:
-        verdict = INCONCLUSIVE
+    mset = recover_multipliers(prog, x)
+    singleton = None if mset is None else mset.is_singleton
+    verdict = (FAILS if srcq.fails or sosc.fails else
+               HOLDS if srcq.holds and sosc.holds else INCONCLUSIVE)
     inconsistencies = []
     if nondeg.holds and srcq.fails:
         inconsistencies.append("nondegeneracy holds but srcq fails")
     if srcq.holds and singleton is False:
         inconsistencies.append("srcq holds but the multiplier set is not "
                                "a singleton")
-    if verdict == HOLDS and probe_v.fails:
-        consistency = False
-    elif verdict == FAILS and probe_v.holds:
-        consistency = False
-    elif INCONCLUSIVE in (verdict, probe_v.status):
-        consistency = None
-    else:
-        consistency = True
+    consistency = (None if INCONCLUSIVE in (verdict, probe_v.status)
+                   else verdict == probe_v.status)
     return ConditionReport({
         "problem": prog.name,
         "kkt_residual": res,
@@ -785,6 +773,7 @@ def assemble_report(prog, x, y, multiplier_set=None, seed=0):
                          "status": probe_v.status,
                          "method": probe["method"]},
         "multiplier_singleton": singleton,
+        "multiplier_affine_dim": None if mset is None else mset.affine_dim,
         "theorem_verdict": verdict,
         "consistency_flag": consistency,
         "inconsistencies": inconsistencies,

@@ -14,8 +14,7 @@ A handful of built-in fixtures exercise the boundary cases of the
 stability theory.  Each one is a `Fixture` holding everything
 known about its problem (reference KKT pair, perturbation direction,
 drift observable, closed-form oracle); one of them (``remark2``) has a
-genuinely nonlinear constraint map and is carried via callbacks, flagged
-so that checkers which assume affine G can refuse it.
+genuinely nonlinear constraint map, carried by callbacks.
 """
 
 import json
@@ -415,8 +414,7 @@ def _example4():
 
 def _remark2():
     # min x^2/2  s.t.  x^6 sin(1/x) = 0; the constraint map is genuinely
-    # nonlinear, so this fixture carries callbacks and condition checkers
-    # that assume affine G refuse it.
+    # nonlinear, carried by callbacks; the checks accept it at y = 0 only.
     cone = Cone([("zero", 1)])
 
     def g(x):

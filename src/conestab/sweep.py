@@ -15,6 +15,7 @@ from . import linalg, model
 from .kkt import KKTPoint, natural_residual, solve_kkt, solve_kkt_multistart
 
 CSV_COLUMNS = ("eps", "solved", "dist_x", "dist_y", "residual", "iterations")
+OBSERVABLES = ("x", "x2", "multiplier-drift", "full")
 
 SOLVED_RESIDUAL = 1e-9
 
@@ -73,13 +74,25 @@ def _kkt_pair_is_unique(prog):
     return bool(s[-1] > 1e-12 * max(1.0, s[0]))
 
 
+def check_observable(prog, observable):
+    """Refuse, by ValueError, an observable that is not one of OBSERVABLES,
+    or "x2" on a program with fewer than two variables."""
+    if observable not in OBSERVABLES:
+        raise ValueError("unknown observable %r; known: %s"
+                         % (observable, ", ".join(OBSERVABLES)))
+    if observable == "x2" and prog.n < 2:
+        raise ValueError("observable 'x2' needs two variables; %r has %d"
+                         % (prog.name, prog.n))
+
+
 def run_sweep(prog, direction, grid=None, reference=None, observable="x",
               oracle=None):
     """Sweep eps over the grid (strictly decreasing) and measure drift.
 
     observable: "x" (primal distance), "x2" (second primal coordinate),
     "multiplier-drift" (dual distance), "full" (joint distance); it
-    selects what dist_x/dist_y carry for exponent fitting downstream.
+    selects what dist_x/dist_y carry for exponent fitting downstream, and
+    `check_observable` refuses any other name, or "x2" where n < 2.
     oracle: optional eps -> KKTPoint map used instead of the solver.
 
     Without an oracle each point is solved by `solve_kkt` from the last
@@ -90,6 +103,7 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     the reference instead: (x, y) + (eps / eps_prev) (p - (x, y)), p the
     last solved point at eps_prev.
     """
+    check_observable(prog, observable)
     grid = list(grid) if grid is not None else default_grid()
     if not all(0 < e <= 1 for e in grid):  # False on NaN
         raise ValueError("grid values must lie in (0, 1]")

@@ -89,8 +89,25 @@ class TestAnalyze:
         capsys.readouterr()
         assert a.read_text() == b.read_text()
 
-    def test_nonaffine_fixture_rejected(self, capsys):
-        assert main(["analyze", "--builtin", "remark2"]) == EXIT_INPUT
+    def test_nonaffine_fixture_is_analysed_at_its_reference(self, tmp_path,
+                                                            capsys):
+        # remark2's G'(0) = 0 and y = 0: every check reads only G'(0) and
+        # Q, and RCQ fails with it
+        report = tmp_path / "r.json"
+        assert main(["analyze", "--builtin", "remark2",
+                     "--report", str(report)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "multiplier set: affine dim 1\n" in out
+        data = json.loads(report.read_text())
+        for key in ("rcq", "srcq", "nondegeneracy"):
+            assert data[key]["status"] == conditions.FAILS, key
+        assert data["sosc"]["status"] == conditions.HOLDS
+        assert data["affine_hull_probe"]["status"] == conditions.HOLDS
+        assert data["kernel_probe"]["status"] == conditions.FAILS
+        assert data["multiplier_affine_dim"] == 1
+        assert data["theorem_verdict"] == conditions.FAILS
+        assert data["consistency_flag"] is True
+        assert data["inconsistencies"] == []
 
 
 class TestSweep:
@@ -123,6 +140,32 @@ class TestSweep:
     def test_too_few_points_is_solver_failure(self, capsys):
         code = main(["sweep", "--builtin", "example4", "--grid", "1:2:1"])
         assert code == EXIT_SOLVER
+
+    @pytest.mark.parametrize("command", ["sweep", "certify"])
+    def test_second_coordinate_of_one_variable_is_input_error(
+            self, command, capsys, monkeypatch):
+        # refused before any solve or analysis starts
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the observable check")
+
+        for owner, name in ((kkt, "solve_kkt_multistart"),
+                            (cli.sweep, "run_sweep"),
+                            (conditions, "assemble_report")):
+            monkeypatch.setattr(owner, name, work)
+        assert main([command, "--builtin", "remark2",
+                     "--observable", "x2"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: observable 'x2' needs two variables; "
+                                "'remark2' has 1\n")
+
+    def test_observable_choices_are_the_sweeps(self):
+        parser = build_parser()
+        for name in sweep.OBSERVABLES:
+            for command in ("sweep", "certify"):
+                args = parser.parse_args([command, "--builtin", "example1",
+                                          "--observable", name])
+                assert args.observable == name
 
     @pytest.mark.parametrize("spec, why", [
         ("320:330:1", "underflow to 0"),  # 10^-324 is 0.0
@@ -565,14 +608,20 @@ class TestUnusablePaths:
     @pytest.mark.parametrize("existing", [False, True])
     def test_checked_path_is_left_as_it_was(self, existing, tmp_path,
                                             capsys):
-        # remark2 is refused after the check: a file the check created is
-        # gone, and an existing one keeps its bytes
+        # random file 39 has no KKT point the solver finds, a failure after
+        # the check: a file the check created is gone, and an existing one
+        # keeps its bytes
+        import random_problems
+        problem = tmp_path / "p39.json"
+        problem.write_text(model.save_problem(
+            random_problems.random_problem(39)))
         path = tmp_path / "r.json"
         if existing:
             path.write_text("old")
-        argv = ["analyze", "--builtin", "remark2", "--report", str(path)]
-        assert main(argv) == EXIT_INPUT
-        assert "affine" in capsys.readouterr().err
+        argv = ["analyze", "--problem", str(problem), "--report", str(path)]
+        assert main(argv) == EXIT_SOLVER
+        assert "solver failed to locate a KKT point" in \
+            capsys.readouterr().err
         assert path.exists() == existing
         assert not existing or path.read_text() == "old"
 

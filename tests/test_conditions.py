@@ -1218,12 +1218,28 @@ _PUBLIC_CHECKS = {
 
 
 class TestAffineMapGuard:
-    @pytest.mark.parametrize("name", sorted(_PUBLIC_CHECKS))
-    def test_every_check_refuses_a_callback_map(self, name):
-        prog = model.builtin("remark2")
-        x, y = model.fixture("remark2").reference
+    """remark2 carries callbacks: at its reference y = 0 the Hessian of
+    the Lagrangian is Q, and every check answers from G'(0) = 0 and Q;
+    at y != 0 it would need the Hessian of <y, G>, and the pulled-back
+    cone refuses it."""
+
+    @pytest.mark.parametrize("name, status", [
+        ("check_rcq", FAILS), ("check_srcq", FAILS),
+        ("check_nondegeneracy", FAILS), ("check_sosc", HOLDS),
+        ("check_robinson_sosc", HOLDS), ("affine_hull_probe", HOLDS),
+        ("kernel_probe", FAILS)])
+    def test_every_check_answers_a_callback_map_at_zero(self, name, status):
+        result = _PUBLIC_CHECKS[name](*fixture("remark2"))
+        if name == "kernel_probe":
+            result = kernel_probe_verdict(result)
+        assert result.status == status
+
+    @pytest.mark.parametrize("name", sorted(
+        set(_PUBLIC_CHECKS) - {"check_rcq", "check_nondegeneracy"}))
+    def test_a_callback_map_is_refused_at_nonzero_y(self, name):
+        prog, x, _ = fixture("remark2")
         with pytest.raises(ValueError, match="affine constraint map"):
-            _PUBLIC_CHECKS[name](prog, x, y)
+            _PUBLIC_CHECKS[name](prog, x, np.ones(1))
 
     @pytest.mark.parametrize("name", ["check_nondegeneracy", "kernel_probe"])
     def test_one_frame_per_check(self, name, monkeypatch):
@@ -1248,18 +1264,48 @@ class TestAssembleReport:
         with pytest.raises(ValueError, match="KKT"):
             assemble_report(prog, x, y)
 
-    def test_rejects_nonaffine_fixture(self):
-        prog = model.builtin("remark2")
-        with pytest.raises(ValueError):
-            assemble_report(prog, np.zeros(1), np.zeros(1))
+    def test_reports_the_nonaffine_fixture_at_its_reference(self):
+        report = assemble_report(*fixture("remark2"))
+        for key in ("rcq", "srcq", "nondegeneracy"):
+            v = getattr(report, key)
+            assert (v.status, v.margin) == (FAILS, 0.0), key
+        for key in ("sosc", "affine_hull_probe"):
+            v = getattr(report, key)
+            assert (v.status, v.margin) == (HOLDS, 1.0), key
+        assert report.kernel_probe["status"] == FAILS
+        assert report.kernel_probe["min_residual"] == 0.0
+        assert report.multiplier_affine_dim == 1
+        assert report.theorem_verdict == FAILS
+        assert report.consistency_flag is True
+        assert report.inconsistencies == []
+
+    @pytest.mark.parametrize("name, dim", [("example2", 2), ("example4", 0)])
+    def test_report_carries_the_multiplier_set(self, name, dim):
+        report = assemble_report(*fixture(name))
+        assert report.multiplier_affine_dim == dim
+        assert report.multiplier_singleton is (dim == 0)
+        assert report.to_dict()["multiplier_affine_dim"] == dim
+
+    def test_zero_interior_direction_to_round_off_is_no_certificate(self):
+        # random file 367: G'd has norm ~1e-16, and its relint margin over
+        # that norm once read 0.654, so SRCQ held while the multiplier set
+        # has affine dimension 2 and the kernel probe failed
+        import random_problems
+        prog = random_problems.random_problem(367)
+        pt = kkt.solve_kkt_multistart(prog)
+        report = assemble_report(prog, pt.x, pt.y)
+        assert report.srcq.status == FAILS
+        assert report.srcq.witness is not None
+        assert report.multiplier_affine_dim == 2
+        assert report.theorem_verdict == FAILS
+        assert report.consistency_flag is True
+        assert report.inconsistencies == []
 
     def test_verdicts_and_consistency_on_battery(self):
         expected = {"example1": FAILS, "example2": FAILS,
                     "example3": FAILS, "example4": HOLDS}
         for name, verdict in expected.items():
-            prog, x, y = fixture(name)
-            mset = kkt.recover_multipliers(prog, x)
-            report = assemble_report(prog, x, y, multiplier_set=mset)
+            report = assemble_report(*fixture(name))
             assert report.theorem_verdict == verdict, name
             assert report.consistency_flag is True, name
             assert report.inconsistencies == [], name
@@ -1289,24 +1335,54 @@ class TestAssembleReport:
             assert report.kernel_probe["min_residual"] == \
                 probe["min_residual"]
 
+    @staticmethod
+    def _count_apart(monkeypatch, cls, method):
+        """Calls of cls.method, keyed by whether the multiplier recovery
+        made them."""
+        calls = {"checks": 0, "recovery": 0}
+        key = ["checks"]
+        original = getattr(cls, method)
+        recover = conditions.recover_multipliers
+
+        def counted(self, *args):
+            calls[key[0]] += 1
+            return original(self, *args)
+
+        def recovery(*args):
+            key[0] = "recovery"
+            try:
+                return recover(*args)
+            finally:
+                key[0] = "checks"
+
+        monkeypatch.setattr(cls, method, counted)
+        monkeypatch.setattr(conditions, "recover_multipliers", recovery)
+        return calls
+
     def test_two_frames_per_report(self, monkeypatch):
         # one at G(x) for RCQ and nondegeneracy, one at G(x) + y for SRCQ,
-        # SOSC, the hull probe and the kernel probe
+        # SOSC, the hull probe and the kernel probe; the recovery takes one
+        # at G(x), and `_hull_directions` one more at G(x) + the
+        # representative where the stationarity equation leaves a line or
+        # more
         from conestab.cones import Cone
-        calls = _count_calls(monkeypatch, Cone, "frame")
-        for name in ("example1", "example2", "example3", "example4"):
-            calls.clear()
+        calls = self._count_apart(monkeypatch, Cone, "frame")
+        for name, recovery in (("example1", 2), ("example2", 2),
+                               ("example3", 2), ("example4", 1)):
+            calls.update(checks=0, recovery=0)
             assemble_report(*fixture(name))
-            assert len(calls) == 2, name
+            assert calls == {"checks": 2, "recovery": recovery}, name
 
     def test_one_borderline_split_per_cone(self, monkeypatch):
-        # the kernel probe reads the rows its cone already holds
+        # the kernel probe reads the rows its cone already holds; the
+        # recovery splits its frame once where `polar_rows` decides a line
         from conestab.cones import ConeFrame
-        calls = _count_calls(monkeypatch, ConeFrame, "borderline")
-        for name in ("example1", "example2", "example3", "example4"):
-            calls.clear()
+        calls = self._count_apart(monkeypatch, ConeFrame, "borderline")
+        for name, recovery in (("example1", 1), ("example2", 0),
+                               ("example3", 1), ("example4", 0)):
+            calls.update(checks=0, recovery=0)
             assemble_report(*fixture(name))
-            assert len(calls) == 2, name
+            assert calls == {"checks": 2, "recovery": recovery}, name
 
     def test_report_records_the_multiplier(self):
         prog, x, y = fixture("example2")

@@ -149,8 +149,8 @@ class TestRecoverMultipliers:
         prog = ConicProgram(2, np.eye(2), -G.T @ y, 0.0, np.zeros(2), G.T,
                             Cone([("orthant", 2)]), name="rank")
         mset = recover_multipliers(prog, x)
-        report = conditions.assemble_report(prog, x, y, multiplier_set=mset)
-        assert mset.affine_dim == dim
+        report = conditions.assemble_report(prog, x, y)
+        assert mset.affine_dim == report.multiplier_affine_dim == dim
         assert report.srcq.status == srcq
         assert report.inconsistencies == []
 

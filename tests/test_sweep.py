@@ -59,6 +59,21 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="grid"):
             run_sweep(prog, d, grid=[2.0, 1e-2], reference=ref)
 
+    @pytest.mark.parametrize("name, observable, message", [
+        ("example4", "dual", "unknown observable 'dual'"),
+        ("remark2", "x2", "'x2' needs two variables; 'remark2' has 1")])
+    def test_observable_is_refused_before_any_solve(self, name, observable,
+                                                    message, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(sweep, "solve_kkt", solve)
+        fx = model.fixture(name)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(fx.prog, fx.direction,
+                      reference=KKTPoint(*fx.reference, 0.0),
+                      observable=observable)
+
     def test_nan_grid_value_is_refused_before_any_solve(self, monkeypatch):
         prog = model.builtin("example4")
         d = model.fixture("example4").direction
