@@ -47,15 +47,15 @@ class MultiplierSet:
         return self.affine_dim == 0
 
 
-def natural_map(prog, x, y, pert=None, eigs=None):
+def natural_map(prog, x, y, pert=None, g=None, eigs=None):
     """Residual of the perturbed KKT system at (x, y), stacked (X then Y).
-    `eigs` is the cone's `Cone.eigs` at G(x) + b + y, computed when not
-    given."""
+    `g` is `prog.constraint(x, b)` and `eigs` the cone's `Cone.eigs` at
+    g + y, each computed when not given."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = pert.a if pert is not None else None
-    b = pert.b if pert is not None else None
-    g = prog.constraint(x, b)
+    if g is None:
+        g = prog.constraint(x, pert.b if pert is not None else None)
     stat = prog.gradient(x, a) + prog.adjoint(y, x)
     comp = g - prog.cone.project(g + y, eigs)
     return np.concatenate([stat, comp])
@@ -339,9 +339,10 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     def evaluate(x, y):
         """F(x, y), the point z = G(x) + b + y and the eigendecompositions
         of z that F's projection and the Jacobian element read."""
-        z = prog.constraint(x, b) + y
+        g = prog.constraint(x, b)
+        z = g + y
         eigs = prog.cone.eigs(z)
-        return natural_map(prog, x, y, pert, eigs), z, eigs
+        return natural_map(prog, x, y, pert, g, eigs), z, eigs
 
     if start is None:
         x = np.zeros(n)

@@ -8,6 +8,7 @@ where the perturbed solution is known in closed or one-dimensional form.
 """
 
 import io
+from collections import deque
 
 import numpy as np
 
@@ -74,6 +75,30 @@ def _kkt_pair_is_unique(prog):
     return bool(s[-1] > 1e-12 * max(1.0, s[0]))
 
 
+# the degree of `_predict`'s polynomial: the number of last solved points
+# that are its nodes beside the reference.  A polynomial through every
+# solved point puts large weights on far nodes and costs more Newton
+# iterations than the secant; the reference, at eps = 0, lies nearest each
+# new point, so the cubic's weights stay small
+_PREDICTOR_DEGREE = 3
+
+
+def _predict(eps, reference, nodes):
+    """The value at eps of the Lagrange polynomial through (0, reference)
+    and each (eps_i, s_i) of nodes (distinct eps_i > 0), formed as
+    reference + sum w_i (s_i - reference), w_i the weight of node i: the
+    weights of all nodes sum to one, and with one node w = eps / eps_1."""
+    ts = [t for t, _ in nodes]
+    s = reference.copy()
+    for i, (ti, si) in enumerate(nodes):
+        w = eps / ti
+        for j, tj in enumerate(ts):
+            if j != i:
+                w *= (eps - tj) / (ti - tj)
+        s += w * (si - reference)
+    return s
+
+
 def check_observable(prog, observable):
     """Refuse, by ValueError, an observable that is not one of OBSERVABLES,
     or "x2" on a program with fewer than two variables."""
@@ -99,9 +124,11 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     solved point (the reference before the first), and one that does not
     converge is retried cold by `solve_kkt_multistart`.  Where
     `_kkt_pair_is_unique` holds, the drift cannot depend on the start, and
-    every point after the first solved one starts on the secant through
-    the reference instead: (x, y) + (eps / eps_prev) (p - (x, y)), p the
-    last solved point at eps_prev.
+    each point starts instead at `_predict`: the polynomial in eps through
+    the reference at eps = 0 and the last `_PREDICTOR_DEGREE` solved
+    points, evaluated at eps.  That is the reference at the first point
+    and the secant (x, y) + (eps / eps_p) (p - (x, y)) after one solved
+    point p at eps_p; an unsolved point is never a node.
     """
     check_observable(prog, observable)
     grid = list(grid) if grid is not None else default_grid()
@@ -112,9 +139,10 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
     if reference is None:
         raise ValueError("a reference KKT point is required")
     xb, yb = reference.x, reference.y
-    secant = oracle is None and _kkt_pair_is_unique(prog)
+    predict = oracle is None and _kkt_pair_is_unique(prog)
+    sb = np.concatenate([xb, yb])
     records = []
-    prev, prev_eps = reference, None
+    prev, nodes = reference, deque(maxlen=_PREDICTOR_DEGREE)
     for eps in grid:
         pert = direction.scaled(eps)
         if oracle is not None:
@@ -124,10 +152,9 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
                           converged=res <= SOLVED_RESIDUAL)
         else:
             start = prev
-            if secant and prev_eps is not None:
-                t = eps / prev_eps
-                start = KKTPoint(xb + t * (prev.x - xb),
-                                 yb + t * (prev.y - yb), 0.0)
+            if predict:
+                s = _predict(eps, sb, nodes)
+                start = KKTPoint(s[:prog.n], s[prog.n:], 0.0)
             pt = solve_kkt(prog, pert, start=start)
             if not pt.converged:
                 # warm starts can strand the damped Newton iteration in the
@@ -137,7 +164,8 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
                     pt = alt
         solved = pt.converged and pt.residual <= SOLVED_RESIDUAL
         if solved:
-            prev, prev_eps = pt, eps
+            prev = pt
+            nodes.append((eps, np.concatenate([pt.x, pt.y])))
         if observable == "x2":
             dx = abs(pt.x[1] - xb[1])
         elif observable == "full":

@@ -5,7 +5,7 @@ import pytest
 
 from conestab import model, sweep
 from conestab.cli import SLOPE_CUTOFF
-from conestab.kkt import KKTPoint, natural_residual
+from conestab.kkt import KKTPoint, natural_residual, solve_kkt_multistart
 from conestab.model import oracle_example1, oracle_example3
 from conestab.sweep import (SweepRecord, SweepResult, builtin_sweep,
                             default_grid, fit_exponent, run_sweep)
@@ -243,9 +243,65 @@ _UNIQUE_SPECS = [
 ]
 
 
-class TestSecantStart:
+class TestPredict:
+    """`_predict` is the Lagrange polynomial through the reference at
+    eps = 0 and the given solved points."""
+
+    @pytest.mark.parametrize("nodes", [
+        [1e-1, 10 ** -1.5, 1e-2],
+        [10 ** -1.9, 10 ** -1.95, 10 ** -2.0],
+        [10 ** -3.5, 10 ** -4.0, 10 ** -4.5]])
+    def test_exact_on_cubic_paths(self, nodes):
+        rng = np.random.default_rng(len(nodes))
+        sb, a, b, c = rng.standard_normal((4, 6))
+
+        def path(e):
+            return sb + e * a + e ** 2 * b + e ** 3 * c
+
+        eps = nodes[-1] / 10 ** 0.05
+        got = sweep._predict(eps, sb, [(e, path(e)) for e in nodes])
+        assert np.allclose(got, path(eps), rtol=0, atol=1e-14)
+
+    def test_one_node_is_the_secant_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        xb, p = rng.standard_normal((2, 5))
+        for eps, ep in [(10 ** -1.5, 1e-1), (1e-6, 10 ** -5.5), (0.3, 0.9)]:
+            got = sweep._predict(eps, xb, [(ep, p)])
+            assert got.tobytes() == (xb + (eps / ep) * (p - xb)).tobytes()
+
+    def test_no_node_is_the_reference(self):
+        xb = np.arange(4.0)
+        got = sweep._predict(1e-2, xb, [])
+        assert got.tobytes() == xb.tobytes() and got is not xb
+
+
+def _unique_instance(bench_gen, k):
+    inst = bench_gen.make_instance(*_UNIQUE_SPECS[k], seed=0)
+    return (inst, model.default_direction(inst.prog),
+            KKTPoint(inst.x, inst.y, 0.0))
+
+
+# 81 points from 1e-1 to 1e-5, 20 to a decade
+_FINE_GRID = [10.0 ** -(1 + 0.05 * k) for k in range(81)]
+
+
+@pytest.fixture
+def cold_retries(monkeypatch):
+    """The arguments of each cold `solve_kkt_multistart` retry a sweep
+    runs."""
+    multistart, calls = sweep.solve_kkt_multistart, []
+
+    def counted(*args):
+        calls.append(args)
+        return multistart(*args)
+
+    monkeypatch.setattr(sweep, "solve_kkt_multistart", counted)
+    return calls
+
+
+class TestUniquePairStart:
     """Where the perturbed KKT pair is unique, the sweep starts each point
-    after the first solved one on the secant through the reference."""
+    on the polynomial through the reference and the last solved points."""
 
     @pytest.mark.parametrize("kind", ["orthant", "psd"])
     def test_unique_where_g_is_the_identity_and_q_definite(
@@ -273,9 +329,7 @@ class TestSecantStart:
     @pytest.mark.parametrize("k", range(len(_UNIQUE_SPECS)))
     def test_matches_the_last_point_start_in_fewer_iterations(
             self, k, bench_gen, monkeypatch):
-        inst = bench_gen.make_instance(*_UNIQUE_SPECS[k], seed=0)
-        direction = model.default_direction(inst.prog)
-        ref = KKTPoint(inst.x, inst.y, 0.0)
+        inst, direction, ref = _unique_instance(bench_gen, k)
         assert sweep._kkt_pair_is_unique(inst.prog)
         runs = []
         for unique in (True, False):
@@ -285,9 +339,95 @@ class TestSecantStart:
                                observable="full")
             runs.append((result, fit_exponent(result)[0],
                          sum(r.iterations for r in result.records)))
-        (secant, s1, i1), (chain, s2, i2) = runs
-        assert [r.solved for r in secant.records] == \
+        (warm, s1, i1), (chain, s2, i2) = runs
+        assert [r.solved for r in warm.records] == \
             [r.solved for r in chain.records]
-        assert all(r.solved for r in secant.records)
+        assert all(r.solved for r in warm.records)
         assert abs(s1 - s2) <= 1e-6
         assert i1 <= 0.6 * i2
+
+    def test_an_unsolved_point_is_never_a_node(self, bench_gen,
+                                               monkeypatch):
+        inst, direction, ref = _unique_instance(bench_gen, 0)
+        grid = default_grid()
+        failed = {grid[1], grid[4], grid[5]}
+        solve, predict = sweep.solve_kkt, sweep._predict
+        calls = []
+
+        def solve_or_fail(prog, pert, start):
+            pt = solve(prog, pert, start)
+            if len(calls) and calls[-1][0] in failed:
+                return KKTPoint(pt.x, pt.y, 1.0, converged=False)
+            return pt
+
+        def spied(eps, reference, nodes):
+            calls.append((eps, [e for e, _ in nodes]))
+            return predict(eps, reference, nodes)
+
+        monkeypatch.setattr(sweep, "solve_kkt", solve_or_fail)
+        monkeypatch.setattr(sweep, "solve_kkt_multistart",
+                            lambda prog, pert: KKTPoint(
+                                np.zeros(prog.n), np.zeros(prog.cone.dim),
+                                2.0, converged=False))
+        monkeypatch.setattr(sweep, "_predict", spied)
+        result = run_sweep(inst.prog, direction, grid=grid, reference=ref)
+        assert [r.eps for r in result.records if not r.solved] == \
+            sorted(failed, reverse=True)
+        solved = []
+        for eps, nodes in calls:
+            assert nodes == solved[-sweep._PREDICTOR_DEGREE:]
+            if eps not in failed:
+                solved.append(eps)
+        assert [eps for eps, _ in calls] == grid
+
+    @pytest.mark.parametrize("k", range(len(_UNIQUE_SPECS)))
+    def test_fine_grid_solves_every_point_warm(self, k, bench_gen,
+                                               cold_retries):
+        inst, direction, ref = _unique_instance(bench_gen, k)
+        result = run_sweep(inst.prog, direction, grid=_FINE_GRID,
+                           reference=ref, observable="full")
+        assert all(r.solved for r in result.records)
+        assert cold_retries == []
+
+
+@pytest.fixture(scope="module")
+def unique_random_programs():
+    """(prog, reference) of the programs among `random_problem(0..399)`
+    that pass `_kkt_pair_is_unique`, the reference solved as the CLI's
+    sweep solves it."""
+    import random_problems
+
+    progs = [random_problems.random_problem(seed) for seed in range(400)]
+    return [(prog, solve_kkt_multistart(prog)) for prog in progs
+            if sweep._kkt_pair_is_unique(prog)]
+
+
+class TestUniquePairRatchet:
+    """On the random programs with a unique KKT pair the polynomial start
+    keeps the last-solved-point start's solved flags, needs no cold retry
+    and stays within the Newton iterations measured when it was set: 144
+    on the default grid and 383 on the fine one (162 and 753 on the
+    secant, 544 and 3,550 from the last solved point)."""
+
+    CEILINGS = {"default": 144, "fine": 383}
+
+    @pytest.mark.parametrize("grid", ["default", "fine"])
+    def test_flags_cold_retries_and_iterations(self, grid,
+                                               unique_random_programs,
+                                               cold_retries, monkeypatch):
+        points = None if grid == "default" else _FINE_GRID
+        assert len(unique_random_programs) == 40
+        runs = {}
+        for unique in (True, False):
+            monkeypatch.setattr(sweep, "_kkt_pair_is_unique",
+                                lambda prog: unique)
+            runs[unique] = [run_sweep(prog, model.default_direction(prog),
+                                      grid=points, reference=ref)
+                            for prog, ref in unique_random_programs]
+        assert cold_retries == []
+        for warm, chain in zip(runs[True], runs[False]):
+            assert [r.solved for r in warm.records] == \
+                [r.solved for r in chain.records]
+        total = sum(r.iterations for result in runs[True]
+                    for r in result.records)
+        assert total <= self.CEILINGS[grid]
