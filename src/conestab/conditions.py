@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .kkt import (affine_cone_point, kkt_matrix, line_span, natural_residual,
-                  recover_multipliers)
+                  polar_kernel, recover_multipliers)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -195,8 +195,10 @@ class ProblemCriticalCone:
     (`Gmat`), the Hessian of the Lagrangian H (Q), the rows E
     with span C_K = null E, the hull basis Z = null(E G') of C(x), and the
     borderline rows and curved blocks of `ConeFrame.borderline`.  At y = 0
-    the critical cone is the tangent cone T_K(G(x)).  The polar kernel
-    and the SOSC quadratic are computed on first use.  A constraint map
+    the critical cone is the tangent cone T_K(G(x)), whose frame, G' and
+    polar kernel the multiplier recovery reads too.  The polar kernel,
+    the SOSC quadratic and its `hull_face` are computed on first use, so
+    SOSC and the hull probe share that face.  A constraint map
     that carries callbacks is refused at y != 0, the one place that
     refuses it: there H = Q would leave out the Hessian of <y, G>.
     """
@@ -220,10 +222,9 @@ class ProblemCriticalCone:
 
     @functools.cached_property
     def polar_kernel(self):
-        """Orthonormal basis of ker(G'*) ∩ span N, as N null(G'* N); the
-        columns of N (a `ConeFrame.normal_span`) are orthonormal."""
-        N = self.frame.normal_span()
-        return N @ linalg.nullspace(self.Gmat.T @ N, tol=1e-12)
+        """Orthonormal basis of ker(G'*) ∩ span N (`kkt.polar_kernel`); at
+        y = 0 the multiplier recovery reads it as its ybasis."""
+        return polar_kernel(self.frame.normal_span(), self.Gmat)
 
     @functools.cached_property
     def quadratic(self):
@@ -232,6 +233,12 @@ class ProblemCriticalCone:
         Ups = 0.5 * self.frame.upsilon_grad(np.eye(self.Gmat.shape[0])).T
         Ups = 0.5 * (Ups + Ups.T)
         return self.H + self.Gmat.T @ Ups @ self.Gmat
+
+    @functools.cached_property
+    def hull_face(self):
+        """`_face_eig` of the SOSC quadratic on the hull basis: the first
+        face of SOSC's enumeration and the whole of the hull probe."""
+        return _face_eig(self.quadratic, self.affine_basis)
 
     def tmatrix(self, h):
         """T = kkt_matrix(H, G', dir_deriv_jac(h)), the kernel probe's
@@ -304,14 +311,15 @@ def _face_eig(M, W):
     return _least(vals, W @ vecs[:, -1])
 
 
-def _face_svd(F, W):
-    """Least value of ||F w||^2 on the unit sphere of range(W), from the
-    SVD of F W (squaring first, as eigenvalues of W'F'FW, loses the small
-    values), a unit vector attaining it and whether the least singular
-    value is multiple."""
-    _, sig, Vt = np.linalg.svd(F @ W)
-    val, v, tied = _least(sig, W @ Vt[-1])
-    return val ** 2, v, tied
+def _face_svd(FW, W):
+    """Least values of ||F w||^2 on the unit sphere of range(W), for each F
+    of a stack whose products F W are FW, from one stacked SVD (squaring
+    first, as eigenvalues of W'F'FW, loses the small values): per F, the
+    value, a unit vector attaining it and whether the least singular value
+    is multiple."""
+    _, sig, Vt = np.linalg.svd(FW)
+    return [(val ** 2, v, tied) for val, v, tied in
+            (_least(s, W @ vt[-1]) for s, vt in zip(sig, Vt))]
 
 
 def _least(vals, v):
@@ -321,43 +329,61 @@ def _least(vals, v):
     return float(vals[-1]), v, len(vals) > 1 and vals[-2] - vals[-1] <= tie
 
 
-def _face_minimum(Z, A, signs, face, member):
+def _face_minimum(Z, A, signs, face, member, key=lambda s: None):
     """Least value of a per-face Rayleigh problem on the unit sphere of
     range Z (orthonormal columns), over faces cut by the rows A (in Z's
     coordinates).
 
     A face gives row i a sign s_i from `signs`: s_i = 0 holds A_i w = 0,
     leaving the span W = Z null(A_0), and s_i = +-1 asks s_i A_i w >= 0.
-    face(s, W) gives the least value on range W, a unit vector for it and
-    whether the value is multiple (`_face_eig`, `_face_svd`); it counts
-    when the vector, of either sign, passes member(s, vector).  A
-    minimiser lies in the relative interior of the face of its zero rows,
-    where it minimises the Rayleigh quotient locally, hence globally on W.
-    So the least count is the minimum, unless a multiple value below it
-    was rejected: only one vector of a tied subspace is tried.
+    key(s) names the matrix of the face of s (one matrix for every face
+    by default).  face(keys, W) takes the faces of one set of zero rows at
+    once, one key each, and gives for each the least value on range W, a
+    unit vector for it and whether the value is multiple (`_face_eig`,
+    `_face_svd`); it counts when the vector, of either sign, passes
+    member(s, vector).  A minimiser lies in the relative interior of the
+    face of its zero rows, where it minimises the Rayleigh quotient
+    locally, hence globally on W.  So the least count is the minimum,
+    unless a multiple value below it was rejected: only one vector of a
+    tied subspace is tried.
+
+    A face with zero rows is skipped where a zero-free face of its key
+    was counted at a value above the running minimum by more than a tie,
+    1e-8 max(1, |value|).  Its W lies in range Z, so by Cauchy interlacing
+    its value is at least that face's: it could neither lower the minimum
+    nor reject a value below it.
 
     Faces run by their number of zero rows, then in combination order.
     Returns the least count and its vector, the least rejected multiple
-    value (inf when none) and the first face's value, on W = Z."""
+    value (inf when none; a skipped face's would lie above the minimum)
+    and the first face's value, on W = Z."""
     k = len(A)
     nonzero = [s for s in signs if s]
     mn, wit, rejected, first = np.inf, None, np.inf, None
+    whole = {}  # key -> value of a counted zero-free face
     for r in range(k + 1 if 0 in signs else 1):
         for zero in itertools.combinations(range(k), r):
             W = Z @ linalg.nullspace(A[list(zero)], tol=1e-10) if zero else Z
             if W.shape[1] == 0:
                 continue
             free = [i for i in range(k) if i not in zero]
-            for vals in itertools.product(nonzero, repeat=k - r):
-                s = np.zeros(k)
-                s[free] = vals
-                val, v, tied = face(s, W)
+            S = np.zeros((len(nonzero) ** (k - r), k))
+            S[:, free] = list(itertools.product(nonzero, repeat=k - r))
+            faces = [(s, kk) for s, kk in ((s, key(s)) for s in S)
+                     if kk not in whole
+                     or whole[kk] <= mn + 1e-8 * max(1.0, abs(whole[kk]))]
+            if not faces:
+                continue
+            keys = [kk for _, kk in faces]
+            for (s, kk), (val, v, tied) in zip(faces, face(keys, W)):
                 first = val if first is None else first
                 inside = next((e for e in (v, -v) if member(s, e)), None)
                 if inside is not None and val < mn:
                     mn, wit = val, inside
                 elif tied and inside is None:
                     rejected = min(rejected, val)
+                if inside is not None and not r:
+                    whole[kk] = val
     return mn, wit, rejected, first
 
 
@@ -368,17 +394,22 @@ def _sosc_verdict(M, cc):
     with A the borderline rows pulled back through G'Z, and
     `_face_minimum` runs its faces with signs {+, 0}: a face's least
     eigenvalue counts when its eigenvector (of either sign) lies in C.
-    The least count is exact when C is polyhedral with at most
-    MAX_FACE_ROWS rows and no lower multiple eigenvalue was rejected;
-    otherwise HOLDS needs a positive one on the hull, which contains C."""
+    Where M is cc's own quadratic, the first face, W = Z, is cc's
+    `hull_face`, which the hull probe reads too; a mean quadratic
+    (`check_robinson_sosc`) takes its own.  The least count is exact when
+    C is polyhedral with at most MAX_FACE_ROWS rows and no lower multiple
+    eigenvalue was rejected; otherwise HOLDS needs a positive one on the
+    hull, which contains C."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf,
                        note="critical cone is {0}; condition is vacuous")
     Z = cc.affine_basis
     A = cc.rows @ cc.Gmat @ Z
+    hull_face = cc.hull_face if M is cc.quadratic else _face_eig(M, Z)
     mn, wit, rejected, hull = _face_minimum(
         Z, A if len(A) <= MAX_FACE_ROWS else A[:0], (1, 0),
-        lambda s, W: _face_eig(M, W), lambda s, d: cc.member(d))
+        lambda keys, W: [hull_face if W is Z else _face_eig(M, W)]
+        * len(keys), lambda s, d: cc.member(d))
     exact = not cc.curved and len(A) <= MAX_FACE_ROWS and rejected >= mn
     if mn <= SOSC_FAILS_TOL:
         return Verdict(FAILS, margin=mn, witness=wit,
@@ -429,10 +460,11 @@ def affine_hull_probe(prog, x, y):
 
 def _hull_verdict(cc):
     """`affine_hull_probe`: the least eigenvalue of the SOSC quadratic on
-    the hull of cc."""
+    the hull of cc, its `hull_face`, which SOSC computed first where it
+    ran on cc."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf, note="affine hull is {0}")
-    mn, wit, _ = _face_eig(cc.quadratic, cc.affine_basis)
+    mn, wit, _ = cc.hull_face
     if mn > SOSC_FAILS_TOL:
         return Verdict(HOLDS, margin=mn)
     return Verdict(FAILS, margin=mn, witness=wit,
@@ -461,9 +493,9 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     `_kernel_search` runs instead: it alone reads n_starts, seed and
     extra_seeds, and `kernel_probe_verdict` never reads HOLDS from it.  It
     refines one start at a time, for at most 50 steps, one T and one SVD
-    per step.  The faces and the search build T by
-    `ProblemCriticalCone.tmatrix`.  The result's "method" ("exact",
-    "pieces" or "search") says which ran.
+    per step, by `ProblemCriticalCone.tmatrix`; the faces build one T per
+    distinct Jacobian element.  The result's "method" ("exact", "pieces"
+    or "search") says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -493,25 +525,41 @@ def _kernel_faces(cc):
     """Exact least residual on a frame whose only pieces are the signs of
     the orthonormal borderline rows r_i at h = [G' I] w.
 
-    On the signs s in {+, -, 0}^k, T(w) is T_s = cc.tmatrix(sum_i s_i
-    r_i); where r_i . h = 0 both neighbouring pieces give the same J h.
-    `_face_minimum` counts the least singular value squared of T_s on a
-    face when its vector has s_i r_i . h >= -WITNESS_TOL ||h||.  None
-    when a tie below that minimum was rejected."""
+    On the signs s in {+, -, 0}^k, T(w) is T_s = kkt_matrix(H, G', J_s)
+    with J_s = dir_deriv_jac(sum_i s_i r_i); where r_i . h = 0 both
+    neighbouring pieces give the same J h.  T_s is built once per
+    distinct J_s, keyed by its bytes: a zero row mostly gives the minus
+    row's J, but at an SOC(2) apex (+, 0) gives (+, +)'s, so s > 0 is not
+    a key.  The faces of one zero set take one stacked SVD, the zero-free
+    ones without the product T_s I.  `_face_minimum` counts the least
+    singular value squared of T_s on a face when its vector has s_i r_i .
+    h >= -WITNESS_TOL ||h||, and skips a face whose T_s is a zero-free
+    face's that was counted above the running minimum: by interlacing it
+    cannot lie below.  None when a tie below that minimum was rejected."""
     m, n = cc.Gmat.shape
     rows = cc.rows
     P = np.hstack([cc.Gmat, np.eye(m)])
+    eye = np.eye(n + m)
+    T = {}  # T_s by the bytes of J_s
 
-    def face(s, W):
-        return _face_svd(cc.tmatrix(s @ rows), W)
+    def key(s):
+        J = cc.frame.dir_deriv_jac(s @ rows)
+        kk = J.tobytes()
+        if kk not in T:
+            T[kk] = kkt_matrix(cc.H, cc.Gmat, J)
+        return kk
+
+    def face(keys, W):
+        F = np.stack([T[kk] for kk in keys])
+        return _face_svd(F if W is eye else F @ W, W)
 
     def member(s, w):
         h = P @ w
         return bool(np.all(s * (rows @ h)
                            >= -WITNESS_TOL * np.linalg.norm(h)))
 
-    mn, w, rejected, _ = _face_minimum(np.eye(n + m), rows @ P, (1, -1, 0),
-                                       face, member)
+    mn, w, rejected, _ = _face_minimum(eye, rows @ P, (1, -1, 0), face,
+                                       member, key)
     if rejected < mn:
         return None
     return {"min_residual": _probe_residual(cc, w), "witness": w,
@@ -721,6 +769,12 @@ def assemble_report(prog, x, y, seed=0):
     between the qualifications are audited on the spot, against the
     multiplier set that `recover_multipliers` finds at x.  `seed` reaches
     only the kernel probe's search.
+
+    Each matrix is built once: the tangent cone tc serves RCQ,
+    nondegeneracy and the recovery (its frame, G' and polar kernel); the
+    cone at y serves the rest, its `hull_face` both SOSC's first face
+    and the hull probe.  The report is what the public checkers give
+    alone, bit for bit.
     """
     res = natural_residual(prog, x, y)
     if not res <= 1e-8:
@@ -747,7 +801,7 @@ def assemble_report(prog, x, y, seed=0):
     probe = _kernel_probe(cc, _KERNEL_STARTS, seed, probe_seeds)
     probe_v = kernel_probe_verdict(probe)
     hull = _hull_verdict(cc)
-    mset = recover_multipliers(prog, x)
+    mset = recover_multipliers(prog, x, tc)
     singleton = None if mset is None else mset.is_singleton
     verdict = (FAILS if srcq.fails or sosc.fails else
                HOLDS if srcq.holds and sosc.holds else INCONCLUSIVE)

@@ -216,35 +216,47 @@ def _hull_directions(cone, a, rep, ybasis):
     return ybasis @ linalg.nullspace(ybasis - F @ (F.T @ ybasis))
 
 
-def recover_multipliers(prog, x):
+def polar_kernel(span, Gmat):
+    """Orthonormal basis of ker(G'*) ∩ range(span), as span null(G'* span);
+    the columns of span (a `ConeFrame.normal_span`) are orthonormal."""
+    return span @ linalg.nullspace(Gmat.T @ span, tol=1e-12)
+
+
+def recover_multipliers(prog, x, tc=None):
     """Multipliers at x, or None when there are none to tolerance.
 
     The stationarity equation G'(x)* y = -grad f(x) is solved over the
     span of N_K(a) at a = Pi_K(G(x)), which leaves the affine set
-    y0 + range(ybasis); the multipliers are its points in N_K(a), the
-    polar of the critical cone at the frame of a, which
-    `affine_cone_point` finds, at its interior candidate when it can.  ker
-    M is taken at the rank rule of `ProblemCriticalCone.polar_kernel`,
-    which spans the same subspace for SRCQ.  The affine dimension is that
-    of `_hull_directions`.
+    y0 + range(ybasis), ybasis = ker G'* ∩ span N_K(a) (`polar_kernel`,
+    SRCQ's subspace); the multipliers are its points in N_K(a), the polar
+    of the critical cone at the frame of a, which `affine_cone_point`
+    finds, at its interior candidate when it can.  The affine dimension
+    is that of `_hull_directions`.
+
+    tc, when given, is the tangent cone at x (a
+    `conditions.ProblemCriticalCone` at y = 0, as `assemble_report`
+    holds): its frame at G(x), which lies within _MULT_TOL of a, its G'
+    and its `polar_kernel` are read in place of a frame at a and the
+    ybasis built here.
     """
     x = np.asarray(x, dtype=float)
     g = prog.constraint(x)
     a = prog.cone.project(g)
     if np.linalg.norm(g - a) > _MULT_TOL:
         return None
-    frame = prog.cone.frame(a)
+    if tc is None:
+        frame, Gmat = prog.cone.frame(a), prog.constraint_jac(x)
+    else:
+        frame, Gmat = tc.frame, tc.Gmat
     span = frame.normal_span()
     rhs = -prog.gradient(x)
-    Gt = prog.constraint_jac(x).T  # maps ambient -> X
-    M = Gt @ span
+    M = Gmat.T @ span
     v0 = linalg.lstsq(M, rhs)
     if np.linalg.norm(M @ v0 - rhs) > \
             _MULT_TOL * max(1.0, np.linalg.norm(rhs)):
         return None
-    # affine solution set inside the span: y = span(v0 + ker M . w); both
-    # factors have orthonormal columns, so ybasis does too
-    ybasis = span @ linalg.nullspace(M, tol=1e-12)
+    # affine solution set inside the span: y = span(v0 + ker M . w)
+    ybasis = polar_kernel(span, Gmat) if tc is None else tc.polar_kernel
     rep = affine_cone_point(frame, frame.normal_project, span @ v0, ybasis)
     if rep is None:
         return None

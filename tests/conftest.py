@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,19 @@ def bench_gen():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workload lists, bench/workloads.py, imported with
+    its directory on the path for its siblings gen and oracle."""
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
 
 
 @pytest.fixture(scope="session")

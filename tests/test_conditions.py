@@ -1,5 +1,7 @@
 """Tests for the stability-condition checkers and the assembled report."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -684,6 +686,133 @@ class TestExactKernelProbe:
             assert np.array_equal(probe["witness"], first["witness"])
 
 
+def _reference_faces(cc):
+    """The kernel faces' (minimum, witness, rejected, first value) by a
+    plain loop: every face in `_face_minimum`'s order, each with its own
+    T from `ProblemCriticalCone.tmatrix`, one SVD of T W, and no skip."""
+    m, n = cc.Gmat.shape
+    rows, k = cc.rows, len(cc.rows)
+    P = np.hstack([cc.Gmat, np.eye(m)])
+    A = rows @ P
+    Z = np.eye(n + m)
+    mn, wit, rejected, first = np.inf, None, np.inf, None
+    for r in range(k + 1):
+        for zero in itertools.combinations(range(k), r):
+            W = Z @ linalg.nullspace(A[list(zero)], tol=1e-10) if zero else Z
+            if W.shape[1] == 0:
+                continue
+            free = [i for i in range(k) if i not in zero]
+            for vals in itertools.product((1, -1), repeat=k - r):
+                s = np.zeros(k)
+                s[free] = vals
+                _, sig, Vt = np.linalg.svd(cc.tmatrix(s @ rows) @ W)
+                val, v, tied = conditions._least(sig, W @ Vt[-1])
+                val = val ** 2
+                first = val if first is None else first
+                inside = None
+                for e in (v, -v):
+                    h = P @ e
+                    if np.all(s * (rows @ h)
+                              >= -conditions.WITNESS_TOL * np.linalg.norm(h)):
+                        inside = e
+                        break
+                if inside is not None and val < mn:
+                    mn, wit = val, inside
+                elif tied and inside is None:
+                    rejected = min(rejected, val)
+    return mn, wit, rejected, first
+
+
+def _face_family():
+    """Seeded polyhedral frames with 3-5 borderline rows, with Q positive
+    definite or null along a critical direction (a face-null FAILS frame,
+    whose minimum is round-off), and an SOC(2) apex beside an orthant
+    corner, where a zero row gives the plus row's J, not the minus row's."""
+    out = {}
+    for k in (3, 4, 5):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * k + seed)
+            pieces = list(rng.choice(["corner", "bdry", "apex_ray", "beta1"],
+                                     size=k))
+            for null in (False, True):
+                out["k%d-%d-%s" % (k, seed, "null" if null else "pd")] = \
+                    _polyhedral_instance(pieces, null, seed)
+    G = np.eye(4) + 0.15 * np.random.default_rng(5).standard_normal((4, 4))
+    # with Q null along d = G^-1 (1, 1, 0, 0), G d lies on the apex's
+    # (+, 0) face, whose T differs from (+, -)'s
+    d = np.linalg.solve(G, [1.0, 1.0, 0.0, 0.0])
+    for null in (None, d / np.linalg.norm(d)):
+        out["soc2-apex-%s" % ("pd" if null is None else "null")] = \
+            _instance([("soc", 2), ("orthant", 2)], [0.0, 0.0, 0.0, 1.0],
+                      np.zeros(4), G, null=null)
+    return out
+
+
+class TestFaceEnumeration:
+    """`_face_minimum` on the kernel faces (one T per distinct J, one
+    stacked SVD per zero set, faces skipped by interlacing) against the
+    plain loop of `_reference_faces`, bit for bit."""
+
+    @staticmethod
+    def _check(cc, monkeypatch):
+        seen = []
+        face_minimum = conditions._face_minimum
+
+        def recorded(*args):
+            seen.append(face_minimum(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(conditions, "_face_minimum", recorded)
+        conditions._kernel_faces(cc)
+        monkeypatch.undo()
+        (mn, wit, rejected, first), = seen
+        ref = _reference_faces(cc)
+        assert np.float64(mn).tobytes() == np.float64(ref[0]).tobytes()
+        assert wit.tobytes() == ref[1].tobytes()
+        assert (rejected < mn) == (ref[2] < ref[0])
+        assert np.float64(first).tobytes() == np.float64(ref[3]).tobytes()
+        return mn
+
+    @pytest.mark.parametrize("i", range(13))
+    def test_degenerate_constructions(self, i, bench_gen, bench_workloads,
+                                      monkeypatch):
+        inst = bench_gen.make_instance(*bench_workloads.DEGENERATE[i], seed=i)
+        self._check(problem_critical_cone(inst.prog, inst.x, inst.y),
+                    monkeypatch)
+
+    @pytest.mark.parametrize("name", model.BUILTIN_NAMES)
+    def test_builtins(self, name, monkeypatch):
+        self._check(problem_critical_cone(*fixture(name)), monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(_face_family()))
+    def test_seeded_family(self, name, monkeypatch):
+        cc = problem_critical_cone(*_face_family()[name])
+        assert 3 <= len(cc.rows) <= 5 and not cc.curved
+        mn = self._check(cc, monkeypatch)
+        if name.endswith("null"):
+            assert mn <= conditions.KERNEL_FOUND_TOL
+
+    def test_stacked_svd_equals_each_call(self):
+        # one stacked SVD, with and without the product F W, gives each
+        # face the bits of its own SVD of F W; block-diagonal F, as T often
+        # is, puts exact zeros, some of them -0.0, in the singular vectors,
+        # which W @ v turns to 0.0 even at W = I
+        rng = np.random.default_rng(4)
+        F = np.zeros((5, 9, 9))
+        F[:, :5, :5] = rng.standard_normal((5, 5, 5)) + 5.0 * np.eye(5)
+        F[:, 5:, 5:] = rng.standard_normal((5, 4, 4))
+        F[0, 8] = 0.0  # a zero row: a least singular value at round-off
+        for W in (np.eye(9), linalg.nullspace(rng.standard_normal((3, 9)))):
+            FW = F if W.shape[1] == 9 else F @ W
+            for f, (val, v, tied) in zip(F, conditions._face_svd(FW, W)):
+                _, sig, Vt = np.linalg.svd(f @ W)
+                ref = conditions._least(sig, W @ Vt[-1])
+                assert np.float64(val).tobytes() == \
+                    np.float64(ref[0] ** 2).tobytes()
+                assert v.tobytes() == ref[1].tobytes()
+                assert tied == ref[2]
+
+
 def _planted_apex(m, seed, piece="P3"):
     """SOC(m) at its apex, x = 0 and y = 0, with G random and H symmetric
     and rank-2-corrected so that a planted unit w = (dx, dy) solves the
@@ -1336,6 +1465,64 @@ class TestAssembleReport:
                 probe["min_residual"]
 
     @staticmethod
+    def _alone(prog, x, y, seed=0):
+        """The report's fields from the public checkers, each run alone,
+        with the probe's search seeds built as `assemble_report` does."""
+        srcq, sosc = check_srcq(prog, x, y), check_sosc(prog, x, y)
+        seeds = []
+        if srcq.fails and srcq.witness is not None:
+            seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
+        if sosc.fails:
+            G = prog.constraint_jac(x)
+            seeds.append(np.concatenate(
+                [sosc.witness, linalg.lstsq(G.T, -prog.Q @ sosc.witness)]))
+        probe = kernel_probe(prog, x, y, seed=seed, extra_seeds=seeds)
+        mset = kkt.recover_multipliers(prog, x)
+        return {"rcq": check_rcq(prog, x).to_dict(),
+                "srcq": srcq.to_dict(),
+                "nondegeneracy": check_nondegeneracy(prog, x).to_dict(),
+                "sosc": sosc.to_dict(),
+                "affine_hull_probe": affine_hull_probe(prog, x, y).to_dict(),
+                "kernel_probe": {
+                    "min_residual": probe["min_residual"],
+                    "witness": None if probe["witness"] is None
+                    else probe["witness"].tolist(),
+                    "status": kernel_probe_verdict(probe).status,
+                    "method": probe["method"]},
+                "multiplier_singleton": None if mset is None
+                else mset.is_singleton,
+                "multiplier_affine_dim": None if mset is None
+                else mset.affine_dim}
+
+    @staticmethod
+    def _report_pairs(bench_gen, bench_workloads):
+        import random_problems
+        for name in model.BUILTIN_NAMES:
+            yield fixture(name)
+        for i, spec in enumerate(bench_workloads.DEGENERATE):
+            inst = bench_gen.make_instance(*spec, seed=i)
+            yield inst.prog, inst.x, inst.y
+        for i in range(40):
+            prog = random_problems.random_problem(i)
+            pt = kkt.solve_kkt_multistart(prog)
+            if pt.converged:
+                yield prog, pt.x, pt.y
+
+    def test_report_equals_the_checkers_alone(self, bench_gen,
+                                              bench_workloads):
+        # the shared tangent cone, hull face and T matrices leave every
+        # field as the public checkers give it, bit for bit
+        import json
+        count = 0
+        for prog, x, y in self._report_pairs(bench_gen, bench_workloads):
+            report = assemble_report(prog, x, y).to_dict()
+            alone = self._alone(prog, x, y)
+            assert json.dumps({k: report[k] for k in alone}) == \
+                json.dumps(alone), prog.name
+            count += 1
+        assert count >= 50
+
+    @staticmethod
     def _count_apart(monkeypatch, cls, method):
         """Calls of cls.method, keyed by whether the multiplier recovery
         made them."""
@@ -1360,15 +1547,15 @@ class TestAssembleReport:
         return calls
 
     def test_two_frames_per_report(self, monkeypatch):
-        # one at G(x) for RCQ and nondegeneracy, one at G(x) + y for SRCQ,
-        # SOSC, the hull probe and the kernel probe; the recovery takes one
-        # at G(x), and `_hull_directions` one more at G(x) + the
-        # representative where the stationarity equation leaves a line or
-        # more
+        # one at G(x) for RCQ, nondegeneracy and the recovery, one at
+        # G(x) + y for SRCQ, SOSC, the hull probe and the kernel probe;
+        # the recovery takes one only in `_hull_directions`, at
+        # Pi_K(G(x)) + the representative, where the stationarity
+        # equation leaves a line or more
         from conestab.cones import Cone
         calls = self._count_apart(monkeypatch, Cone, "frame")
-        for name, recovery in (("example1", 2), ("example2", 2),
-                               ("example3", 2), ("example4", 1)):
+        for name, recovery in (("example1", 1), ("example2", 1),
+                               ("example3", 1), ("example4", 0)):
             calls.update(checks=0, recovery=0)
             assemble_report(*fixture(name))
             assert calls == {"checks": 2, "recovery": recovery}, name
