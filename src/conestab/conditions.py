@@ -14,12 +14,13 @@ the polar cone; else `kkt.affine_cone_point` decides on the slice, by a
 closed-form candidate in ri C°, by the polar cone's Lorentz rows where
 the slice is a line, or by a search, whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone, and the
-kernel probe by enumerating the 3^k sign faces of its k borderline rows
-when no block is curved; one face routine serves both.  With one curved
-block of Lorentz form (an SOC apex, a PSD zero eigenspace of order 2)
-the probe is decided by the linear pieces of its complementarity and an
-S-lemma certificate for the curved one.  Elsewhere it searches, and a
-search never gives HOLDS.
+kernel probe, when no block is curved, by the singular values of its
+distinct linear pieces where all are nonsingular, else by enumerating
+the 3^k sign faces of its k borderline rows; one face routine serves
+both.  With one curved block of Lorentz form (an SOC apex, a PSD zero
+eigenspace of order 2) the probe is decided by the linear pieces of its
+complementarity and an S-lemma certificate for the curved one.
+Elsewhere it searches, and a search never gives HOLDS.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
 
 Every check reads one pulled-back cone, a `ProblemCriticalCone`: at the
@@ -244,6 +245,14 @@ class ProblemCriticalCone:
         """T = kkt_matrix(H, G', dir_deriv_jac(h)), the kernel probe's
         matrix on the piece of h."""
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
+
+    def piece_tmatrices(self):
+        """`tmatrix` on each distinct piece of the borderline rows' signs
+        s, as a dict by key, and key(s) naming the one of s
+        (`ConeFrame.piece_jacobians`; no block may be curved)."""
+        key, J = self.frame.piece_jacobians()
+        return key, {kk: kkt_matrix(self.H, self.Gmat, Js)
+                     for kk, Js in J.items()}
 
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
@@ -482,20 +491,22 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
     family T.  With no curved block, T(w) depends only on the signs of the
     k borderline rows at h = G' dx + dy, and a frame with at most
-    _MAX_PROBE_ROWS rows is decided exactly by its 3^k sign faces
-    (`_kernel_faces`); k = 0 is one face, one SVD of the constant T.  With
-    one curved block that has `lorentz_rows` and at most _MAX_PROBE_ROWS
-    rows, `_kernel_pieces` decides the system piece by piece: a witness
-    of residual at most KERNEL_FOUND_TOL, or no witness and the least
-    piece margin as min_residual.  Above the cap, on a PSD zero
-    eigenspace of order 3 or more or two curved blocks, where a tied face
-    value was rejected below the minimum or a piece stays undecided,
-    `_kernel_search` runs instead: it alone reads n_starts, seed and
-    extra_seeds, and `kernel_probe_verdict` never reads HOLDS from it.  It
-    refines one start at a time, for at most 50 steps, one T and one SVD
-    per step, by `ProblemCriticalCone.tmatrix`; the faces build one T per
-    distinct Jacobian element.  The result's "method" ("exact", "pieces"
-    or "search") says which ran.
+    _MAX_PROBE_ROWS rows is decided exactly (`_kernel_faces`): by the
+    least singular value of its distinct pieces T_s where every one is
+    nonsingular (no witness; k = 0 is one values-only SVD of the constant
+    T), else by its 3^k sign faces.  With one curved block that has
+    `lorentz_rows` and at most _MAX_PROBE_ROWS rows, `_kernel_pieces`
+    decides the system piece by piece: a witness of residual at most
+    KERNEL_FOUND_TOL, or no witness and the least piece margin as
+    min_residual.  Above the cap, on a PSD zero eigenspace of order 3 or
+    more or two curved blocks, where a tied face value was rejected below
+    the minimum or a piece stays undecided, `_kernel_search` runs
+    instead: it alone reads n_starts, seed and extra_seeds, and
+    `kernel_probe_verdict` never reads HOLDS from it.  It refines one
+    start at a time, for at most 50 steps, one T and one SVD per step, by
+    `ProblemCriticalCone.tmatrix`; the exact probe builds one T per
+    distinct Jacobian element.  The result's "method" ("exact",
+    "pieces" or "search") says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -528,26 +539,41 @@ def _kernel_faces(cc):
     On the signs s in {+, -, 0}^k, T(w) is T_s = kkt_matrix(H, G', J_s)
     with J_s = dir_deriv_jac(sum_i s_i r_i); where r_i . h = 0 both
     neighbouring pieces give the same J h.  T_s is built once per
-    distinct J_s, keyed by its bytes: a zero row mostly gives the minus
-    row's J, but at an SOC(2) apex (+, 0) gives (+, +)'s, so s > 0 is not
-    a key.  The faces of one zero set take one stacked SVD, the zero-free
-    ones without the product T_s I.  `_face_minimum` counts the least
-    singular value squared of T_s on a face when its vector has s_i r_i .
-    h >= -WITNESS_TOL ||h||, and skips a face whose T_s is a zero-free
-    face's that was counted above the running minimum: by interlacing it
-    cannot lie below.  None when a tie below that minimum was rejected."""
+    distinct J_s (`ProblemCriticalCone.piece_tmatrices`).
+
+    The certificate comes first: for unit w, ||T(w) w|| >= min_s
+    sigma_min(T_s).  So where that least singular value squared, from one
+    stacked SVD of the distinct T_s' values alone, is at least
+    KERNEL_ABSENT_TOL, every piece of T is nonsingular: it is the
+    min_residual, with no witness.  Else `_face_residual` enumerates the
+    faces on the same T_s, and its minimum is at least that value."""
+    key, T = cc.piece_tmatrices()
+    margin = _piece_margin(T)
+    if margin >= KERNEL_ABSENT_TOL:
+        return {"min_residual": margin, "witness": None, "method": "exact"}
+    return _face_residual(cc, key, T)
+
+
+def _piece_margin(T):
+    """The least sigma_min(T_s)^2 over the matrices of the dict T."""
+    sig = np.linalg.svd(np.stack(list(T.values())), compute_uv=False)
+    return float(np.min(sig[:, -1] ** 2))
+
+
+def _face_residual(cc, key, T):
+    """The kernel faces' least count, T_s = T[key(s)], with its witness
+    w and min_residual ||T(w) w||^2 there (`_probe_residual`).
+
+    The faces of one zero set take one stacked SVD, the zero-free ones
+    without the product T_s I.  `_face_minimum` counts the least singular
+    value squared of T_s on a face when its vector has s_i r_i . h >=
+    -WITNESS_TOL ||h||, and skips a face whose T_s is a zero-free face's
+    that was counted above the running minimum: by interlacing it cannot
+    lie below.  None when a tie below that minimum was rejected."""
     m, n = cc.Gmat.shape
     rows = cc.rows
     P = np.hstack([cc.Gmat, np.eye(m)])
     eye = np.eye(n + m)
-    T = {}  # T_s by the bytes of J_s
-
-    def key(s):
-        J = cc.frame.dir_deriv_jac(s @ rows)
-        kk = J.tobytes()
-        if kk not in T:
-            T[kk] = kkt_matrix(cc.H, cc.Gmat, J)
-        return kk
 
     def face(keys, W):
         F = np.stack([T[kk] for kk in keys])
@@ -722,12 +748,17 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
 
 def kernel_probe_verdict(probe):
     """FAILS on a witness whose residual is at most KERNEL_FOUND_TOL.
-    HOLDS on an exact minimum of at least KERNEL_ABSENT_TOL, or on pieces
-    that are all empty (no witness, the least margin as min_residual).  A
-    search's minimum is sampled, so it never gives HOLDS."""
+    HOLDS on an exact minimum of at least KERNEL_ABSENT_TOL, and with no
+    witness, the least margin as min_residual, on pieces of T that are
+    all nonsingular ("exact") or on Lorentz pieces that are all empty
+    ("pieces").  A search's minimum is sampled, so it never gives
+    HOLDS."""
     r, w = probe["min_residual"], probe["witness"]
     if probe["method"] == "pieces" and w is None:
         return Verdict(HOLDS, margin=r, note="every piece is empty")
+    if probe["method"] == "exact" and w is None:
+        return Verdict(HOLDS, margin=r,
+                       note="every piece of T is nonsingular")
     if w is None:
         return Verdict(INCONCLUSIVE, margin=r, note="no start was tried")
     if r <= KERNEL_FOUND_TOL:

@@ -331,11 +331,12 @@ class TestOptions:
 
 
 class TestKernelProbeLine:
-    def test_polyhedral_instance_prints_the_exact_minimum(self, tmp_path,
-                                                          capsys, bench_gen):
+    def test_polyhedral_instance_prints_the_least_piece_margin(
+            self, tmp_path, capsys, bench_gen):
         # the benchmark's `degenerate` orthant3+psd3 pd instance: an
-        # orthant corner and a PSD beta of size 1, 9 sign faces; the
-        # multi-start search read 8.177e-02
+        # orthant corner and a PSD beta of size 1, whose 4 distinct T are
+        # nonsingular; the face minimum read 6.321e-02, the multi-start
+        # search 8.177e-02
         inst = bench_gen.make_instance([("orthant", 3), ("psd", 3)],
                                        [1, 1], [1, 1], "identity", "pd",
                                        seed=4)
@@ -345,10 +346,16 @@ class TestKernelProbeLine:
         assert main(["analyze", "--problem", str(problem), "--report",
                      str(report), "--seed", "1"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "kernel probe: holds (min residual 6.321e-02)" in out
-        assert json.loads(report.read_text())["kernel_probe"]["method"] \
-            == "exact"
+        kp = json.loads(report.read_text())["kernel_probe"]
+        assert kp["method"] == "exact" and kp["witness"] is None
+        assert "kernel probe: holds (piece margin 5.597e-02)" in out
+        assert "%.3e" % kp["min_residual"] == "5.597e-02"
 
+    def test_face_minimum_prints_the_min_residual(self, capsys):
+        # example4 has a singular piece, so its faces decide it
+        assert main(["analyze", "--builtin", "example4"]) == EXIT_OK
+        assert "kernel probe: holds (min residual 9.258e-02)" in \
+            capsys.readouterr().out
 
     def test_soc_apex_prints_the_least_piece_margin(self, tmp_path, capsys,
                                                      bench_gen):
@@ -392,8 +399,9 @@ class TestKernelProbeLine:
 class TestQuadrantSoc:
     def test_soc2_apex_is_decided_exactly(self, tmp_path, capsys):
         # SOC(2) is a quadrant: at its apex the critical cone has the two
-        # borderline rows rhat and vhat and no curved block, so SOSC and
-        # the kernel probe enumerate faces instead of searching
+        # borderline rows rhat and vhat and no curved block, so SOSC
+        # enumerates faces instead of searching, and the kernel probe
+        # certifies its 4 distinct pieces of T nonsingular
         prog = model.ConicProgram(
             2, np.diag([1.0, -0.5]), np.zeros(2), 0.0, np.zeros(2),
             np.eye(2), Cone([("soc", 2)]), name="soc2-apex")
@@ -403,12 +411,13 @@ class TestQuadrantSoc:
         assert main(["analyze", "--problem", str(problem), "--report",
                      str(report)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "kernel probe: holds (min residual 1.564e-02)" in out
+        assert "kernel probe: holds (piece margin 1.564e-02)" in out
         data = json.loads(report.read_text())
         assert data["sosc"]["status"] == "holds"
         assert data["sosc"]["note"] == "exact face minimum"
         assert abs(data["sosc"]["margin"] - 0.25) <= 1e-12
         assert data["kernel_probe"]["method"] == "exact"
+        assert data["kernel_probe"]["witness"] is None
 
 
 class TestSearchWorkCount:

@@ -339,6 +339,20 @@ def _count_tmatrix_builds(monkeypatch):
     return calls
 
 
+def _count_t_builds(monkeypatch):
+    """Patch the kernel probe's `kkt_matrix` to count the T matrices it
+    builds."""
+    calls = []
+    original = conditions.kkt_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(conditions, "kkt_matrix", counted)
+    return calls
+
+
 def _search(prog, x, y, n_starts=conditions._KERNEL_STARTS, seed=0,
             extra_seeds=()):
     """The kernel probe's multi-start search, called directly: polyhedral
@@ -349,39 +363,45 @@ def _search(prog, x, y, n_starts=conditions._KERNEL_STARTS, seed=0,
 
 class TestKernelProbeFastPath:
     def test_constant_t_is_one_svd(self, monkeypatch):
+        # one T, whose least singular value, from its values alone, is the
+        # certificate; a HOLDS carries no witness
         prog, x, y = _strict_instance()
         frame = prog.cone.frame(prog.constraint(x) + y)
         rows, curved = frame.borderline()
         assert len(rows) == 0 and not curved
         assert problem_critical_cone(prog, x, y).is_subspace
-        calls = _count_tmatrix_builds(monkeypatch)
+        calls = _count_t_builds(monkeypatch)
         probe = kernel_probe(prog, x, y)
         assert len(calls) == 1
-        assert probe["method"] == "exact"
+        assert probe["method"] == "exact" and probe["witness"] is None
         monkeypatch.undo()
-        H = prog.Q
-        T = kkt.kkt_matrix(H, prog.constraint_jac(x),
+        T = kkt.kkt_matrix(prog.Q, prog.constraint_jac(x),
                            frame.dir_deriv_jac(np.zeros(prog.cone.dim)))
-        v = np.linalg.svd(T)[2][-1]
-        assert np.array_equal(probe["witness"], v)
-        assert np.isclose(probe["min_residual"], float(np.sum((T @ v) ** 2)),
-                          rtol=1e-9, atol=0.0)
-        assert kernel_probe_verdict(probe).status == HOLDS
+        least = np.linalg.svd(T, compute_uv=False)[-1] ** 2
+        assert np.float64(probe["min_residual"]).tobytes() == least.tobytes()
+        v = kernel_probe_verdict(probe)
+        assert v.status == HOLDS and v.margin == probe["min_residual"]
+        assert v.note == "every piece of T is nonsingular"
 
     def test_fast_path_equals_the_search(self):
-        # every start of the search lands on the same singular vector
+        # every start of the search lands on T's least right singular
+        # vector, where the residual is the certificate's value
         prog, x, y = _strict_instance()
         fast = kernel_probe(prog, x, y, seed=4)
         search = _search(prog, x, y, seed=4)
-        assert search["min_residual"] == fast["min_residual"]
-        assert np.array_equal(search["witness"], fast["witness"])
+        T = problem_critical_cone(prog, x, y).tmatrix(np.zeros(prog.cone.dim))
+        assert search["witness"].tobytes() == np.linalg.svd(T)[2][-1].tobytes()
+        assert np.isclose(search["min_residual"], fast["min_residual"],
+                          rtol=1e-9, atol=0.0)
+        assert kernel_probe_verdict(fast).status == HOLDS
+        assert kernel_probe_verdict(search).status == INCONCLUSIVE
 
     def test_constant_t_with_nonunique_multipliers_fails(self, monkeypatch):
         prog, x, y = _strict_instance(nonunique=True)
         frame = prog.cone.frame(prog.constraint(x) + y)
         rows, curved = frame.borderline()
         assert len(rows) == 0 and not curved
-        calls = _count_tmatrix_builds(monkeypatch)
+        calls = _count_t_builds(monkeypatch)
         probe = kernel_probe(prog, x, y)
         assert len(calls) == 1
         assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL
@@ -608,6 +628,9 @@ class TestExactKernelProbe:
         H = prog.Q
         exact = kernel_probe(prog, x, y)
         assert exact["method"] == "exact"
+        # a positive definite Q leaves every piece of T nonsingular: the
+        # certificate holds, with no witness
+        assert (exact["witness"] is None) == (not null)
         # the search gets the SOSC witness seed that the report gives it
         seeds = []
         sosc = check_sosc(prog, x, y)
@@ -621,6 +644,8 @@ class TestExactKernelProbe:
         assert kernel_probe_verdict(search).status == \
             (FAILS if null else INCONCLUSIVE)
         assert exact["min_residual"] <= search["min_residual"] + 1e-12
+        if not null:
+            return
         # the reported residual is ||T(w) w||^2 at the reported witness
         w = exact["witness"]
         T = kkt.kkt_matrix(H, G, frame.dir_deriv_jac(
@@ -655,7 +680,8 @@ class TestExactKernelProbe:
 
     def test_a_rejected_tie_below_the_minimum_takes_the_search(
             self, monkeypatch):
-        prog, x, y = _polyhedral_instance(["corner", "bdry"], False)
+        # on the null frame a piece of T is singular, so the faces run;
+        # on the pd frame the certificate decides before any face does
         face_minimum = conditions._face_minimum
 
         def tied(*args):
@@ -663,15 +689,19 @@ class TestExactKernelProbe:
             return mn, w, 0.5 * mn, first
 
         monkeypatch.setattr(conditions, "_face_minimum", tied)
-        probe = kernel_probe(prog, x, y, n_starts=3)
-        assert probe["method"] == "search"
+        for null, method in ((True, "search"), (False, "exact")):
+            prog, x, y = _polyhedral_instance(["corner", "bdry"], null)
+            probe = kernel_probe(prog, x, y, n_starts=3)
+            assert probe["method"] == method
+        assert probe["witness"] is None
+        assert kernel_probe_verdict(probe).status == HOLDS
 
     def test_example4_builds_one_t_matrix_per_face(self, monkeypatch):
-        # 2 borderline rows: 3^2 faces, one T matrix each
+        # 2 borderline rows: 3^2 faces, which share 2^2 distinct T
         prog, x, y = fixture("example4")
-        calls = _count_tmatrix_builds(monkeypatch)
+        calls = _count_t_builds(monkeypatch)
         report = assemble_report(prog, x, y)
-        assert len(calls) <= 9
+        assert len(calls) == 4
         assert report.kernel_probe["method"] == "exact"
         assert report.kernel_probe["status"] == HOLDS
 
@@ -751,7 +781,8 @@ def _face_family():
 class TestFaceEnumeration:
     """`_face_minimum` on the kernel faces (one T per distinct J, one
     stacked SVD per zero set, faces skipped by interlacing) against the
-    plain loop of `_reference_faces`, bit for bit."""
+    plain loop of `_reference_faces`, bit for bit, on every frame, the
+    ones the piece certificate decides too."""
 
     @staticmethod
     def _check(cc, monkeypatch):
@@ -763,7 +794,7 @@ class TestFaceEnumeration:
             return seen[-1]
 
         monkeypatch.setattr(conditions, "_face_minimum", recorded)
-        conditions._kernel_faces(cc)
+        conditions._face_residual(cc, *cc.piece_tmatrices())
         monkeypatch.undo()
         (mn, wit, rejected, first), = seen
         ref = _reference_faces(cc)
@@ -811,6 +842,185 @@ class TestFaceEnumeration:
                     np.float64(ref[0] ** 2).tobytes()
                 assert v.tobytes() == ref[1].tobytes()
                 assert tied == ref[2]
+
+
+def _degenerate_ccs(bench_gen, bench_workloads, pick=lambda spec: True):
+    """The cone at (x, y) of each `degenerate` construction picked that
+    the kernel faces decide (no curved block), by list position."""
+    out = {}
+    for i, spec in enumerate(bench_workloads.DEGENERATE):
+        if pick(spec):
+            inst = bench_gen.make_instance(*spec, seed=i)
+            cc = problem_critical_cone(inst.prog, inst.x, inst.y)
+            if not cc.curved:
+                out[i] = cc
+    return out
+
+
+class TestPieceJacobians:
+    """`ConeFrame.piece_jacobians` assembles J from each block's parts:
+    for every sign vector s, J[key(s)] has the bytes of
+    dir_deriv_jac(s @ rows), and the distinct J are the ones it holds."""
+
+    @staticmethod
+    def _check(frame):
+        rows, curved = frame.borderline()
+        assert not curved
+        key, J = frame.piece_jacobians()
+        keys = set()
+        for s in itertools.product((1.0, -1.0, 0.0), repeat=len(rows)):
+            s = np.array(s)
+            ref = frame.dir_deriv_jac(s @ rows)
+            assert J[key(s)].tobytes() == ref.tobytes()
+            keys.add(key(s))
+        assert keys == set(J)
+        assert len({Js.tobytes() for Js in J.values()}) == len(J)
+
+    def test_degenerate_constructions(self, bench_gen, bench_workloads):
+        ccs = _degenerate_ccs(bench_gen, bench_workloads)
+        assert len(ccs) == 10
+        for cc in ccs.values():
+            self._check(cc.frame)
+
+    @pytest.mark.parametrize("name", model.BUILTIN_NAMES)
+    def test_builtins(self, name):
+        cc = problem_critical_cone(*fixture(name))
+        if not cc.curved:
+            self._check(cc.frame)
+
+    @pytest.mark.parametrize("null", ["pd", "null"])
+    def test_soc2_apex(self, null):
+        # (+, 0) gives (+, +)'s part, not (+, -)'s: 4 distinct parts at
+        # the apex times 2 at the corner
+        cc = problem_critical_cone(*_face_family()["soc2-apex-" + null])
+        self._check(cc.frame)
+        assert len(cc.frame.piece_jacobians()[1]) == 8
+
+
+def _reference_certificate(cc):
+    """The piece certificate by a plain loop: the least
+    svd(T, compute_uv=False)[-1] ** 2 over the distinct T of every sign
+    vector, each from `ProblemCriticalCone.tmatrix`."""
+    T = {}
+    for s in itertools.product((1.0, -1.0, 0.0), repeat=len(cc.rows)):
+        t = cc.tmatrix(np.array(s) @ cc.rows)
+        T.setdefault(t.tobytes(), t)
+    return min(np.linalg.svd(t, compute_uv=False)[-1] ** 2
+               for t in T.values())
+
+
+def _ladder_ccs(bench_gen, bench_workloads):
+    """The cone at (x, y) of each `ladder` rung of a seed-1 pass."""
+    return [problem_critical_cone(inst.prog, inst.x, inst.y) for inst in
+            (bench_gen.make_instance(b, r, None, "identity", "pd",
+                                     seed=1000 + i)
+             for i, (b, r) in enumerate(bench_workloads.LADDER))]
+
+
+class TestPieceCertificate:
+    """The kernel faces' first step: min_s sigma_min(T_s)^2 over the
+    distinct T_s, a HOLDS with no witness where it reaches
+    KERNEL_ABSENT_TOL; elsewhere the face enumeration decides."""
+
+    @staticmethod
+    def _certified(cc):
+        probe = conditions._kernel_probe(cc, 3, 0, ())
+        assert probe["method"] == "exact" and probe["witness"] is None
+        assert np.float64(probe["min_residual"]).tobytes() == \
+            np.float64(_reference_certificate(cc)).tobytes()
+        v = kernel_probe_verdict(probe)
+        assert v.status == HOLDS
+        assert v.note == "every piece of T is nonsingular"
+
+    def test_strict_instance(self):
+        self._certified(problem_critical_cone(*_strict_instance()))
+
+    def test_ladder_rungs(self, bench_gen, bench_workloads):
+        ccs = _ladder_ccs(bench_gen, bench_workloads)
+        assert len(ccs) == 11
+        for cc in ccs:
+            assert cc.is_subspace
+            self._certified(cc)
+
+    def test_degenerate_pd_frames(self, bench_gen, bench_workloads):
+        # the borderline pd constructions; the nonunique ones have a kernel
+        ccs = _degenerate_ccs(bench_gen, bench_workloads,
+                              lambda spec: spec[3:] == ("identity", "pd"))
+        assert sorted(ccs) == [0, 3, 4]
+        for cc in ccs.values():
+            self._certified(cc)
+
+    @staticmethod
+    def _undecided(cc):
+        """Where the certificate does not decide, the probe's output is
+        the plain face loop's, bit for bit."""
+        assert _reference_certificate(cc) < conditions.KERNEL_ABSENT_TOL
+        probe = conditions._kernel_probe(cc, 3, 0, ())
+        mn, wit, rejected, _ = _reference_faces(cc)
+        assert rejected >= mn
+        assert probe["method"] == "exact"
+        assert probe["witness"].tobytes() == wit.tobytes()
+        assert np.float64(probe["min_residual"]).tobytes() == \
+            np.float64(conditions._probe_residual(cc, wit)).tobytes()
+
+    def test_undecided_degenerate_constructions(self, bench_gen,
+                                                bench_workloads):
+        ccs = _degenerate_ccs(bench_gen, bench_workloads,
+                              lambda spec: spec[3:] != ("identity", "pd"))
+        assert sorted(ccs) == [5, 6, 7, 8, 9, 10, 11]
+        for cc in ccs.values():
+            self._undecided(cc)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "example4"])
+    def test_undecided_builtins(self, name):
+        # example4 holds, but one of its pieces is singular
+        self._undecided(problem_critical_cone(*fixture(name)))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(_face_family())
+                                      if n.endswith("null")])
+    def test_undecided_face_null_family(self, name):
+        self._undecided(problem_critical_cone(*_face_family()[name]))
+
+    @staticmethod
+    def _pairs(bench_gen, bench_workloads):
+        import random_problems
+        for cc in _degenerate_ccs(bench_gen, bench_workloads).values():
+            yield cc
+        for i in range(200):
+            prog = random_problems.random_problem(i)
+            pt = kkt.solve_kkt_multistart(prog)
+            if pt.converged:
+                cc = problem_critical_cone(prog, pt.x, pt.y)
+                if not (cc.curved
+                        or len(cc.rows) > conditions._MAX_PROBE_ROWS):
+                    yield cc
+
+    def test_never_above_the_counted_minimum(self, bench_gen,
+                                             bench_workloads, monkeypatch):
+        # min_s sigma_min(T_s) bounds every face's least singular value
+        # from below, up to the round-off of either SVD
+        seen = []
+        face_minimum = conditions._face_minimum
+
+        def recorded(*args):
+            seen.append(face_minimum(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(conditions, "_face_minimum", recorded)
+        count = 0
+        for cc in self._pairs(bench_gen, bench_workloads):
+            key, T = cc.piece_tmatrices()
+            cert = conditions._piece_margin(T)
+            del seen[:]
+            conditions._face_residual(cc, key, T)
+            (mn, _, _, _), = seen
+            scale = max(np.linalg.norm(t, 2) for t in T.values())
+            assert np.sqrt(cert) <= np.sqrt(mn) + 1e-13 * max(1.0, scale)
+            assert not (cert >= conditions.KERNEL_ABSENT_TOL
+                        and mn <= conditions.KERNEL_FOUND_TOL)
+            count += 1
+        assert count >= 100
 
 
 def _planted_apex(m, seed, piece="P3"):
@@ -1561,12 +1771,12 @@ class TestAssembleReport:
             assert calls == {"checks": 2, "recovery": recovery}, name
 
     def test_one_borderline_split_per_cone(self, monkeypatch):
-        # the kernel probe reads the rows its cone already holds; the
-        # recovery splits its frame once where `polar_rows` decides a line
+        # the kernel probe reads the rows its cone already holds, and the
+        # recovery's `polar_rows` the split its frame already made
         from conestab.cones import ConeFrame
         calls = self._count_apart(monkeypatch, ConeFrame, "borderline")
-        for name, recovery in (("example1", 1), ("example2", 0),
-                               ("example3", 1), ("example4", 0)):
+        for name, recovery in (("example1", 0), ("example2", 0),
+                               ("example3", 0), ("example4", 0)):
             calls.update(checks=0, recovery=0)
             assemble_report(*fixture(name))
             assert calls == {"checks": 2, "recovery": recovery}, name
