@@ -214,7 +214,7 @@ class ProblemCriticalCone:
         self.H = prog.Q
         self.E = self.frame.cc_equalities()
         self.affine_basis = linalg.nullspace(self.E @ self.Gmat, tol=1e-10)
-        self.rows, self.curved = self.frame.borderline()
+        self.rows, self.curved = self.frame.borderline
         self.is_subspace = not (len(self.rows) or self.curved)
 
     @property
@@ -247,12 +247,18 @@ class ProblemCriticalCone:
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
     def piece_tmatrices(self):
-        """`tmatrix` on each distinct piece of the borderline rows' signs
-        s, as a dict by key, and key(s) naming the one of s
-        (`ConeFrame.piece_jacobians`; no block may be curved)."""
-        key, J = self.frame.piece_jacobians()
-        return key, {kk: kkt_matrix(self.H, self.Gmat, Js)
-                     for kk, Js in J.items()}
+        """`tmatrix` on each distinct J = dir_deriv_jac(s @ rows) over the
+        signs s in {+, -, 0}^k of the k borderline rows, as a dict by J's
+        bytes, and key(s) naming the one of s.  J is the key: a zero row
+        mostly gives the minus row's J, but at an SOC(2) apex (+, 0)
+        gives (+, +)'s, so s > 0 is not one."""
+        keys, T = {}, {}
+        for s in itertools.product((1.0, -1.0, 0.0), repeat=len(self.rows)):
+            J = self.frame.dir_deriv_jac(np.array(s) @ self.rows)
+            kk = keys[s] = J.tobytes()
+            if kk not in T:
+                T[kk] = kkt_matrix(self.H, self.Gmat, J)
+        return lambda s: keys[tuple(s)], T
 
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
@@ -754,11 +760,8 @@ def kernel_probe_verdict(probe):
     ("pieces").  A search's minimum is sampled, so it never gives
     HOLDS."""
     r, w = probe["min_residual"], probe["witness"]
-    if probe["method"] == "pieces" and w is None:
+    if w is None and probe["method"] != "search":
         return Verdict(HOLDS, margin=r, note="every piece is empty")
-    if probe["method"] == "exact" and w is None:
-        return Verdict(HOLDS, margin=r,
-                       note="every piece of T is nonsingular")
     if w is None:
         return Verdict(INCONCLUSIVE, margin=r, note="no start was tried")
     if r <= KERNEL_FOUND_TOL:

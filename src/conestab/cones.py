@@ -22,7 +22,6 @@ tie, and the projection's own derivative on the (beta, beta) rows.
 
 import collections
 import functools
-import itertools
 
 import numpy as np
 
@@ -524,44 +523,11 @@ class ConeFrame:
 
     def dir_deriv_jac(self, h):
         """The block-diagonal matrix of the blocks' dir_deriv_jac at h."""
-        return self._block_diag([f.dir_deriv_jac(p) for f, p in
-                                 zip(self.frames, self.cone.split(h))])
-
-    def _block_diag(self, mats):
-        """The ambient matrix with block k's square matrix in its slice."""
+        parts = self.cone.split(h)
         J = np.zeros((self.cone.dim, self.cone.dim))
-        for M, s in zip(mats, self.cone._slices):
-            J[s, s] = M
+        for f, p, s in zip(self.frames, parts, self.cone._slices):
+            J[s, s] = f.dir_deriv_jac(p)
         return J
-
-    def piece_jacobians(self):
-        """The distinct dir_deriv_jac(s @ rows) over the signs s in {+, -,
-        0}^k of the k `borderline` rows of a frame with no curved block,
-        as a dict by key, and key(s) naming the one of s.
-
-        A block's rows reach only its own slice, so its part of J is its
-        frame's dir_deriv_jac on its slice of s @ rows, computed once per
-        sign pattern of its own rows and told apart by its bytes: a zero
-        row mostly gives the minus row's part, but at an SOC(2) apex (+, 0)
-        gives (+, +)'s.  key(s) is the tuple of the blocks' part numbers;
-        every tuple is some s's, and J, assembled from its parts, has the
-        bytes of dir_deriv_jac(s @ rows)."""
-        parts, picks, k = [], [], 0
-        for f in self.frames:
-            rows = f.rows()
-            seen, pick = {}, {}
-            for sb in itertools.product((1.0, -1.0, 0.0), repeat=len(rows)):
-                J = f.dir_deriv_jac(np.array(sb) @ rows)
-                pick[sb] = seen.setdefault(J.tobytes(), (len(seen), J))[0]
-            parts.append([J for _, J in seen.values()])
-            picks.append((slice(k, k + len(rows)), pick))
-            k += len(rows)
-
-        def key(s):
-            return tuple(pick[tuple(s[sl])] for sl, pick in picks)
-
-        return key, {kk: self._block_diag([p[i] for p, i in zip(parts, kk)])
-                     for kk in itertools.product(*map(range, map(len, parts)))}
 
     def upsilon(self, d, check=True):
         """The sigma term at a critical direction d: the quadratic form
@@ -609,15 +575,12 @@ class ConeFrame:
         relative interior: each block's (gamma, gamma) rows."""
         return self.embed([f.normal_face_span().T for f in self.frames]).T
 
+    @functools.cached_property
     def borderline(self):
         """The rows a with a . h >= 0 that cut the critical cone out of its
         affine hull, the bb rows of each block that is not curved, and the
         curved blocks as (slice, block frame) pairs; split once per frame,
-        and `polar_rows` reads the same split."""
-        return self._borderline
-
-    @functools.cached_property
-    def _borderline(self):
+        so `polar_rows` reads the split `ProblemCriticalCone` made."""
         curved = [(s, f) for f, s in zip(self.frames, self.cone._slices)
                   if f.curved]
         return self.embed([f.rows() for f in self.frames]), curved
@@ -642,7 +605,7 @@ class ConeFrame:
         subalgebra has rank 3 or more (a PSD beta of order >= 3), where C°
         has no such form.  At a frame built at a point of K, C° is
         N_K(A)."""
-        rows, curved = self._borderline
+        rows, curved = self.borderline
         out = [(slice(None), -a[None, :]) for a in rows]
         for s, f in curved:
             L = f.lorentz_rows()

@@ -558,7 +558,7 @@ class TestFramePieces:
         checked = 0
         for cone, c in _piece_cases(rng):
             f = cone.frame(c)
-            rows, curved = f.borderline()
+            rows, curved = f.borderline
             if not (len(rows) or curved):
                 continue
             p = f.relint_point()
@@ -571,7 +571,7 @@ class TestFramePieces:
         rng = np.random.default_rng(22)
         for cone, c in _piece_cases(rng):
             f = cone.frame(c)
-            rows, _ = f.borderline()
+            rows, _ = f.borderline
             for _ in range(10):
                 d = f.cc_project(3.0 * rng.standard_normal(cone.dim))
                 assert np.min(rows @ d, initial=0.0) >= -1e-12
@@ -908,7 +908,7 @@ def _frame_outputs(f, hs):
                 ("dir_deriv", f.dir_deriv(h)),
                 ("dir_deriv_jac", f.dir_deriv_jac(h)),
                 ("upsilon_grad", f.upsilon_grad(h))]
-    rows, curved = f.borderline()
+    rows, curved = f.borderline
     polar = np.vstack([L for _, L in f.polar_rows()] + [rows[:0]])
     return out + [("normal_span", f.normal_span()),
                   ("cc_equalities", f.cc_equalities()),
