@@ -6,6 +6,7 @@ Exit codes: 0 success/agreement, 1 input error, 2 solver failure,
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
@@ -41,7 +42,7 @@ def _sanitize(obj):
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
-        if np.isfinite(f):
+        if math.isfinite(f):
             return f
         return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
     if isinstance(obj, (np.integer,)):

@@ -14,9 +14,9 @@ the polar cone; else `kkt.affine_cone_point` decides on the slice, by a
 closed-form candidate in ri C°, by the polar cone's Lorentz rows where
 the slice is a line, or by a search, whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone, and the
-kernel probe, when no block is curved, by the singular values of its
-distinct linear pieces where all are nonsingular, else by enumerating
-the 3^k sign faces of its k borderline rows; one face routine serves
+kernel probe, when no block is curved, by the singular values of the
+2^k linear pieces of its k borderline rows where all are nonsingular,
+else by enumerating their 3^k sign faces; one face routine serves
 both.  With one curved block of Lorentz form (an SOC apex, a PSD zero
 eigenspace of order 2) the probe is decided by the linear pieces of its
 complementarity and an S-lemma certificate for the curved one.
@@ -52,13 +52,13 @@ KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
 # random starts of the kernel-probe search
 _KERNEL_STARTS = 200
-# SOSC enumerates the 2^k faces cut out by k borderline rows; above this
-# many rows only the affine hull is examined and no minimum is exact.
+# SOSC's 2^k faces of k borderline rows and the kernel probe's 2^k pieces
+# run up to this many rows; above it SOSC reads only the affine hull.
 MAX_FACE_ROWS = 12
 # the kernel probe enumerates its 3^k sign faces, or beside a Lorentz block
 # its 3 * 2^k pieces, up to this many rows and searches above it: on
-# generated orthant corners the 729 faces of k = 6 take about as long as
-# the search, the 2,187 of k = 7 two to three times
+# generated 7-row FAILS frames the 2,187 faces take 0.24-0.53 s (one BLAS
+# thread), the search from SOSC's witness about 0.001 s
 _MAX_PROBE_ROWS = 6
 
 
@@ -247,18 +247,13 @@ class ProblemCriticalCone:
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
     def piece_tmatrices(self):
-        """`tmatrix` on each distinct J = dir_deriv_jac(s @ rows) over the
-        signs s in {+, -, 0}^k of the k borderline rows, as a dict by J's
-        bytes, and key(s) naming the one of s.  J is the key: a zero row
-        mostly gives the minus row's J, but at an SOC(2) apex (+, 0)
-        gives (+, +)'s, so s > 0 is not one."""
-        keys, T = {}, {}
-        for s in itertools.product((1.0, -1.0, 0.0), repeat=len(self.rows)):
-            J = self.frame.dir_deriv_jac(np.array(s) @ self.rows)
-            kk = keys[s] = J.tobytes()
-            if kk not in T:
-                T[kk] = kkt_matrix(self.H, self.Gmat, J)
-        return lambda s: keys[tuple(s)], T
+        """`tmatrix` on each piece s in {+, -}^k of the k borderline rows,
+        as a dict by s, and key(s) naming the piece of a sign vector s in
+        {+, -, 0}^k, a zero read as minus: where a row vanishes on h, the
+        pieces on either side of it give the same T h."""
+        T = {s: self.tmatrix(np.array(s) @ self.rows)
+             for s in itertools.product((1.0, -1.0), repeat=len(self.rows))}
+        return lambda s: tuple(1.0 if v > 0 else -1.0 for v in s), T
 
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
@@ -496,35 +491,30 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
 
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
     family T.  With no curved block, T(w) depends only on the signs of the
-    k borderline rows at h = G' dx + dy, and a frame with at most
-    _MAX_PROBE_ROWS rows is decided exactly (`_kernel_faces`): by the
-    least singular value of its distinct pieces T_s where every one is
-    nonsingular (no witness; k = 0 is one values-only SVD of the constant
-    T), else by its 3^k sign faces.  With one curved block that has
-    `lorentz_rows` and at most _MAX_PROBE_ROWS rows, `_kernel_pieces`
-    decides the system piece by piece: a witness of residual at most
-    KERNEL_FOUND_TOL, or no witness and the least piece margin as
-    min_residual.  Above the cap, on a PSD zero eigenspace of order 3 or
-    more or two curved blocks, where a tied face value was rejected below
-    the minimum or a piece stays undecided, `_kernel_search` runs
-    instead: it alone reads n_starts, seed and extra_seeds, and
-    `kernel_probe_verdict` never reads HOLDS from it.  It refines one
-    start at a time, for at most 50 steps, one T and one SVD per step, by
-    `ProblemCriticalCone.tmatrix`; the exact probe builds one T per
-    distinct Jacobian element.  The result's "method" ("exact",
-    "pieces" or "search") says which ran.
+    k borderline rows at h = G' dx + dy, and the frame is decided exactly
+    (`_kernel_faces`): up to MAX_FACE_ROWS rows by the least singular
+    value of its 2^k pieces T_s where every one is nonsingular (no
+    witness), else, up to _MAX_PROBE_ROWS rows, by its 3^k sign faces.
+    With one curved block that has `lorentz_rows` and at most
+    _MAX_PROBE_ROWS rows, `_kernel_pieces` decides the system piece by
+    piece: a witness of residual at most KERNEL_FOUND_TOL, or no witness
+    and the least piece margin as min_residual.  Above the caps, on a PSD
+    zero eigenspace of order 3 or more or two curved blocks, where a tied
+    face value was rejected below the minimum or a piece stays undecided,
+    `_kernel_search` runs instead: it alone reads n_starts, seed and
+    extra_seeds, and `kernel_probe_verdict` never reads HOLDS from it.
+    It refines one start at a time, for at most 50 steps, one T and one
+    SVD per step, by `ProblemCriticalCone.tmatrix`.  The result's
+    "method" ("exact", "pieces" or "search") says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
 
 
 def _kernel_probe(cc, n_starts, seed, extra_seeds):
-    """`kernel_probe` on the pulled-back cone cc."""
-    if len(cc.rows) <= _MAX_PROBE_ROWS:
-        probe = _kernel_pieces(cc) if cc.curved else _kernel_faces(cc)
-        if probe is not None:
-            return probe
-    return _kernel_search(cc, n_starts, seed, extra_seeds)
+    """`kernel_probe` on cc: its pieces or faces, else the search."""
+    probe = _kernel_pieces(cc) if cc.curved else _kernel_faces(cc)
+    return probe or _kernel_search(cc, n_starts, seed, extra_seeds)
 
 
 def _probe_residual(cc, w):
@@ -540,30 +530,36 @@ def _probe_residual(cc, w):
 
 def _kernel_faces(cc):
     """Exact least residual on a frame whose only pieces are the signs of
-    the orthonormal borderline rows r_i at h = [G' I] w.
+    the orthonormal borderline rows r_i at h = [G' I] w; None above the
+    caps or where a tie was rejected below the minimum.
 
-    On the signs s in {+, -, 0}^k, T(w) is T_s = kkt_matrix(H, G', J_s)
-    with J_s = dir_deriv_jac(sum_i s_i r_i); where r_i . h = 0 both
-    neighbouring pieces give the same J h.  T_s is built once per
-    distinct J_s (`ProblemCriticalCone.piece_tmatrices`).
+    On the signs s in {+, -}^k, T(w) is T_s = kkt_matrix(H, G', J_s) with
+    J_s = dir_deriv_jac(sum_i s_i r_i), built once per s
+    (`ProblemCriticalCone.piece_tmatrices`); where r_i . h = 0 both
+    neighbouring pieces give the same J h, so a zero reads as minus.
 
-    The certificate comes first: for unit w, ||T(w) w|| >= min_s
-    sigma_min(T_s).  So where that least singular value squared, from one
-    stacked SVD of the distinct T_s' values alone, is at least
+    The certificate comes first, up to MAX_FACE_ROWS rows: for unit w,
+    ||T(w) w|| >= min_s sigma_min(T_s).  So where that least singular
+    value squared, from SVDs of the T_s' values alone, is at least
     KERNEL_ABSENT_TOL, every piece of T is nonsingular: it is the
-    min_residual, with no witness.  Else `_face_residual` enumerates the
-    faces on the same T_s, and its minimum is at least that value."""
+    min_residual, with no witness.  Else, up to _MAX_PROBE_ROWS rows,
+    `_face_residual` enumerates the 3^k faces on the same T_s, and its
+    minimum is at least that value."""
+    if len(cc.rows) > MAX_FACE_ROWS:
+        return None
     key, T = cc.piece_tmatrices()
     margin = _piece_margin(T)
     if margin >= KERNEL_ABSENT_TOL:
         return {"min_residual": margin, "witness": None, "method": "exact"}
+    if len(cc.rows) > _MAX_PROBE_ROWS:
+        return None
     return _face_residual(cc, key, T)
 
 
 def _piece_margin(T):
-    """The least sigma_min(T_s)^2 over the matrices of the dict T."""
-    sig = np.linalg.svd(np.stack(list(T.values())), compute_uv=False)
-    return float(np.min(sig[:, -1] ** 2))
+    """The least sigma_min(T_s)^2 over the dict T, one SVD each."""
+    return float(min(np.linalg.svd(t, compute_uv=False)[-1]
+                     for t in T.values()) ** 2)
 
 
 def _face_residual(cc, key, T):
@@ -639,8 +635,8 @@ def _lorentz_certificate(K0, K1):
 def _kernel_pieces(cc):
     """The probe decided by pieces on a frame with one curved block whose
     beta subalgebra has rank 2 (`lorentz_rows` L: an SOC(m) apex, m >= 3,
-    or a PSD beta of order 2) besides k borderline rows r; None where
-    that does not apply or a piece stays undecided.
+    or a PSD beta of order 2) besides k <= _MAX_PROBE_ROWS borderline
+    rows r; None where that does not apply or a piece stays undecided.
 
     On w = (dx, dy) the system has linear rows, stationarity [H G'*] w =
     0 and (1 - Omega_i) R_i G'dx - Omega_i R_i dy = 0 on every Peirce row
@@ -667,10 +663,11 @@ def _kernel_pieces(cc):
     A piece's margin is the least of the kept singular value squared of
     its equations and -lambda_max (P1, P2) or the certificate (P3).  The
     first P1 or P2 candidate whose unrelaxed `_probe_residual` is at most
-    KERNEL_FOUND_TOL is the witness, found before any certificate is
-    sought.  Without one, the probe holds, with no witness, when the least
-    margin, its min_residual, is at least KERNEL_ABSENT_TOL."""
-    if len(cc.curved) != 1:
+    KERNEL_FOUND_TOL, scored as it is found, is the witness: it ends the
+    probe before any certificate is sought.  Without one, the probe
+    holds, with no witness, when the least margin, its min_residual, is
+    at least KERNEL_ABSENT_TOL."""
+    if len(cc.curved) != 1 or len(cc.rows) > _MAX_PROBE_ROWS:
         return None
     s, f = cc.curved[0]
     L = f.lorentz_rows()
@@ -690,7 +687,7 @@ def _kernel_pieces(cc):
     relaxed = [np.vstack([fixed, np.where(np.array(pick, dtype=bool)[:, None],
                                           cc.rows @ X, cc.rows @ Y)])
                for pick in itertools.product((0, 1), repeat=len(cc.rows))]
-    margins, candidates = [], []
+    margins = []
     for M in relaxed:
         for eq, C in ((B, A), (A, B)):  # P1, P2
             S, margin = _piece_space(np.vstack([M, eq]))
@@ -698,12 +695,12 @@ def _kernel_pieces(cc):
                 vals, vecs = linalg.sym_eig(S.T @ C.T @ J @ C @ S)
                 margin = min(margin, -vals[0])
                 if margin < KERNEL_ABSENT_TOL:
-                    candidates.extend([S @ vecs[:, 0], -S @ vecs[:, 0]])
+                    for w in (S @ vecs[:, 0], -S @ vecs[:, 0]):
+                        r = _probe_residual(cc, w)
+                        if r <= KERNEL_FOUND_TOL:
+                            return {"min_residual": r, "witness": w,
+                                    "method": "pieces"}
             margins.append(margin)
-    for w in candidates:
-        r = _probe_residual(cc, w)
-        if r <= KERNEL_FOUND_TOL:
-            return {"min_residual": r, "witness": w, "method": "pieces"}
     for M in relaxed:  # P3
         S, margin = _piece_space(M)
         U, sig, _ = np.linalg.svd(S[:n], full_matrices=False)

@@ -655,11 +655,25 @@ class TestExactKernelProbe:
         assert np.isclose(exact["min_residual"], float(np.sum((T @ w) ** 2)),
                           rtol=1e-9, atol=1e-20)
 
-    def test_above_the_cap_the_search_runs(self):
+    def test_above_the_face_cap_the_certificate_comes_first(self):
+        # 7 corners: the certificate decides the pd frame, which has no
+        # face; the null frame has a singular piece and takes the search,
+        # seeded as the report seeds it
         pieces = ["corner"] * (conditions._MAX_PROBE_ROWS + 1)
         prog, x, y = _polyhedral_instance(pieces, False)
         probe = kernel_probe(prog, x, y, n_starts=3)
+        assert probe["method"] == "exact" and probe["witness"] is None
+        assert "%.3g" % probe["min_residual"] == "0.000536"
+        assert kernel_probe_verdict(probe).status == HOLDS
+        prog, x, y = _polyhedral_instance(pieces, True)
+        sosc = check_sosc(prog, x, y)
+        assert sosc.fails
+        d = sosc.witness
+        seed = np.concatenate([d, linalg.lstsq(prog.constraint_jac(x).T,
+                                               -prog.Q @ d)])
+        probe = kernel_probe(prog, x, y, n_starts=3, extra_seeds=[seed])
         assert probe["method"] == "search"
+        assert kernel_probe_verdict(probe).status == FAILS
 
     def test_soc_apex_is_decided_by_pieces(self):
         # SOC(3) at its apex, s = y = 0
@@ -698,7 +712,7 @@ class TestExactKernelProbe:
         assert kernel_probe_verdict(probe).status == HOLDS
 
     def test_example4_builds_one_t_matrix_per_face(self, monkeypatch):
-        # 2 borderline rows: 3^2 faces, which share 2^2 distinct T
+        # 2 borderline rows: 3^2 faces, which share the T of 2^2 pieces
         prog, x, y = fixture("example4")
         calls = _count_t_builds(monkeypatch)
         report = assemble_report(prog, x, y)
@@ -719,8 +733,9 @@ class TestExactKernelProbe:
 
 def _reference_faces(cc):
     """The kernel faces' (minimum, witness, rejected, first value) by a
-    plain loop: every face in `_face_minimum`'s order, each with its own
-    T from `ProblemCriticalCone.tmatrix`, one SVD of T W, and no skip."""
+    plain loop: every face in `_face_minimum`'s order, each with the T of
+    its piece from `ProblemCriticalCone.tmatrix`, a zero read as minus,
+    one SVD of T W, and no skip."""
     m, n = cc.Gmat.shape
     rows, k = cc.rows, len(cc.rows)
     P = np.hstack([cc.Gmat, np.eye(m)])
@@ -736,7 +751,7 @@ def _reference_faces(cc):
             for vals in itertools.product((1, -1), repeat=k - r):
                 s = np.zeros(k)
                 s[free] = vals
-                _, sig, Vt = np.linalg.svd(cc.tmatrix(s @ rows) @ W)
+                _, sig, Vt = np.linalg.svd(cc.tmatrix(_minus(s) @ rows) @ W)
                 val, v, tied = conditions._least(sig, W @ Vt[-1])
                 val = val ** 2
                 first = val if first is None else first
@@ -754,11 +769,17 @@ def _reference_faces(cc):
     return mn, wit, rejected, first
 
 
+def _minus(s):
+    """The piece of a sign vector s: its zeros read as minus."""
+    return np.where(np.asarray(s) > 0, 1.0, -1.0)
+
+
 def _face_family():
     """Seeded polyhedral frames with 3-5 borderline rows, with Q positive
     definite or null along a critical direction (a face-null FAILS frame,
     whose minimum is round-off), and an SOC(2) apex beside an orthant
-    corner, where a zero row gives the plus row's J, not the minus row's."""
+    corner, where a zero row gives the plus row's J, not the minus row's,
+    though both give the same T on the face."""
     out = {}
     for k in (3, 4, 5):
         for seed in range(3):
@@ -770,7 +791,8 @@ def _face_family():
                     _polyhedral_instance(pieces, null, seed)
     G = np.eye(4) + 0.15 * np.random.default_rng(5).standard_normal((4, 4))
     # with Q null along d = G^-1 (1, 1, 0, 0), G d lies on the apex's
-    # (+, 0) face, whose T differs from (+, -)'s
+    # (+, 0) face, whose J is (+, +)'s, not that of the (+, -) piece the
+    # probe reads there
     d = np.linalg.solve(G, [1.0, 1.0, 0.0, 0.0])
     for null in (None, d / np.linalg.norm(d)):
         out["soc2-apex-%s" % ("pd" if null is None else "null")] = \
@@ -780,8 +802,8 @@ def _face_family():
 
 
 class TestFaceEnumeration:
-    """`_face_minimum` on the kernel faces (one T per distinct J, one
-    stacked SVD per zero set, faces skipped by interlacing) against the
+    """`_face_minimum` on the kernel faces (one T per piece in {+, -}^k,
+    one stacked SVD per zero set, faces skipped by interlacing) against the
     plain loop of `_reference_faces`, bit for bit, on every frame, the
     ones the piece certificate decides too."""
 
@@ -860,14 +882,11 @@ def _degenerate_ccs(bench_gen, bench_workloads, pick=lambda spec: True):
 
 def _reference_certificate(cc):
     """The piece certificate by a plain loop: the least
-    svd(T, compute_uv=False)[-1] ** 2 over the distinct T of every sign
-    vector, each from `ProblemCriticalCone.tmatrix`."""
-    T = {}
-    for s in itertools.product((1.0, -1.0, 0.0), repeat=len(cc.rows)):
-        t = cc.tmatrix(np.array(s) @ cc.rows)
-        T.setdefault(t.tobytes(), t)
-    return min(np.linalg.svd(t, compute_uv=False)[-1] ** 2
-               for t in T.values())
+    svd(T, compute_uv=False)[-1] ** 2 over the T of every piece in
+    {+, -}^k, each from `ProblemCriticalCone.tmatrix`."""
+    return min(np.linalg.svd(cc.tmatrix(np.array(s) @ cc.rows),
+                             compute_uv=False)[-1] ** 2
+               for s in itertools.product((1.0, -1.0), repeat=len(cc.rows)))
 
 
 def _ladder_ccs(bench_gen, bench_workloads):
@@ -880,7 +899,7 @@ def _ladder_ccs(bench_gen, bench_workloads):
 
 class TestPieceCertificate:
     """The kernel faces' first step: min_s sigma_min(T_s)^2 over the
-    distinct T_s, a HOLDS with no witness where it reaches
+    pieces T_s, a HOLDS with no witness where it reaches
     KERNEL_ABSENT_TOL; elsewhere the face enumeration decides."""
 
     @staticmethod
@@ -982,6 +1001,60 @@ class TestPieceCertificate:
                         and mn <= conditions.KERNEL_FOUND_TOL)
             count += 1
         assert count >= 100
+
+
+def _sign_family():
+    """`_face_family` and 7 and 8 orthant corners with Q positive definite,
+    above the face cap, where the piece certificate decides."""
+    out = dict(_face_family())
+    for k in (7, 8):
+        out["corner%d-pd" % k] = _polyhedral_instance(["corner"] * k, False)
+    return out
+
+
+class TestSignKeyedPieces:
+    """The kernel faces read T on the 2^k pieces s in {+, -}^k of the k
+    borderline rows, a zero sign read as minus."""
+
+    @pytest.mark.parametrize("name", sorted(_sign_family()))
+    def test_the_exact_probe_builds_one_jacobian_per_piece(self, name,
+                                                           monkeypatch):
+        cc = problem_critical_cone(*_sign_family()[name])
+        k = len(cc.rows)
+        calls = _count_tmatrix_builds(monkeypatch)
+        probe = conditions._kernel_probe(cc, 3, 0, ())
+        assert probe["method"] == "exact"
+        assert len(calls) == 2 ** k
+        # the rows are orthonormal, so rows @ (s @ rows) is s
+        assert {tuple(np.round(cc.rows @ h)) for h in calls} == \
+            set(itertools.product((1.0, -1.0), repeat=k))
+
+    @pytest.mark.parametrize("name", sorted(_face_family()))
+    def test_a_zero_face_reads_its_minus_piece(self, name):
+        # on a face with zero rows W, the minus piece's T W has the least
+        # singular value of the true Jacobian element's, up to round-off;
+        # only at the SOC(2) apex are the two elements different
+        cc = problem_critical_cone(*_face_family()[name])
+        m, n = cc.Gmat.shape
+        rows, k = cc.rows, len(cc.rows)
+        A = rows @ np.hstack([cc.Gmat, np.eye(m)])
+        differ = 0
+        for r in range(1, k + 1):
+            for zero in itertools.combinations(range(k), r):
+                W = linalg.nullspace(A[list(zero)], tol=1e-10)
+                if W.shape[1] == 0:
+                    continue
+                free = [i for i in range(k) if i not in zero]
+                for vals in itertools.product((1.0, -1.0), repeat=k - r):
+                    s = np.zeros(k)
+                    s[free] = vals
+                    true = cc.tmatrix(s @ rows)
+                    piece = cc.tmatrix(_minus(s) @ rows)
+                    differ += not np.array_equal(true, piece)
+                    a, b = (np.linalg.svd(t @ W, compute_uv=False)[-1]
+                            for t in (true, piece))
+                    assert abs(a - b) <= 1e-12 * np.linalg.norm(true, 2)
+        assert (differ > 0) == name.startswith("soc2-apex")
 
 
 def _planted_apex(m, seed, piece="P3"):
