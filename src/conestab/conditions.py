@@ -13,12 +13,13 @@ alone shows that the slice <v, c> = -1 (c in ri C) of ker(G'*) misses
 the polar cone; else `kkt.affine_cone_point` decides on the slice, by a
 closed-form candidate in ri C°, by the polar cone's Lorentz rows where
 the slice is a line, or by a search, whose miss is inconclusive.
-SOSC is decided by enumerating the faces of the critical cone, and the
-kernel probe, when no block is curved, by the singular values of the
-2^k linear pieces of its k borderline rows where all are nonsingular,
-else by enumerating their 3^k sign faces; one face routine serves
-both.  With one curved block of Lorentz form (an SOC apex, a PSD zero
-eigenspace of order 2) the probe is decided by the linear pieces of its
+SOSC is decided by enumerating the faces of the critical cone.  The
+kernel probe is decided by a failed SRCQ's or SOSC's witness where it
+solves the system, else, when no block is curved, by the singular values
+of the 2^k linear pieces of its k borderline rows where all are
+nonsingular, else by enumerating their 3^k sign faces; one face routine
+serves both.  With one curved block of Lorentz form (an SOC apex, a PSD
+zero eigenspace of order 2) it is decided by the linear pieces of its
 complementarity and an S-lemma certificate for the curved one.
 Elsewhere it searches, and a search never gives HOLDS.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
@@ -58,7 +59,7 @@ MAX_FACE_ROWS = 12
 # the kernel probe enumerates its 3^k sign faces, or beside a Lorentz block
 # its 3 * 2^k pieces, up to this many rows and searches above it: on
 # generated 7-row FAILS frames the 2,187 faces take 0.24-0.53 s (one BLAS
-# thread), the search from SOSC's witness about 0.001 s
+# thread), where SOSC's witness start decides them first
 _MAX_PROBE_ROWS = 6
 
 
@@ -247,12 +248,12 @@ class ProblemCriticalCone:
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
     def piece_tmatrices(self):
-        """`tmatrix` on each piece s in {+, -}^k of the k borderline rows,
-        as a dict by s, and key(s) naming the piece of a sign vector s in
-        {+, -, 0}^k, a zero read as minus: where a row vanishes on h, the
-        pieces on either side of it give the same T h."""
-        T = {s: self.tmatrix(np.array(s) @ self.rows)
-             for s in itertools.product((1.0, -1.0), repeat=len(self.rows))}
+        """key(s) naming the piece of a sign vector s in {+, -, 0}^k, a
+        zero read as minus (where a row vanishes on h, the pieces on either
+        side of it give the same T h), and the pairs (s, `tmatrix`) on each
+        piece s in {+, -}^k of the k borderline rows, built one at a time."""
+        T = ((s, self.tmatrix(np.array(s) @ self.rows))
+             for s in itertools.product((1.0, -1.0), repeat=len(self.rows)))
         return lambda s: tuple(1.0 if v > 0 else -1.0 for v in s), T
 
     def member(self, d):
@@ -490,8 +491,10 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     G' dx = dir_deriv(frame; G' dx + dy), on the unit sphere.
 
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
-    family T.  With no curved block, T(w) depends only on the signs of the
-    k borderline rows at h = G' dx + dy, and the frame is decided exactly
+    family T.  The first of extra_seeds whose residual, at unit length, is
+    at most KERNEL_FOUND_TOL is the witness, before any T is built.  Else,
+    with no curved block, T(w) depends only on the signs of the k
+    borderline rows at h = G' dx + dy, and the frame is decided exactly
     (`_kernel_faces`): up to MAX_FACE_ROWS rows by the least singular
     value of its 2^k pieces T_s where every one is nonsingular (no
     witness), else, up to _MAX_PROBE_ROWS rows, by its 3^k sign faces.
@@ -501,20 +504,31 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     and the least piece margin as min_residual.  Above the caps, on a PSD
     zero eigenspace of order 3 or more or two curved blocks, where a tied
     face value was rejected below the minimum or a piece stays undecided,
-    `_kernel_search` runs instead: it alone reads n_starts, seed and
-    extra_seeds, and `kernel_probe_verdict` never reads HOLDS from it.
-    It refines one start at a time, for at most 50 steps, one T and one
-    SVD per step, by `ProblemCriticalCone.tmatrix`.  The result's
-    "method" ("exact", "pieces" or "search") says which ran.
+    `_kernel_search` runs instead, from extra_seeds, then n_starts random
+    starts drawn with seed; `kernel_probe_verdict` never reads HOLDS from
+    it.  It refines one start at a time, for at most 50 steps, one T and
+    one SVD per step, by `ProblemCriticalCone.tmatrix`.  The result's
+    "method" ("witness", "exact", "pieces" or "search") says which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
 
 
 def _kernel_probe(cc, n_starts, seed, extra_seeds):
-    """`kernel_probe` on cc: its pieces or faces, else the search."""
+    """`kernel_probe` on cc: a witness among extra_seeds, else its pieces
+    or faces, else the search."""
+    for w in _unit_starts(extra_seeds):
+        r = _probe_residual(cc, w)
+        if r <= KERNEL_FOUND_TOL:  # a NaN residual is never the witness
+            return {"min_residual": r, "witness": w, "method": "witness"}
     probe = _kernel_pieces(cc) if cc.curved else _kernel_faces(cc)
     return probe or _kernel_search(cc, n_starts, seed, extra_seeds)
+
+
+def _unit_starts(starts):
+    """Each nonzero start scaled to unit length."""
+    starts = [np.asarray(s, float) for s in starts]
+    return [w / np.linalg.norm(w) for w in starts if np.linalg.norm(w)]
 
 
 def _probe_residual(cc, w):
@@ -547,19 +561,20 @@ def _kernel_faces(cc):
     minimum is at least that value."""
     if len(cc.rows) > MAX_FACE_ROWS:
         return None
-    key, T = cc.piece_tmatrices()
-    margin = _piece_margin(T)
+    key, pieces = cc.piece_tmatrices()
+    # the faces read each T_s again; above their cap none is kept
+    faces = len(cc.rows) <= _MAX_PROBE_ROWS
+    T = dict(pieces) if faces else None
+    margin = _piece_margin(T.values() if faces else (t for _, t in pieces))
     if margin >= KERNEL_ABSENT_TOL:
         return {"min_residual": margin, "witness": None, "method": "exact"}
-    if len(cc.rows) > _MAX_PROBE_ROWS:
-        return None
-    return _face_residual(cc, key, T)
+    return _face_residual(cc, key, T) if faces else None
 
 
-def _piece_margin(T):
-    """The least sigma_min(T_s)^2 over the dict T, one SVD each."""
+def _piece_margin(ts):
+    """The least sigma_min(T_s)^2 over the matrices ts, one SVD each."""
     return float(min(np.linalg.svd(t, compute_uv=False)[-1]
-                     for t in T.values()) ** 2)
+                     for t in ts) ** 2)
 
 
 def _face_residual(cc, key, T):
@@ -721,15 +736,14 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
     iterating toward the smallest right singular vector of T(w), until it
     moves less than 1e-14 (up to sign) or for 50 steps, one start at a
     time in order.  The first start whose residual reaches
-    KERNEL_FOUND_TOL is kept as it is (an exact witness in extra_seeds)
-    and ends the search; a NaN residual is neither refined nor the
+    KERNEL_FOUND_TOL is kept as it is and ends the search (no extra seed
+    from `_kernel_probe` does); a NaN residual is neither refined nor the
     witness.  With no start the residual is infinite and the witness None.
     """
     m, n = cc.Gmat.shape
     rng = np.random.default_rng(seed)
-    starts = [np.asarray(s, float) for s in extra_seeds]
-    starts.extend(rng.standard_normal(n + m) for _ in range(n_starts))
-    starts = [w / np.linalg.norm(w) for w in starts if np.linalg.norm(w)]
+    starts = _unit_starts([*extra_seeds, *(rng.standard_normal(n + m)
+                                           for _ in range(n_starts))])
     best_val, best_w = np.inf, None
     for w in starts:
         val = _probe_residual(cc, w)
@@ -818,10 +832,10 @@ def assemble_report(prog, x, y, seed=0):
     srcq = _decide_fullness(cc, "srcq")
     nondeg = _nondegeneracy(tc)
     sosc = _sosc_verdict(cc.quadratic, cc)
-    # exact witnesses of the two conditions seed the kernel probe's search,
-    # where it runs: a polar direction dy of SRCQ, and a critical direction
-    # d of SOSC with the dy that best balances the stationarity row
-    # H d + G'* dy = 0
+    # the witness starts: a polar direction dy of a failed SRCQ, and a
+    # critical direction d of a failed SOSC with the dy that best balances
+    # the stationarity row H d + G'* dy = 0; the first that solves the
+    # kernel system is the probe's witness, else the search starts there
     probe_seeds = []
     if srcq.fails and srcq.witness is not None:
         probe_seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))

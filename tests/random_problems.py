@@ -13,11 +13,13 @@ the top decade and needs four points, so a shorter grid never fits.)
 
     PYTHONPATH=src python tests/random_problems.py [COUNT]
 
-prints the exit codes seen and exits 1 on the first violation.
+prints the exit codes seen and the count of each kernel-probe `method`
+over the reports `analyze` wrote, and exits 1 on the first violation.
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -81,14 +83,17 @@ def run(argv):
 
 
 def main(count):
-    seen = {}
+    seen, methods = {}, {}
     with tempfile.TemporaryDirectory() as d:
         for seed in range(count):
             path = os.path.join(d, "p%d.json" % seed)
             with open(path, "w") as fh:
                 fh.write(save_problem(random_problem(seed)))
+            report = os.path.join(d, "r%d.json" % seed)
             for command in COMMANDS:
                 argv = command + ["--problem", path]
+                if command[0] == "analyze":
+                    argv += ["--report", report]
                 rc, err = run(argv)
                 bad = (rc not in range(5)
                        or (rc == cli.EXIT_INPUT
@@ -99,8 +104,14 @@ def main(count):
                           % (seed, " ".join(command), rc, err))
                     return 1
                 seen[command[0], rc] = seen.get((command[0], rc), 0) + 1
+            if os.path.exists(report):
+                with open(report) as fh:
+                    method = json.load(fh)["kernel_probe"]["method"]
+                methods[method] = methods.get(method, 0) + 1
     for (command, rc), k in sorted(seen.items()):
         print("%s exit %d: %d" % (command, rc, k))
+    for method, k in sorted(methods.items()):
+        print("kernel probe method %s: %d" % (method, k))
     return 0
 
 

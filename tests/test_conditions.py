@@ -354,6 +354,21 @@ def _count_t_builds(monkeypatch):
     return calls
 
 
+def _witness_starts(prog, x, y):
+    """The kernel probe's extra starts as `assemble_report` builds them:
+    (0, v) for a failed SRCQ's witness v, and (d, lstsq(G'*, -H d)) for a
+    failed SOSC's witness d."""
+    srcq, sosc = check_srcq(prog, x, y), check_sosc(prog, x, y)
+    starts = []
+    if srcq.fails and srcq.witness is not None:
+        starts.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
+    if sosc.fails:
+        G = prog.constraint_jac(x)
+        starts.append(np.concatenate(
+            [sosc.witness, linalg.lstsq(G.T, -prog.Q @ sosc.witness)]))
+    return starts
+
+
 def _search(prog, x, y, n_starts=conditions._KERNEL_STARTS, seed=0,
             extra_seeds=()):
     """The kernel probe's multi-start search, called directly: polyhedral
@@ -632,13 +647,9 @@ class TestExactKernelProbe:
         # a positive definite Q leaves every piece of T nonsingular: the
         # certificate holds, with no witness
         assert (exact["witness"] is None) == (not null)
-        # the search gets the SOSC witness seed that the report gives it
-        seeds = []
-        sosc = check_sosc(prog, x, y)
-        if sosc.fails:
-            d = sosc.witness
-            seeds.append(np.concatenate([d, linalg.lstsq(G.T, -H @ d)]))
-        search = _search(prog, x, y, n_starts=20, extra_seeds=seeds)
+        # the search gets the witness starts that the report gives it
+        search = _search(prog, x, y, n_starts=20,
+                         extra_seeds=_witness_starts(prog, x, y))
         assert kernel_probe_verdict(exact).status == \
             (FAILS if null else HOLDS)
         # a search never gives HOLDS
@@ -655,10 +666,12 @@ class TestExactKernelProbe:
         assert np.isclose(exact["min_residual"], float(np.sum((T @ w) ** 2)),
                           rtol=1e-9, atol=1e-20)
 
-    def test_above_the_face_cap_the_certificate_comes_first(self):
+    def test_above_the_face_cap_the_certificate_comes_first(
+            self, monkeypatch):
         # 7 corners: the certificate decides the pd frame, which has no
-        # face; the null frame has a singular piece and takes the search,
-        # seeded as the report seeds it
+        # face; the null frame has a singular piece, so with no start it
+        # takes the search, and the SOSC start the report gives it is its
+        # witness before any T is built
         pieces = ["corner"] * (conditions._MAX_PROBE_ROWS + 1)
         prog, x, y = _polyhedral_instance(pieces, False)
         probe = kernel_probe(prog, x, y, n_starts=3)
@@ -666,13 +679,14 @@ class TestExactKernelProbe:
         assert "%.3g" % probe["min_residual"] == "0.000536"
         assert kernel_probe_verdict(probe).status == HOLDS
         prog, x, y = _polyhedral_instance(pieces, True)
-        sosc = check_sosc(prog, x, y)
-        assert sosc.fails
-        d = sosc.witness
-        seed = np.concatenate([d, linalg.lstsq(prog.constraint_jac(x).T,
-                                               -prog.Q @ d)])
-        probe = kernel_probe(prog, x, y, n_starts=3, extra_seeds=[seed])
+        probe = kernel_probe(prog, x, y, n_starts=3)
         assert probe["method"] == "search"
+        assert kernel_probe_verdict(probe).status != HOLDS
+        starts = _witness_starts(prog, x, y)
+        assert len(starts) == 1 and check_sosc(prog, x, y).fails
+        calls = _count_t_builds(monkeypatch)
+        probe = kernel_probe(prog, x, y, n_starts=3, extra_seeds=starts)
+        assert probe["method"] == "witness" and not calls
         assert kernel_probe_verdict(probe).status == FAILS
 
     def test_soc_apex_is_decided_by_pieces(self):
@@ -721,7 +735,8 @@ class TestExactKernelProbe:
         assert report.kernel_probe["status"] == HOLDS
 
     def test_exact_probe_reads_no_search_setting(self):
-        # n_starts, seed and extra_seeds reach only the search
+        # n_starts and seed reach only the search, and a start that does
+        # not solve the system only the witness check and the search
         prog, x, y = fixture("example4")
         first = kernel_probe(prog, x, y)
         w0 = np.ones(prog.n + prog.cone.dim)
@@ -729,6 +744,88 @@ class TestExactKernelProbe:
             probe = kernel_probe(prog, x, y, **kw)
             assert probe["min_residual"] == first["min_residual"]
             assert np.array_equal(probe["witness"], first["witness"])
+
+
+# the FAILS frames of the builtins and of the `degenerate` list, whose
+# SRCQ or SOSC witness start already solves the kernel system
+_WITNESS_PAIRS = ["example1", "example2", "example3", "remark2"] + \
+    ["degenerate%d" % i for i in range(5, 13)]
+
+
+def _witness_pair(name, bench_gen, bench_workloads):
+    """A builtin at its reference, or `degenerate` entry i generated with
+    seed i, as a seed-1 pass generates it."""
+    if not name.startswith("degenerate"):
+        return fixture(name)
+    i = int(name[len("degenerate"):])
+    inst = bench_gen.make_instance(*bench_workloads.DEGENERATE[i], seed=i)
+    return inst.prog, inst.x, inst.y
+
+
+def _same_probe(a, b):
+    """The two probes' methods are equal, and their min_residual and
+    witness bit for bit."""
+    def bits(p):
+        w = p["witness"]
+        return (p["method"], np.float64(p["min_residual"]).tobytes(),
+                None if w is None else w.tobytes())
+    return bits(a) == bits(b)
+
+
+class TestWitnessStarts:
+    """An extra start whose residual, at unit length, is at most
+    KERNEL_FOUND_TOL is the probe's witness, before any T, piece, face or
+    search; any other start leaves the pieces and faces as they are."""
+
+    @pytest.mark.parametrize("name", _WITNESS_PAIRS)
+    def test_a_failing_report_reads_its_witness_start(
+            self, name, bench_gen, bench_workloads, monkeypatch):
+        prog, x, y = _witness_pair(name, bench_gen, bench_workloads)
+        cc = problem_critical_cone(prog, x, y)
+        starts = [w / np.linalg.norm(w) for w in _witness_starts(prog, x, y)]
+        first = next(w for w in starts if conditions._probe_residual(cc, w)
+                     <= conditions.KERNEL_FOUND_TOL)
+        calls = _count_t_builds(monkeypatch)
+        for stage in ("_kernel_faces", "_kernel_pieces", "_kernel_search"):
+            monkeypatch.setattr(conditions, stage, None)
+        report = assemble_report(prog, x, y)
+        assert report.theorem_verdict == FAILS and not calls
+        kp = report.kernel_probe
+        assert kp["method"] == "witness" and kp["status"] == FAILS
+        assert kp["witness"].tobytes() == first.tobytes()
+        assert np.float64(kp["min_residual"]).tobytes() == np.float64(
+            conditions._probe_residual(cc, first)).tobytes()
+
+    @pytest.mark.parametrize("name", _WITNESS_PAIRS)
+    def test_a_nudged_start_gives_the_probe_of_no_start(
+            self, name, bench_gen, bench_workloads):
+        prog, x, y = _witness_pair(name, bench_gen, bench_workloads)
+        cc = problem_critical_cone(prog, x, y)
+        rng = np.random.default_rng(3)
+        nudged = []
+        for w in _witness_starts(prog, x, y):
+            w = w / np.linalg.norm(w) + 1e-3 * rng.standard_normal(len(w))
+            assert conditions._probe_residual(cc, w / np.linalg.norm(w)) > \
+                conditions.KERNEL_FOUND_TOL
+            nudged.append(w)
+        none = conditions._kernel_probe(cc, 3, 0, ())
+        assert none["method"] in ("exact", "pieces")
+        assert _same_probe(conditions._kernel_probe(cc, 3, 0, nudged), none)
+
+    def test_a_zero_or_nan_start_is_never_the_witness(self):
+        prog, x, y = fixture("example1")
+        cc = problem_critical_cone(prog, x, y)
+        zero = np.zeros(prog.n + prog.cone.dim)
+        nan = np.full(len(zero), np.nan)
+        none = conditions._kernel_probe(cc, 3, 0, ())
+        for starts in ([zero], [nan], [nan, zero]):
+            assert _same_probe(conditions._kernel_probe(cc, 3, 0, starts),
+                               none)
+        exact, = _witness_starts(prog, x, y)
+        probe = conditions._kernel_probe(cc, 3, 0, [zero, nan, exact])
+        assert probe["method"] == "witness"
+        assert probe["witness"].tobytes() == \
+            (exact / np.linalg.norm(exact)).tobytes()
 
 
 def _reference_faces(cc):
@@ -817,7 +914,8 @@ class TestFaceEnumeration:
             return seen[-1]
 
         monkeypatch.setattr(conditions, "_face_minimum", recorded)
-        conditions._face_residual(cc, *cc.piece_tmatrices())
+        key, pieces = cc.piece_tmatrices()
+        conditions._face_residual(cc, key, dict(pieces))
         monkeypatch.undo()
         (mn, wit, rejected, first), = seen
         ref = _reference_faces(cc)
@@ -943,6 +1041,24 @@ class TestPieceCertificate:
         assert np.float64(probe["min_residual"]).tobytes() == \
             np.float64(conditions._probe_residual(cc, wit)).tobytes()
 
+    def test_above_the_face_cap_no_piece_is_kept(self):
+        # 10 corners of order N = 40, whose 2^10 pieces T_s would hold
+        # 13 MB together: each is dropped once its SVD is taken
+        import tracemalloc
+        prog, x, y = _polyhedral_instance(["corner"] * 10, False)
+        cc = problem_critical_cone(prog, x, y)
+        N = prog.n + prog.cone.dim
+        tracemalloc.start()
+        try:
+            probe = conditions._kernel_probe(cc, 3, 0, ())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * N * N * 8
+        assert probe["method"] == "exact" and probe["witness"] is None
+        assert np.float64(probe["min_residual"]).tobytes() == \
+            np.float64(_reference_certificate(cc)).tobytes()
+
     def test_undecided_degenerate_constructions(self, bench_gen,
                                                 bench_workloads):
         ccs = _degenerate_ccs(bench_gen, bench_workloads,
@@ -990,8 +1106,9 @@ class TestPieceCertificate:
         monkeypatch.setattr(conditions, "_face_minimum", recorded)
         count = 0
         for cc in self._pairs(bench_gen, bench_workloads):
-            key, T = cc.piece_tmatrices()
-            cert = conditions._piece_margin(T)
+            key, pieces = cc.piece_tmatrices()
+            T = dict(pieces)
+            cert = conditions._piece_margin(T.values())
             del seen[:]
             conditions._face_residual(cc, key, T)
             (mn, _, _, _), = seen
@@ -1711,16 +1828,10 @@ class TestAssembleReport:
     @staticmethod
     def _alone(prog, x, y, seed=0):
         """The report's fields from the public checkers, each run alone,
-        with the probe's search seeds built as `assemble_report` does."""
+        with the witness starts `assemble_report` gives the probe."""
         srcq, sosc = check_srcq(prog, x, y), check_sosc(prog, x, y)
-        seeds = []
-        if srcq.fails and srcq.witness is not None:
-            seeds.append(np.concatenate([np.zeros(prog.n), srcq.witness]))
-        if sosc.fails:
-            G = prog.constraint_jac(x)
-            seeds.append(np.concatenate(
-                [sosc.witness, linalg.lstsq(G.T, -prog.Q @ sosc.witness)]))
-        probe = kernel_probe(prog, x, y, seed=seed, extra_seeds=seeds)
+        probe = kernel_probe(prog, x, y, seed=seed,
+                             extra_seeds=_witness_starts(prog, x, y))
         mset = kkt.recover_multipliers(prog, x)
         return {"rcq": check_rcq(prog, x).to_dict(),
                 "srcq": srcq.to_dict(),
