@@ -22,6 +22,8 @@ tie, and the projection's own derivative on the (beta, beta) rows.
 
 import collections
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -67,7 +69,7 @@ def smat(v):
     """Inverse of svec."""
     v = np.asarray(v, dtype=float)
     m = len(v)
-    n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
+    n = (math.isqrt(8 * m + 1) - 1) // 2
     if svec_dim(n) != m:
         raise ValueError("vector length is not a triangular number")
     ix = _svec_index(n)
@@ -106,14 +108,13 @@ def _pair_basis(P):
 def _weights(li, lj):
     """Divided differences (l_i^+ - l_j^+)/(l_i - l_j) of the projection
     at the eigenvalue pairs (li, lj), elementwise.  On a tie, |l_i - l_j|
-    <= 1e-14 max(1, |l_i|, |l_j|), the weight is [l_i + l_j > 0]:
-    symmetric, and [l_i > 0] whenever the two signs agree."""
+    <= 1e-14 max(1, |l_i|, |l_j|), the weight is [l_i + l_j > 0], with no
+    quotient: symmetric, and [l_i > 0] whenever the two signs agree."""
     d = li - lj
     tie = np.abs(d) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(li),
                                                           np.abs(lj)))
-    return np.where(tie, (li + lj > 0).astype(float),
-                    (np.maximum(li, 0.0) - np.maximum(lj, 0.0))
-                    / np.where(tie, 1.0, d))
+    return np.divide(np.maximum(li, 0.0) - np.maximum(lj, 0.0), d,
+                     out=np.heaviside(li + lj, 0.0), where=~tie)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ class Block:
 
 def _soc_project(z):
     t, u = z[0], z[1:]
-    r = np.linalg.norm(u)
+    r = linalg.norm(u)
     if t >= r:
         return z.copy()
     if t <= -r:
@@ -193,8 +194,8 @@ def _soc_jacobian(z):
     |z|)."""
     m = len(z)
     t, u = z[0], z[1:]
-    r = np.linalg.norm(u)
-    tol = 1e-14 * max(1.0, np.linalg.norm(z))
+    r = linalg.norm(u)
+    tol = 1e-14 * max(1.0, linalg.norm(z))
     if r <= tol:
         return np.eye(m) if t > 0 else np.zeros((m, m))
     if t >= r - tol:
@@ -421,44 +422,49 @@ class Cone:
         self.blocks = [b if isinstance(b, Block) else Block(*b) for b in blocks]
         if not self.blocks:
             raise ValueError("a cone needs at least one block")
-        self.dim = sum(b.dim for b in self.blocks)
-        self._slices = []
-        off = 0
-        for b in self.blocks:
-            self._slices.append(slice(off, off + b.dim))
-            off += b.dim
+        ends = list(itertools.accumulate(b.dim for b in self.blocks))
+        self.dim = ends[-1]
+        self._slices = [slice(e - b.dim, e) for b, e in zip(self.blocks, ends)]
+        self._parts = list(zip(self.blocks, self._slices))
 
     def __repr__(self):
         return "Cone(%s)" % ", ".join(repr(b) for b in self.blocks)
 
-    def split(self, z):
-        """The blocks' parts of z, or of each point of a stack along
-        leading axes."""
+    def _point(self, z):
+        """z as floats, refused unless its last axis is the cone's."""
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.dim:
             raise ValueError("point dimension %d != cone dimension %d"
                              % (z.shape[-1], self.dim))
+        return z
+
+    def split(self, z):
+        """The blocks' parts of z, or of each point of a stack along
+        leading axes."""
+        z = self._point(z)
         return [z[..., s] for s in self._slices]
 
     def eigs(self, z):
         """Each block's `Block.eig` of its part of z."""
-        return [b.eig(p) for b, p in zip(self.blocks, self.split(z))]
+        z = self._point(z)
+        return [b.eig(z[s]) for b, s in self._parts]
 
     def project(self, z, eigs=None):
         """Pi_K(z); `eigs` is `self.eigs(z)`, computed block by block when
-        not given."""
-        eigs = eigs or [None] * len(self.blocks)
-        return np.concatenate([b.project(p, e) for b, p, e in
-                               zip(self.blocks, self.split(z), eigs)])
+        not given.  Each block writes its part of the one output."""
+        z = self._point(z)
+        out = np.empty(z.shape)
+        for (b, s), e in zip(self._parts, eigs or [None] * len(self._parts)):
+            out[..., s] = b.project(z[..., s], e)
+        return out
 
     def proj_jacobian(self, z, eigs=None):
         """The block-diagonal Jacobian element of the projection at z;
         `eigs` as for `project`."""
-        eigs = eigs or [None] * len(self.blocks)
+        z = self._point(z)
         J = np.zeros((self.dim, self.dim))
-        for b, p, e, s in zip(self.blocks, self.split(z), eigs,
-                              self._slices):
-            J[s, s] = b.proj_jacobian(p, e)
+        for (b, s), e in zip(self._parts, eigs or [None] * len(self._parts)):
+            J[s, s] = b.proj_jacobian(z[s], e)
         return J
 
     def frame(self, c):

@@ -51,8 +51,7 @@ def natural_map(prog, x, y, pert=None, g=None, eigs=None):
     """Residual of the perturbed KKT system at (x, y), stacked (X then Y).
     `g` is `prog.constraint(x, b)` and `eigs` the cone's `Cone.eigs` at
     g + y, each computed when not given."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     a = pert.a if pert is not None else None
     if g is None:
         g = prog.constraint(x, pert.b if pert is not None else None)
@@ -286,7 +285,7 @@ def kkt_matrix(H, Gp, J):
     V[:n, :n] = H
     V[:n, n:] = Gp.T
     V[n:, :n] = (np.eye(m) - J) @ Gp
-    V[n:, n:] = -J
+    np.negative(J, out=V[n:, n:])
     return V
 
 
@@ -304,7 +303,7 @@ def _residual(F):
     """||F||, inf when its square overflows: the solver's isfinite and
     descent tests read that inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(F)
+        return linalg.norm(F)
 
 
 def _stationary(system, res):
@@ -345,25 +344,23 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
     themselves diagnostic data).
     """
     opts = opts or SolveOptions()
-    n, m = prog.n, prog.cone.dim
+    cone, n, m = prog.cone, prog.n, prog.cone.dim
     b = pert.b if pert is not None else None
 
     def evaluate(x, y):
-        """F(x, y), the point z = G(x) + b + y and the eigendecompositions
-        of z that F's projection and the Jacobian element read."""
+        """F(x, y), ||F||, z = G(x) + b + y and the eigendecompositions of
+        z that F's projection and the Jacobian element read."""
         g = prog.constraint(x, b)
         z = g + y
-        eigs = prog.cone.eigs(z)
-        return natural_map(prog, x, y, pert, g, eigs), z, eigs
+        eigs = cone.eigs(z)
+        F = natural_map(prog, x, y, pert, g, eigs)
+        return F, _residual(F), z, eigs
 
     if start is None:
-        x = np.zeros(n)
-        y = np.zeros(m)
+        x, y = np.zeros(n), np.zeros(m)
     else:
-        x = np.asarray(start.x, dtype=float).copy()
-        y = np.asarray(start.y, dtype=float).copy()
-    F, z, eigs = evaluate(x, y)
-    res = _residual(F)
+        x, y = np.array(start.x, dtype=float), np.array(start.y, dtype=float)
+    F, res, z, eigs = evaluate(x, y)
     if not np.isfinite(res):
         # non-finite data or start: no Newton step can repair it
         return KKTPoint(x, y, res, iterations=0, converged=False)
@@ -374,7 +371,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             and rejects < 8:
         if V is None:
             V = kkt_matrix(prog.Q, prog.constraint_jac(x),
-                           prog.cone.proj_jacobian(z, eigs))
+                           cone.proj_jacobian(z, eigs))
             d = _finite_solve(V, -F)
         else:
             A = system[0].copy()
@@ -384,8 +381,7 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         rt = np.inf
         if d is not None:
             xt, yt = x + d[:n], y + d[n:]
-            Ft, zt, eigst = evaluate(xt, yt)
-            rt = _residual(Ft)
+            Ft, rt, zt, eigst = evaluate(xt, yt)
         if rt < res:
             x, y, F, res, z, eigs = xt, yt, Ft, rt, zt, eigst
             V = system = None
@@ -407,12 +403,12 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
 def solve_kkt_multistart(prog, pert=None):
     """Deterministic multi-start wrapper, seeded from the problem name: up
     to 32 starts, stopping at the first that converges."""
-    rng = np.random.default_rng(zlib.crc32(prog.name.encode()))
-    best = None
+    rng = best = None
     for k in range(32):
         if k == 0:
             start = None
         else:
+            rng = rng or np.random.default_rng(zlib.crc32(prog.name.encode()))
             start = KKTPoint(rng.standard_normal(prog.n),
                              rng.standard_normal(prog.cone.dim), 0.0)
         sol = solve_kkt(prog, pert, start)

@@ -24,13 +24,19 @@ def sym_eig(S):
     stack of them included) or has a non-finite entry, since eigh would
     return NaN eigenvectors without raising.
     """
-    A = np.array(S, dtype=float)
+    A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("sym_eig expects a square matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("sym_eig expects finite entries")
     vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
     return vals[::-1], vecs[:, ::-1]
+
+
+def norm(v):
+    """np.linalg.norm(v) of a float vector, by numpy's own formula."""
+    v = v.ravel(order="K")
+    return np.sqrt(v.dot(v))
 
 
 def nullspace(M, tol=1e-10):

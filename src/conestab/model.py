@@ -17,6 +17,7 @@ drift observable, closed-form oracle); one of them (``remark2``) has a
 genuinely nonlinear constraint map, carried by callbacks.
 """
 
+import functools
 import json
 import zlib
 
@@ -216,17 +217,19 @@ class Fixture:
     drift observable its sweep fits, and an optional closed-form
     eps -> KKTPoint oracle that replaces the solver in that sweep.
 
-    A problem without a studied direction gets `default_direction`.
+    Without a studied direction, `default_direction` is drawn at first read.
     """
 
     def __init__(self, prog, reference=None, direction=None, observable="x",
                  oracle=None):
         self.prog = prog
         self.reference = reference
-        self.direction = direction if direction is not None \
-            else default_direction(prog)
+        if direction is not None:
+            self.direction = direction
         self.observable = observable
         self.oracle = oracle
+
+    direction = functools.cached_property(lambda f: default_direction(f.prog))
 
 
 def default_direction(prog):
@@ -354,7 +357,7 @@ def _example3():
                    direction=Perturbation(
                        np.zeros(3), np.concatenate(([0.0], svec(delta)))),
                    observable="multiplier-drift",
-                   oracle=example3_max_drift_member)
+                   oracle=_example3_max_drift(Bih))
 
 
 def example3_xi_range(eps):
@@ -372,12 +375,16 @@ def oracle_example3(eps, xi):
     scalar multiplier additionally needs xi <= -3*eps/2, so only that
     subrange yields a zero natural-map residual.
     """
+    return _example3_member(example3_data()[2], eps, xi)
+
+
+def _example3_member(Bih, eps, xi):
+    """`oracle_example3` on B^(-1/2) = Bih."""
     if not 0.0 <= eps <= 0.1:
         raise ValueError("eps must lie in [0, 0.1]")
     bound = example3_xi_range(eps)
     if abs(xi) > bound * (1 + 1e-12):
         raise ValueError("xi = %g outside the family range +-%g" % (xi, bound))
-    _, _, Bih, _ = example3_data()
     x = Bih @ np.array([-1.0 + eps, -1.0 - eps])
     Y = np.array([[1.0 + 2.0 * eps, xi], [xi, eps]])
     s = 3.0 * eps + 2.0 * xi
@@ -388,7 +395,12 @@ def oracle_example3(eps, xi):
 def example3_max_drift_member(eps):
     """The family member of maximal multiplier drift that satisfies the
     KKT sign conditions (xi at the negative end of the band)."""
-    return oracle_example3(eps, -example3_xi_range(eps))
+    return _example3_max_drift(example3_data()[2])(eps)
+
+
+def _example3_max_drift(Bih):
+    """`example3_max_drift_member` on B^(-1/2) = Bih: the fixture's oracle."""
+    return lambda eps: _example3_member(Bih, eps, -example3_xi_range(eps))
 
 
 def _example4():

@@ -169,10 +169,10 @@ def run_sweep(prog, direction, grid=None, reference=None, observable="x",
         if observable == "x2":
             dx = abs(pt.x[1] - xb[1])
         elif observable == "full":
-            dx = np.sqrt(np.sum((pt.x - xb) ** 2) + np.sum((pt.y - yb) ** 2))
+            dx = np.sqrt(((pt.x - xb) ** 2).sum() + ((pt.y - yb) ** 2).sum())
         else:
-            dx = np.linalg.norm(pt.x - xb)
-        dy = np.linalg.norm(pt.y - yb)
+            dx = linalg.norm(pt.x - xb)
+        dy = linalg.norm(pt.y - yb)
         records.append(SweepRecord(eps, solved, dx, dy, pt.residual,
                                    pt.iterations))
     return SweepResult(grid, records, observable=observable)

@@ -330,6 +330,32 @@ class TestOptions:
         assert captured.err == "error: --seed must be non-negative, got -1\n"
 
 
+class TestNoRandomGenerator:
+    """Where no search runs, analyze and solve on a problem file build
+    no random generator: the file's fixture draws its default direction
+    only when a sweep reads it, and the solver's multi-start only for a
+    random start."""
+
+    @pytest.mark.parametrize("rung", [0, 5, 9])
+    def test_analyze_and_solve_on_a_ladder_file(self, rung, tmp_path,
+                                                capsys, bench_gen,
+                                                bench_workloads,
+                                                monkeypatch):
+        blocks, rank = bench_workloads.LADDER[rung]
+        inst = bench_gen.make_instance(blocks, rank, None, "identity", "pd",
+                                       seed=1000 + rung)
+        problem = tmp_path / "problem.json"
+        problem.write_text(inst.to_json())
+
+        def refused(*args):
+            raise AssertionError("a random generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        for argv in (["analyze", "--problem", str(problem)],
+                     ["solve", "--problem", str(problem)]):
+            assert main(argv) == EXIT_OK
+        assert "ROBUST ISOLATED CALMNESS: HOLDS" in capsys.readouterr().out
+
 class TestKernelProbeLine:
     def test_polyhedral_instance_prints_the_least_piece_margin(
             self, tmp_path, capsys, bench_gen):

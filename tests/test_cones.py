@@ -1086,3 +1086,192 @@ class TestConeContainer:
         assert np.array_equal(f.block.proj_jacobian(h), np.zeros((3, 3)))
         assert np.array_equal(f.relint_point(), np.zeros(3))
         assert f.relint_margin(np.zeros(3)) == np.inf
+
+
+def _split_eigs(cone, z):
+    """Cone.eigs as each block's eig of its split part: the one-pass
+    methods' reference, as are the two below."""
+    return [b.eig(p) for b, p in zip(cone.blocks, cone.split(z))]
+
+
+def _split_project(cone, z, eigs=None):
+    eigs = eigs or [None] * len(cone.blocks)
+    return np.concatenate([b.project(p, e) for b, p, e in
+                           zip(cone.blocks, cone.split(z), eigs)])
+
+
+def _split_jacobian(cone, z, eigs=None):
+    eigs = eigs or [None] * len(cone.blocks)
+    J = np.zeros((cone.dim, cone.dim))
+    for b, p, e, s in zip(cone.blocks, cone.split(z), eigs, cone._slices):
+        J[s, s] = b.proj_jacobian(p, e)
+    return J
+
+
+# zero blocks, orthants, SOC(1) and SOC(2), SOC apexes, PSD(1..12) and
+# mixed products
+_PASS_CONES = ([[("zero", 1)], [("zero", 3)], [("orthant", 1)],
+                [("orthant", 7)], [("soc", 1)], [("soc", 2)], [("soc", 3)],
+                [("soc", 8)]]
+               + [[("psd", n)] for n in range(1, 13)]
+               + [[("zero", 2), ("orthant", 3), ("soc", 1), ("soc", 2),
+                   ("soc", 4), ("psd", 1), ("psd", 3)],
+                  [("orthant", 20), ("soc", 10), ("psd", 10)]])
+
+
+def _pass_points(cone, rng):
+    """Seeded points of the cone: Gaussian, on the integers {-1, 0, 1},
+    the origin, each SOC block at an apex and each PSD block diagonal on
+    {-1, 0, 1} (ties and exact zero eigenvalues), and every entry 1e150
+    and 1e-200."""
+    points = [rng.standard_normal(cone.dim),
+              rng.integers(-1, 2, cone.dim).astype(float), np.zeros(cone.dim)]
+    for t in (1.0, 0.0, -1.0):
+        z = rng.standard_normal(cone.dim)
+        for b, s in zip(cone.blocks, cone._slices):
+            if b.kind == "soc":
+                z[s] = np.r_[t, np.zeros(b.dim - 1)]
+            elif b.kind == "psd":
+                z[s] = svec(np.diag(rng.integers(-1, 2, b.size) * 1.0))
+        points.append(z)
+    return points + [np.full(cone.dim, 1e150), np.full(cone.dim, 1e-200)]
+
+
+class TestOnePass:
+    """Cone.eigs, project and proj_jacobian write each block's part of
+    one output and give the split-and-concatenate formulas' bits."""
+
+    @pytest.mark.parametrize("blocks", _PASS_CONES,
+                             ids=["+".join("%s%d" % b for b in blocks)
+                                  for blocks in _PASS_CONES])
+    def test_equals_the_split_formulas(self, blocks):
+        cone = Cone(blocks)
+        rng = np.random.default_rng(cone.dim)
+        for z in _pass_points(cone, rng):
+            eigs = cone.eigs(z)
+            for got, ref in zip(eigs, _split_eigs(cone, z)):
+                if ref is None:
+                    assert got is None
+                else:
+                    assert got[0].tobytes() == ref[0].tobytes()
+                    assert got[1].tobytes() == ref[1].tobytes()
+            for e in (None, eigs):
+                assert cone.project(z, e).tobytes() == \
+                    _split_project(cone, z, e).tobytes()
+                assert cone.proj_jacobian(z, e).tobytes() == \
+                    _split_jacobian(cone, z, e).tobytes()
+
+    def test_a_strided_point_gives_the_contiguous_bits(self):
+        cone = Cone(_PASS_CONES[-2])
+        Z = np.random.default_rng(3).standard_normal((cone.dim, 3))
+        z = Z[:, 1]
+        assert not z.flags.c_contiguous
+        assert cone.project(z).tobytes() == \
+            _split_project(cone, z.copy()).tobytes()
+        assert cone.proj_jacobian(z).tobytes() == \
+            _split_jacobian(cone, z.copy()).tobytes()
+
+    def test_a_wrong_dimension_is_refused(self):
+        cone = Cone([("orthant", 2), ("psd", 2)])
+        for method in (cone.eigs, cone.project, cone.proj_jacobian):
+            with pytest.raises(ValueError, match="point dimension 4 != "
+                               "cone dimension 5"):
+                method(np.zeros(4))
+
+
+def _where_weights(li, lj):
+    """_weights with both branches formed and one picked by np.where."""
+    d = li - lj
+    tie = np.abs(d) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(li),
+                                                          np.abs(lj)))
+    return np.where(tie, (li + lj > 0).astype(float),
+                    (np.maximum(li, 0.0) - np.maximum(lj, 0.0))
+                    / np.where(tie, 1.0, d))
+
+
+class TestWeights:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equal_the_where_formula(self, n):
+        # Gaussian, repeated and exactly zero eigenvalues, near ties and
+        # the extremes of the tie tolerance
+        rng = np.random.default_rng(n)
+        ix = cones._svec_index(n)
+        g = rng.standard_normal(n)
+        spectra = [g, np.round(g), np.zeros(n), 1e8 * g,
+                   np.r_[g[:1], g[:1] * (1 + 1e-15), g[2:]][:n],
+                   np.r_[1e-300, -1e-300, g[2:]][:n]]
+        for lam in spectra:
+            li, lj = lam[ix.rows], lam[ix.cols]
+            assert cones._weights(li, lj).tobytes() == \
+                _where_weights(li, lj).tobytes()
+
+def _norm_soc_project(z):
+    """_soc_project with numpy's norm: the sqrt-dot form's reference."""
+    t, u = z[0], z[1:]
+    r = np.linalg.norm(u)
+    if t >= r:
+        return z.copy()
+    if t <= -r:
+        return np.zeros_like(z)
+    return np.r_[0.5 * (t + r), 0.5 * (t + r) * (u / r)]
+
+
+class TestNorms:
+    """linalg.norm, and the SOC projection and Jacobian that read it, give
+    numpy's norm bit for bit, on contiguous, strided and reversed
+    vectors."""
+
+    @staticmethod
+    def _vectors(rng):
+        for m in (0, 1, 2, 3, 8, 33, 170):
+            M = rng.standard_normal((m, 3))
+            yield M[:, 0].copy()
+            yield M[:, 1]
+            yield M[::-1, 2]
+            yield rng.standard_normal(m) * 1e150
+
+    def test_norm_is_numpys(self):
+        rng = np.random.default_rng(0)
+        for v in self._vectors(rng):
+            assert linalg.norm(v).tobytes() == np.linalg.norm(v).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_soc_projection_and_jacobian(self, m):
+        rng = np.random.default_rng(m)
+        points = [z for _, z in _soc_points(m, rng)] if m > 1 else \
+            [np.array([t]) for t in (2.0, 0.0, -1.0)]
+        for z in points:
+            # z itself, a strided view of it and a reversed one
+            for p in (z, np.stack([-z, z], axis=1)[:, 1],
+                      z[::-1].copy()[::-1]):
+                got = cones._soc_project(p)
+                assert got.tobytes() == _norm_soc_project(z).tobytes()
+                assert cones._soc_jacobian(p).tobytes() == \
+                    cones.Block("soc", m).proj_jacobian(z.copy()).tobytes()
+
+    def test_soc_tolerance_reads_numpys_norm(self, monkeypatch):
+        # the apex and boundary tests compare against 1e-14 max(1, |z|)
+        rng = np.random.default_rng(4)
+        seen = []
+        norm = linalg.norm
+
+        def recorded(v):
+            seen.append((norm(v), np.linalg.norm(v)))
+            return norm(v)
+
+        monkeypatch.setattr(linalg, "norm", recorded)
+        for _, z in _soc_points(5, rng):
+            cones._soc_jacobian(z)
+            cones._soc_project(z)
+        assert seen and all(a.tobytes() == b.tobytes() for a, b in seen)
+
+
+class TestSmatOrders:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_order_and_bits(self, n):
+        v = np.random.default_rng(n).standard_normal(cones.svec_dim(n))
+        assert smat(v).tobytes() == _broadcast_smat(v, n).tobytes()
+        # the lengths between two triangular numbers are refused
+        for m in range(cones.svec_dim(n) + 1, cones.svec_dim(n + 1)):
+            with pytest.raises(ValueError, match="triangular"):
+                smat(np.zeros(m))

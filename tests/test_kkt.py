@@ -1,5 +1,8 @@
 """Tests for the KKT residual maps, multiplier recovery, and the solver."""
 
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
@@ -822,6 +825,87 @@ class TestSolveReference:
         assert len(points) <= pt.iterations
         assert eigs[0] == psd * maps[0]
         assert maps[0] >= 1
+
+
+def _concatenated_map(prog, x, y, pert=None):
+    """The natural map as the concatenation of its two parts, the
+    projection split block by block and concatenated: natural_map's
+    reference."""
+    a, b = (pert.a, pert.b) if pert is not None else (None, None)
+    g = prog.constraint(x, b)
+    z = g + y
+    proj = np.concatenate([blk.project(p) for blk, p in
+                           zip(prog.cone.blocks, prog.cone.split(z))])
+    return np.concatenate([prog.gradient(x, a) + prog.adjoint(y, x),
+                           g - proj])
+
+
+class TestOnePassSolve:
+    """natural_map and the solver's residual give the concatenated and
+    np.linalg.norm formulas' bits."""
+
+    @pytest.mark.parametrize("case", _SOLVE_CASE_NAMES)
+    def test_natural_map_and_residual(self, case, bench_gen):
+        prog, pert, start = _solve_cases(bench_gen)[case]
+        rng = np.random.default_rng(len(case))
+        points = [(np.zeros(prog.n), np.zeros(prog.cone.dim))]
+        if start is not None:
+            points.append((start.x, start.y))
+        points += [(rng.standard_normal(prog.n),
+                    rng.standard_normal(prog.cone.dim)) for _ in range(3)]
+        for x, y in points:
+            F = natural_map(prog, x, y, pert)
+            assert F.tobytes() == _concatenated_map(prog, x, y, pert).tobytes()
+            g = prog.constraint(x, pert.b if pert is not None else None)
+            eigs = prog.cone.eigs(g + y)
+            assert natural_map(prog, x, y, pert, g, eigs).tobytes() == \
+                F.tobytes()
+            assert kkt._residual(F).tobytes() == \
+                np.linalg.norm(F).tobytes()
+
+    def test_residual_overflows_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kkt._residual(np.array([1e200, 1.0])) == np.inf
+            assert np.isnan(kkt._residual(np.array([np.nan, 1.0])))
+            assert kkt._residual(np.array([np.inf, -np.inf])) == np.inf
+
+    def test_multistart_builds_no_generator_when_zero_converges(
+            self, bench_gen, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a generator was built")
+
+        progs = [model.builtin(name) for name in model.BUILTIN_NAMES]
+        progs.append(bench_gen.make_instance(*_SOLVE_SPECS["mixed"],
+                                             seed=3).prog)
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        for prog in progs:
+            assert solve_kkt_multistart(prog).converged
+
+    @pytest.mark.parametrize("seed", [4, 17, 35, 39])
+    def test_multistart_draws_the_same_starts(self, seed):
+        # random problems whose zero start does not converge, file 39 on
+        # no start at all
+        import random_problems
+
+        prog = random_problems.random_problem(seed)
+        rng = np.random.default_rng(zlib.crc32(prog.name.encode()))
+        best = None
+        for k in range(32):
+            start = None if k == 0 else KKTPoint(
+                rng.standard_normal(prog.n),
+                rng.standard_normal(prog.cone.dim), 0.0)
+            sol = solve_kkt(prog, None, start)
+            if best is None or sol.residual < best.residual:
+                best = sol
+            if best.converged:
+                break
+        assert k >= 1
+        got = solve_kkt_multistart(prog)
+        assert got.x.tobytes() == best.x.tobytes()
+        assert got.y.tobytes() == best.y.tobytes()
+        assert (got.residual, got.iterations, got.converged) == \
+            (best.residual, best.iterations, best.converged)
 
 
 class TestSemismoothness:

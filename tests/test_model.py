@@ -224,6 +224,56 @@ class TestFixtureTable:
         assert np.isclose(np.linalg.norm(np.r_[d.a, d.b]), 1.0)
 
 
+    def test_default_direction_is_drawn_at_first_read(self, monkeypatch):
+        data = builtin("example4").to_dict()
+        data["name"] = "mine"
+        prog = model.problem_from_dict(data)
+        want = model.default_direction(prog)
+        default_rng, drawn = np.random.default_rng, []
+
+        def counted(*args):
+            drawn.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        fx = model.Fixture(prog)
+        fx2 = model.fixture("example2")
+        assert drawn == []
+        for f, ref in ((fx, want), (fx2, model.default_direction(fx2.prog))):
+            d = f.direction
+            assert f.direction is d
+            assert d.a.tobytes() == ref.a.tobytes()
+            assert d.b.tobytes() == ref.b.tobytes()
+        # one draw at each first read, and one for each reference above
+        assert len(drawn) == 3
+
+    def test_a_given_direction_draws_nothing(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        for name in ("example1", "example3"):
+            fx = model.fixture(name)
+            assert fx.direction.b.shape == (fx.prog.cone.dim,)
+
+    def test_example3_oracle_reads_its_data_once(self, monkeypatch):
+        data, calls = model.example3_data, []
+
+        def counted():
+            calls.append(1)
+            return data()
+
+        monkeypatch.setattr(model, "example3_data", counted)
+        oracle = model.fixture("example3").oracle
+        assert len(calls) == 1
+        for eps in [10.0 ** (-k / 2.0) for k in range(2, 13)]:
+            got = oracle(eps)
+            want = model.example3_max_drift_member(eps)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+        # once at the build, once per public member call
+        assert len(calls) == 12
+
 class TestGeneratedInstances:
     def test_orthant_instance_is_strictly_complementary(
             self, well_conditioned_instance):
