@@ -222,12 +222,11 @@ def cmd_analyze(args):
           % (_status_mark(report.affine_hull_probe),
              report.affine_hull_probe.margin))
     kp = report.kernel_probe
-    # a hold with no witness (nonsingular or empty pieces) reports its
-    # least piece margin, not a residual
+    # a hold (nonsingular or empty pieces) reports its least piece
+    # margin, not a residual
     print("kernel probe: %s (%s %.3e)"
-          % (kp["status"], "piece margin" if kp["witness"] is None
-             and kp["status"] == conditions.HOLDS else "min residual",
-             kp["min_residual"]))
+          % (kp["status"], "piece margin" if kp["status"] == conditions.HOLDS
+             else "min residual", kp["min_residual"]))
     if report.multiplier_affine_dim is not None:
         print("multiplier set: affine dim %d%s"
               % (report.multiplier_affine_dim,

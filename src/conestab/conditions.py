@@ -15,13 +15,14 @@ closed-form candidate in ri C°, by the polar cone's Lorentz rows where
 the slice is a line, or by a search, whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone.  The
 kernel probe is decided by a failed SRCQ's or SOSC's witness where it
-solves the system, else, when no block is curved, by the singular values
-of the 2^k linear pieces of its k borderline rows where all are
-nonsingular, else by enumerating their 3^k sign faces; one face routine
-serves both.  With one curved block of Lorentz form (an SOC apex, a PSD
-zero eigenspace of order 2) it is decided by the linear pieces of its
-complementarity and an S-lemma certificate for the curved one.
-Elsewhere it searches, and a search never gives HOLDS.
+solves the system, else, when no block is curved, piece by piece over
+the 2^k signs of its k borderline rows: a nonsingular piece holds no
+kernel direction, and a singular piece's null space is tested against
+its sign region at the region's extreme rays.  With one curved block of
+Lorentz form (an SOC apex, a PSD zero eigenspace of order 2) it is
+decided by the linear pieces of its complementarity and an S-lemma
+certificate for the curved one.  Elsewhere it searches, and a search
+never gives HOLDS.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
 
 Every check reads one pulled-back cone, a `ProblemCriticalCone`: at the
@@ -54,12 +55,11 @@ KERNEL_ABSENT_TOL = 1e-6
 # random starts of the kernel-probe search
 _KERNEL_STARTS = 200
 # SOSC's 2^k faces of k borderline rows and the kernel probe's 2^k pieces
-# run up to this many rows; above it SOSC reads only the affine hull.
+# run up to this many rows; above it SOSC reads only the affine hull and
+# the probe searches.
 MAX_FACE_ROWS = 12
-# the kernel probe enumerates its 3^k sign faces, or beside a Lorentz block
-# its 3 * 2^k pieces, up to this many rows and searches above it: on
-# generated 7-row FAILS frames the 2,187 faces take 0.24-0.53 s (one BLAS
-# thread), where SOSC's witness start decides them first
+# beside a Lorentz block the kernel probe's 3 * 2^k pieces run up to this
+# many borderline rows, and the probe searches above it
 _MAX_PROBE_ROWS = 6
 
 
@@ -248,13 +248,10 @@ class ProblemCriticalCone:
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
     def piece_tmatrices(self):
-        """key(s) naming the piece of a sign vector s in {+, -, 0}^k, a
-        zero read as minus (where a row vanishes on h, the pieces on either
-        side of it give the same T h), and the pairs (s, `tmatrix`) on each
-        piece s in {+, -}^k of the k borderline rows, built one at a time."""
-        T = ((s, self.tmatrix(np.array(s) @ self.rows))
-             for s in itertools.product((1.0, -1.0), repeat=len(self.rows)))
-        return lambda s: tuple(1.0 if v > 0 else -1.0 for v in s), T
+        """The pairs (s, `tmatrix`) on each piece s in {+, -}^k of the k
+        borderline rows, s an array, built one at a time."""
+        return ((s, self.tmatrix(s @ self.rows)) for s in map(
+            np.array, itertools.product((1.0, -1.0), repeat=len(self.rows))))
 
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
@@ -322,17 +319,6 @@ def _face_eig(M, W):
     return _least(vals, W @ vecs[:, -1])
 
 
-def _face_svd(FW, W):
-    """Least values of ||F w||^2 on the unit sphere of range(W), for each F
-    of a stack whose products F W are FW, from one stacked SVD (squaring
-    first, as eigenvalues of W'F'FW, loses the small values): per F, the
-    value, a unit vector attaining it and whether the least singular value
-    is multiple."""
-    _, sig, Vt = np.linalg.svd(FW)
-    return [(val ** 2, v, tied) for val, v, tied in
-            (_least(s, W @ vt[-1]) for s, vt in zip(sig, Vt))]
-
-
 def _least(vals, v):
     """The last of the descending values vals, with its vector v, and
     whether the one above it lies within 1e-8 of the spectral scale."""
@@ -340,88 +326,45 @@ def _least(vals, v):
     return float(vals[-1]), v, len(vals) > 1 and vals[-2] - vals[-1] <= tie
 
 
-def _face_minimum(Z, A, signs, face, member, key=lambda s: None):
-    """Least value of a per-face Rayleigh problem on the unit sphere of
-    range Z (orthonormal columns), over faces cut by the rows A (in Z's
-    coordinates).
-
-    A face gives row i a sign s_i from `signs`: s_i = 0 holds A_i w = 0,
-    leaving the span W = Z null(A_0), and s_i = +-1 asks s_i A_i w >= 0.
-    key(s) names the matrix of the face of s (one matrix for every face
-    by default).  face(keys, W) takes the faces of one set of zero rows at
-    once, one key each, and gives for each the least value on range W, a
-    unit vector for it and whether the value is multiple (`_face_eig`,
-    `_face_svd`); it counts when the vector, of either sign, passes
-    member(s, vector).  A minimiser lies in the relative interior of the
-    face of its zero rows, where it minimises the Rayleigh quotient
-    locally, hence globally on W.  So the least count is the minimum,
-    unless a multiple value below it was rejected: only one vector of a
-    tied subspace is tried.
-
-    A face with zero rows is skipped where a zero-free face of its key
-    was counted at a value above the running minimum by more than a tie,
-    1e-8 max(1, |value|).  Its W lies in range Z, so by Cauchy interlacing
-    its value is at least that face's: it could neither lower the minimum
-    nor reject a value below it.
-
-    Faces run by their number of zero rows, then in combination order.
-    Returns the least count and its vector, the least rejected multiple
-    value (inf when none; a skipped face's would lie above the minimum)
-    and the first face's value, on W = Z."""
-    k = len(A)
-    nonzero = [s for s in signs if s]
-    mn, wit, rejected, first = np.inf, None, np.inf, None
-    whole = {}  # key -> value of a counted zero-free face
-    for r in range(k + 1 if 0 in signs else 1):
-        for zero in itertools.combinations(range(k), r):
-            W = Z @ linalg.nullspace(A[list(zero)], tol=1e-10) if zero else Z
-            if W.shape[1] == 0:
-                continue
-            free = [i for i in range(k) if i not in zero]
-            S = np.zeros((len(nonzero) ** (k - r), k))
-            S[:, free] = list(itertools.product(nonzero, repeat=k - r))
-            faces = [(s, kk) for s, kk in ((s, key(s)) for s in S)
-                     if kk not in whole
-                     or whole[kk] <= mn + 1e-8 * max(1.0, abs(whole[kk]))]
-            if not faces:
-                continue
-            keys = [kk for _, kk in faces]
-            for (s, kk), (val, v, tied) in zip(faces, face(keys, W)):
-                first = val if first is None else first
-                inside = next((e for e in (v, -v) if member(s, e)), None)
-                if inside is not None and val < mn:
-                    mn, wit = val, inside
-                elif tied and inside is None:
-                    rejected = min(rejected, val)
-                if inside is not None and not r:
-                    whole[kk] = val
-    return mn, wit, rejected, first
-
-
 def _sosc_verdict(M, cc):
     """Least value of d'Md on the unit sphere of C, by face enumeration.
 
     In the hull coordinates d = Z w, C's polyhedral part is {A w >= 0}
-    with A the borderline rows pulled back through G'Z, and
-    `_face_minimum` runs its faces with signs {+, 0}: a face's least
-    eigenvalue counts when its eigenvector (of either sign) lies in C.
-    Where M is cc's own quadratic, the first face, W = Z, is cc's
-    `hull_face`, which the hull probe reads too; a mean quadratic
-    (`check_robinson_sosc`) takes its own.  The least count is exact when
-    C is polyhedral with at most MAX_FACE_ROWS rows and no lower multiple
-    eigenvalue was rejected; otherwise HOLDS needs a positive one on the
-    hull, which contains C."""
+    with A the borderline rows pulled back through G'Z.  A face holds the
+    rows of a set A_0 at zero, leaving the span W = Z null(A_0), and its
+    least eigenvalue on W counts when its eigenvector, of either sign,
+    lies in C.  A minimiser lies in the relative interior of the face of
+    its zero rows, where it minimises the Rayleigh quotient locally,
+    hence globally on W.  So the least count is the minimum, unless a
+    multiple value below it was rejected: only one vector of a tied
+    eigenspace is tried.  Faces run by their number of zero rows, then in
+    combination order.  Where M is cc's own quadratic, the first face,
+    W = Z, is cc's `hull_face`, which the hull probe reads too; a mean
+    quadratic (`check_robinson_sosc`) takes its own.  The least count is
+    exact when C is polyhedral with at most MAX_FACE_ROWS rows and no
+    lower multiple eigenvalue was rejected; otherwise HOLDS needs a
+    positive one on the hull, which contains C."""
     if cc.affine_dim == 0:
         return Verdict(HOLDS, margin=np.inf,
                        note="critical cone is {0}; condition is vacuous")
     Z = cc.affine_basis
     A = cc.rows @ cc.Gmat @ Z
+    k = len(A) if len(A) <= MAX_FACE_ROWS else 0
     hull_face = cc.hull_face if M is cc.quadratic else _face_eig(M, Z)
-    mn, wit, rejected, hull = _face_minimum(
-        Z, A if len(A) <= MAX_FACE_ROWS else A[:0], (1, 0),
-        lambda keys, W: [hull_face if W is Z else _face_eig(M, W)]
-        * len(keys), lambda s, d: cc.member(d))
+    mn, wit, rejected = np.inf, None, np.inf
+    for r in range(k + 1):
+        for zero in itertools.combinations(range(k), r):
+            W = Z @ linalg.nullspace(A[list(zero)], tol=1e-10) if zero else Z
+            if W.shape[1] == 0:
+                continue
+            val, v, tied = _face_eig(M, W) if zero else hull_face
+            inside = next((e for e in (v, -v) if cc.member(e)), None)
+            if inside is not None and val < mn:
+                mn, wit = val, inside
+            elif tied and inside is None:
+                rejected = min(rejected, val)
     exact = not cc.curved and len(A) <= MAX_FACE_ROWS and rejected >= mn
+    hull = hull_face[0]
     if mn <= SOSC_FAILS_TOL:
         return Verdict(FAILS, margin=mn, witness=wit,
                        note="face minimum: direction in C")
@@ -493,17 +436,15 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
     family T.  The first of extra_seeds whose residual, at unit length, is
     at most KERNEL_FOUND_TOL is the witness, before any T is built.  Else,
-    with no curved block, T(w) depends only on the signs of the k
-    borderline rows at h = G' dx + dy, and the frame is decided exactly
-    (`_kernel_faces`): up to MAX_FACE_ROWS rows by the least singular
-    value of its 2^k pieces T_s where every one is nonsingular (no
-    witness), else, up to _MAX_PROBE_ROWS rows, by its 3^k sign faces.
-    With one curved block that has `lorentz_rows` and at most
-    _MAX_PROBE_ROWS rows, `_kernel_pieces` decides the system piece by
-    piece: a witness of residual at most KERNEL_FOUND_TOL, or no witness
-    and the least piece margin as min_residual.  Above the caps, on a PSD
-    zero eigenspace of order 3 or more or two curved blocks, where a tied
-    face value was rejected below the minimum or a piece stays undecided,
+    with no curved block and at most MAX_FACE_ROWS rows, T(w) depends
+    only on the signs of the k borderline rows at h = G' dx + dy, and
+    `_kernel_signed_pieces` decides the frame exactly, piece by piece
+    over its 2^k pieces T_s.  With one curved block that has
+    `lorentz_rows` and at most _MAX_PROBE_ROWS rows, `_kernel_pieces`
+    does.  Either gives a witness of residual at most KERNEL_FOUND_TOL,
+    or no witness and the least piece margin as min_residual.  Above the
+    caps, on a PSD zero eigenspace of order 3 or more or two curved
+    blocks, where a candidate misses or a piece stays undecided,
     `_kernel_search` runs instead, from extra_seeds, then n_starts random
     starts drawn with seed; `kernel_probe_verdict` never reads HOLDS from
     it.  It refines one start at a time, for at most 50 steps, one T and
@@ -515,13 +456,13 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
 
 
 def _kernel_probe(cc, n_starts, seed, extra_seeds):
-    """`kernel_probe` on cc: a witness among extra_seeds, else its pieces
-    or faces, else the search."""
+    """`kernel_probe` on cc: a witness among extra_seeds, else its pieces,
+    else the search."""
     for w in _unit_starts(extra_seeds):
         r = _probe_residual(cc, w)
         if r <= KERNEL_FOUND_TOL:  # a NaN residual is never the witness
             return {"min_residual": r, "witness": w, "method": "witness"}
-    probe = _kernel_pieces(cc) if cc.curved else _kernel_faces(cc)
+    probe = _kernel_pieces(cc) if cc.curved else _kernel_signed_pieces(cc)
     return probe or _kernel_search(cc, n_starts, seed, extra_seeds)
 
 
@@ -542,71 +483,70 @@ def _probe_residual(cc, w):
     return float(r1 @ r1 + r2 @ r2)
 
 
-def _kernel_faces(cc):
-    """Exact least residual on a frame whose only pieces are the signs of
-    the orthonormal borderline rows r_i at h = [G' I] w; None above the
-    caps or where a tie was rejected below the minimum.
+def _kernel_signed_pieces(cc):
+    """Exact probe on a frame whose only pieces are the signs of its k
+    orthonormal borderline rows r_i at h = P w, P = [G' I]; None above
+    MAX_FACE_ROWS rows or where a candidate misses.
 
-    On the signs s in {+, -}^k, T(w) is T_s = kkt_matrix(H, G', J_s) with
-    J_s = dir_deriv_jac(sum_i s_i r_i), built once per s
-    (`ProblemCriticalCone.piece_tmatrices`); where r_i . h = 0 both
-    neighbouring pieces give the same J h, so a zero reads as minus.
+    On the region R_s = {w : s_i r_i . P w >= 0} of s in {+, -}^k, T(w) w
+    = T_s w for T_s = kkt_matrix(H, G', J_s), J_s = dir_deriv_jac(sum_i
+    s_i r_i) (`ProblemCriticalCone.piece_tmatrices`): where r_i . h = 0
+    both neighbouring pieces give the same J h.  So a nonzero kernel
+    direction exists iff some R_s holds a nonzero w = N_s c, N_s a basis
+    of null T_s.  One pass over the pieces, none kept:
 
-    The certificate comes first, up to MAX_FACE_ROWS rows: for unit w,
-    ||T(w) w|| >= min_s sigma_min(T_s).  So where that least singular
-    value squared, from SVDs of the T_s' values alone, is at least
-    KERNEL_ABSENT_TOL, every piece of T is nonsingular: it is the
-    min_residual, with no witness.  Else, up to _MAX_PROBE_ROWS rows,
-    `_face_residual` enumerates the 3^k faces on the same T_s, and its
-    minimum is at least that value."""
+    - a piece whose least singular value, from its values alone, exceeds
+      1e-10 max(1, sigma_max) is nonsingular (`_piece_space`'s rank),
+      with margin sigma_min^2;
+    - on a singular piece, A_s = diag(s) rows P N_s.  Where rank A_s <
+      d = dim N_s, N_s null(A_s) is the candidate.  Else {c : A_s c >= 0}
+      is pointed: it is {0} unless an extreme ray, +-c spanning the null
+      space of d - 1 independent rows of A_s, has min(A_s c) >=
+      -WITNESS_TOL ||P N_s c||, and the first that does is the candidate.
+      With none the region is empty, and the least -min(A_s c) over the
+      rays is the piece's margin.
+
+    The first candidate is the witness where its `_probe_residual` is at
+    most KERNEL_FOUND_TOL.  With no candidate the probe holds, with no
+    witness and the least margin as min_residual: where every piece is
+    nonsingular, min_s sigma_min(T_s)^2."""
     if len(cc.rows) > MAX_FACE_ROWS:
         return None
-    key, pieces = cc.piece_tmatrices()
-    # the faces read each T_s again; above their cap none is kept
-    faces = len(cc.rows) <= _MAX_PROBE_ROWS
-    T = dict(pieces) if faces else None
-    margin = _piece_margin(T.values() if faces else (t for _, t in pieces))
-    if margin >= KERNEL_ABSENT_TOL:
-        return {"min_residual": margin, "witness": None, "method": "exact"}
-    return _face_residual(cc, key, T) if faces else None
-
-
-def _piece_margin(ts):
-    """The least sigma_min(T_s)^2 over the matrices ts, one SVD each."""
-    return float(min(np.linalg.svd(t, compute_uv=False)[-1]
-                     for t in ts) ** 2)
-
-
-def _face_residual(cc, key, T):
-    """The kernel faces' least count, T_s = T[key(s)], with its witness
-    w and min_residual ||T(w) w||^2 there (`_probe_residual`).
-
-    The faces of one zero set take one stacked SVD, the zero-free ones
-    without the product T_s I.  `_face_minimum` counts the least singular
-    value squared of T_s on a face when its vector has s_i r_i . h >=
-    -WITNESS_TOL ||h||, and skips a face whose T_s is a zero-free face's
-    that was counted above the running minimum: by interlacing it cannot
-    lie below.  None when a tie below that minimum was rejected."""
-    m, n = cc.Gmat.shape
-    rows = cc.rows
-    P = np.hstack([cc.Gmat, np.eye(m)])
-    eye = np.eye(n + m)
-
-    def face(keys, W):
-        F = np.stack([T[kk] for kk in keys])
-        return _face_svd(F if W is eye else F @ W, W)
-
-    def member(s, w):
-        h = P @ w
-        return bool(np.all(s * (rows @ h)
-                           >= -WITNESS_TOL * np.linalg.norm(h)))
-
-    mn, w, rejected, _ = _face_minimum(eye, rows @ P, (1, -1, 0), face,
-                                       member, key)
-    if rejected < mn:
-        return None
-    return {"min_residual": _probe_residual(cc, w), "witness": w,
-            "method": "exact"}
+    margin, P = np.inf, None
+    for s, T in cc.piece_tmatrices():
+        sig = np.linalg.svd(T, compute_uv=False)
+        if sig[-1] > 1e-10 * max(1.0, sig[0]):
+            margin = min(margin, sig[-1] ** 2)
+            continue
+        N, kept = _piece_space(T)
+        if not N.shape[1]:  # the full SVD keeps every value
+            margin = min(margin, kept)
+            continue
+        if P is None:
+            P = np.hstack([cc.Gmat, np.eye(cc.Gmat.shape[0])])
+        PN = P @ N
+        A = s[:, None] * (cc.rows @ PN)
+        C = linalg.nullspace(A)
+        if C.shape[1]:
+            c = C[:, 0]
+        else:
+            rays = []
+            for sub in itertools.combinations(range(len(A)), N.shape[1] - 1):
+                C = linalg.nullspace(A[list(sub)])
+                if C.shape[1] == 1:
+                    rays += [C[:, 0], -C[:, 0]]
+            lows = [-np.min(A @ e) for e in rays]
+            c = next((e for e, low in zip(rays, lows)
+                      if low <= WITNESS_TOL * np.linalg.norm(PN @ e)), None)
+            if c is None:
+                margin = min(margin, *lows)
+                continue
+        w = N @ c
+        r = _probe_residual(cc, w)
+        if r > KERNEL_FOUND_TOL:  # a NaN residual is never the witness
+            return None
+        return {"min_residual": r, "witness": w, "method": "exact"}
+    return {"min_residual": float(margin), "witness": None, "method": "exact"}
 
 
 def _piece_space(M):
@@ -765,11 +705,10 @@ def _kernel_search(cc, n_starts, seed, extra_seeds):
 
 def kernel_probe_verdict(probe):
     """FAILS on a witness whose residual is at most KERNEL_FOUND_TOL.
-    HOLDS on an exact minimum of at least KERNEL_ABSENT_TOL, and with no
-    witness, the least margin as min_residual, on pieces of T that are
-    all nonsingular ("exact") or on Lorentz pieces that are all empty
-    ("pieces").  A search's minimum is sampled, so it never gives
-    HOLDS."""
+    HOLDS with no witness, the least margin as min_residual, where every
+    piece of T is nonsingular or its sign region misses the null space
+    ("exact") or every Lorentz piece is empty ("pieces").  A search's
+    minimum is sampled, so it never gives HOLDS."""
     r, w = probe["min_residual"], probe["witness"]
     if w is None and probe["method"] != "search":
         return Verdict(HOLDS, margin=r, note="every piece is empty")
@@ -778,12 +717,8 @@ def kernel_probe_verdict(probe):
     if r <= KERNEL_FOUND_TOL:
         return Verdict(FAILS, margin=r, witness=w,
                        note="nonzero kernel direction found")
-    if probe["method"] == "search":
-        return Verdict(INCONCLUSIVE, margin=r, witness=w,
-                       note="a sampled minimum certifies nothing")
-    if r >= KERNEL_ABSENT_TOL:
-        return Verdict(HOLDS, margin=r, note="no kernel direction found")
-    return Verdict(INCONCLUSIVE, margin=r, witness=w)
+    return Verdict(INCONCLUSIVE, margin=r, witness=w,
+                   note="a sampled minimum certifies nothing")
 
 
 # ---------------------------------------------------------------------------

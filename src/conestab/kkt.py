@@ -284,7 +284,9 @@ def kkt_matrix(H, Gp, J):
     V = np.empty((n + m, n + m))
     V[:n, :n] = H
     V[:n, n:] = Gp.T
-    V[n:, :n] = (np.eye(m) - J) @ Gp
+    IJ = 0.0 - J  # I - J with no identity built: the same bits
+    IJ.flat[::m + 1] += 1.0
+    V[n:, :n] = IJ @ Gp
     np.negative(J, out=V[n:, n:])
     return V
 

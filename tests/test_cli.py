@@ -377,10 +377,11 @@ class TestKernelProbeLine:
         assert "kernel probe: holds (piece margin 5.597e-02)" in out
         assert "%.3e" % kp["min_residual"] == "5.597e-02"
 
-    def test_face_minimum_prints_the_min_residual(self, capsys):
-        # example4 has a singular piece, so its faces decide it
+    def test_singular_piece_prints_the_least_piece_margin(self, capsys):
+        # example4 has a singular piece, whose null space misses its sign
+        # region; a hold always prints its piece margin
         assert main(["analyze", "--builtin", "example4"]) == EXIT_OK
-        assert "kernel probe: holds (min residual 9.258e-02)" in \
+        assert "kernel probe: holds (piece margin 9.258e-02)" in \
             capsys.readouterr().out
 
     def test_soc_apex_prints_the_least_piece_margin(self, tmp_path, capsys,

@@ -622,7 +622,7 @@ def _polyhedral_instance(pieces, null, seed=0):
 _POLYHEDRAL = {
     "corner2": ["corner"] * 2,
     "corner4": ["corner"] * 4,
-    "corner6": ["corner"] * conditions._MAX_PROBE_ROWS,
+    "corner6": ["corner"] * 6,
     "bdry": ["bdry"],
     "apex_ray": ["apex_ray"],
     "beta1": ["beta1"],
@@ -635,7 +635,7 @@ _POLYHEDRAL = {
 class TestExactKernelProbe:
     @pytest.mark.parametrize("null", [False, True])
     @pytest.mark.parametrize("name", sorted(_POLYHEDRAL))
-    def test_faces_agree_with_the_search(self, name, null):
+    def test_pieces_agree_with_the_search(self, name, null):
         prog, x, y = _polyhedral_instance(_POLYHEDRAL[name], null)
         frame = prog.cone.frame(prog.constraint(x) + y)
         rows, curved = frame.borderline
@@ -666,13 +666,12 @@ class TestExactKernelProbe:
         assert np.isclose(exact["min_residual"], float(np.sum((T @ w) ** 2)),
                           rtol=1e-9, atol=1e-20)
 
-    def test_above_the_face_cap_the_certificate_comes_first(
-            self, monkeypatch):
-        # 7 corners: the certificate decides the pd frame, which has no
-        # face; the null frame has a singular piece, so with no start it
-        # takes the search, and the SOSC start the report gives it is its
-        # witness before any T is built
-        pieces = ["corner"] * (conditions._MAX_PROBE_ROWS + 1)
+    def test_seven_corners_are_decided_by_their_pieces(self, monkeypatch):
+        # 7 corners: every piece of the pd frame is nonsingular; the null
+        # frame has a singular piece whose null space meets its region, so
+        # with no start it fails with that witness, and the SOSC start the
+        # report gives it is its witness before any T is built
+        pieces = ["corner"] * 7
         prog, x, y = _polyhedral_instance(pieces, False)
         probe = kernel_probe(prog, x, y, n_starts=3)
         assert probe["method"] == "exact" and probe["witness"] is None
@@ -680,8 +679,9 @@ class TestExactKernelProbe:
         assert kernel_probe_verdict(probe).status == HOLDS
         prog, x, y = _polyhedral_instance(pieces, True)
         probe = kernel_probe(prog, x, y, n_starts=3)
-        assert probe["method"] == "search"
-        assert kernel_probe_verdict(probe).status != HOLDS
+        assert probe["method"] == "exact"
+        assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL
+        assert kernel_probe_verdict(probe).status == FAILS
         starts = _witness_starts(prog, x, y)
         assert len(starts) == 1 and check_sosc(prog, x, y).fails
         calls = _count_t_builds(monkeypatch)
@@ -707,32 +707,31 @@ class TestExactKernelProbe:
         assert probe["method"] == "search"
         assert kernel_probe_verdict(probe).status != HOLDS
 
-    def test_a_rejected_tie_below_the_minimum_takes_the_search(
-            self, monkeypatch):
-        # on the null frame a piece of T is singular, so the faces run;
-        # on the pd frame the certificate decides before any face does
-        face_minimum = conditions._face_minimum
-
-        def tied(*args):
-            mn, w, _, first = face_minimum(*args)
-            return mn, w, 0.5 * mn, first
-
-        monkeypatch.setattr(conditions, "_face_minimum", tied)
+    def test_a_candidate_that_misses_takes_the_search(self, monkeypatch):
+        # with every residual raised by 1, the null frame's candidate is no
+        # witness, so the search runs and the probe fails closed; no
+        # candidate is scored on the pd frame, whose pieces are nonsingular
+        probe_residual = conditions._probe_residual
+        monkeypatch.setattr(conditions, "_probe_residual",
+                            lambda cc, w: probe_residual(cc, w) + 1.0)
         for null, method in ((True, "search"), (False, "exact")):
             prog, x, y = _polyhedral_instance(["corner", "bdry"], null)
             probe = kernel_probe(prog, x, y, n_starts=3)
             assert probe["method"] == method
+            assert kernel_probe_verdict(probe).status == \
+                (INCONCLUSIVE if null else HOLDS)
         assert probe["witness"] is None
-        assert kernel_probe_verdict(probe).status == HOLDS
 
-    def test_example4_builds_one_t_matrix_per_face(self, monkeypatch):
-        # 2 borderline rows: 3^2 faces, which share the T of 2^2 pieces
+    def test_example4_builds_one_t_matrix_per_piece(self, monkeypatch):
+        # 2 borderline rows: 2^2 pieces, one singular, whose null space
+        # misses its sign region
         prog, x, y = fixture("example4")
         calls = _count_t_builds(monkeypatch)
         report = assemble_report(prog, x, y)
         assert len(calls) == 4
         assert report.kernel_probe["method"] == "exact"
         assert report.kernel_probe["status"] == HOLDS
+        assert report.kernel_probe["witness"] is None
 
     def test_exact_probe_reads_no_search_setting(self):
         # n_starts and seed reach only the search, and a start that does
@@ -741,9 +740,7 @@ class TestExactKernelProbe:
         first = kernel_probe(prog, x, y)
         w0 = np.ones(prog.n + prog.cone.dim)
         for kw in ({"seed": 7}, {"n_starts": 0}, {"extra_seeds": [w0]}):
-            probe = kernel_probe(prog, x, y, **kw)
-            assert probe["min_residual"] == first["min_residual"]
-            assert np.array_equal(probe["witness"], first["witness"])
+            assert _same_probe(kernel_probe(prog, x, y, **kw), first)
 
 
 # the FAILS frames of the builtins and of the `degenerate` list, whose
@@ -774,8 +771,8 @@ def _same_probe(a, b):
 
 class TestWitnessStarts:
     """An extra start whose residual, at unit length, is at most
-    KERNEL_FOUND_TOL is the probe's witness, before any T, piece, face or
-    search; any other start leaves the pieces and faces as they are."""
+    KERNEL_FOUND_TOL is the probe's witness, before any T, piece or
+    search; any other start leaves the pieces as they are."""
 
     @pytest.mark.parametrize("name", _WITNESS_PAIRS)
     def test_a_failing_report_reads_its_witness_start(
@@ -786,7 +783,8 @@ class TestWitnessStarts:
         first = next(w for w in starts if conditions._probe_residual(cc, w)
                      <= conditions.KERNEL_FOUND_TOL)
         calls = _count_t_builds(monkeypatch)
-        for stage in ("_kernel_faces", "_kernel_pieces", "_kernel_search"):
+        for stage in ("_kernel_signed_pieces", "_kernel_pieces",
+                      "_kernel_search"):
             monkeypatch.setattr(conditions, stage, None)
         report = assemble_report(prog, x, y)
         assert report.theorem_verdict == FAILS and not calls
@@ -828,44 +826,6 @@ class TestWitnessStarts:
             (exact / np.linalg.norm(exact)).tobytes()
 
 
-def _reference_faces(cc):
-    """The kernel faces' (minimum, witness, rejected, first value) by a
-    plain loop: every face in `_face_minimum`'s order, each with the T of
-    its piece from `ProblemCriticalCone.tmatrix`, a zero read as minus,
-    one SVD of T W, and no skip."""
-    m, n = cc.Gmat.shape
-    rows, k = cc.rows, len(cc.rows)
-    P = np.hstack([cc.Gmat, np.eye(m)])
-    A = rows @ P
-    Z = np.eye(n + m)
-    mn, wit, rejected, first = np.inf, None, np.inf, None
-    for r in range(k + 1):
-        for zero in itertools.combinations(range(k), r):
-            W = Z @ linalg.nullspace(A[list(zero)], tol=1e-10) if zero else Z
-            if W.shape[1] == 0:
-                continue
-            free = [i for i in range(k) if i not in zero]
-            for vals in itertools.product((1, -1), repeat=k - r):
-                s = np.zeros(k)
-                s[free] = vals
-                _, sig, Vt = np.linalg.svd(cc.tmatrix(_minus(s) @ rows) @ W)
-                val, v, tied = conditions._least(sig, W @ Vt[-1])
-                val = val ** 2
-                first = val if first is None else first
-                inside = None
-                for e in (v, -v):
-                    h = P @ e
-                    if np.all(s * (rows @ h)
-                              >= -conditions.WITNESS_TOL * np.linalg.norm(h)):
-                        inside = e
-                        break
-                if inside is not None and val < mn:
-                    mn, wit = val, inside
-                elif tied and inside is None:
-                    rejected = min(rejected, val)
-    return mn, wit, rejected, first
-
-
 def _minus(s):
     """The piece of a sign vector s: its zeros read as minus."""
     return np.where(np.asarray(s) > 0, 1.0, -1.0)
@@ -898,71 +858,96 @@ def _face_family():
     return out
 
 
-class TestFaceEnumeration:
-    """`_face_minimum` on the kernel faces (one T per piece in {+, -}^k,
-    one stacked SVD per zero set, faces skipped by interlacing) against the
-    plain loop of `_reference_faces`, bit for bit, on every frame, the
-    ones the piece certificate decides too."""
+def _theorem(cc):
+    """The theorem verdict on cc: FAILS where SRCQ or SOSC fails, HOLDS
+    where both hold."""
+    srcq = conditions._decide_fullness(cc, "srcq")
+    sosc = conditions._sosc_verdict(cc.quadratic, cc)
+    return (FAILS if srcq.fails or sosc.fails else
+            HOLDS if srcq.holds and sosc.holds else INCONCLUSIVE)
+
+
+def _singular(T):
+    """Whether T's least singular value, from its values alone, is at most
+    1e-10 max(1, sigma_max): the signed pieces' relative rank."""
+    sig = np.linalg.svd(T, compute_uv=False)
+    return sig[-1] <= 1e-10 * max(1.0, sig[0])
+
+
+def _reference_margin(cc):
+    """The signed pieces' least margin by a plain loop: sigma_min(T_s)^2
+    on a nonsingular piece, and on a singular one the least violation
+    -min(A_s c) over the rays +-c of the null space of each d - 1 rows of
+    A_s = diag(s) rows [G' I] N_s of rank d - 1, N_s from T_s's full SVD.
+    None where A_s has rank below d or a ray lies in its sign region."""
+    m = cc.Gmat.shape[0]
+    P = np.hstack([cc.Gmat, np.eye(m)])
+    out = np.inf
+    for s in itertools.product((1.0, -1.0), repeat=len(cc.rows)):
+        T = cc.tmatrix(np.array(s) @ cc.rows)
+        if not _singular(T):
+            out = min(out, np.linalg.svd(T, compute_uv=False)[-1] ** 2)
+            continue
+        _, sig, Vt = np.linalg.svd(T)
+        N = Vt[int(np.sum(sig > 1e-10 * max(1.0, sig[0]))):].T
+        A = np.diag(s) @ cc.rows @ P @ N
+        d = N.shape[1]
+        if np.linalg.matrix_rank(A) < d:
+            return None
+        for sub in itertools.combinations(range(len(A)), d - 1):
+            B = np.vstack([A[list(sub)], np.zeros((1, d))])
+            if np.linalg.matrix_rank(B) < d - 1:
+                continue
+            c = np.linalg.svd(B)[2][-1]
+            for e in (c, -c):
+                low = -np.min(A @ e)
+                if low <= conditions.WITNESS_TOL * np.linalg.norm(P @ N @ e):
+                    return None
+                out = min(out, low)
+    return out
+
+
+class TestSignedPieces:
+    """`_kernel_signed_pieces` with no start reads the theorem verdict:
+    FAILS with a unit witness of residual at most KERNEL_FOUND_TOL, or
+    HOLDS with no witness and the least margin of `_reference_margin`."""
 
     @staticmethod
-    def _check(cc, monkeypatch):
-        seen = []
-        face_minimum = conditions._face_minimum
+    def _check(cc):
+        probe = conditions._kernel_probe(cc, 3, 0, ())
+        assert probe["method"] == "exact"
+        status = kernel_probe_verdict(probe).status
+        assert status == _theorem(cc)
+        w = probe["witness"]
+        if status == FAILS:
+            assert np.isclose(np.linalg.norm(w), 1.0)
+            assert np.float64(probe["min_residual"]).tobytes() == \
+                np.float64(conditions._probe_residual(cc, w)).tobytes()
+            assert probe["min_residual"] <= conditions.KERNEL_FOUND_TOL
+            assert _reference_margin(cc) is None
+        else:
+            assert w is None
+            ref = _reference_margin(cc)
+            assert ref is not None
+            assert np.isclose(probe["min_residual"], ref, rtol=1e-9, atol=0.0)
+        return status
 
-        def recorded(*args):
-            seen.append(face_minimum(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(conditions, "_face_minimum", recorded)
-        key, pieces = cc.piece_tmatrices()
-        conditions._face_residual(cc, key, dict(pieces))
-        monkeypatch.undo()
-        (mn, wit, rejected, first), = seen
-        ref = _reference_faces(cc)
-        assert np.float64(mn).tobytes() == np.float64(ref[0]).tobytes()
-        assert wit.tobytes() == ref[1].tobytes()
-        assert (rejected < mn) == (ref[2] < ref[0])
-        assert np.float64(first).tobytes() == np.float64(ref[3]).tobytes()
-        return mn
-
-    @pytest.mark.parametrize("i", range(13))
-    def test_degenerate_constructions(self, i, bench_gen, bench_workloads,
-                                      monkeypatch):
-        inst = bench_gen.make_instance(*bench_workloads.DEGENERATE[i], seed=i)
-        self._check(problem_critical_cone(inst.prog, inst.x, inst.y),
-                    monkeypatch)
+    def test_degenerate_constructions(self, bench_gen, bench_workloads):
+        ccs = _degenerate_ccs(bench_gen, bench_workloads)
+        assert sorted(ccs) == [0, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+        for cc in ccs.values():
+            self._check(cc)
 
     @pytest.mark.parametrize("name", model.BUILTIN_NAMES)
-    def test_builtins(self, name, monkeypatch):
-        self._check(problem_critical_cone(*fixture(name)), monkeypatch)
+    def test_builtins(self, name):
+        assert self._check(problem_critical_cone(*fixture(name))) == \
+            (HOLDS if name == "example4" else FAILS)
 
     @pytest.mark.parametrize("name", sorted(_face_family()))
-    def test_seeded_family(self, name, monkeypatch):
+    def test_seeded_family(self, name):
         cc = problem_critical_cone(*_face_family()[name])
         assert 3 <= len(cc.rows) <= 5 and not cc.curved
-        mn = self._check(cc, monkeypatch)
-        if name.endswith("null"):
-            assert mn <= conditions.KERNEL_FOUND_TOL
-
-    def test_stacked_svd_equals_each_call(self):
-        # one stacked SVD, with and without the product F W, gives each
-        # face the bits of its own SVD of F W; block-diagonal F, as T often
-        # is, puts exact zeros, some of them -0.0, in the singular vectors,
-        # which W @ v turns to 0.0 even at W = I
-        rng = np.random.default_rng(4)
-        F = np.zeros((5, 9, 9))
-        F[:, :5, :5] = rng.standard_normal((5, 5, 5)) + 5.0 * np.eye(5)
-        F[:, 5:, 5:] = rng.standard_normal((5, 4, 4))
-        F[0, 8] = 0.0  # a zero row: a least singular value at round-off
-        for W in (np.eye(9), linalg.nullspace(rng.standard_normal((3, 9)))):
-            FW = F if W.shape[1] == 9 else F @ W
-            for f, (val, v, tied) in zip(F, conditions._face_svd(FW, W)):
-                _, sig, Vt = np.linalg.svd(f @ W)
-                ref = conditions._least(sig, W @ Vt[-1])
-                assert np.float64(val).tobytes() == \
-                    np.float64(ref[0] ** 2).tobytes()
-                assert v.tobytes() == ref[1].tobytes()
-                assert tied == ref[2]
+        assert self._check(cc) == (FAILS if name.endswith("null") else HOLDS)
 
 
 def _degenerate_ccs(bench_gen, bench_workloads, pick=lambda spec: True):
@@ -996,9 +981,9 @@ def _ladder_ccs(bench_gen, bench_workloads):
 
 
 class TestPieceCertificate:
-    """The kernel faces' first step: min_s sigma_min(T_s)^2 over the
-    pieces T_s, a HOLDS with no witness where it reaches
-    KERNEL_ABSENT_TOL; elsewhere the face enumeration decides."""
+    """Where every piece T_s is nonsingular, the signed pieces hold with
+    no witness and min_s sigma_min(T_s)^2 as min_residual, bit for bit;
+    where one is singular, its sign region decides, with no search."""
 
     @staticmethod
     def _certified(cc):
@@ -1029,17 +1014,11 @@ class TestPieceCertificate:
             self._certified(cc)
 
     @staticmethod
-    def _undecided(cc):
-        """Where the certificate does not decide, the probe's output is
-        the plain face loop's, bit for bit."""
-        assert _reference_certificate(cc) < conditions.KERNEL_ABSENT_TOL
-        probe = conditions._kernel_probe(cc, 3, 0, ())
-        mn, wit, rejected, _ = _reference_faces(cc)
-        assert rejected >= mn
-        assert probe["method"] == "exact"
-        assert probe["witness"].tobytes() == wit.tobytes()
-        assert np.float64(probe["min_residual"]).tobytes() == \
-            np.float64(conditions._probe_residual(cc, wit)).tobytes()
+    def _with_a_singular_piece(cc):
+        """A frame with a singular piece, which the signed pieces decide
+        as `TestSignedPieces` asks."""
+        assert any(_singular(T) for _, T in cc.piece_tmatrices())
+        return TestSignedPieces._check(cc)
 
     def test_above_the_face_cap_no_piece_is_kept(self):
         # 10 corners of order N = 40, whose 2^10 pieces T_s would hold
@@ -1059,24 +1038,26 @@ class TestPieceCertificate:
         assert np.float64(probe["min_residual"]).tobytes() == \
             np.float64(_reference_certificate(cc)).tobytes()
 
-    def test_undecided_degenerate_constructions(self, bench_gen,
-                                                bench_workloads):
+    def test_singular_degenerate_constructions(self, bench_gen,
+                                               bench_workloads):
         ccs = _degenerate_ccs(bench_gen, bench_workloads,
                               lambda spec: spec[3:] != ("identity", "pd"))
         assert sorted(ccs) == [5, 6, 7, 8, 9, 10, 11]
         for cc in ccs.values():
-            self._undecided(cc)
+            assert self._with_a_singular_piece(cc) == FAILS
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3",
                                       "example4"])
-    def test_undecided_builtins(self, name):
-        # example4 holds, but one of its pieces is singular
-        self._undecided(problem_critical_cone(*fixture(name)))
+    def test_singular_builtins(self, name):
+        # example4 holds: its singular piece's null space misses its region
+        assert self._with_a_singular_piece(problem_critical_cone(
+            *fixture(name))) == (HOLDS if name == "example4" else FAILS)
 
     @pytest.mark.parametrize("name", [n for n in sorted(_face_family())
                                       if n.endswith("null")])
-    def test_undecided_face_null_family(self, name):
-        self._undecided(problem_critical_cone(*_face_family()[name]))
+    def test_singular_face_null_family(self, name):
+        assert self._with_a_singular_piece(problem_critical_cone(
+            *_face_family()[name])) == FAILS
 
     @staticmethod
     def _pairs(bench_gen, bench_workloads):
@@ -1089,40 +1070,51 @@ class TestPieceCertificate:
             if pt.converged:
                 cc = problem_critical_cone(prog, pt.x, pt.y)
                 if not (cc.curved
-                        or len(cc.rows) > conditions._MAX_PROBE_ROWS):
+                        or len(cc.rows) > conditions.MAX_FACE_ROWS):
                     yield cc
 
-    def test_never_above_the_counted_minimum(self, bench_gen,
-                                             bench_workloads, monkeypatch):
-        # min_s sigma_min(T_s) bounds every face's least singular value
-        # from below, up to the round-off of either SVD
-        seen = []
-        face_minimum = conditions._face_minimum
-
-        def recorded(*args):
-            seen.append(face_minimum(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(conditions, "_face_minimum", recorded)
+    def test_every_frame_reads_the_theorem_verdict(self, bench_gen,
+                                                   bench_workloads):
+        # with no start and no search: random files 0-199 give 189 such
+        # frames, 116 FAILS and 73 HOLDS
         count = 0
         for cc in self._pairs(bench_gen, bench_workloads):
-            key, pieces = cc.piece_tmatrices()
-            T = dict(pieces)
-            cert = conditions._piece_margin(T.values())
-            del seen[:]
-            conditions._face_residual(cc, key, T)
-            (mn, _, _, _), = seen
-            scale = max(np.linalg.norm(t, 2) for t in T.values())
-            assert np.sqrt(cert) <= np.sqrt(mn) + 1e-13 * max(1.0, scale)
-            assert not (cert >= conditions.KERNEL_ABSENT_TOL
-                        and mn <= conditions.KERNEL_FOUND_TOL)
+            probe = conditions._kernel_probe(cc, 3, 0, ())
+            assert probe["method"] == "exact"
+            assert kernel_probe_verdict(probe).status == _theorem(cc)
             count += 1
         assert count >= 100
 
 
+# random files whose polyhedral probe with no start read INCONCLUSIVE,
+# INCONSISTENT or a search before the signed pieces (on all but 347 the
+# theorem holds; on 44, 193, 404, 427 and 579 a singular piece's null
+# space misses its region) and 347, whose witness comes from a singular
+# piece
+_RANDOM_FILES = [44, 67, 89, 163, 170, 193, 293, 311, 323, 347, 404, 427,
+                 492, 515, 516, 579, 661, 664, 675, 729, 791]
+
+
+@pytest.mark.parametrize("i", _RANDOM_FILES)
+def test_random_file_probe_reads_the_theorem_verdict(i):
+    import random_problems
+    prog = random_problems.random_problem(i)
+    pt = kkt.solve_kkt_multistart(prog)
+    assert pt.converged
+    cc = problem_critical_cone(prog, pt.x, pt.y)
+    assert not cc.curved
+    probe = conditions._kernel_probe(cc, 3, 0, ())
+    assert probe["method"] == "exact"
+    status = kernel_probe_verdict(probe).status
+    assert status == _theorem(cc) == (FAILS if i == 347 else HOLDS)
+    if i == 347:
+        assert conditions._probe_residual(cc, probe["witness"]) <= \
+            conditions.KERNEL_FOUND_TOL
+
+
 def _sign_family():
     """`_face_family` and 7 and 8 orthant corners with Q positive definite,
-    above the face cap, where the piece certificate decides."""
+    where every piece is nonsingular."""
     out = dict(_face_family())
     for k in (7, 8):
         out["corner%d-pd" % k] = _polyhedral_instance(["corner"] * k, False)
@@ -1130,21 +1122,25 @@ def _sign_family():
 
 
 class TestSignKeyedPieces:
-    """The kernel faces read T on the 2^k pieces s in {+, -}^k of the k
+    """The signed pieces read T on the 2^k pieces s in {+, -}^k of the k
     borderline rows, a zero sign read as minus."""
 
     @pytest.mark.parametrize("name", sorted(_sign_family()))
     def test_the_exact_probe_builds_one_jacobian_per_piece(self, name,
                                                            monkeypatch):
+        # in sign order, up to the piece of the witness; every piece
+        # where the probe holds
         cc = problem_critical_cone(*_sign_family()[name])
         k = len(cc.rows)
         calls = _count_tmatrix_builds(monkeypatch)
         probe = conditions._kernel_probe(cc, 3, 0, ())
         assert probe["method"] == "exact"
-        assert len(calls) == 2 ** k
+        pieces = list(itertools.product((1.0, -1.0), repeat=k))
         # the rows are orthonormal, so rows @ (s @ rows) is s
-        assert {tuple(np.round(cc.rows @ h)) for h in calls} == \
-            set(itertools.product((1.0, -1.0), repeat=k))
+        assert [tuple(np.round(cc.rows @ h)) for h in calls] == \
+            pieces[:len(calls)]
+        if probe["witness"] is None:
+            assert len(calls) == 2 ** k
 
     @pytest.mark.parametrize("name", sorted(_face_family()))
     def test_a_zero_face_reads_its_minus_piece(self, name):

@@ -908,6 +908,24 @@ class TestOnePassSolve:
             (best.residual, best.iterations, best.converged)
 
 
+def test_kkt_matrix_equals_the_identity_formula():
+    # (I - J) G' is formed with no identity matrix; its bits are those of
+    # np.eye(m) - J, signed zeros included, on J with entries 0.0, -0.0,
+    # 1.0 and -1.0 as projection Jacobians have
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m, n = rng.integers(1, 9, size=2)
+        J = rng.standard_normal((m, m))
+        pick = rng.integers(0, 6, size=(m, m))
+        for code, value in enumerate((0.0, -0.0, 1.0, -1.0)):
+            J[pick == code] = value
+        H = rng.standard_normal((n, n))
+        Gp = rng.standard_normal((m, n))
+        Gp[rng.random((m, n)) < 0.2] = -0.0
+        ref = np.block([[H, Gp.T], [(np.eye(m) - J) @ Gp, -J]])
+        assert kkt.kkt_matrix(H, Gp, J).tobytes() == ref.tobytes()
+
+
 class TestSemismoothness:
     def test_jacobian_linearizes_natural_map(self):
         # away from partition boundaries the selected generalized Jacobian
