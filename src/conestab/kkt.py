@@ -9,7 +9,11 @@ tries the semismooth Newton step V d = -F first at each point, V an
 element of the generalized Jacobian read from the eigendecompositions
 that F's projection took there, and damps it in the Levenberg-Marquardt
 way only where that step fails, which is all that desk-scale instances
-need.
+need.  Where G is affine, Q positive definite and G' onto, the Newton
+step factors the m × m Schur complement S = J + (I - J) G' Q^-1 G'ᵀ (the
+range-space method, Nocedal and Wright, Numerical Optimization, 16.2),
+and V, of order n + m, is formed only where that step fails; elsewhere
+the step factors V.
 """
 
 import zlib
@@ -284,11 +288,16 @@ def kkt_matrix(H, Gp, J):
     V = np.empty((n + m, n + m))
     V[:n, :n] = H
     V[:n, n:] = Gp.T
-    IJ = 0.0 - J  # I - J with no identity built: the same bits
-    IJ.flat[::m + 1] += 1.0
-    V[n:, :n] = IJ @ Gp
+    V[n:, :n] = _identity_minus(J) @ Gp
     np.negative(J, out=V[n:, n:])
     return V
+
+
+def _identity_minus(J):
+    """I - J with no identity built: the same bits."""
+    IJ = 0.0 - J
+    IJ.flat[::len(J) + 1] += 1.0
+    return IJ
 
 
 def _finite_solve(A, r):
@@ -298,6 +307,28 @@ def _finite_solve(A, r):
         d = np.linalg.solve(A, r)
     except np.linalg.LinAlgError:
         return None
+    return d if np.isfinite(d).all() else None
+
+
+def _schur_step(schur, J, F):
+    """The Newton step V d = -F from the Schur complement of Q: S dy =
+    F2 - (I - J) G' Q^-1 F1 with S = J + (I - J) W, W = G' Q^-1 G'ᵀ, then
+    dx = -Q^-1 (F1 + G'ᵀ dy).  `schur` is `ConicProgram.schur_data` or
+    the same three matrices; det V = det Q det(-S), so S is singular
+    exactly where V is.  None when S is singular to working precision or
+    d is not finite."""
+    Qinv, QiGt, W = schur
+    n = len(Qinv)
+    F1 = F[:n]
+    # an overflow leaves inf or NaN, which the finiteness tests reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        IJ = _identity_minus(J)
+        S = IJ @ W
+        S += J
+        dy = _finite_solve(S, F[n:] - IJ @ (QiGt.T @ F1))
+        if dy is None:
+            return None
+        d = np.concatenate([-(Qinv @ F1 + QiGt @ dy), dy])
     return d if np.isfinite(d).all() else None
 
 
@@ -321,17 +352,20 @@ def _stationary(system, res):
 def solve_kkt(prog, pert=None, start=None, opts=None):
     """Semismooth Newton on the natural map, damped where it fails.
 
-    V, an element of the natural map's generalized Jacobian, is formed
-    once per point from the Jacobian element of the projection, which
-    reads the eigendecompositions the natural map took there.  The first
-    trial at each point is the undamped step V d = -F, one LU of V.
-    When V is singular, d is not finite or the step does not lower the
-    residual, the Levenberg-Marquardt system (V'V + lam I) d = -V'F is
-    formed at that point; a rejected damped step changes only lam, x4,
-    and an accepted step, Newton or damped, takes lam to
-    max(lam / 4, 1e-14).  A failed Newton trial counts as an iteration
-    and leaves lam as it is.  A step that is not finite is rejected
-    without evaluating F there.
+    The Jacobian element J of the projection is formed once per point,
+    from the eigendecompositions the natural map took there, and with it
+    V = `kkt_matrix`(Q, G', J), an element of the natural map's
+    generalized Jacobian.  The first trial at each point is the undamped
+    step V d = -F: where the program has `schur_data` (G affine, Q
+    positive definite, G' onto) it is `_schur_step`, one LU of the m × m
+    Schur complement S, and V is formed only when that step fails;
+    elsewhere it is one LU of V, of order n + m.  When the step is
+    singular, not finite or does not lower the residual, the
+    Levenberg-Marquardt system (V'V + lam I) d = -V'F is formed at that
+    point; a rejected damped step changes only lam, x4, and an accepted
+    step, Newton or damped, takes lam to max(lam / 4, 1e-14).  A failed
+    Newton trial counts as an iteration and leaves lam as it is.  A step
+    that is not finite is rejected without evaluating F there.
 
     A step is accepted only when it lowers the residual, so the last
     iterate is the best one.  The natural map is only piecewise smooth,
@@ -368,13 +402,18 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
         return KKTPoint(x, y, res, iterations=0, converged=False)
     lam = 1e-4
     it = rejects = 0
-    V = system = None  # at (x, y): V, then (V'V, -V'F) once Newton fails
+    schur = prog.schur_data
+    # at (x, y): J, V, then (V'V, -V'F) once Newton fails
+    J = V = system = None
     while not res <= opts.residual_target and it < opts.max_iter \
             and rejects < 8:
-        if V is None:
-            V = kkt_matrix(prog.Q, prog.constraint_jac(x),
-                           cone.proj_jacobian(z, eigs))
-            d = _finite_solve(V, -F)
+        if J is None:
+            J = cone.proj_jacobian(z, eigs)
+            if schur is None:
+                V = kkt_matrix(prog.Q, prog.constraint_jac(x), J)
+                d = _finite_solve(V, -F)
+            else:
+                d = _schur_step(schur, J, F)
         else:
             A = system[0].copy()
             A.flat[::n + m + 1] += lam
@@ -386,10 +425,12 @@ def solve_kkt(prog, pert=None, start=None, opts=None):
             Ft, rt, zt, eigst = evaluate(xt, yt)
         if rt < res:
             x, y, F, res, z, eigs = xt, yt, Ft, rt, zt, eigst
-            V = system = None
+            J = V = system = None
             lam = max(lam * 0.25, 1e-14)
             rejects = 0
         elif system is None:
+            if V is None:
+                V = kkt_matrix(prog.Q, prog.constraint_jac(x), J)
             # an overflow leaves inf or NaN, which `_finite_solve` rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 system = (V.T @ V, -V.T @ F)

@@ -64,6 +64,34 @@ class ConicProgram:
     def is_affine(self):
         return self._g_callback is None
 
+    @functools.cached_property
+    def schur_data(self):
+        """(Q^-1, Q^-1 G'ᵀ, W = G' Q^-1 G'ᵀ), which the Newton step reads
+        to factor its m × m Schur complement in place of the full KKT
+        matrix, or None.  They are kept where G is affine, Q is positive
+        definite (its least eigenvalue above `linalg.rank_tol_for` of its
+        spectrum), G' has full row rank (its least singular value above
+        1e-12 max(1, its largest), with m <= n) and all three are finite:
+        then W ≻ 0, and S = J + (I - J) W is nonsingular for every
+        symmetric J with eigenvalues in [0, 1].  Computed once: the
+        program's data is read-only after construction."""
+        if not self.is_affine or self.cone.dim > self.n:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                q = np.linalg.eigvalsh(self.Q)
+                if not q[0] > linalg.rank_tol_for(q):
+                    return None
+                s = np.linalg.svd(self.Gmat, compute_uv=False)
+            except np.linalg.LinAlgError:
+                return None
+            if not s[-1] > 1e-12 * max(1.0, s[0]):
+                return None
+            Qinv = np.linalg.inv(self.Q)
+            QiGt = Qinv @ self.Gmat.T
+            data = (Qinv, QiGt, self.Gmat @ QiGt)
+        return data if all(np.isfinite(M).all() for M in data) else None
+
     # --- evaluators --------------------------------------------------------
     def objective(self, x, a=None):
         x = np.asarray(x, dtype=float)

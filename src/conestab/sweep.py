@@ -60,19 +60,12 @@ class SweepResult:
 
 
 def _kkt_pair_is_unique(prog):
-    """Whether prog has one KKT pair for every canonical perturbation: G
-    affine, Q positive definite (its least eigenvalue above
-    `linalg.rank_tol_for` of its spectrum), so the primal is unique, and
-    G' of full row rank at the rank rule of
-    `ProblemCriticalCone.polar_kernel`, so G'* is injective and the
-    multiplier is unique too.  cone.dim <= n is tested first."""
-    if not prog.is_affine or prog.cone.dim > prog.n:
-        return False
-    q = np.linalg.eigvalsh(prog.Q)
-    if not q[0] > linalg.rank_tol_for(q):
-        return False
-    s = np.linalg.svd(prog.Gmat, compute_uv=False)
-    return bool(s[-1] > 1e-12 * max(1.0, s[0]))
+    """Whether prog has one KKT pair for every canonical perturbation:
+    where `ConicProgram.schur_data` is kept, G is affine and Q positive
+    definite, so the primal is unique, and G' has full row rank at the
+    rank rule of `ProblemCriticalCone.polar_kernel`, so G'* is injective
+    and the multiplier is unique too."""
+    return prog.schur_data is not None
 
 
 # the degree of `_predict`'s polynomial: the number of last solved points

@@ -613,13 +613,17 @@ class TestSolveKkt:
 def _reference_solve(prog, pert=None, start=None, opts=None):
     """The Newton-first loop that forms J and V afresh at every trial:
     `solve_kkt`'s reference.  At each new point it tries the undamped step
-    V d = -F; when that step is singular, not finite or does not lower the
-    residual, it takes damped steps (V'V + lam I) d = -V'F at that point
-    until one is accepted.  A point where F is orthogonal to every column
-    of V to within kkt._GTOL, tested where the damped steps begin, or
-    eight rejected damped steps in a row end it at the last iterate."""
+    V d = -F, taken where the program has `schur_data` as
+    dy = S^-1 (F2 - (I - J) G' Q^-1 F1), S = J + (I - J) W, and
+    dx = -Q^-1 (F1 + G'ᵀ dy), else by one solve with V; when that step is
+    singular, not finite or does not lower the residual, it takes damped
+    steps (V'V + lam I) d = -V'F at that point until one is accepted.  A
+    point where F is orthogonal to every column of V to within kkt._GTOL,
+    tested where the damped steps begin, or eight rejected damped steps
+    in a row end it at the last iterate."""
     opts = opts or SolveOptions()
     n, m = prog.n, prog.cone.dim
+    schur = prog.schur_data
     b = pert.b if pert is not None else None
     if start is None:
         x = np.zeros(n)
@@ -638,7 +642,11 @@ def _reference_solve(prog, pert=None, start=None, opts=None):
             and rejects < 8:
         J = prog.cone.proj_jacobian(prog.constraint(x, b) + y)
         V = kkt.kkt_matrix(prog.Q, prog.constraint_jac(x), J)
-        if newton:
+        if newton and schur is not None:
+            Qinv, QiGt, W = schur
+            IJ = np.eye(m) - J
+            A, r = J + IJ @ W, F[n:] - IJ @ (QiGt.T @ F[:n])
+        elif newton:
             A, r = V, -F
         else:
             A, r = V.T @ V, -V.T @ F
@@ -647,7 +655,9 @@ def _reference_solve(prog, pert=None, start=None, opts=None):
         try:
             d = np.linalg.solve(A, r)
         except np.linalg.LinAlgError:
-            d = np.full(n + m, np.nan)
+            d = np.full(len(r), np.nan)
+        if newton and schur is not None:
+            d = np.concatenate([-(Qinv @ F[:n] + QiGt @ d), d])
         rt = np.inf
         if np.isfinite(d).all():
             xt, yt = x + d[:n], y + d[n:]
@@ -684,6 +694,17 @@ _SOLVE_SPECS = {
 }
 
 
+# (blocks, rank, border, g, q) of the generated solver cases with no
+# `schur_data`, where V is formed at every Newton point: Q vanishes along a
+# face direction, or G' = I - dd' is not onto
+_NO_SCHUR_SPECS = {
+    "face-null-psd": ([("psd", 4)], [2], [0], "identity", "face-null"),
+    "face-null-mixed": ([("orthant", 6), ("soc", 5)], [2, 1], [0, 0],
+                        "identity", "face-null"),
+    "nonunique-psd": ([("psd", 4)], [1], [0], "nonunique", "pd"),
+}
+
+
 def _solve_cases(gen):
     """(prog, pert, start) of every solver case, cold and warm-started: the
     builtins from zero and from their reference along their direction, and
@@ -698,7 +719,8 @@ def _solve_cases(gen):
         for eps in (1.0, 0.1, 1e-3):
             cases["%s-warm-%g" % (name, eps)] = (
                 fx.prog, fx.direction.scaled(eps), ref)
-    for i, (name, spec) in enumerate(_SOLVE_SPECS.items()):
+    specs = [*_SOLVE_SPECS.items(), *_NO_SCHUR_SPECS.items()]
+    for i, (name, spec) in enumerate(specs):
         inst = gen.make_instance(*spec, seed=i)
         rng = np.random.default_rng(i)
         pert = model.Perturbation(rng.standard_normal(inst.prog.n),
@@ -712,13 +734,14 @@ def _solve_cases(gen):
 _SOLVE_CASE_NAMES = (
     ["%s-%s" % (n, w) for n in ALL_REFERENCED
      for w in ("cold", "warm-1", "warm-0.1", "warm-0.001")]
-    + ["%s-%s" % (n, w) for n in _SOLVE_SPECS for w in ("cold", "warm")])
+    + ["%s-%s" % (n, w) for n in (*_SOLVE_SPECS, *_NO_SCHUR_SPECS)
+       for w in ("cold", "warm")])
 
 
 class TestSolveReference:
     """solve_kkt is the reference loop bit for bit, tries the Newton step
-    first at each point, and forms the Jacobian once per point from the
-    natural map's eigendecompositions."""
+    first at each point, and forms the Jacobian element once per point
+    from the natural map's eigendecompositions."""
 
     @pytest.mark.parametrize("case", _SOLVE_CASE_NAMES)
     def test_equals_the_reference_loop(self, case, bench_gen):
@@ -749,7 +772,8 @@ class TestSolveReference:
     @staticmethod
     def _solves(prog, pert, start, monkeypatch):
         """solve_kkt's point and its linear solves, each "newton" when its
-        matrix is a V that kkt_matrix returned, else "damped"."""
+        matrix is a V that kkt_matrix returned or an m × m Schur
+        complement, else "damped"."""
         Vs, solves = [], []
         kkt_matrix, solve = kkt.kkt_matrix, np.linalg.solve
 
@@ -758,7 +782,8 @@ class TestSolveReference:
             return Vs[-1]
 
         def counted_solve(A, r):
-            solves.append("newton" if any(A is V for V in Vs) else "damped")
+            newton = len(A) == prog.cone.dim or any(A is V for V in Vs)
+            solves.append("newton" if newton else "damped")
             return solve(A, r)
 
         monkeypatch.setattr(kkt, "kkt_matrix", counted_matrix)
@@ -825,6 +850,162 @@ class TestSolveReference:
         assert len(points) <= pt.iterations
         assert eigs[0] == psd * maps[0]
         assert maps[0] >= 1
+
+
+# min x^2 / 2 + 3x over (x, x) + b in R^2_+: at y = (-1, -1), J = 0 and
+# the rows of V below Q repeat G' = (1, 1)', so V and S are exactly singular
+SINGULAR_AT_START = {
+    "name": "singular", "n": 1,
+    "objective": {"Q": [[1.0]], "c": [3.0], "c0": 0.0},
+    "constraint": {"A0": [0.0, 0.0], "Ai": [[1.0, 1.0]]},
+    "cone": [{"type": "orthant", "size": 2}]}
+
+
+def _schur_triple(prog):
+    """Q^-1, Q^-1 G'ᵀ and G' Q^-1 G'ᵀ by np.linalg.inv, for any Q ≻ 0."""
+    Qinv = np.linalg.inv(prog.Q)
+    return Qinv, Qinv @ prog.Gmat.T, prog.Gmat @ Qinv @ prog.Gmat.T
+
+
+class TestSchurStep:
+    """Where G is affine, Q positive definite and G' onto, each Newton
+    step is taken from the m × m Schur complement S = J + (I - J) G' Q^-1
+    G'ᵀ, and V is formed only where that step fails; elsewhere V is
+    formed at every Newton point, as before."""
+
+    @staticmethod
+    def _programs(gen):
+        """example1, the pd solver cases, two sweep instances (psd12 and
+        orthant20+soc10+psd10) and random files 0-199 whose Q is
+        positive definite with a condition number of at most 1e4."""
+        import random_problems
+        progs = [model.builtin("example1")]
+        progs += [gen.make_instance(*spec, seed=i).prog
+                  for i, spec in enumerate(_SOLVE_SPECS.values())]
+        sweeps = ((([("psd", 12)], [6], [0]), 1005),
+                  (([("orthant", 20), ("soc", 10), ("psd", 10)], [8, 1, 5],
+                    [0, 0, 0]), 1010))
+        progs += [gen.make_instance(*spec, seed=seed).prog
+                  for spec, seed in sweeps]
+        for prog in map(random_problems.random_problem, range(200)):
+            q = np.linalg.eigvalsh(prog.Q)
+            if q[0] > 0 and q[-1] <= 1e4 * q[0]:
+                progs.append(prog)
+        return progs
+
+    def test_data_is_q_inverse_and_its_products(self, bench_gen):
+        kept = [p for p in self._programs(bench_gen)
+                if p.schur_data is not None]
+        assert len(kept) >= 20
+        for prog in kept:
+            for got, want in zip(prog.schur_data, _schur_triple(prog)):
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * max(1.0, np.linalg.norm(want))
+            assert prog.schur_data is prog.schur_data
+
+    def test_no_data_without_q_positive_definite_and_g_onto(self,
+                                                           bench_gen):
+        # example1's G' is 3 x 2, example2-4's Q is singular, remark2's G
+        # is not affine
+        for name in ("example1", "example2", "example3", "example4",
+                     "remark2"):
+            assert model.builtin(name).schur_data is None, name
+        for i, spec in enumerate(_NO_SCHUR_SPECS.values()):
+            prog = bench_gen.make_instance(*spec, seed=i).prog
+            assert prog.schur_data is None
+        # W = G' Q^-1 G'ᵀ overflows, with no warning
+        big = dict(OVERFLOWING_PSD2, constraint={"A0": [0.0],
+                                                 "Ai": [[1e160]]},
+                   cone=[{"type": "orthant", "size": 1}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.problem_from_dict(big).schur_data is None
+
+    def test_step_equals_the_kkt_solve(self, bench_gen):
+        # at points where V is well-conditioned, to within 1e-10 relative;
+        # where the data is kept, the step exists at every point
+        compared = 0
+        for prog in self._programs(bench_gen):
+            triple = _schur_triple(prog)
+            rng = np.random.default_rng(prog.n)
+            for _ in range(3):
+                x = rng.standard_normal(prog.n)
+                y = rng.standard_normal(prog.cone.dim)
+                F = natural_map(prog, x, y)
+                J = prog.cone.proj_jacobian(prog.constraint(x) + y)
+                d = kkt._schur_step(triple, J, F)
+                if prog.schur_data is not None:
+                    assert d is not None
+                V = kkt.kkt_matrix(prog.Q, prog.Gmat, J)
+                if np.linalg.cond(V) > 1e4:
+                    continue
+                want = np.linalg.solve(V, -F)
+                assert np.linalg.norm(d - want) <= \
+                    1e-10 * np.linalg.norm(want)
+                compared += 1
+        assert compared >= 150
+
+    def test_a_singular_step_is_rejected_for_the_damped_path(
+            self, monkeypatch):
+        prog = model.problem_from_dict(SINGULAR_AT_START)
+        start = KKTPoint([0.0], [-1.0, -1.0], 0.0)
+        F = natural_map(prog, start.x, start.y)
+        J = prog.cone.proj_jacobian(prog.constraint(start.x) + start.y)
+        assert not J.any()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt.kkt_matrix(prog.Q, prog.Gmat, J), -F)
+        assert kkt._schur_step(_schur_triple(prog), J, F) is None
+        # G' is not onto, so the solver takes its V step here
+        assert prog.schur_data is None
+        pt, solves = TestSolveReference._solves(prog, None, start,
+                                                monkeypatch)
+        assert solves[:2] == ["newton", "damped"]
+        assert pt.converged
+
+    @staticmethod
+    def _jacobians_per_point(prog, pert, start, monkeypatch):
+        """solve_kkt's Newton points and its kkt_matrix calls."""
+        points, Vs = [], []
+        jacobian, kkt_matrix = cones.Cone.proj_jacobian, kkt.kkt_matrix
+
+        def counted_jacobian(cone, z, *args):
+            points.append(np.asarray(z).tobytes())
+            return jacobian(cone, z, *args)
+
+        def counted_matrix(*args):
+            Vs.append(args)
+            return kkt_matrix(*args)
+
+        monkeypatch.setattr(cones.Cone, "proj_jacobian", counted_jacobian)
+        monkeypatch.setattr(kkt, "kkt_matrix", counted_matrix)
+        solve_kkt(prog, pert, start)
+        return points, Vs
+
+    def test_v_at_every_point_without_the_data(self, bench_gen,
+                                               monkeypatch):
+        cases = _solve_cases(bench_gen)
+        runs = [cases[name] for name in cases
+                if name.startswith(("example", *_NO_SCHUR_SPECS))]
+        fx = model.fixture("remark2")
+        runs += [(fx.prog, fx.direction.scaled(eps),
+                  KKTPoint(*fx.reference, 0.0)) for eps in (1.0, 0.1)]
+        for prog, pert, start in runs:
+            assert prog.schur_data is None
+            points, Vs = self._jacobians_per_point(prog, pert, start,
+                                                   monkeypatch)
+            assert len(Vs) == len(points)
+            assert points or natural_residual(prog, start.x, start.y,
+                                              pert) <= 1e-11
+
+    @pytest.mark.parametrize("case", ["%s-%s" % (n, w) for n in _SOLVE_SPECS
+                                      for w in ("cold", "warm")])
+    def test_no_v_where_the_schur_step_succeeds(self, case, bench_gen,
+                                                monkeypatch):
+        prog, pert, start = _solve_cases(bench_gen)[case]
+        assert prog.schur_data is not None
+        points, Vs = self._jacobians_per_point(prog, pert, start,
+                                               monkeypatch)
+        assert points and not Vs
 
 
 def _concatenated_map(prog, x, y, pert=None):
