@@ -15,14 +15,15 @@ closed-form candidate in ri C°, by the polar cone's Lorentz rows where
 the slice is a line, or by a search, whose miss is inconclusive.
 SOSC is decided by enumerating the faces of the critical cone.  The
 kernel probe is decided by a failed SRCQ's or SOSC's witness where it
-solves the system, else, when no block is curved, piece by piece over
-the 2^k signs of its k borderline rows: a nonsingular piece holds no
-kernel direction, and a singular piece's null space is tested against
-its sign region at the region's extreme rays.  With one curved block of
-Lorentz form (an SOC apex, a PSD zero eigenspace of order 2) it is
-decided by the linear pieces of its complementarity and an S-lemma
-certificate for the curved one.  Elsewhere it searches, and a search
-never gives HOLDS.
+solves the system, else by one routine over the 2^k signs of its k
+borderline rows, each piece's matrix T built at a point of the piece.
+With no curved block a nonsingular piece holds no kernel direction, and
+a singular piece's null space is tested against its sign region at the
+region's extreme rays.  Beside one curved block of Lorentz form (an SOC
+apex, a PSD zero eigenspace of order 2) each sign gives the two linear
+pieces of its complementarity, tested against the Lorentz cone, and an
+S-lemma certificate for the curved one.  Elsewhere it searches, and a
+search never gives HOLDS.
 Heuristic verdicts always degrade to "inconclusive" rather than guess.
 
 Every check reads one pulled-back cone, a `ProblemCriticalCone`: at the
@@ -54,13 +55,10 @@ KERNEL_FOUND_TOL = 1e-10
 KERNEL_ABSENT_TOL = 1e-6
 # random starts of the kernel-probe search
 _KERNEL_STARTS = 200
-# SOSC's 2^k faces of k borderline rows and the kernel probe's 2^k pieces
-# run up to this many rows; above it SOSC reads only the affine hull and
-# the probe searches.
+# SOSC's 2^k faces of k borderline rows and the kernel probe's pieces over
+# the 2^k signs run up to this many rows; above it SOSC reads only the
+# affine hull and the probe searches.
 MAX_FACE_ROWS = 12
-# beside a Lorentz block the kernel probe's 3 * 2^k pieces run up to this
-# many borderline rows, and the probe searches above it
-_MAX_PROBE_ROWS = 6
 
 
 class Verdict:
@@ -247,12 +245,6 @@ class ProblemCriticalCone:
         matrix on the piece of h."""
         return kkt_matrix(self.H, self.Gmat, self.frame.dir_deriv_jac(h))
 
-    def piece_tmatrices(self):
-        """The pairs (s, `tmatrix`) on each piece s in {+, -}^k of the k
-        borderline rows, s an array, built one at a time."""
-        return ((s, self.tmatrix(s @ self.rows)) for s in map(
-            np.array, itertools.product((1.0, -1.0), repeat=len(self.rows))))
-
     def member(self, d):
         return self.frame.cc_dist(self.Gmat @ np.asarray(d, float)) <= \
             1e-9 * max(1.0, np.linalg.norm(d))
@@ -435,21 +427,20 @@ def kernel_probe(prog, x, y, n_starts=_KERNEL_STARTS, seed=0, extra_seeds=()):
 
     The residual r(w) equals ||T(w) w||^2 for a piecewise-constant matrix
     family T.  The first of extra_seeds whose residual, at unit length, is
-    at most KERNEL_FOUND_TOL is the witness, before any T is built.  Else,
-    with no curved block and at most MAX_FACE_ROWS rows, T(w) depends
-    only on the signs of the k borderline rows at h = G' dx + dy, and
-    `_kernel_signed_pieces` decides the frame exactly, piece by piece
-    over its 2^k pieces T_s.  With one curved block that has
-    `lorentz_rows` and at most _MAX_PROBE_ROWS rows, `_kernel_pieces`
-    does.  Either gives a witness of residual at most KERNEL_FOUND_TOL,
-    or no witness and the least piece margin as min_residual.  Above the
-    caps, on a PSD zero eigenspace of order 3 or more or two curved
-    blocks, where a candidate misses or a piece stays undecided,
-    `_kernel_search` runs instead, from extra_seeds, then n_starts random
-    starts drawn with seed; `kernel_probe_verdict` never reads HOLDS from
-    it.  It refines one start at a time, for at most 50 steps, one T and
-    one SVD per step, by `ProblemCriticalCone.tmatrix`.  The result's
-    "method" ("witness", "exact", "pieces" or "search") says which ran.
+    at most KERNEL_FOUND_TOL is the witness, before any T is built.  Else
+    `_kernel_pieces` decides the frame piece by piece over the 2^k signs
+    of its k <= MAX_FACE_ROWS borderline rows at h = G' dx + dy, each
+    piece's T built by `ProblemCriticalCone.tmatrix`: where no block is
+    curved ("exact") or one curved block has `lorentz_rows` ("pieces").
+    It gives a witness of residual at most KERNEL_FOUND_TOL, or no witness
+    and the least piece margin as min_residual.  Above the cap, on a PSD
+    zero eigenspace of order 3 or more or two curved blocks, or where a
+    piece stays undecided, `_kernel_search` runs instead, from
+    extra_seeds, then n_starts random starts drawn with seed;
+    `kernel_probe_verdict` never reads HOLDS from it.  It refines one
+    start at a time, for at most 50 steps, one T and one SVD per step.
+    The result's "method" ("witness", "exact", "pieces" or "search") says
+    which ran.
     """
     return _kernel_probe(problem_critical_cone(prog, x, y), n_starts, seed,
                          extra_seeds)
@@ -462,8 +453,8 @@ def _kernel_probe(cc, n_starts, seed, extra_seeds):
         r = _probe_residual(cc, w)
         if r <= KERNEL_FOUND_TOL:  # a NaN residual is never the witness
             return {"min_residual": r, "witness": w, "method": "witness"}
-    probe = _kernel_pieces(cc) if cc.curved else _kernel_signed_pieces(cc)
-    return probe or _kernel_search(cc, n_starts, seed, extra_seeds)
+    return _kernel_pieces(cc) or _kernel_search(cc, n_starts, seed,
+                                                extra_seeds)
 
 
 def _unit_starts(starts):
@@ -483,78 +474,151 @@ def _probe_residual(cc, w):
     return float(r1 @ r1 + r2 @ r2)
 
 
-def _kernel_signed_pieces(cc):
-    """Exact probe on a frame whose only pieces are the signs of its k
-    orthonormal borderline rows r_i at h = P w, P = [G' I]; None above
-    MAX_FACE_ROWS rows or where a candidate misses.
+def _kernel_pieces(cc):
+    """The probe decided piece by piece on a frame with k <= MAX_FACE_ROWS
+    borderline rows r and no curved block ("exact"), or one curved block
+    whose beta subalgebra has rank 2 ("pieces": `lorentz_rows` L, an
+    SOC(m) apex, m >= 3, or a PSD beta of order 2); None elsewhere or
+    where a piece stays undecided.
 
-    On the region R_s = {w : s_i r_i . P w >= 0} of s in {+, -}^k, T(w) w
-    = T_s w for T_s = kkt_matrix(H, G', J_s), J_s = dir_deriv_jac(sum_i
-    s_i r_i) (`ProblemCriticalCone.piece_tmatrices`): where r_i . h = 0
-    both neighbouring pieces give the same J h.  So a nonzero kernel
-    direction exists iff some R_s holds a nonzero w = N_s c, N_s a basis
-    of null T_s.  One pass over the pieces, none kept:
+    One pass over s in {+, -}^k builds each piece's T by `tmatrix` at a
+    point h of the piece: T(w) w = T w there, as where a row or block
+    sits on a boundary both neighbouring pieces give the same J h.  With
+    no curved block h = s @ rows, and `_sign_region` tests T_s on its
+    sign region.  Beside a curved block, a = L G'dx and b = L dy ask a in
+    K, b in -K, a . b = 0 for K = {t >= |u|}, and each s gives three
+    pieces, where a borderline row asks b_r = r . dy = 0 (s_r = +) or a_r
+    = r . G'dx = 0 (s_r = -), its sign dropped:
 
-    - a piece whose least singular value, from its values alone, exceeds
-      1e-10 max(1, sigma_max) is nonsingular (`_piece_space`'s rank),
-      with margin sigma_min^2;
-    - on a singular piece, A_s = diag(s) rows P N_s.  Where rank A_s <
-      d = dim N_s, N_s null(A_s) is the candidate.  Else {c : A_s c >= 0}
-      is pointed: it is {0} unless an extreme ray, +-c spanning the null
-      space of d - 1 independent rows of A_s, has min(A_s c) >=
-      -WITNESS_TOL ||P N_s c||, and the first that does is the candidate.
-      With none the region is empty, and the least -min(A_s c) over the
-      rays is the piece's margin.
+      P1  b = 0 and a in K: h = s @ rows + u, u the block's
+          `relint_point`, where dir_deriv_jac is I on its bb rows;
+      P2  a = 0 and -b in K: h = s @ rows - u, where it is 0;
+      P3  b = -mu J a with mu > 0, a'Ja = 0 and a != 0, J = diag(1, -I):
+          P2's T with the block's bb rows projected out of its second
+          block row.
 
-    The first candidate is the witness where its `_probe_residual` is at
-    most KERNEL_FOUND_TOL.  With no candidate the probe holds, with no
-    witness and the least margin as min_residual: where every piece is
-    nonsingular, min_s sigma_min(T_s)^2."""
-    if len(cc.rows) > MAX_FACE_ROWS:
+    `_lorentz_region` tests P1 and P2.  On P3, stationarity gives dx'H dx
+    = -<G'dx, dy> = -sum_i Omega_i (1 - Omega_i) (R_i h)^2 <= 0 over the
+    Peirce rows R_i off bb, as the borderline and curved products vanish,
+    and a'Ja = 0; so lambda_min(D'(H + tau G'*L'JLG')D) > 0 for some tau,
+    D a basis of the dx part of the piece's null space, leaves no a != 0
+    (an S-lemma certificate: Polik & Terlaky, SIAM Rev. 49 (2007)).
+
+    A P1, P2 or sign piece whose least singular value, from its values
+    alone, is above `linalg.relative_rank`'s 1e-10 is nonsingular, with
+    margin sigma_min^2; only a singular one takes a full SVD and its
+    region test.  P3's margin is the least of the certificate and its
+    kept singular value squared.  The first candidate whose
+    `_probe_residual` is at most KERNEL_FOUND_TOL, scored as it is found,
+    is the witness, before any P3 certificate is sought; one that misses
+    leaves its piece undecided.  Without a witness the probe holds, with
+    no witness and the least margin as min_residual, where no piece is
+    undecided and, beside a curved block, that margin is at least
+    KERNEL_ABSENT_TOL."""
+    k, (m, n) = len(cc.rows), cc.Gmat.shape
+    if k > MAX_FACE_ROWS or len(cc.curved) > 1:
         return None
-    margin, P = np.inf, None
-    for s, T in cc.piece_tmatrices():
-        sig = np.linalg.svd(T, compute_uv=False)
-        if sig[-1] > 1e-10 * max(1.0, sig[0]):
-            margin = min(margin, sig[-1] ** 2)
-            continue
-        N, kept = _piece_space(T)
-        if not N.shape[1]:  # the full SVD keeps every value
-            margin = min(margin, kept)
-            continue
-        if P is None:
-            P = np.hstack([cc.Gmat, np.eye(cc.Gmat.shape[0])])
-        PN = P @ N
-        A = s[:, None] * (cc.rows @ PN)
-        C = linalg.nullspace(A)
-        if C.shape[1]:
-            c = C[:, 0]
-        else:
-            rays = []
-            for sub in itertools.combinations(range(len(A)), N.shape[1] - 1):
-                C = linalg.nullspace(A[list(sub)])
-                if C.shape[1] == 1:
-                    rays += [C[:, 0], -C[:, 0]]
-            lows = [-np.min(A @ e) for e in rays]
-            c = next((e for e, low in zip(rays, lows)
-                      if low <= WITNESS_TOL * np.linalg.norm(PN @ e)), None)
-            if c is None:
-                margin = min(margin, *lows)
-                continue
-        w = N @ c
-        r = _probe_residual(cc, w)
-        if r > KERNEL_FOUND_TOL:  # a NaN residual is never the witness
+    if cc.curved:
+        sl, f = cc.curved[0]
+        L = f.lorentz_rows()
+        if L is None:
             return None
-        return {"min_residual": r, "witness": w, "method": "exact"}
-    return {"min_residual": float(margin), "witness": None, "method": "exact"}
+        u = np.zeros(m)
+        u[sl] = f.relint_point()
+        Rb = f.R[f.bb]
+        Ls = np.zeros((len(L), m))
+        Ls[:, sl] = L
+        A = np.hstack([Ls @ cc.Gmat, np.zeros((len(L), m))])  # w -> a
+        B = np.hstack([np.zeros((len(L), n)), Ls])  # w -> b
+        J = np.diag(np.r_[1.0, -np.ones(len(L) - 1)])
+    method = "pieces" if cc.curved else "exact"
+    margin, undecided, p3 = np.inf, False, []
+    for s in map(np.array, itertools.product((1.0, -1.0), repeat=k)):
+        h = s @ cc.rows
+        for hp, C in [(h + u, A), (h - u, B)] if cc.curved else [(h, None)]:
+            T = cc.tmatrix(hp)
+            sig = np.linalg.svd(T, compute_uv=False)
+            if linalg.relative_rank(sig, 1e-10) == len(sig):
+                margin = min(margin, sig[-1] ** 2)
+                continue
+            cands, kept = (_sign_region(cc, T, s) if C is None
+                           else _lorentz_region(T, C, J))
+            margin = min(margin, kept)
+            for w in cands:
+                r = _probe_residual(cc, w)
+                if r <= KERNEL_FOUND_TOL:  # a NaN residual is never one
+                    return {"min_residual": r, "witness": w,
+                            "method": method}
+            undecided = undecided or bool(cands)
+        if cc.curved:  # P3, from P2's T
+            T[n:][sl] -= Rb.T @ (Rb @ T[n:][sl])
+            S, kept = _piece_space(T)
+            U, sig, _ = np.linalg.svd(S[:n], full_matrices=False)
+            p3.append((U[:, sig > 1e-10], kept))
+    for D, kept in p3:
+        if D.shape[1]:
+            AD = A[:, :n] @ D
+            kept = min(kept, _lorentz_certificate(D.T @ cc.H @ D,
+                                                  AD.T @ J @ AD))
+        margin = min(margin, kept)
+    if undecided or cc.curved and margin < KERNEL_ABSENT_TOL:
+        return None
+    return {"min_residual": float(margin), "witness": None, "method": method}
+
+
+def _sign_region(cc, T, s):
+    """The candidates and the margin of a singular piece T = T_s of a
+    frame with no curved block, on its sign region {w : s_i r_i . P w >=
+    0}, P = [G' I].  With A = diag(s) rows P N, N a basis of null T:
+    where rank A < d = dim N, N null(A) is the candidate.  Else {c : A c
+    >= 0} is pointed: it is {0} unless an extreme ray, +-c spanning the
+    null space of d - 1 independent rows of A, has min(A c) >=
+    -WITNESS_TOL ||P N c||, and N c of the first that does is the
+    candidate.  With none the region is empty, and the least -min(A c)
+    over the rays is the margin."""
+    N, kept = _piece_space(T)
+    if not N.shape[1]:  # the full SVD keeps every value
+        return [], kept
+    PN = np.hstack([cc.Gmat, np.eye(len(cc.Gmat))]) @ N
+    A = s[:, None] * (cc.rows @ PN)
+    C = linalg.nullspace(A)
+    if C.shape[1]:
+        return [N @ C[:, 0]], kept
+    rays = []
+    for sub in itertools.combinations(range(len(A)), N.shape[1] - 1):
+        C = linalg.nullspace(A[list(sub)])
+        if C.shape[1] == 1:
+            rays += [C[:, 0], -C[:, 0]]
+    lows = [-np.min(A @ e) for e in rays]
+    for e, low in zip(rays, lows):
+        if low <= WITNESS_TOL * np.linalg.norm(PN @ e):
+            return [N @ e], kept
+    return [], min(lows)
+
+
+def _lorentz_region(T, C, J):
+    """The candidates and the margin of a P1 or P2 piece T, C the map w ->
+    a or b.  Its null space S holds a nonzero w with C w in K or -K iff
+    lambda_max(S'C'JCS) >= 0 (by Sylvester's law, iff C has a null vector
+    on S or lambda_max(V'JV) >= 0 on a basis V of C S).  The margin is the
+    least of the kept singular value squared and -lambda_max; below
+    KERNEL_ABSENT_TOL its eigenvector, of either sign, is the candidate."""
+    S, kept = _piece_space(T)
+    if not S.shape[1]:  # the full SVD keeps every value
+        return [], kept
+    vals, vecs = linalg.sym_eig(S.T @ C.T @ J @ C @ S)
+    kept = min(kept, -vals[0])
+    v = S @ vecs[:, 0]
+    return ([v, -v] if kept < KERNEL_ABSENT_TOL else []), kept
 
 
 def _piece_space(M):
-    """Orthonormal basis of null M, at the rank `linalg.nullspace` takes,
-    and the least singular value it keeps, squared (inf when none): the
-    least ||M w||^2 of a unit w orthogonal to the basis."""
+    """Orthonormal basis of null M, at the `linalg.relative_rank` that
+    `linalg.nullspace` takes, and the least singular value it keeps,
+    squared (inf when none): the least ||M w||^2 of a unit w orthogonal to
+    the basis."""
     _, sig, Vt = np.linalg.svd(M)
-    rank = int(np.sum(sig > 1e-10 * max(1.0, sig[0])))
+    rank = linalg.relative_rank(sig, 1e-10)
     return Vt[rank:].T, sig[rank - 1] ** 2 if rank else np.inf
 
 
@@ -585,90 +649,6 @@ def _lorentz_certificate(K0, K1):
         else:
             hi = tau
     return best
-
-
-def _kernel_pieces(cc):
-    """The probe decided by pieces on a frame with one curved block whose
-    beta subalgebra has rank 2 (`lorentz_rows` L: an SOC(m) apex, m >= 3,
-    or a PSD beta of order 2) besides k <= _MAX_PROBE_ROWS borderline
-    rows r; None where that does not apply or a piece stays undecided.
-
-    On w = (dx, dy) the system has linear rows, stationarity [H G'*] w =
-    0 and (1 - Omega_i) R_i G'dx - Omega_i R_i dy = 0 on every Peirce row
-    R_i off bb (a zero block's unit rows, Omega 0).  A borderline row asks
-    a_r >= 0 >= b_r, a_r b_r = 0 of a_r = r . G'dx and b_r = r . dy; its
-    signs are dropped, giving 2^k relaxed pieces a_r = 0 or b_r = 0.  On
-    the curved block a = L G'dx and b = L dy ask a in K, b in -K, a . b =
-    0 for K = {t >= |u|}, the union of three pieces, J = diag(1, -I):
-
-      P1  b = 0 and a in K;   P2  a = 0 and -b in K;
-      P3  b = -mu J a with mu > 0, a'Ja = 0 and a != 0.
-
-    P1 and P2 hold a nonzero w iff lambda_max(S'C'JCS) >= 0 on the null
-    space S of their equations, C the map to a or b (by Sylvester's law,
-    iff C has a null vector on S or lambda_max(V'JV) >= 0 on a basis V of
-    C S); its eigenvector is the candidate, of either sign.  On P3,
-    stationarity gives dx'H dx = -<G'dx, dy> = -sum_i Omega_i (1 -
-    Omega_i) (R_i h)^2 <= 0, as the borderline and curved products
-    vanish, and a'Ja = 0; so lambda_min(D'(H + tau G'*L'JLG')D) > 0 for
-    some tau, D a basis of the dx part of the piece's null space, leaves
-    no a != 0 (an S-lemma certificate: Polik & Terlaky, SIAM Rev. 49
-    (2007)).
-
-    A piece's margin is the least of the kept singular value squared of
-    its equations and -lambda_max (P1, P2) or the certificate (P3).  The
-    first P1 or P2 candidate whose unrelaxed `_probe_residual` is at most
-    KERNEL_FOUND_TOL, scored as it is found, is the witness: it ends the
-    probe before any certificate is sought.  Without one, the probe
-    holds, with no witness, when the least margin, its min_residual, is
-    at least KERNEL_ABSENT_TOL."""
-    if len(cc.curved) != 1 or len(cc.rows) > _MAX_PROBE_ROWS:
-        return None
-    s, f = cc.curved[0]
-    L = f.lorentz_rows()
-    if L is None:
-        return None
-    m, n = cc.Gmat.shape
-    X = np.hstack([cc.Gmat, np.zeros((m, m))])  # w -> G'dx
-    Y = np.hstack([np.zeros((m, n)), np.eye(m)])  # w -> dy
-    off = [(g.omega[~g.bb, None], g.R[~g.bb]) for g in cc.frame.frames]
-    Rx = cc.frame.embed([(1.0 - om) * R for om, R in off])
-    Ry = cc.frame.embed([om * R for om, R in off])
-    fixed = np.block([[cc.H, cc.Gmat.T], [Rx @ cc.Gmat, -Ry]])
-    Ls = np.zeros((len(L), m))
-    Ls[:, s] = L
-    A, B = Ls @ X, Ls @ Y
-    J = np.diag(np.r_[1.0, -np.ones(len(L) - 1)])
-    relaxed = [np.vstack([fixed, np.where(np.array(pick, dtype=bool)[:, None],
-                                          cc.rows @ X, cc.rows @ Y)])
-               for pick in itertools.product((0, 1), repeat=len(cc.rows))]
-    margins = []
-    for M in relaxed:
-        for eq, C in ((B, A), (A, B)):  # P1, P2
-            S, margin = _piece_space(np.vstack([M, eq]))
-            if S.shape[1]:
-                vals, vecs = linalg.sym_eig(S.T @ C.T @ J @ C @ S)
-                margin = min(margin, -vals[0])
-                if margin < KERNEL_ABSENT_TOL:
-                    for w in (S @ vecs[:, 0], -S @ vecs[:, 0]):
-                        r = _probe_residual(cc, w)
-                        if r <= KERNEL_FOUND_TOL:
-                            return {"min_residual": r, "witness": w,
-                                    "method": "pieces"}
-            margins.append(margin)
-    for M in relaxed:  # P3
-        S, margin = _piece_space(M)
-        U, sig, _ = np.linalg.svd(S[:n], full_matrices=False)
-        D = U[:, sig > 1e-10]
-        if D.shape[1]:
-            AD = A[:, :n] @ D
-            margin = min(margin, _lorentz_certificate(D.T @ cc.H @ D,
-                                                      AD.T @ J @ AD))
-        margins.append(margin)
-    if min(margins) < KERNEL_ABSENT_TOL:
-        return None
-    return {"min_residual": float(min(margins)), "witness": None,
-            "method": "pieces"}
 
 
 def _kernel_search(cc, n_starts, seed, extra_seeds):

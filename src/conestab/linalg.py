@@ -39,16 +39,23 @@ def norm(v):
     return np.sqrt(v.dot(v))
 
 
+def relative_rank(sig, tol):
+    """The number of the descending singular values sig above
+    tol * max(1, sig[0]): the one rank rule of every null space and
+    nonsingularity test, each with its own tol."""
+    return int(np.sum(sig > tol * max(1.0, sig[0])))
+
+
 def nullspace(M, tol=1e-10):
-    """Orthonormal basis of ker(M) as columns; empty (n, 0) when trivial."""
+    """Orthonormal basis of ker(M) as columns, at `relative_rank`; empty
+    (n, 0) when trivial."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if tol <= 0:
         raise ValueError("tol must be positive")
     if M.size == 0 or not np.any(M):
         return np.eye(M.shape[1])
     _, s, Vt = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    return Vt[rank:].T.copy()
+    return Vt[relative_rank(s, tol):].T.copy()
 
 
 def lstsq(M, r):

@@ -70,8 +70,8 @@ class ConicProgram:
         to factor its m × m Schur complement in place of the full KKT
         matrix, or None.  They are kept where G is affine, Q is positive
         definite (its least eigenvalue above `linalg.rank_tol_for` of its
-        spectrum), G' has full row rank (its least singular value above
-        1e-12 max(1, its largest), with m <= n) and all three are finite:
+        spectrum), G' has full row rank (`linalg.relative_rank` at 1e-12,
+        with m <= n) and all three are finite:
         then W ≻ 0, and S = J + (I - J) W is nonsingular for every
         symmetric J with eigenvalues in [0, 1].  Computed once: the
         program's data is read-only after construction."""
@@ -85,7 +85,7 @@ class ConicProgram:
                 s = np.linalg.svd(self.Gmat, compute_uv=False)
             except np.linalg.LinAlgError:
                 return None
-            if not s[-1] > 1e-12 * max(1.0, s[0]):
+            if linalg.relative_rank(s, 1e-12) < len(s):
                 return None
             Qinv = np.linalg.inv(self.Q)
             QiGt = Qinv @ self.Gmat.T

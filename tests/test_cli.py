@@ -402,6 +402,22 @@ class TestKernelProbeLine:
             in out
         assert "min residual" not in out
 
+    def test_apex_beside_eight_corners_exits_0(self, tmp_path, capsys):
+        # an SOC(3) apex beside 8 orthant corners, G = Q = I: the probe's
+        # pieces hold, where a search could only read inconclusive (exit 3)
+        prog = model.ConicProgram(11, np.eye(11), np.zeros(11), 0.0,
+                                  np.zeros(11), np.eye(11),
+                                  Cone([("soc", 3), ("orthant", 8)]),
+                                  name="soc3+corners8")
+        problem = tmp_path / "problem.json"
+        problem.write_text(model.save_problem(prog))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--problem", str(problem), "--report",
+                     str(report)]) == EXIT_OK
+        kp = json.loads(report.read_text())["kernel_probe"]
+        assert kp["method"] == "pieces" and kp["status"] == "holds"
+        assert "kernel probe: holds (piece margin" in capsys.readouterr().out
+
     def test_inconsistency_is_printed(self, monkeypatch, capsys):
         # a probe that contradicts the theorem verdict is named on its own
         # line; the exit code stays that of the verdicts

@@ -783,8 +783,7 @@ class TestWitnessStarts:
         first = next(w for w in starts if conditions._probe_residual(cc, w)
                      <= conditions.KERNEL_FOUND_TOL)
         calls = _count_t_builds(monkeypatch)
-        for stage in ("_kernel_signed_pieces", "_kernel_pieces",
-                      "_kernel_search"):
+        for stage in ("_kernel_pieces", "_kernel_search"):
             monkeypatch.setattr(conditions, stage, None)
         report = assemble_report(prog, x, y)
         assert report.theorem_verdict == FAILS and not calls
@@ -908,9 +907,10 @@ def _reference_margin(cc):
 
 
 class TestSignedPieces:
-    """`_kernel_signed_pieces` with no start reads the theorem verdict:
-    FAILS with a unit witness of residual at most KERNEL_FOUND_TOL, or
-    HOLDS with no witness and the least margin of `_reference_margin`."""
+    """`_kernel_pieces` with no start reads the theorem verdict on a frame
+    with no curved block: FAILS with a unit witness of residual at most
+    KERNEL_FOUND_TOL, or HOLDS with no witness and the least margin of
+    `_reference_margin`."""
 
     @staticmethod
     def _check(cc):
@@ -1017,7 +1017,8 @@ class TestPieceCertificate:
     def _with_a_singular_piece(cc):
         """A frame with a singular piece, which the signed pieces decide
         as `TestSignedPieces` asks."""
-        assert any(_singular(T) for _, T in cc.piece_tmatrices())
+        assert any(_singular(cc.tmatrix(np.array(s) @ cc.rows)) for s in
+                   itertools.product((1.0, -1.0), repeat=len(cc.rows)))
         return TestSignedPieces._check(cc)
 
     def test_above_the_face_cap_no_piece_is_kept(self):
@@ -1228,6 +1229,15 @@ def _pieces_controls():
     return out
 
 
+def _refuse_search(monkeypatch):
+    """Patch the kernel probe's search to raise, so that a probe that
+    returns was decided before it."""
+    def refused(*args):
+        raise AssertionError("the kernel-probe search ran")
+
+    monkeypatch.setattr(conditions, "_kernel_search", refused)
+
+
 class TestKernelPieces:
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_planted_apex_family_never_holds(self, m):
@@ -1249,9 +1259,9 @@ class TestKernelPieces:
         prog, x, y, w = _planted_apex(m, 0, piece)
         cc = problem_critical_cone(prog, x, y)
         assert conditions._probe_residual(cc, w) <= 1e-25
-        calls = _count_tmatrix_builds(monkeypatch)
+        _refuse_search(monkeypatch)
         probe = kernel_probe(prog, x, y)
-        assert probe["method"] == "pieces" and not calls
+        assert probe["method"] == "pieces"
         assert kernel_probe_verdict(probe).status == FAILS
         assert conditions._probe_residual(
             cc, probe["witness"]) <= conditions.KERNEL_FOUND_TOL
@@ -1262,9 +1272,8 @@ class TestKernelPieces:
         cc = problem_critical_cone(prog, x, y)
         assert len(cc.curved) == 1
         assert len(cc.rows) == (2 if name == "soc4+corners" else 0)
-        calls = _count_tmatrix_builds(monkeypatch)
+        _refuse_search(monkeypatch)
         probe = kernel_probe(prog, x, y)
-        assert not calls
         assert probe["method"] == "pieces" and probe["witness"] is None
         assert kernel_probe_verdict(probe).status == HOLDS
         assert probe["min_residual"] >= conditions.KERNEL_ABSENT_TOL
@@ -1288,6 +1297,28 @@ class TestKernelPieces:
         assert kernel_probe_verdict(probe).status != HOLDS
         assert check_srcq(prog, x, y).holds and check_sosc(prog, x, y).holds
 
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_an_apex_beside_many_corners_holds_by_pieces(self, k,
+                                                         monkeypatch):
+        # an SOC(3) apex beside k orthant corners, G = Q = I: SRCQ and SOSC
+        # hold, and the pieces decide a curved frame up to MAX_FACE_ROWS
+        # rows, as they do a polyhedral one, with no search
+        n = 3 + k
+        prog = model.ConicProgram(n, np.eye(n), np.zeros(n), 0.0,
+                                  np.zeros(n), np.eye(n),
+                                  Cone([("soc", 3), ("orthant", k)]),
+                                  name="soc3+corners")
+        x = y = np.zeros(n)
+        cc = problem_critical_cone(prog, x, y)
+        assert len(cc.curved) == 1 and len(cc.rows) == k
+        _refuse_search(monkeypatch)
+        report = assemble_report(prog, x, y)
+        assert report.theorem_verdict == HOLDS
+        kp = report.kernel_probe
+        assert kp["method"] == "pieces" and kp["status"] == HOLDS
+        assert kp["witness"] is None
+        assert kp["min_residual"] >= conditions.KERNEL_ABSENT_TOL
+
     def test_pieces_read_no_search_setting(self):
         prog, x, y = _pieces_controls()["soc4+corners"]
         first = kernel_probe(prog, x, y)
@@ -1307,9 +1338,8 @@ class TestKernelPieces:
                 12: ([("soc", 6), ("soc", 6)], [2, 0], [0, 1], "identity",
                      "face-null")}[i]
         inst = bench_gen.make_instance(*spec, seed=i)
-        calls = _count_tmatrix_builds(monkeypatch)
+        _refuse_search(monkeypatch)
         probe = kernel_probe(inst.prog, inst.x, inst.y)
-        assert not calls
         assert probe["method"] == "pieces"
         assert kernel_probe_verdict(probe).status == status
 

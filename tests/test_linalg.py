@@ -114,6 +114,14 @@ class TestNullspace:
         with pytest.raises(ValueError):
             linalg.nullspace(np.eye(2), tol=0.0)
 
+    def test_relative_rank_counts_above_tol_times_max_one_sigma_max(self):
+        # strictly above tol * max(1, sigma_max): relative where sigma_max
+        # is above 1, absolute below it
+        assert linalg.relative_rank(np.array([4.0, 5e-10, 3e-10]), 1e-10) == 2
+        assert linalg.relative_rank(np.array([0.5, 2e-10, 1e-10]), 1e-10) == 2
+        assert linalg.relative_rank(np.array([0.0]), 1e-10) == 0
+        assert linalg.nullspace(np.diag([4.0, 5e-10, 3e-10])).shape == (3, 1)
+
 
 class TestLstsq:
     def test_identity(self):
